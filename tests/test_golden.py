@@ -1,0 +1,105 @@
+"""Golden bytes: a fixed digest of exact solver output across commits.
+
+The determinism criterion compares reruns within one process; this test
+pins the bytes themselves, so a refactor that changes any point, trace
+field or rearrangement on these curves fails here.  Every curve is
+spelled out with dyadic coordinates (no random generator), and together
+they reach each solve branch: below the diagonal, tail normalization
+after a diagonal touch, a diagonal tail, the swap above the diagonal,
+boundary joins and the perturb-and-refine loop.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from curvepart import (
+    PLCurve,
+    diagonal_curve,
+    partition_below_diagonal,
+    partition_curve,
+)
+from curvepart.fileio import result_to_obj
+from curvepart.scalar import rat as R
+
+GOLDEN_SHA256 = (
+    "e6a4506889fdd17d0dc321c3fa709b01966632ed8199e300523d55ef060d633d")
+
+BELOW = PLCurve([0, R(1, 2), 1], [(0, 0), (R(3, 4), R(1, 4)), (1, 1)])
+BELOW_WIGGLE = PLCurve(
+    [0, R(1, 4), R(1, 2), R(3, 4), 1],
+    [(0, 0), (R(3, 8), R(1, 8)), (R(1, 2), R(1, 16)), (R(13, 16), R(1, 2)),
+     (1, 1)])
+TOUCHING = PLCurve(
+    [0, R(1, 4), R(1, 2), R(3, 4), 1],
+    [(0, 0), (R(1, 4), R(3, 8)), (R(1, 2), R(1, 2)), (R(3, 4), R(5, 8)),
+     (1, 1)])
+DIAGONAL_TAIL = PLCurve(
+    [0, R(1, 4), R(1, 2), 1],
+    [(0, 0), (R(5, 8), R(1, 4)), (R(1, 2), R(1, 2)), (1, 1)])
+ABOVE = PLCurve([0, R(1, 2), 1], [(0, 0), (R(1, 4), R(3, 4)), (1, 1)])
+JOIN = PLCurve(
+    [0, R(1, 4), R(1, 2), R(3, 4), 1],
+    [(0, 0), (R(1, 2), R(1, 2)), (R(11, 16), R(5, 16)), (R(7, 8), R(13, 16)),
+     (1, 1)])
+JOIN_SWAPPED = PLCurve(
+    [0, R(1, 4), R(1, 2), R(3, 4), 1],
+    [(0, 0), (R(3, 8), R(3, 16)), (R(1, 2), R(1, 2)), (R(5, 16), R(11, 16)),
+     (1, 1)])
+# neither the height nor the first closing sum is class U
+REFINE = PLCurve(
+    [R(k, 8) for k in range(6)] + [1],
+    [(0, 0), (R(1, 2), R(3, 8)), (R(3, 8), R(3, 16)), (R(1, 2), R(7, 16)),
+     (R(1, 2), R(3, 8)), (R(3, 4), R(11, 16)), (1, 1)])
+REFINE_TOL = R(1, 2**12)
+
+
+def _golden_results():
+    out = []
+    for n in range(7):
+        out.append(("below", n, partition_below_diagonal(BELOW, n)))
+    for n in range(4):
+        out.append(("below-wiggle", n, partition_below_diagonal(BELOW_WIGGLE, n)))
+    for n in range(1, 7):
+        out.append(("curve-below", n, partition_curve(BELOW, n)))
+    for name, curve, n in (
+        ("touching", TOUCHING, 2),
+        ("touching", TOUCHING, 4),
+        ("diagonal-tail", DIAGONAL_TAIL, 3),
+        ("diagonal", diagonal_curve(), 2),
+        ("above", ABOVE, 3),
+        ("join", JOIN, 3),
+        ("join-swapped", JOIN_SWAPPED, 3),
+    ):
+        out.append((name, n, partition_curve(curve, n)))
+    out.append(("refine", 2,
+                partition_below_diagonal(REFINE, 2, tol=REFINE_TOL)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden_results():
+    return _golden_results()
+
+
+def _digest(results):
+    obj = [[name, n, result_to_obj(res)] for name, n, res in results]
+    text = json.dumps(obj, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_cases_reach_every_branch(golden_results):
+    by_name = {name: res for name, _, res in golden_results}
+    assert by_name["touching"].trace.last_touch > 0
+    assert by_name["diagonal-tail"].trace.branch == "diagonal"
+    assert by_name["above"].trace.swapped
+    assert by_name["join"].trace.boundary_joins
+    assert by_name["join-swapped"].trace.boundary_joins
+    assert by_name["join-swapped"].trace.swapped
+    assert by_name["refine"].trace.perturbations
+    assert not by_name["refine"].exact
+
+
+def test_golden_bytes(golden_results):
+    assert _digest(golden_results) == GOLDEN_SHA256
