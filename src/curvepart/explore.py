@@ -115,7 +115,7 @@ def _theta_residuals(curve, s, theta_shift, frees, chaser):
     return res, pts
 
 
-def _search_shift_zero(curve, s, tol):
+def _search_shift_zero(curve, s):
     """Identity relation: every chosen point must sit on y = x."""
     from .plfun import level_set, pl_sub
 
@@ -167,7 +167,7 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
     residual = None
 
     if k == 0:
-        pts = _search_shift_zero(curve, s, tol_f)
+        pts = _search_shift_zero(curve, s)
         if pts is not None:
             found_pts, residual = pts, 0.0
     elif k == 1:

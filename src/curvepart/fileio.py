@@ -10,7 +10,6 @@ literally (0.1 -> 1/10), never through binary floating point.
 import json
 
 from .errors import InputError
-from .pipeline import Rearrangement
 from .plcurve import PLCurve
 from .plfun import PLFunction
 from .scalar import as_float, format_rational, parse_rational
@@ -117,12 +116,6 @@ def rearrangement_to_obj(r):
     if r.shift is not None:
         return {"shift": r.shift}
     return {"perm": list(r.perm)}
-
-
-def rearrangement_from_obj(obj):
-    if "shift" in obj:
-        return Rearrangement(shift=int(obj["shift"]))
-    return Rearrangement(perm=tuple(int(p) for p in obj["perm"]))
 
 
 def trace_to_obj(trace, mode=EXACT):

@@ -1,8 +1,10 @@
 """Equal-increment partitions of curves from (0,0) to (1,1).
 
 The exact route builds partitioning functions by induction (each step
-solves one climb), extracts the points from an auxiliary-curve
-intersection, and verifies the cyclic-shift identities before returning.
+solves one climb) and extracts the points from an auxiliary-curve
+intersection.  Membership of the partitioning functions is proved once,
+as an exact PL identity on the carried parameter maps; every exit then
+passes one geometric check, `_final_verify`.
 Curves whose height component resists the exact route go through a
 deterministic perturb-and-refine loop with verified residuals; curves
 whose normalized tail leaves the lower triangle go through a
@@ -38,6 +40,7 @@ from .plcurve import (
 from .plfun import (
     PLFunction,
     compose,
+    identity,
     level_set,
     perturb_distinct_extrema,
     pl_add,
@@ -54,12 +57,16 @@ DEFAULT_DELTA0 = rat(1, 8)
 
 @dataclass(frozen=True)
 class PartitioningFunctions:
-    """Functions y, x_1..x_n with (x_i(t), x_{i-1}(t) + y(t)) on the curve."""
+    """Functions y, x_1..x_n with (x_i(t), x_{i-1}(t) + y(t)) on the curve.
+
+    params holds the parameter maps tau_1..tau_n: with x_0 = 0, the i-th
+    point (x_i(t), x_{i-1}(t) + y(t)) is curve(tau_i(t)).
+    """
 
     n: int
     y: PLFunction
     xs: tuple
-    source_curve: PLCurve
+    params: tuple
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,11 @@ def build_partitioning_functions(curve, n):
     """Induction on n; each step compresses the closing sum onto [0,1] and
     solves one climb against the curve's height component.
 
+    The parameter maps tau_i are the only induction state, so x_i =
+    width o tau_i and y = height o tau_1 hold by construction; the one
+    remaining claim, height o tau_i == x_{i-1} + y for i >= 2, is checked
+    as an exact identity of canonical PL functions, covering every t.
+
     The curve must run from (0,0) to (1,1) through the open unit square.
     The exact route needs a class-U profile on one side of every climb;
     otherwise ClassUError propagates and callers fall back to refinement.
@@ -135,10 +147,9 @@ def build_partitioning_functions(curve, n):
 
     height = curve.y_function()
     width = curve.x_function()
-    y = height
-    xs = [width]
+    taus = [identity()]
     for _ in range(1, n):
-        w = pl_add(xs[-1], y)
+        w = pl_add(compose(width, taus[-1]), compose(height, taus[0]))
         hits = level_set(w, ONE)
         if not hits:
             raise InternalInvariantError("closing sum never reaches 1")
@@ -146,38 +157,22 @@ def build_partitioning_functions(curve, n):
         f2 = pl_compress_param(w, t_stop)
         sol = climb.solve_either_orientation(height, f2)
         inner = pl_scale_values(sol.g2, t_stop)
-        y = compose(y, inner)
-        xs = [compose(x, inner) for x in xs]
-        xs.append(compose(width, sol.g1))
+        taus = [compose(tau, inner) for tau in taus]
+        taus.append(sol.g1)
 
-    pf = PartitioningFunctions(n=n, y=y, xs=tuple(xs), source_curve=curve)
-    _check_partitioning_functions(pf)
-    return pf
-
-
-def _check_partitioning_functions(pf):
-    curve, y, xs = pf.source_curve, pf.y, pf.xs
+    y = compose(height, taus[0])
+    xs = tuple(compose(width, tau) for tau in taus)
     if pl_eval(y, ZERO) != 0 or any(pl_eval(x, ZERO) != 0 for x in xs):
         raise InternalInvariantError("partitioning functions must start at 0")
-    last_x = pl_eval(xs[-1], ONE)
-    below = pl_eval(xs[-2], ONE) if len(xs) >= 2 else ZERO
-    if (last_x, below + pl_eval(y, ONE)) != (ONE, ONE):
+    below = pl_eval(xs[-2], ONE) if n >= 2 else ZERO
+    if (pl_eval(xs[-1], ONE), below + pl_eval(y, ONE)) != (ONE, ONE):
         raise InternalInvariantError("partitioning functions must close at (1,1)")
-    zero = PLFunction(((ZERO, ZERO), (ONE, ZERO)))
-    prev = zero
-    for x in xs:
-        ts = sorted(set(x.knots) | set(prev.knots) | set(y.knots))
-        samples = []
-        for t0, t1 in zip(ts, ts[1:]):
-            samples.extend((t0, (t0 + t1) / 2))
-        samples.append(ONE)
-        for t in samples:
-            p = (pl_eval(x, t), pl_eval(prev, t) + pl_eval(y, t))
-            if not point_on_curve(curve, p):
-                raise InternalInvariantError(
-                    f"partitioning point {p} at t={t} left the curve"
-                )
-        prev = x
+    for i in range(1, n):
+        if compose(height, taus[i]) != pl_add(xs[i - 1], y):
+            raise InternalInvariantError(
+                f"partitioning function x_{i + 1} left the curve"
+            )
+    return PartitioningFunctions(n=n, y=y, xs=xs, params=tuple(taus))
 
 
 def extract_points(curve, pf):
@@ -185,11 +180,10 @@ def extract_points(curve, pf):
 
     The closing curve (1 - y(t), x_n(t) + y(t)) starts at (1,0) and ends
     above the top edge, so it meets the input; the intersection with the
-    smallest closing-curve parameter is taken.  The shift identities
-    dy_i = dx_{(i-1) mod S} are verified exactly before returning.
+    smallest closing-curve parameter is taken.  The result, shift 1,
+    returns through `_final_verify`.
     """
     y, xs = pf.y, pf.xs
-    n = pf.n
     eta = curve_from_functions(
         pl_scale_values(y, rat(-1), ONE), pl_add(xs[-1], y)
     )
@@ -208,21 +202,9 @@ def extract_points(curve, pf):
     pts.append((ONE - pl_eval(y, t0), pl_eval(xs[-1], t0) + pl_eval(y, t0)))
     pts.append((ONE, ONE))
 
-    s = n + 2
     dx, dy = increments(pts)
-    for i in range(s):
-        if dy[i] != dx[(i - 1) % s]:
-            raise InternalInvariantError(f"shift identity failed at increment {i}")
-    for p in pts:
-        if not point_on_curve(curve, p):
-            raise InternalInvariantError(f"partition point {p} left the curve")
-    if is_lower_triangle_interior(curve):
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if not (x0 < x1 and y0 < y1):
-                raise InternalInvariantError("points failed to increase strictly")
-
-    return PartitionResult(
-        S=s,
+    res = PartitionResult(
+        S=pf.n + 2,
         points=tuple(pts),
         dx=dx,
         dy=dy,
@@ -231,6 +213,7 @@ def extract_points(curve, pf):
         residual=ZERO,
         trace=PipelineTrace(branch="below", solver_frame_points=tuple(pts)),
     )
+    return _final_verify(curve, res, ZERO)
 
 
 def _antidiagonal_point(curve):
@@ -263,18 +246,14 @@ def partition_below_diagonal(curve, n, tol=DEFAULT_TOL, max_iter=80,
         )
 
     if n == 0:
-        x1, y1 = _antidiagonal_point(curve)
-        pts = ((ZERO, ZERO), (x1, y1), (ONE, ONE))
+        pts = ((ZERO, ZERO), _antidiagonal_point(curve), (ONE, ONE))
         dx, dy = increments(pts)
-        if y1 != 1 - x1:
-            raise InternalInvariantError("closing point missed x + y = 1")
-        if not (0 < x1 < 1 and 0 < y1 < 1):
-            raise InternalInvariantError("closing point not interior")
-        return PartitionResult(
+        res = PartitionResult(
             S=2, points=pts, dx=dx, dy=dy,
             rearrangement=Rearrangement(shift=1), exact=True, residual=ZERO,
             trace=PipelineTrace(branch="below", solver_frame_points=pts),
         )
+        return _final_verify(curve, res, ZERO)
 
     try:
         pf = build_partitioning_functions(curve, n)
@@ -660,6 +639,9 @@ def partition_densities(dens_f, dens_g, n, tol=DEFAULT_TOL, max_iter=80):
 
 
 def _final_verify(curve, res, tol):
+    """The one geometric check on every exit: the rearrangement identity,
+    positive increments, and every point on the curve; exact results must
+    meet all three exactly, inexact ones within tol."""
     perm = res.rearrangement.as_perm(res.S)
     for i in range(res.S):
         gap = abs(res.dy[i] - res.dx[perm[i]])
@@ -672,11 +654,10 @@ def _final_verify(curve, res, tol):
             raise InternalInvariantError("non-positive increment")
     # every solve path lands its points exactly on the input curve; the
     # inexact band below is pure defence
-    tol2 = tol * tol
     for p in res.points:
-        d2 = point_curve_distance_sq(curve, p)
-        if res.exact and d2 != 0:
-            raise InternalInvariantError(f"point {p} off the curve")
-        if not res.exact and d2 > tol2:
+        if res.exact:
+            if not point_on_curve(curve, p):
+                raise InternalInvariantError(f"point {p} off the curve")
+        elif point_curve_distance_sq(curve, p) > tol * tol:
             raise InternalInvariantError(f"point {p} too far off the curve")
     return res

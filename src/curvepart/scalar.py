@@ -29,10 +29,6 @@ TWO = rat(2)
 HALF = rat(1, 2)
 
 
-def is_rational(x):
-    return isinstance(x, (Scalar, Fraction, int)) and not isinstance(x, bool)
-
-
 def parse_rational(text):
     """Parse "p/q", integer, or decimal/scientific text into an exact rational.
 

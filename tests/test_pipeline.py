@@ -1,15 +1,18 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvepart import (
     ClassUError,
+    InternalInvariantError,
     NonInteriorCurveError,
     PLCurve,
     PLFunction,
     PreconditionError,
     build_partitioning_functions,
+    compose,
     diagonal_curve,
     extract_points,
     partition_below_diagonal,
@@ -19,11 +22,13 @@ from curvepart import (
     random_curve,
     verify,
 )
+from curvepart import pipeline
 from curvepart.pipeline import (
     Rearrangement,
     pl_density_cumulative,
     step_cumulative,
 )
+from curvepart.plfun import pl_add, pl_scale_values
 from curvepart.scalar import rat
 
 from util import functions_on_curve
@@ -62,6 +67,11 @@ class TestBuildPartitioningFunctions:
         for n in (1, 2, 3):
             pf = build_partitioning_functions(c, n)
             assert functions_on_curve(c, list(pf.xs), pf.y)
+            width, height = c.x_function(), c.y_function()
+            assert [compose(width, tau) for tau in pf.params] == list(pf.xs)
+            prevs = [PLFunction([(0, 0), (1, 0)])] + list(pf.xs[:-1])
+            assert [compose(height, tau) for tau in pf.params] == [
+                pl_add(prev, pf.y) for prev in prevs]
 
     def test_boundary_conditions_of_functions(self):
         pf = build_partitioning_functions(BENT, 3)
@@ -73,6 +83,19 @@ class TestBuildPartitioningFunctions:
     def test_rejects_boundary_curve(self):
         with pytest.raises(NonInteriorCurveError):
             build_partitioning_functions(SECTION5, 1)
+
+    def test_wrong_climb_solution_rejected(self, monkeypatch):
+        real = pipeline.climb.solve_either_orientation
+
+        def wrong_g1(f1, f2):
+            sol = real(f1, f2)
+            bent = PLFunction([(0, 0), (R(1, 2), R(1, 4)), (1, 1)])
+            return replace(sol, g1=compose(sol.g1, bent))
+
+        monkeypatch.setattr(pipeline.climb, "solve_either_orientation",
+                            wrong_g1)
+        with pytest.raises(InternalInvariantError, match="left the curve"):
+            build_partitioning_functions(BENT, 2)
 
 
 class TestExtractPoints:
@@ -92,6 +115,13 @@ class TestExtractPoints:
             pf = build_partitioning_functions(diagonal_curve(), n)
             res = extract_points(diagonal_curve(), pf)
             assert res.dx == res.dy
+
+    def test_tampered_functions_rejected(self):
+        pf = build_partitioning_functions(BENT, 2)
+        off = pl_scale_values(pf.xs[0], R(1, 2))
+        tampered = replace(pf, xs=(off,) + pf.xs[1:])
+        with pytest.raises(InternalInvariantError, match="off the curve"):
+            extract_points(BENT, tampered)
 
     def test_interior_curves_satisfy_shift_exactly(self):
         for seed in range(8):
