@@ -64,10 +64,10 @@ class TestBuildPartitioningFunctions:
     def test_membership_oracle_full_coverage(self):
         c = PLCurve([0, R(1, 3), R(2, 3), 1],
                     [(0, 0), (R(1, 2), R(1, 5)), (R(7, 10), R(2, 5)), (1, 1)])
+        width, height = c.x_function(), c.y_function()
         for n in (1, 2, 3):
             pf = build_partitioning_functions(c, n)
             assert functions_on_curve(c, list(pf.xs), pf.y)
-            width, height = c.x_function(), c.y_function()
             assert [compose(width, tau) for tau in pf.params] == list(pf.xs)
             prevs = [PLFunction([(0, 0), (1, 0)])] + list(pf.xs[:-1])
             assert [compose(height, tau) for tau in pf.params] == [
@@ -86,10 +86,10 @@ class TestBuildPartitioningFunctions:
 
     def test_wrong_climb_solution_rejected(self, monkeypatch):
         real = pipeline.climb.solve_either_orientation
+        bent = PLFunction([(0, 0), (R(1, 2), R(1, 4)), (1, 1)])
 
         def wrong_g1(f1, f2):
             sol = real(f1, f2)
-            bent = PLFunction([(0, 0), (R(1, 2), R(1, 4)), (1, 1)])
             return replace(sol, g1=compose(sol.g1, bent))
 
         monkeypatch.setattr(pipeline.climb, "solve_either_orientation",
