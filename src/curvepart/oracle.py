@@ -8,6 +8,7 @@ compared through the verifier, never by point equality.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .pipeline import PartitionResult, PipelineTrace, Rearrangement, increments
 from .plcurve import point_curve_distance_sq
@@ -194,15 +195,29 @@ def closure_residual(curve, n, t1):
     return closure_shot(curve, n, t1).residual
 
 
-def _branch_vectors(curve, n, cap=128):
-    """Deterministic enumeration of chase-branch choices, nearest first."""
-    from itertools import product
+def _vectors_with_sum(total, n, width):
+    """All n-tuples over range(width) summing to total, in lex order."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    # the first entry leaves a total the other n - 1 entries can still reach
+    for first in range(max(0, total - (n - 1) * (width - 1)),
+                       min(total, width - 1) + 1):
+        for rest in _vectors_with_sum(total - first, n - 1, width):
+            yield (first,) + rest
 
+
+def _branch_vectors(curve, n, cap=128):
+    """Deterministic enumeration of chase-branch choices, nearest first:
+    the first `cap` tuples of product(range(width), repeat=n) in (sum, lex)
+    order, generated lazily so the work is O(cap * n) for any width."""
     if n <= 0:
         return [()]
     width = max(2, len(curve.knots) - 1)
-    vectors = sorted(product(range(width), repeat=n), key=lambda v: (sum(v), v))
-    return vectors[:cap]
+    ordered = (v for total in range(n * (width - 1) + 1)
+               for v in _vectors_with_sum(total, n, width))
+    return list(islice(ordered, cap))
 
 
 def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6), refine_steps=80):

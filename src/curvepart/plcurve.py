@@ -3,29 +3,42 @@
 Canonicalization only removes knots at which both coordinate graphs are
 collinear with their neighbors, so the curve is preserved as a *function*
 of the parameter, never just as a point set.
+
+Kernel costs, for curves a and b with m and k segments (each step is O(1)
+exact rational operations):
+
+- PLCurve(...): O(m); canonicalization costs three subtractions per point.
+- curve(t): O(log m), a bisection of the knots.
+- curve_from_functions(fx, fy): O(pieces(fx) + pieces(fy)), one merge-walk.
+- point_on_curve(curve, q): O(m) box tests; it stops at the first segment
+  whose box holds q and whose line passes through q, without a division.
+- curve_intersections(a, b): O(m k) box tests, plus an exact segment
+  intersection only for the pairs whose bounding boxes meet.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import PreconditionError
-from .plfun import PLFunction, pl_eval
+from .errors import DomainError, PreconditionError
+from .plfun import PLFunction, union_knot_values
 from .scalar import ONE, ZERO, rat
 
 
 def _canonical(knots, verts):
     out = [(knots[0], verts[0])]
+    steps = []  # steps[i] = (dt, dx, dy) from out[i] to out[i + 1]
     for t, p in zip(knots[1:], verts[1:]):
-        while len(out) >= 2:
-            t0, p0 = out[-2]
-            t1, p1 = out[-1]
-            keep = False
-            for k in (0, 1):
-                if (p1[k] - p0[k]) * (t - t1) != (p[k] - p1[k]) * (t1 - t0):
-                    keep = True
-            if keep:
+        t1, p1 = out[-1]
+        dt, dx, dy = t - t1, p[0] - p1[0], p[1] - p1[1]
+        while steps:
+            dt0, dx0, dy0 = steps[-1]
+            if dx0 * dt != dx * dt0 or dy0 * dt != dy * dt0:
                 break
             out.pop()
+            steps.pop()
+            dt, dx, dy = dt0 + dt, dx0 + dx, dy0 + dy
         out.append((t, p))
+        steps.append((dt, dx, dy))
     return out
 
 
@@ -53,7 +66,17 @@ class PLCurve:
         object.__setattr__(self, "vertices", tuple(p for _, p in pairs))
 
     def __call__(self, t):
-        return (pl_eval(self.x_function(), t), pl_eval(self.y_function(), t))
+        t = rat(t)
+        if t < 0 or t > 1:
+            raise DomainError(f"argument {t} outside [0,1]", witness=t)
+        ks, vs = self.knots, self.vertices
+        i = bisect_right(ks, t) - 1
+        t0, (x0, y0) = ks[i], vs[i]
+        if t == t0:  # always so at t = 1, the last knot
+            return (x0, y0)
+        t1, (x1, y1) = ks[i + 1], vs[i + 1]
+        w = (t - t0) / (t1 - t0)
+        return (x0 + (x1 - x0) * w, y0 + (y1 - y0) * w)
 
     def x_function(self):
         return PLFunction(tuple(zip(self.knots, (p[0] for p in self.vertices))))
@@ -70,8 +93,8 @@ class PLCurve:
 
 
 def curve_from_functions(fx, fy):
-    ts = sorted(set(fx.knots) | set(fy.knots))
-    return PLCurve(ts, [(pl_eval(fx, t), pl_eval(fy, t)) for t in ts])
+    rows = union_knot_values(fx, fy)
+    return PLCurve([t for t, _, _ in rows], [(x, y) for _, x, y in rows])
 
 
 def diagonal_curve():
@@ -149,6 +172,13 @@ def _intersect_segments(p0, p1, q0, q1):
     return [("overlap", (lo, hi), (u_of(lo), u_of(hi)), p_at(lo), p_at(hi))]
 
 
+def _box(p0, p1):
+    """(x_lo, x_hi, y_lo, y_hi) of the segment p0..p1."""
+    x0, x1 = (p0[0], p1[0]) if p0[0] <= p1[0] else (p1[0], p0[0])
+    y0, y1 = (p0[1], p1[1]) if p0[1] <= p1[1] else (p1[1], p0[1])
+    return x0, x1, y0, y1
+
+
 def curve_intersections(a, b):
     """All intersections of two polylines, ordered by parameter on `a`.
 
@@ -157,8 +187,13 @@ def curve_intersections(a, b):
     """
     points = {}
     overlaps = []
+    b_segs = [(seg, _box(seg[2], seg[3])) for seg in b.segments()]
     for ta0, ta1, pa0, pa1 in a.segments():
-        for tb0, tb1, pb0, pb1 in b.segments():
+        ax0, ax1, ay0, ay1 = _box(pa0, pa1)
+        for (tb0, tb1, pb0, pb1), (bx0, bx1, by0, by1) in b_segs:
+            # closed segments with disjoint bounding boxes cannot meet
+            if bx1 < ax0 or ax1 < bx0 or by1 < ay0 or ay1 < by0:
+                continue
             for hit in _intersect_segments(pa0, pa1, pb0, pb1):
                 if hit[0] == "point":
                     _, s, u, pt = hit
@@ -239,7 +274,16 @@ def nearest_point_on_curve(curve, q):
 
 
 def point_on_curve(curve, q):
-    return point_curve_distance_sq(curve, q) == 0
+    """Exact membership: q lies in some segment's bounding box and on its
+    line (a zero-length segment's box is its one point)."""
+    qx, qy = q
+    vs = curve.vertices
+    for p0, p1 in zip(vs, vs[1:]):
+        if ((p0[0] <= qx <= p1[0] or p1[0] <= qx <= p0[0])
+                and (p0[1] <= qy <= p1[1] or p1[1] <= qy <= p0[1])
+                and _cross(p0, p1, q) == 0):
+            return True
+    return False
 
 
 def first_parameter_at(curve, q, start=ZERO):

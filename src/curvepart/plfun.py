@@ -3,6 +3,18 @@
 Everything here is a pure function over immutable values.  Canonical form
 (no breakpoint collinear with its neighbors) is restored by every
 constructor so piece counts stay minimal through long composition chains.
+
+Kernel costs, for f with m pieces, g with k pieces and r result pieces
+(each step is O(1) exact rational operations):
+
+- PLFunction(...): O(m); canonicalization costs two subtractions per point
+  and the knot tuple is built once.
+- pl_eval(f, t): O(log m), a bisection of the cached knots.
+- compose(outer, inner): O(k log m + r); each inner knot bisects the outer
+  knots once, and each inner piece emits the outer knots it crosses in
+  t-order, taking their values from the outer breakpoints.
+- pl_combine(f, g, op) and union_knot_values(f, g): O(m + k), one
+  merge-walk over the two sorted breakpoint lists.
 """
 
 from bisect import bisect_right
@@ -24,21 +36,29 @@ FLAT = "flat"
 def _canonical(points):
     """Drop interior breakpoints collinear with both neighbors."""
     out = [points[0]]
+    steps = []  # steps[i] = (dt, dv) from out[i] to out[i + 1]
     for t, v in points[1:]:
-        while len(out) >= 2:
-            t0, v0 = out[-2]
-            t1, v1 = out[-1]
-            if (v1 - v0) * (t - t1) == (v - v1) * (t1 - t0):
-                out.pop()
-            else:
+        t1, v1 = out[-1]
+        dt, dv = t - t1, v - v1
+        while steps:
+            dt0, dv0 = steps[-1]
+            if dv0 * dt != dv * dt0:
                 break
+            out.pop()
+            steps.pop()
+            dt, dv = dt0 + dt, dv0 + dv
         out.append((t, v))
+        steps.append((dt, dv))
     return out
 
 
 @dataclass(frozen=True)
 class PLFunction:
-    """Breakpoints ((t, v), ...) with t strictly increasing from 0 to 1."""
+    """Breakpoints ((t, v), ...) with t strictly increasing from 0 to 1.
+
+    `knots`, the tuple of breakpoint times, is derived once at construction;
+    it is not a dataclass field, so it takes no part in ==, hash or repr.
+    """
 
     breakpoints: tuple
 
@@ -51,11 +71,9 @@ class PLFunction:
         for (t0, _), (t1, _) in zip(pts, pts[1:]):
             if not t0 < t1:
                 raise PreconditionError(f"breakpoint times not strictly increasing at t={t1}")
-        object.__setattr__(self, "breakpoints", tuple(_canonical(pts)))
-
-    @property
-    def knots(self):
-        return tuple(t for t, _ in self.breakpoints)
+        pts = tuple(_canonical(pts))
+        object.__setattr__(self, "breakpoints", pts)
+        object.__setattr__(self, "knots", tuple(t for t, _ in pts))
 
     @property
     def values(self):
@@ -79,7 +97,7 @@ def pl_eval(f, t):
     if t < 0 or t > 1:
         raise DomainError(f"argument {t} outside [0,1]", witness=t)
     pts = f.breakpoints
-    idx = bisect_right([p[0] for p in pts], t) - 1
+    idx = bisect_right(f.knots, t) - 1
     if idx >= len(pts) - 1:
         idx = len(pts) - 2
     t0, v0 = pts[idx]
@@ -138,18 +156,37 @@ def compose(outer, inner):
 
 
 def _compose_unchecked(outer, inner):
-    cut_levels = [t for t, _ in outer.breakpoints]
-    knots = set(inner.knots)
-    pts = inner.breakpoints
-    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-        if v0 == v1:
-            continue
-        vlo, vhi = (v0, v1) if v0 < v1 else (v1, v0)
-        for u in cut_levels:
-            if vlo < u < vhi:
-                knots.add(t0 + (u - v0) * (t1 - t0) / (v1 - v0))
-    ts = sorted(knots)
-    return PLFunction([(t, pl_eval(outer, pl_eval(inner, t))) for t in ts])
+    # The result breaks at every inner knot and wherever an inner piece
+    # crosses an outer knot; a crossing takes that outer breakpoint's value.
+    # One bisection per inner knot serves both its value and the crossings.
+    us, obp = outer.knots, outer.breakpoints
+    out = []
+    prev = None
+    for t, v in inner.breakpoints:
+        hi = bisect_right(us, v)  # us[:hi] <= v; hi >= 1 as v >= 0 = us[0]
+        on_knot = us[hi - 1] == v
+        lo = hi - 1 if on_knot else hi  # us[:lo] < v
+        if prev is not None:
+            t0, v0, lo0, hi0 = prev
+            if v0 < v:
+                crossed = range(hi0, lo)
+            elif v < v0:
+                crossed = range(lo0 - 1, hi - 1, -1)
+            else:
+                crossed = ()
+            if crossed:
+                slope = (t - t0) / (v - v0)
+                for i in crossed:
+                    u, w = obp[i]
+                    out.append((t0 + (u - v0) * slope, w))
+        if on_knot:
+            w = obp[hi - 1][1]
+        else:
+            (u0, w0), (u1, w1) = obp[hi - 1], obp[hi]
+            w = w0 + (w1 - w0) * (v - u0) / (u1 - u0)
+        out.append((t, w))
+        prev = (t, v, lo, hi)
+    return PLFunction(out)
 
 
 def compose_clamped(outer, inner):
@@ -174,14 +211,40 @@ def clamp_to_unit(f):
     return PLFunction([(t, clamp(pl_eval(f, t))) for t in sorted(knots)])
 
 
+def union_knot_values(f, g):
+    """[(t, f(t), g(t)), ...] over the sorted union of both knot sets.
+
+    One merge-walk: a knot of one function that the other lacks lies inside
+    the other's current piece, which is interpolated there.
+    """
+    fp, gp = f.breakpoints, g.breakpoints
+    out = []
+    i = j = 0
+    while i < len(fp):
+        tf, vf = fp[i]
+        tg, vg = gp[j]
+        if tf == tg:
+            out.append((tf, vf, vg))
+            i += 1
+            j += 1
+        elif tf < tg:
+            s0, w0 = gp[j - 1]
+            out.append((tf, vf, w0 + (vg - w0) * (tf - s0) / (tg - s0)))
+            i += 1
+        else:
+            s0, w0 = fp[i - 1]
+            out.append((tg, w0 + (vf - w0) * (tg - s0) / (tf - s0), vg))
+            j += 1
+    return out
+
+
 def pl_combine(f, g, op):
     """Pointwise combination of two PL functions over their union knots.
 
     Valid only for combinations that stay linear between knots (sums,
     differences, affine mixes).
     """
-    ts = sorted(set(f.knots) | set(g.knots))
-    return PLFunction([(t, op(pl_eval(f, t), pl_eval(g, t))) for t in ts])
+    return PLFunction([(t, op(a, b)) for t, a, b in union_knot_values(f, g)])
 
 
 def pl_add(f, g):

@@ -19,7 +19,11 @@ try:
     Scalar = type(_mpq(0))
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     def rat(p, q=None):
-        return Fraction(p) if q is None else Fraction(p, q)
+        # Fractions are immutable: one already in lowest terms is returned
+        # as is instead of being rebuilt through Fraction.__new__.
+        if q is None:
+            return p if type(p) is Fraction else Fraction(p)
+        return Fraction(p, q)
 
     Scalar = Fraction
 

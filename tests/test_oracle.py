@@ -1,3 +1,5 @@
+from itertools import product
+
 from curvepart import (
     PLCurve,
     brute_force,
@@ -8,6 +10,7 @@ from curvepart import (
     random_curve,
     verify,
 )
+from curvepart.oracle import _branch_vectors
 from curvepart.scalar import rat
 
 R = rat
@@ -145,3 +148,29 @@ class TestShotConsistency:
                     crossings += 1
             prev = r
         assert crossings >= 1
+
+
+def _curve_of_width(width):
+    """A below-diagonal curve with `width` segments and no collinear knots."""
+    knots = [R(i, width) for i in range(width + 1)]
+    return PLCurve(knots, [(t, t * t) for t in knots])
+
+
+class TestBranchVectors:
+    def test_matches_sorted_product_prefix(self):
+        for width in range(2, 7):
+            curve = _curve_of_width(width)
+            for n in range(5):
+                full = sorted(product(range(width), repeat=n),
+                              key=lambda v: (sum(v), v))
+                for cap in (1, 5, 128):
+                    assert _branch_vectors(curve, n, cap) == full[:cap], (width, n, cap)
+
+    def test_wide_curve_stays_bounded(self):
+        # product(range(63), repeat=4) has about 15.8M tuples; the first 128
+        # in (sum, lex) order are the 126 with sum <= 5, then two of sum 6
+        vectors = _branch_vectors(_curve_of_width(63), 4)
+        low = sorted((v for v in product(range(6), repeat=4) if sum(v) <= 5),
+                     key=lambda v: (sum(v), v))
+        assert len(low) == 126
+        assert vectors == low + [(0, 0, 0, 6), (0, 0, 1, 5)]
