@@ -14,7 +14,6 @@ from .climb import (
     apply_bumps,
     plan_bumps,
     solve,
-    solve_level_traversal,
 )
 from .errors import (
     ClassUError,
@@ -28,8 +27,8 @@ from .errors import (
     PreconditionError,
 )
 from .explore import CyclicPermutation, TrialRecord, batch, conjecture_search, random_curve
-from .graphcase import GraphSolution, largest_root_chain, solve_graph
-from .oracle import VerifyReport, brute_force, closure_residual, closure_shot, verify
+from .graphcase import GraphSolution, solve_graph
+from .oracle import VerifyReport, brute_force, closure_shot, verify
 from .pipeline import (
     DensitiesResult,
     PartitioningFunctions,
@@ -67,14 +66,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClimbSolution", "FlatBumpPlan", "apply_bumps", "plan_bumps", "solve",
-    "solve_level_traversal",
     "ClassUError", "ConvergenceError", "CurvepartError", "DomainError",
     "InfeasiblePerturbationError", "InputError", "InternalInvariantError",
     "NonInteriorCurveError", "PreconditionError",
     "CyclicPermutation", "TrialRecord", "batch", "conjecture_search",
     "random_curve",
-    "GraphSolution", "largest_root_chain", "solve_graph",
-    "VerifyReport", "brute_force", "closure_residual", "closure_shot", "verify",
+    "GraphSolution", "solve_graph",
+    "VerifyReport", "brute_force", "closure_shot", "verify",
     "DensitiesResult", "PartitioningFunctions", "PartitionResult",
     "PipelineTrace", "Rearrangement", "build_partitioning_functions",
     "extract_points", "partition_below_diagonal", "partition_curve",

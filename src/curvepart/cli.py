@@ -146,8 +146,6 @@ def _cmd_climb(args):
         fileio.dump_json(fileio.function_to_obj(g, args.mode),
                          f"{base}.{name}.json")
     summary = {
-        "exact": sol.exact,
-        "residual": fileio.write_number(sol.residual, args.mode),
         "g1": f"{base}.g1.json",
         "g2": f"{base}.g2.json",
         "bumps": len(sol.plans),

@@ -15,7 +15,6 @@ from .plfun import (
     PLFunction,
     assert_unit_range,
     compose,
-    fold_values,
     level_set,
     monotone_decompose,
     pl_eval,
@@ -31,8 +30,6 @@ class ClimbSolution:
 
     g1: PLFunction
     g2: PLFunction
-    exact: bool = True
-    residual: object = ZERO
     plans: tuple = ()
 
 
@@ -229,32 +226,6 @@ def _path_to_functions(path):
     return g1, g2
 
 
-def solve_level_traversal(f1, f2):
-    """Climb solution for flat-free profiles with separated fold levels.
-
-    Preconditions: boundary values 0 -> 0, 1 -> 1; both locally
-    non-constant; f1 in class U; no fold level shared between f1 and f2.
-    """
-    _check_boundary(f1, "f1")
-    _check_boundary(f2, "f2")
-    assert_unit_range(f1, "f1")
-    assert_unit_range(f2, "f2")
-    require_class_u(f1, "f1")
-    for f, name in ((f1, "f1"), (f2, "f2")):
-        if _flat_runs(f):
-            raise PreconditionError(f"{name} must be locally non-constant")
-    shared = set(fold_values(f1)) & set(fold_values(f2))
-    if shared:
-        raise PreconditionError(
-            f"shared extremum level {min(shared)} between f1 and f2",
-            witness=min(shared),
-        )
-    g1, g2 = _path_to_functions(level_complex_path(f1, f2))
-    sol = ClimbSolution(g1=g1, g2=g2)
-    _assert_solution(f1, f2, sol)
-    return sol
-
-
 def _collapse(h, spans_and_values):
     """Overwrite h with constants on disjoint closed spans."""
     if not spans_and_values:
@@ -285,35 +256,19 @@ def _collapse(h, spans_and_values):
 
 
 def solve(f1, f2):
-    """Full climb: bump the flats of f2, traverse, then collapse.
+    """Climb: bump the flats of f2, walk the solution complex, collapse.
 
-    Requires f1 in class U with boundary values 0 -> 0, 1 -> 1, and no
-    fold level of f1 equal to a fold level of f2 (flat levels of f2 are
-    fine: the planned tent signs make those meetings tangential).
+    Requires boundary values 0 -> 0, 1 -> 1 and range [0, 1] on both
+    sides, and f1 in class U.  Fold levels of f1 and f2 may coincide: a
+    same-level meeting only creates even-degree vertices, so the trail
+    argument still lands at (1,1).  Flat levels of f2 are fine too: the
+    planned tent signs make those meetings tangential.
     """
     _check_boundary(f1, "f1")
     _check_boundary(f2, "f2")
     assert_unit_range(f1, "f1")
     assert_unit_range(f2, "f2")
-    require_class_u(f1, "f1")
-    shared = set(fold_values(f1)) & set(fold_values(f2))
-    if shared:
-        raise PreconditionError(
-            f"shared extremum level {min(shared)} between f1 and f2",
-            witness=min(shared),
-        )
-    return solve_tolerant(f1, f2)
-
-
-def solve_tolerant(f1, f2):
-    """Climb engine without the fold-separation precondition.
-
-    Degenerate same-level fold meetings only create even-degree vertices,
-    so the trail argument still lands at (1,1); used by the partition
-    pipeline where derived profiles cannot be perturbed.
-    """
-    require_class_u(f1, "f1")
-    plans = plan_bumps(f1, f2)
+    plans = plan_bumps(f1, f2)  # requires f1 in class U
     f3 = apply_bumps(f2, plans)
     h, k = _path_to_functions(level_complex_path(f1, f3))
 
@@ -349,17 +304,10 @@ def _assert_solution(f1, f2, sol):
 
 def solve_either_orientation(f1, f2):
     """Climb with whichever side is class U; swaps roles when only f2 is."""
-    dec1 = monotone_decompose(f1)
-    if dec1.in_class_u:
-        return solve_tolerant(f1, f2)
-    dec2 = monotone_decompose(f2)
-    if dec2.in_class_u:
-        swapped = solve_tolerant(f2, f1)
-        return ClimbSolution(
-            g1=swapped.g2,
-            g2=swapped.g1,
-            exact=swapped.exact,
-            residual=swapped.residual,
-            plans=swapped.plans,
-        )
+    if monotone_decompose(f1).in_class_u:
+        return solve(f1, f2)
+    if monotone_decompose(f2).in_class_u:
+        swapped = solve(f2, f1)
+        return ClimbSolution(g1=swapped.g2, g2=swapped.g1,
+                             plans=swapped.plans)
     require_class_u(f1, "f1")  # raises with f1's violations

@@ -10,10 +10,11 @@ say so.
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InputError, PreconditionError
-from .oracle import _Chaser, closure_shot, verify
+from .fileio import FLOAT, curve_to_obj
+from .oracle import _bisect_shot, _Chaser, closure_shot, verify
 from .pipeline import increments
 from .plcurve import PLCurve
 from .scalar import ONE, ZERO, as_float, rat
@@ -45,6 +46,7 @@ class TrialRecord:
     residual: object
     points: tuple
     wall_time: float
+    error: object = None  # "Type: message" of an error outcome
 
 
 def _rand_rat(rng, lo=0, hi=1):
@@ -171,7 +173,6 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
         if pts is not None:
             found_pts, residual = pts, 0.0
     elif k == 1:
-        best = None
         prev = None
         for g in range(1, grid):
             t = g / grid
@@ -179,18 +180,8 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
             if prev is not None and shot.feasible and prev[1].feasible:
                 r0, r1 = prev[1].residual, shot.residual
                 if r0 is not None and r1 is not None and (r0 < 0) != (r1 < 0):
-                    lo, hi, rlo = prev[0], t, r0
-                    for _ in range(60):
-                        mid = (lo + hi) / 2
-                        sm = closure_shot(curve, s - 2, mid, float_mode=True)
-                        if not sm.feasible or sm.residual is None:
-                            hi = mid
-                            continue
-                        best = sm
-                        if (sm.residual < 0) == (rlo < 0):
-                            lo = mid
-                        else:
-                            hi = mid
+                    root = _bisect_shot(curve, s - 2, prev[0], t, r0, 60)
+                    best = root[1] if root else None
                     if best and abs(best.residual) <= tol_f:
                         found_pts, residual = best.points, abs(best.residual)
                         break
@@ -277,24 +268,18 @@ def _increasing_grid(m, k):
     yield from rec([], 1)
 
 
-def _curve_to_jsonable(curve):
-    return {
-        "knots": [as_float(t) for t in curve.knots],
-        "points": [[as_float(x), as_float(y)] for x, y in curve.vertices],
-    }
-
-
 def _record_to_jsonable(rec):
     return {
         "seed": rec.seed,
         "curveSpec": rec.curve_spec,
-        "curve": _curve_to_jsonable(rec.curve),
+        "curve": curve_to_obj(rec.curve, FLOAT),
         "n": rec.n,
         "theta": {"size": rec.theta.size, "shift": rec.theta.shift},
         "outcome": rec.outcome,
         "residual": None if rec.residual is None else as_float(rec.residual),
         "points": [[as_float(x), as_float(y)] for x, y in rec.points],
         "wallTime": rec.wall_time,
+        "error": rec.error,
     }
 
 
@@ -361,17 +346,12 @@ def batch(config, log_path):
                             )
                         except Exception as exc:  # recorded, not raised
                             rec = TrialRecord(
-                                seed=seed, curve_spec=dict(spec), curve=curve,
+                                seed=seed, curve_spec={}, curve=curve,
                                 n=n, theta=theta, outcome="error",
-                                residual=None, points=(),
-                                wall_time=0.0,
+                                residual=None, points=(), wall_time=0.0,
+                                error=f"{type(exc).__name__}: {exc}",
                             )
-                        rec = TrialRecord(
-                            seed=rec.seed, curve_spec=dict(spec),
-                            curve=rec.curve, n=rec.n, theta=rec.theta,
-                            outcome=rec.outcome, residual=rec.residual,
-                            points=rec.points, wall_time=rec.wall_time,
-                        )
+                        rec = replace(rec, curve_spec=dict(spec))
                         fh.write(json.dumps(_record_to_jsonable(rec),
                                             sort_keys=True) + "\n")
                         counts[rec.outcome] += 1

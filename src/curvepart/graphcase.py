@@ -63,19 +63,6 @@ def chain_functions(f, n):
     return gs
 
 
-def largest_root_chain(f, n):
-    """a_i = largest root of g_i, for i = 1..n; strictly increasing."""
-    _check_inputs(f, n)
-    gs = chain_functions(f, n)
-    roots = []
-    for i in range(1, n + 1):
-        a = _largest_root(gs[i])
-        if roots and not a > roots[-1]:
-            raise InternalInvariantError("root chain failed to increase")
-        roots.append(a)
-    return roots
-
-
 def solve_graph(f, n):
     """Abscissae x_i = g_{n-i}(a_n), verified against the wrap identities."""
     _check_inputs(f, n)

@@ -7,6 +7,7 @@ wrap; zeros of that residual are partitions.  Solutions are always
 compared through the verifier, never by point equality.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
@@ -115,13 +116,7 @@ class _Chaser:
 
     def at(self, t):
         ks = self.knots
-        lo, hi = 0, len(ks) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ks[mid] <= t:
-                lo = mid
-            else:
-                hi = mid
+        lo = bisect_right(ks, t, 1, len(ks) - 1) - 1  # 0 <= lo <= len - 2
         t0, t1 = ks[lo], ks[lo + 1]
         (x0, y0), (x1, y1) = self.verts[lo], self.verts[lo + 1]
         if t1 == t0:
@@ -187,12 +182,6 @@ def closure_shot(curve, n, t1, float_mode=False, branches=()):
     residual = one - pts[-1][1] - (pts[-1][0] - pts[-2][0])
     pts.append((one, one))
     return ShotOutcome(residual=residual, feasible=True, points=tuple(pts))
-
-
-def closure_residual(curve, n, t1):
-    """Exact signed wrap mismatch for the free parameter t1 (see
-    closure_shot); None when the chase leaves the curve."""
-    return closure_shot(curve, n, t1).residual
 
 
 def _vectors_with_sum(total, n, width):

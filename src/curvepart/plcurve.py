@@ -375,14 +375,5 @@ def normalize_tail(curve, t_cut):
     return PLCurve(ts, verts), a
 
 
-def denormalize_point(p, anchor, swapped=False):
-    """Invert normalize_tail's affine map (and the optional coordinate swap)."""
-    x, y = p
-    if swapped:
-        x, y = y, x
-    s = ONE - anchor
-    return (anchor + x * s, anchor + y * s)
-
-
 def swap_curve(curve):
     return PLCurve(curve.knots, [(y, x) for x, y in curve.vertices])

@@ -323,11 +323,6 @@ def monotone_decompose(f):
     )
 
 
-def fold_values(f):
-    """Interior local extremum values (fold levels) of f."""
-    return sorted({v for _, v, _ in monotone_decompose(f).local_extrema})
-
-
 def critical_levels(f):
     """Fold levels plus flat levels; the values that can produce degenerate
     vertices in a level-set traversal against another function."""

@@ -150,7 +150,7 @@ class TestGraphCase:
 
 
 class TestClimb:
-    def test_writes_g_function_files(self, tmp_path):
+    def test_writes_g_function_files(self, tmp_path, capsys):
         path = tmp_path / "pair.json"
         dump_json({
             "f1": {"breakpoints": [["0/1", "0/1"], ["1/1", "1/1"]]},
@@ -165,6 +165,9 @@ class TestClimb:
         assert g2["breakpoints"] == [["0/1", "0/1"], ["1/1", "1/1"]]
         assert g1["breakpoints"] == [["0/1", "0/1"], ["1/4", "1/2"],
                                      ["3/4", "1/2"], ["1/1", "1/1"]]
+        summary = json.loads(capsys.readouterr().out)
+        assert summary == {"g1": f"{base}.g1.json", "g2": f"{base}.g2.json",
+                           "bumps": 1}
 
 
 class TestVerifyCommand:

@@ -110,6 +110,7 @@ class TestBatch:
         assert len(lines) == 4 * 2 * 2
         for rec in lines:
             assert rec["outcome"] in ("found", "notFound", "error")
+            assert (rec["error"] is None) == (rec["outcome"] != "error")
         summary = json.loads((tmp_path / "trials.jsonl.summary.json").read_text())
         counts = summary["counts"]
         assert counts["found"] + counts["notFound"] + counts["error"] == len(lines)
@@ -153,3 +154,21 @@ class TestBatch:
             return rows
 
         assert strip(log_a) == strip(log_b)
+
+    def test_error_record_keeps_exception(self, tmp_path, monkeypatch):
+        from curvepart import explore
+
+        def fail(curve, n, theta, **kwargs):
+            raise ValueError(f"no search at n={n}")
+
+        monkeypatch.setattr(explore, "conjecture_search", fail)
+        config = dict(self.CONFIG, seeds=[3], n=[2], shifts=[1])
+        log = tmp_path / "trials.jsonl"
+        batch(config, str(log))
+        (rec,) = [json.loads(b) for b in log.read_text().splitlines()]
+        assert rec["outcome"] == "error"
+        assert rec["error"] == "ValueError: no search at n=2"
+        assert rec["curveSpec"] == config["curves"][0]
+        assert rec["seed"] == 3 and rec["theta"] == {"size": 3, "shift": 1}
+        summary = json.loads((tmp_path / "trials.jsonl.summary.json").read_text())
+        assert summary["counts"]["error"] == 1

@@ -7,7 +7,6 @@ from curvepart import (
     PLFunction,
     PreconditionError,
     identity,
-    largest_root_chain,
     pl_eval,
     solve_graph,
 )
@@ -46,30 +45,30 @@ def bisect_root_oracle(fn, lo, hi, iters=120):
 
 class TestLargestRootChain:
     def test_identity_closed_form(self):
-        roots = largest_root_chain(identity(), 3)
-        assert roots == [R(1, 2), R(2, 3), R(3, 4)]
+        roots = solve_graph(identity(), 3).roots
+        assert roots == (R(1, 2), R(2, 3), R(3, 4))
 
     def test_single_kink(self):
         f = F((0, 0), (R(1, 2), R(1, 4)), (1, 1))
         # largest root of t - 1 + f(t): on [1/2,1] the piece solves to 3/5
-        assert largest_root_chain(f, 1) == [R(3, 5)]
+        assert solve_graph(f, 1).roots == (R(3, 5),)
 
     def test_strictly_below_identity_pushes_roots_right(self):
         rng = random.Random(7)
         for _ in range(5):
             f = below_identity_profile(rng)
-            (a1,) = largest_root_chain(f, 1)
+            (a1,) = solve_graph(f, 1).roots
             assert a1 > R(1, 2)
 
     def test_rejects_f_above_identity(self):
         f = F((0, 0), (R(1, 2), R(3, 4)), (1, 1))
         with pytest.raises(PreconditionError) as err:
-            largest_root_chain(f, 1)
+            solve_graph(f, 1)
         assert err.value.witness == R(1, 2)
 
     def test_rejects_bad_boundary(self):
         with pytest.raises(PreconditionError):
-            largest_root_chain(F((0, 0), (1, R(1, 2))), 1)
+            solve_graph(F((0, 0), (1, R(1, 2))), 1)
 
 
 class TestSolveGraph:

@@ -3,7 +3,6 @@ from itertools import product
 from curvepart import (
     PLCurve,
     brute_force,
-    closure_residual,
     closure_shot,
     diagonal_curve,
     partition_below_diagonal,
@@ -72,19 +71,19 @@ class TestVerify:
 
 class TestClosureResidual:
     def test_diagonal_midpoint(self):
-        assert closure_residual(diagonal_curve(), 1, R(1, 3)) == 0
+        assert closure_shot(diagonal_curve(), 1, R(1, 3)).residual == 0
 
     def test_zero_at_known_solution(self):
         # parameter of (4/9, 1/9) on the bent curve
-        assert closure_residual(BENT, 1, R(5, 18)) == 0
+        assert closure_shot(BENT, 1, R(5, 18)).residual == 0
 
     def test_positive_near_zero(self):
-        r = closure_residual(BENT, 1, R(1, 100))
+        r = closure_shot(BENT, 1, R(1, 100)).residual
         assert r is not None and r > 0
 
     def test_sign_flips_across_solution(self):
-        lo = closure_residual(BENT, 1, R(5, 18) - R(1, 50))
-        hi = closure_residual(BENT, 1, R(5, 18) + R(1, 50))
+        lo = closure_shot(BENT, 1, R(5, 18) - R(1, 50)).residual
+        hi = closure_shot(BENT, 1, R(5, 18) + R(1, 50)).residual
         assert lo is not None and hi is not None
         assert (lo > 0) != (hi > 0)
 
@@ -142,7 +141,7 @@ class TestShotConsistency:
         crossings = 0
         for g in range(1, grid):
             t = R(g, grid)
-            r = closure_residual(BENT, 1, t)
+            r = closure_shot(BENT, 1, t).residual
             if prev is not None and r is not None and prev is not None:
                 if prev is not None and (prev > 0) != (r > 0):
                     crossings += 1

@@ -31,7 +31,7 @@ from curvepart.pipeline import (
 from curvepart.plfun import pl_add, pl_scale_values
 from curvepart.scalar import rat
 
-from util import functions_on_curve
+from util import fold_levels, functions_on_curve
 
 R = rat
 
@@ -188,10 +188,10 @@ class TestPartitionBelowDiagonal:
 
     def test_exact_fold_level_collision_still_exact(self):
         # the height and the compressed closing sum share fold level 1/2,
-        # so the walk meets a degenerate vertex; the tolerant engine must
-        # still solve exactly while the strict traversal op rejects
-        from curvepart import solve_level_traversal
-        from curvepart.plfun import fold_values, pl_add, pl_compress_param
+        # so the walk meets a degenerate vertex; the climb engine must
+        # still solve exactly, inside the pipeline and on its own
+        from curvepart import solve
+        from curvepart.plfun import pl_compress_param
         from curvepart.plfun import level_set as ls
 
         knots = [0, R(1, 8), R(1, 4), R(3, 8), R(1, 2), 1]
@@ -201,16 +201,15 @@ class TestPartitionBelowDiagonal:
         y = c.y_function()
         w = pl_add(c.x_function(), y)
         f2 = pl_compress_param(w, ls(w, 1)[0][0])
-        assert set(fold_values(y)) & set(fold_values(f2)) == {R(1, 2)}
+        assert fold_levels(y) & fold_levels(f2) == {R(1, 2)}
 
         res = partition_below_diagonal(c, 2)
         assert res.exact
         assert_shifted(res)
         assert verify(c, res.points, tol=0).ok
 
-        with pytest.raises(PreconditionError) as err:
-            solve_level_traversal(y, f2)
-        assert err.value.witness == R(1, 2)
+        sol = solve(y, f2)
+        assert compose(y, sol.g1) == compose(f2, sol.g2)
 
 
 class TestPartitionCurve:

@@ -12,7 +12,6 @@ from curvepart import (
     normalize_tail,
 )
 from curvepart.plcurve import (
-    denormalize_point,
     first_parameter_at,
     is_lower_triangle_interior,
     is_unit_interior,
@@ -166,8 +165,8 @@ class TestNormalizeTail:
               [(0, 0), (R(1, 5), R(2, 5)), (R(1, 2), R(1, 2)),
                (R(4, 5), R(3, 5)), (1, 1)])
         eta, anchor = normalize_tail(c, R(1, 2))
-        for t_eta, v in zip(eta.knots, eta.vertices):
-            back = denormalize_point(v, anchor)
+        for t_eta, (x, y) in zip(eta.knots, eta.vertices):
+            back = (anchor + x * (1 - anchor), anchor + y * (1 - anchor))
             t_orig = R(1, 2) + t_eta * R(1, 2)
             assert c(t_orig) == back
 
@@ -177,5 +176,4 @@ class TestNormalizeTail:
 
     def test_swap(self):
         assert swap_curve(BENT).vertices[1] == (R(1, 5), R(4, 5))
-        assert denormalize_point((R(1, 2), R(1, 4)), R(1, 2), swapped=True) == (
-            R(5, 8), R(3, 4))
+        assert swap_curve(swap_curve(BENT)) == BENT

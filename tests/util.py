@@ -58,6 +58,40 @@ def climb_pair(seed):
     return f1, f2
 
 
+def fold_levels(f):
+    """Values at the interior local extrema of f."""
+    from curvepart.plfun import monotone_decompose
+
+    return {v for _, v, _ in monotone_decompose(f).local_extrema}
+
+
+def shared_fold_pair(seed, flats):
+    """(f1, f2, c): f1 in class U with fold level c, and f2 with a fold at
+    the same level c, its two neighbours on one side of it.  With flats,
+    f2 also gets one or two shelves, which may replace that fold."""
+    rng = random.Random(seed)
+    levels = set()
+    while not levels:
+        f1 = perturb_distinct_extrema(
+            rand_profile(rng, rng.randrange(2, 5)), rat(1, 10**6))
+        levels = fold_levels(f1)
+    c = rng.choice(sorted(levels))
+    side = (rat(0), c) if rng.random() < 0.5 else (c, rat(1))
+
+    def pick(lo=rat(0), hi=rat(1)):
+        return lo + (hi - lo) * rat(rng.randrange(1, DENOM), DENOM)
+
+    vals = ([rat(0)] + [pick() for _ in range(rng.randrange(0, 3))]
+            + [pick(*side), c, pick(*side)]
+            + [pick() for _ in range(rng.randrange(0, 3))] + [rat(1)])
+    ts = sorted(rng.sample(range(1, 4 * DENOM), len(vals) - 2))
+    knots = [rat(0)] + [rat(t, 4 * DENOM) for t in ts] + [rat(1)]
+    f2 = PLFunction(list(zip(knots, vals)))
+    if flats:
+        f2 = insert_flats(rng, f2, rng.randrange(1, 3))
+    return f1, f2, c
+
+
 # ---------------------------------------------------------------- oracles
 
 def eval_grid_equal(f, g, steps=97):
