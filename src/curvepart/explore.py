@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .errors import InputError, PreconditionError
 from .fileio import FLOAT, curve_to_obj
-from .oracle import _bisect_shot, _Chaser, closure_shot, verify
+from .oracle import _bisect_shot, _Chaser, _sign_changes, verify
 from .pipeline import increments
 from .plcurve import PLCurve
 from .scalar import ONE, ZERO, as_float, rat
@@ -173,19 +173,13 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
         if pts is not None:
             found_pts, residual = pts, 0.0
     elif k == 1:
-        prev = None
-        for g in range(1, grid):
-            t = g / grid
-            shot = closure_shot(curve, s - 2, t, float_mode=True)
-            if prev is not None and shot.feasible and prev[1].feasible:
-                r0, r1 = prev[1].residual, shot.residual
-                if r0 is not None and r1 is not None and (r0 < 0) != (r1 < 0):
-                    root = _bisect_shot(curve, s - 2, prev[0], t, r0, 60)
-                    best = root[1] if root else None
-                    if best and abs(best.residual) <= tol_f:
-                        found_pts, residual = best.points, abs(best.residual)
-                        break
-            prev = (t, shot)
+        ch = _Chaser(curve, float_mode=True)
+        for _, lo, hi, r0 in _sign_changes(ch, s - 2, grid, [()]):
+            root = _bisect_shot(curve, s - 2, lo, hi, r0, 60)
+            best = root[1] if root else None
+            if best and abs(best.residual) <= tol_f:
+                found_pts, residual = best.points, abs(best.residual)
+                break
     else:
         found_pts, residual = _search_high_shift(curve, s, k, grid, tol_f)
 

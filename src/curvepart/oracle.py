@@ -5,6 +5,11 @@ scalarizes the wrap condition: from one free point it chases the forced
 ordinate targets along the curve and returns the mismatch at the final
 wrap; zeros of that residual are partitions.  Solutions are always
 compared through the verifier, never by point equality.
+
+brute_force converts the curve to floats once per call and streams its
+grid: each grid point costs one float chase and O(1) memory, since only
+the previous point's residual is kept.  Full shots, with their point
+sequences, are built only while bisecting a sign change.
 """
 
 from bisect import bisect_right
@@ -209,37 +214,56 @@ def _branch_vectors(curve, n, cap=128):
     return list(islice(ordered, cap))
 
 
+def _float_residual(ch, n, t, branches):
+    """closure_shot(curve, n, t, float_mode=True, branches).residual from a
+    float _Chaser of the curve, with the same float operations but without
+    the point sequence: only the last two chased points are kept."""
+    px = 0.0
+    x, y = ch.at(t)
+    cursor = t
+    for i in range(n):
+        skip = branches[i] if i < len(branches) else 0
+        cursor = ch.first_ordinate_hit(y + (x - px), cursor, skip)
+        if cursor is None:
+            return None
+        px = x
+        x, y = ch.at(cursor)
+    return 1.0 - y - (x - px)
+
+
+def _sign_changes(ch, n, grid, vectors):
+    """Sweep t = g / grid (0 < g < grid) along each branch vector in turn,
+    keeping only the previous grid point, and yield (branches, t0, t1, r0)
+    wherever two neighbouring feasible residuals differ in sign.  The sweep
+    stops after a vector with a nonzero entry on which no grid point is
+    feasible."""
+    for branches in vectors:
+        any_feasible = False
+        t0 = r0 = None
+        for g in range(1, grid):
+            t = g / grid
+            r = _float_residual(ch, n, t, branches)
+            if r is not None:
+                any_feasible = True
+                if r0 is not None and (r0 < 0) != (r < 0):
+                    yield branches, t0, t, r0
+            t0, r0 = t, r
+        if not any_feasible and branches and max(branches) > 0:
+            return
+
+
 def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6), refine_steps=80):
     """Sweep the free parameter over every chase branch, bisect sign
     changes, and return all verified partitions.  Runs in float mode; an
     empty list is a valid outcome, not an error."""
     tol_f = as_float(tol)
+    ch = _Chaser(curve, float_mode=True)
     results = []
-    for branches in _branch_vectors(curve, n):
-        prev = None
-        any_feasible = False
-        for g in range(1, grid):
-            t = g / grid
-            shot = closure_shot(curve, n, t, float_mode=True,
-                                branches=branches)
-            any_feasible = any_feasible or shot.feasible
-            cur = (t, shot)
-            if prev is not None:
-                t0, s0 = prev
-                if (
-                    s0.feasible
-                    and shot.feasible
-                    and s0.residual is not None
-                    and shot.residual is not None
-                    and (s0.residual < 0) != (shot.residual < 0)
-                ):
-                    root = _bisect_shot(curve, n, t0, t, s0.residual,
-                                        refine_steps, branches)
-                    if root is not None:
-                        results.append(root)
-            prev = cur
-        if not any_feasible and branches and max(branches) > 0:
-            break
+    for branches, t0, t1, r0 in _sign_changes(ch, n, grid,
+                                              _branch_vectors(curve, n)):
+        root = _bisect_shot(curve, n, t0, t1, r0, refine_steps, branches)
+        if root is not None:
+            results.append(root)
 
     out = []
     seen = []

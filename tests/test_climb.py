@@ -3,6 +3,7 @@ import pytest
 
 from curvepart import (
     ClassUError,
+    InternalInvariantError,
     PLFunction,
     PreconditionError,
     apply_bumps,
@@ -12,6 +13,7 @@ from curvepart import (
     pl_eval,
     solve,
 )
+from curvepart import climb
 from curvepart.climb import level_complex_path, solve_either_orientation
 from curvepart.plfun import monotone_decompose
 from curvepart.scalar import rat
@@ -256,6 +258,18 @@ class TestSolve:
         sol = solve(identity(), f2)
         assert len(sol.plans) == 2
         assert compose(identity(), sol.g1) == compose(f2, sol.g2)
+
+    def test_wrong_collapse_rejected(self, monkeypatch):
+        # a reparametrized g1 keeps its endpoints but breaks f1∘g1 = f2∘g2
+        real = climb._collapse
+        bent = F((0, 0), (R(1, 2), R(1, 4)), (1, 1))
+        monkeypatch.setattr(climb, "_collapse",
+                            lambda h, spans: compose(real(h, spans), bent))
+        f2 = F((0, 0), (R(1, 5), R(1, 2)), (R(2, 5), R(1, 2)),
+               (R(3, 5), R(1, 4)), (1, 1))
+        with pytest.raises(InternalInvariantError,
+                           match="composition equality failed"):
+            solve(ZIGZAG, f2)
 
     def test_randomized_suite(self):
         for seed in range(25):

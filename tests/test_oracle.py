@@ -9,8 +9,20 @@ from curvepart import (
     random_curve,
     verify,
 )
-from curvepart.oracle import _branch_vectors
-from curvepart.scalar import rat
+from curvepart import oracle
+from curvepart.oracle import (
+    _bisect_shot,
+    _branch_vectors,
+    _Chaser,
+    _float_residual,
+)
+from curvepart.pipeline import (
+    PartitionResult,
+    PipelineTrace,
+    Rearrangement,
+    increments,
+)
+from curvepart.scalar import as_float, rat
 
 R = rat
 
@@ -139,14 +151,137 @@ class TestShotConsistency:
         grid = 64
         prev = None
         crossings = 0
+        bracket = None
         for g in range(1, grid):
             t = R(g, grid)
             r = closure_shot(BENT, 1, t).residual
-            if prev is not None and r is not None and prev is not None:
-                if prev is not None and (prev > 0) != (r > 0):
-                    crossings += 1
-            prev = r
+            if prev is not None and r is not None and (prev[1] > 0) != (r > 0):
+                crossings += 1
+                bracket = bracket or (prev[0], t, prev[1])
+            prev = (t, r) if r is not None else None
         assert crossings >= 1
+        lo, hi, r_lo = bracket
+        t_root, shot = _bisect_shot(BENT, 1, lo, hi, r_lo, 60)
+        # the exact residual vanishes at 5/18 (test_zero_at_known_solution)
+        assert abs(t_root - R(5, 18)) < 1e-12
+        assert shot.feasible
+
+
+# ------------------------------------------------------------- streamed sweep
+
+# both curve classes, 4-9 vertices between them
+SWEEP_CURVES = [
+    random_curve(seed, vertices=v, curve_class=cls)
+    for seed, v, cls in ((4, 4, "deltaInterior"), (6, 6, "deltaInterior"),
+                         (5, 5, "interior"), (3, 9, "interior"))
+]
+
+
+def ref_brute_force(curve, n, grid=10_000, tol=rat(1, 10**6), refine_steps=80):
+    """The per-shot sweep brute_force ran before it streamed the grid: one
+    closure_shot, with its own float copy of the curve, per grid point."""
+    tol_f = as_float(tol)
+    results = []
+    for branches in _branch_vectors(curve, n):
+        prev = None
+        any_feasible = False
+        for g in range(1, grid):
+            t = g / grid
+            shot = closure_shot(curve, n, t, float_mode=True,
+                                branches=branches)
+            any_feasible = any_feasible or shot.feasible
+            cur = (t, shot)
+            if prev is not None:
+                t0, s0 = prev
+                if (
+                    s0.feasible
+                    and shot.feasible
+                    and s0.residual is not None
+                    and shot.residual is not None
+                    and (s0.residual < 0) != (shot.residual < 0)
+                ):
+                    root = _bisect_shot(curve, n, t0, t, s0.residual,
+                                        refine_steps, branches)
+                    if root is not None:
+                        results.append(root)
+            prev = cur
+        if not any_feasible and branches and max(branches) > 0:
+            break
+
+    out = []
+    seen = []
+    for t_root, shot in sorted(results, key=lambda r: r[0]):
+        if shot.residual is None or abs(shot.residual) > tol_f:
+            continue
+        rep = verify(curve, shot.points, tol)
+        if not rep.ok:
+            continue
+        if any(abs(t_root - t_old) < 1.0 / grid / 4 for t_old in seen):
+            continue
+        seen.append(t_root)
+        dx, dy = increments(shot.points)
+        out.append(
+            PartitionResult(
+                S=n + 2,
+                points=shot.points,
+                dx=dx,
+                dy=dy,
+                rearrangement=(
+                    Rearrangement(shift=rep.detected_shift)
+                    if rep.detected_shift is not None
+                    else Rearrangement(perm=rep.detected_permutation)
+                ),
+                exact=False,
+                residual=abs(shot.residual),
+                trace=PipelineTrace(branch="shooting"),
+            )
+        )
+    return out
+
+
+class TestStreamedSweep:
+    def test_residual_matches_closure_shot(self):
+        grid = 257
+        feasible = infeasible = skipped_feasible = 0
+        for curve in SWEEP_CURVES:
+            ch = _Chaser(curve, float_mode=True)
+            for n in range(4):
+                for branches in _branch_vectors(curve, n):
+                    for g in range(1, grid):
+                        t = g / grid
+                        fast = _float_residual(ch, n, t, branches)
+                        ref = closure_shot(curve, n, t, float_mode=True,
+                                           branches=branches).residual
+                        assert fast == ref, (curve, n, branches, t)
+                        if ref is None:
+                            infeasible += 1
+                        else:
+                            feasible += 1
+                            skipped_feasible += any(branches)
+        assert feasible and infeasible and skipped_feasible
+
+    def test_brute_force_matches_per_shot_reference(self):
+        found = 0
+        for curve in SWEEP_CURVES:
+            for n in range(4):
+                got = brute_force(curve, n, grid=1000)
+                assert got == ref_brute_force(curve, n, grid=1000), (curve, n)
+                found += len(got)
+        assert found
+
+    def test_one_float_copy_per_call(self, monkeypatch):
+        built = []
+
+        class CountingChaser(_Chaser):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_Chaser", CountingChaser)
+        grid = 2000
+        assert brute_force(BENT, 1, grid=grid)
+        # bisection still builds one per closure_shot, a few hundred at most
+        assert len(built) < grid // 4
 
 
 def _curve_of_width(width):
