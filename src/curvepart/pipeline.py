@@ -180,14 +180,16 @@ def extract_points(curve, pf):
 
     The closing curve (1 - y(t), x_n(t) + y(t)) starts at (1,0) and ends
     above the top edge, so it meets the input; the intersection with the
-    smallest closing-curve parameter is taken.  The result, shift 1,
-    returns through `_final_verify`.
+    smallest closing-curve parameter is taken.  Only that parameter is
+    read, so the intersection scan stops at the first closing-curve segment
+    that meets the input.  The result, shift 1, returns through
+    `_final_verify`.
     """
     y, xs = pf.y, pf.xs
     eta = curve_from_functions(
         pl_scale_values(y, rat(-1), ONE), pl_add(xs[-1], y)
     )
-    hits = curve_intersections(eta, curve)
+    hits = curve_intersections(eta, curve, first=True)
     if not hits:
         raise InternalInvariantError("closing curve missed the input curve")
     first = hits[0]

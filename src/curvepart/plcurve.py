@@ -12,8 +12,13 @@ exact rational operations):
 - curve_from_functions(fx, fy): O(pieces(fx) + pieces(fy)), one merge-walk.
 - point_on_curve(curve, q): O(m) box tests; it stops at the first segment
   whose box holds q and whose line passes through q, without a division.
+- point_curve_distance_sq(curve, q): the same O(m) membership test first,
+  returning zero for a point on the curve; only a point off the curve pays
+  the division-heavy distance to every segment.
 - curve_intersections(a, b): O(m k) box tests, plus an exact segment
-  intersection only for the pairs whose bounding boxes meet.
+  intersection only for the pairs whose bounding boxes meet.  With
+  first=True it stops after the first segment of a that yields any hit, so
+  it costs O(j k) box tests when that is a's j-th segment.
 """
 
 from bisect import bisect_right
@@ -179,11 +184,14 @@ def _box(p0, p1):
     return x0, x1, y0, y1
 
 
-def curve_intersections(a, b):
+def curve_intersections(a, b, first=False):
     """All intersections of two polylines, ordered by parameter on `a`.
 
     Transversal crossings come back as Intersection, collinear overlaps as
-    Overlap with parameter intervals on both curves.
+    Overlap with parameter intervals on both curves.  With first=True only
+    the hits on the first segment of `a` that meets `b` are returned; hits
+    on later segments of `a` lie no earlier on `a`, so the leading item's
+    parameter on `a` is the same as with first=False.
     """
     points = {}
     overlaps = []
@@ -205,6 +213,8 @@ def curve_intersections(a, b):
                     ta = (ta0 + s0 * (ta1 - ta0), ta0 + s1 * (ta1 - ta0))
                     ub = (tb0 + u0 * (tb1 - tb0), tb0 + u1 * (tb1 - tb0))
                     overlaps.append(Overlap(ta, ub, pt0, pt1))
+        if first and (points or overlaps):
+            break
 
     merged = _merge_overlaps(overlaps)
 
@@ -249,6 +259,8 @@ def point_segment_distance_sq(q, p0, p1):
 
 
 def point_curve_distance_sq(curve, q):
+    if _on_polyline(curve.vertices, q):
+        return ZERO
     return min(
         point_segment_distance_sq(q, p0, p1) for _, _, p0, p1 in curve.segments()
     )
@@ -276,8 +288,11 @@ def nearest_point_on_curve(curve, q):
 def point_on_curve(curve, q):
     """Exact membership: q lies in some segment's bounding box and on its
     line (a zero-length segment's box is its one point)."""
+    return _on_polyline(curve.vertices, q)
+
+
+def _on_polyline(vs, q):
     qx, qy = q
-    vs = curve.vertices
     for p0, p1 in zip(vs, vs[1:]):
         if ((p0[0] <= qx <= p1[0] or p1[0] <= qx <= p0[0])
                 and (p0[1] <= qy <= p1[1] or p1[1] <= qy <= p0[1])

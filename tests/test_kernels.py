@@ -22,6 +22,7 @@ from curvepart.plcurve import (
     curve_intersections,
     point_curve_distance_sq,
     point_on_curve,
+    point_segment_distance_sq,
 )
 from curvepart.plfun import compose, pl_combine
 from curvepart.scalar import rat
@@ -139,8 +140,13 @@ def ref_curve_intersections(a, b):
     return items
 
 
+def ref_point_curve_distance_sq(curve, q):
+    return min(point_segment_distance_sq(q, p0, p1)
+               for _, _, p0, p1 in curve.segments())
+
+
 def ref_point_on_curve(curve, q):
-    return point_curve_distance_sq(curve, q) == 0
+    return ref_point_curve_distance_sq(curve, q) == 0
 
 
 # ------------------------------------------------------------- generators
@@ -264,20 +270,62 @@ def test_curve_intersections_matches_reference():
     assert overlaps and points and stalls
 
 
-def test_point_on_curve_matches_reference():
+def _leading_t_a(item):
+    return item.t_a if isinstance(item, Intersection) else item.t_a[0]
+
+
+def test_curve_intersections_first_matches_reference():
+    rng = random.Random(15)
+    shorter = overlap_first = 0
+    for _ in range(150):
+        a = rand_curve(rng, rng.randint(1, 7))
+        b = rand_curve(rng, rng.randint(1, 7))
+        full = ref_curve_intersections(a, b)
+        got = curve_intersections(a, b, first=True)
+        assert bool(got) == bool(full)
+        if not full:
+            continue
+        assert _leading_t_a(got[0]) == _leading_t_a(full[0])
+        spans = [(it.t_a, it.t_a) if isinstance(it, Intersection) else it.t_a
+                 for it in got]
+        assert any(all(t0 <= lo and hi <= t1 for lo, hi in spans)
+                   for t0, t1 in zip(a.knots, a.knots[1:])), (a, b, got)
+        shorter += len(got) < len(full)
+        overlap_first += isinstance(got[0], plcurve.Overlap)
+    assert shorter and overlap_first
+
+
+def _membership_cases():
+    """Seeded curves with their queries: every vertex (segment endpoints),
+    segment midpoints and grid points."""
     rng = random.Random(16)
-    stalls = 0
     for _ in range(100):
         c = rand_curve(rng, rng.randint(1, 7))
-        stalls += sum(1 for p, q in zip(c.vertices, c.vertices[1:]) if p == q)
-        # every vertex (segment endpoints), segment midpoints, grid points
         queries = list(c.vertices)
         queries += [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
                     for p, q in zip(c.vertices, c.vertices[1:])]
         queries += [(rat(i, 4), rat(j, 4)) for i in range(5) for j in range(5)]
+        yield c, queries
+
+
+def test_point_on_curve_matches_reference():
+    stalls = 0
+    for c, queries in _membership_cases():
+        stalls += sum(1 for p, q in zip(c.vertices, c.vertices[1:]) if p == q)
         for q in queries:
             assert point_on_curve(c, q) == ref_point_on_curve(c, q), (c, q)
     assert stalls
+
+
+def test_point_curve_distance_sq_matches_reference():
+    on = off = 0
+    for c, queries in _membership_cases():
+        for q in queries:
+            d2 = point_curve_distance_sq(c, q)
+            assert d2 == ref_point_curve_distance_sq(c, q), (c, q)
+            on += d2 == 0
+            off += d2 != 0
+    assert on and off
 
 
 def test_curve_call_matches_reference():

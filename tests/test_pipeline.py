@@ -28,6 +28,7 @@ from curvepart.pipeline import (
     pl_density_cumulative,
     step_cumulative,
 )
+from curvepart.plcurve import Intersection, curve_from_functions, curve_intersections
 from curvepart.plfun import pl_add, pl_scale_values
 from curvepart.scalar import rat
 
@@ -344,6 +345,29 @@ class TestPipelineProperties:
         assert rep.ok
         perm = res.rearrangement.as_perm(res.S)
         assert sorted(perm) == list(range(res.S))
+
+
+class TestWideClosingCurves:
+    """Curves of 32-64 vertices at n 2-3, whose closing curves have tens to
+    hundreds of segments and meet the input many times."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_hit_scan_matches_full_scan(self, seed):
+        rng = random.Random(seed)
+        c = _random_lower_triangle_curve(rng, rng.randint(30, 62))
+        n = rng.randint(2, 3)
+        pf = build_partitioning_functions(c, n)
+        # the closing curve, built as extract_points builds it
+        eta = curve_from_functions(pl_scale_values(pf.y, R(-1), R(1)),
+                                   pl_add(pf.xs[-1], pf.y))
+        full = curve_intersections(eta, c)
+        first = curve_intersections(eta, c, first=True)
+        lead = [it.t_a if isinstance(it, Intersection) else it.t_a[0]
+                for it in (full[0], first[0])]
+        assert lead[0] == lead[1]
+        res = partition_below_diagonal(c, n)
+        assert res.exact
+        assert verify(c, res.points, tol=0).ok
 
 
 def _random_lower_triangle_curve(rng, interior_vertices):
