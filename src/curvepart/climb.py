@@ -143,16 +143,15 @@ def _cell_edge(s0, s1, fa0, fa1, t0, t1, fb0, fb1):
     Both restrictions are linear with nonzero slope, so the solution set is
     a line s(t) clipped to the rectangle.
     """
-    a = (fa1 - fa0) / (s1 - s0)
-    b = (fb1 - fb0) / (t1 - t0)
-    # s(t) = s0 + (fb0 - fa0 + b (t - t0)) / a
-    lo_t, hi_t = t0, t1
-    # clip to s-range: fa0 <= f-level <= fa1 (or reversed)
+    # clip to s-range: fa0 <= f-level <= fa1 (or reversed), before dividing
     lv_lo, lv_hi = (fa0, fa1) if fa0 < fa1 else (fa1, fa0)
     wv_lo, wv_hi = (fb0, fb1) if fb0 < fb1 else (fb1, fb0)
     v_lo, v_hi = max(lv_lo, wv_lo), min(lv_hi, wv_hi)
     if v_lo > v_hi:
         return None
+    a = (fa1 - fa0) / (s1 - s0)
+    b = (fb1 - fb0) / (t1 - t0)
+    # s(t) = s0 + (fb0 - fa0 + b (t - t0)) / a
     t_of = lambda v: t0 + (v - fb0) / b
     s_of = lambda v: s0 + (v - fa0) / a
     tA, tB = t_of(v_lo), t_of(v_hi)

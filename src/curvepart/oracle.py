@@ -297,9 +297,11 @@ def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6), refine_steps=80):
 
 
 def _bisect_shot(curve, n, lo, hi, f_lo, steps, branches=()):
-    best = None
+    best = mid = None
     for _ in range(steps):
-        mid = (lo + hi) / 2
+        prev, mid = mid, (lo + hi) / 2
+        if mid == prev:  # float resolution: lo, hi and best stay fixed
+            break
         shot = closure_shot(curve, n, mid, float_mode=True, branches=branches)
         if not shot.feasible or shot.residual is None:
             # shrink toward the known-feasible side

@@ -19,8 +19,10 @@ from curvepart import (
     diagonal_curve,
     partition_below_diagonal,
     partition_curve,
+    pipeline,
 )
 from curvepart.fileio import result_to_obj
+from curvepart.pipeline import DEFAULT_TOL
 from curvepart.scalar import rat as R
 
 GOLDEN_SHA256 = (
@@ -103,3 +105,37 @@ def test_golden_cases_reach_every_branch(golden_results):
 
 def test_golden_bytes(golden_results):
     assert _digest(golden_results) == GOLDEN_SHA256
+
+
+# each case solves through partition_curve and proves the branch it took
+BRANCH_CASES = {
+    "below": (BELOW, 4, DEFAULT_TOL,
+              lambda r: r.trace.branch == "below" and r.trace.last_touch == 0),
+    "touching": (TOUCHING, 4, DEFAULT_TOL, lambda r: r.trace.last_touch > 0),
+    "diagonal-tail": (DIAGONAL_TAIL, 3, DEFAULT_TOL,
+                      lambda r: r.trace.branch == "diagonal"),
+    "above": (ABOVE, 3, DEFAULT_TOL, lambda r: r.trace.swapped),
+    "join": (JOIN, 3, DEFAULT_TOL, lambda r: r.trace.boundary_joins),
+    "join-swapped": (JOIN_SWAPPED, 3, DEFAULT_TOL,
+                     lambda r: r.trace.boundary_joins and r.trace.swapped),
+    "refine": (REFINE, 3, REFINE_TOL,
+               lambda r: r.trace.perturbations and not r.exact),
+}
+
+
+@pytest.mark.parametrize("name", list(BRANCH_CASES))
+def test_one_final_verify_per_solve(monkeypatch, name):
+    """`partition_curve` is the one verified boundary: each solve runs the
+    geometric check once, on the input curve, whatever the branch."""
+    curve, n, tol, took_branch = BRANCH_CASES[name]
+    real = pipeline._final_verify
+    checked = []
+
+    def counting(c, res, t):
+        checked.append(c)
+        return real(c, res, t)
+
+    monkeypatch.setattr(pipeline, "_final_verify", counting)
+    res = partition_curve(curve, n, tol=tol)
+    assert took_branch(res)
+    assert checked == [curve]

@@ -5,6 +5,10 @@ Inputs are seeded random dyadic functions and curves on coarse grids, so
 the degenerate cases the fast paths must get right come up often: flat and
 decreasing pieces, inner values landing on outer knots, collinear overlaps,
 zero-length segments and query points on segment endpoints.
+
+The same inputs also pin the two exact identities of `compose` that carry
+each climb identity into the partitioning functions, which the pipeline
+does not re-check.
 """
 
 import random
@@ -24,7 +28,12 @@ from curvepart.plcurve import (
     point_on_curve,
     point_segment_distance_sq,
 )
-from curvepart.plfun import compose, pl_combine
+from curvepart.plfun import (
+    compose,
+    pl_combine,
+    pl_compress_param,
+    pl_scale_values,
+)
 from curvepart.scalar import rat
 
 # ------------------------------------------------------------- references
@@ -208,6 +217,40 @@ def test_compose_edge_cases():
     for inner in inners:
         assert compose(outer, inner) == ref_compose(outer, inner)
         assert compose(inner, outer) == ref_compose(inner, outer)
+
+
+def _flat_and_falling(*fs):
+    pieces = [p for f in fs for p in zip(f.breakpoints, f.breakpoints[1:])]
+    return (sum(1 for (_, a), (_, b) in pieces if a == b),
+            sum(1 for (_, a), (_, b) in pieces if a > b))
+
+
+def test_compress_param_moves_into_inner_scale():
+    # one induction step: (w compressed to [0, t]) o g == w o (t * g)
+    rng = random.Random(18)
+    flat = falling = on_knot = off_knot = 0
+    for _ in range(300):
+        w = rand_fun(rng, rng.randint(1, 8))
+        g = rand_fun(rng, rng.randint(1, 8))
+        t_stop = rat(rng.randint(1, 64), 64)
+        assert (compose(pl_compress_param(w, t_stop), g)
+                == compose(w, pl_scale_values(g, t_stop)))
+        f, d = _flat_and_falling(w, g)
+        flat, falling = flat + f, falling + d
+        on_knot += t_stop in w.knots
+        off_knot += t_stop not in w.knots
+    assert flat and falling and on_knot and off_knot
+
+
+def test_compose_is_associative():
+    rng = random.Random(19)
+    flat = falling = 0
+    for _ in range(300):
+        f, g, h = (rand_fun(rng, rng.randint(1, 8)) for _ in range(3))
+        assert compose(f, compose(g, h)) == compose(compose(f, g), h)
+        fl, d = _flat_and_falling(g, h)
+        flat, falling = flat + fl, falling + d
+    assert flat and falling
 
 
 def test_pl_combine_matches_reference():

@@ -95,8 +95,9 @@ class TestBuildPartitioningFunctions:
 
         monkeypatch.setattr(pipeline.climb, "solve_either_orientation",
                             wrong_g1)
-        with pytest.raises(InternalInvariantError, match="left the curve"):
-            build_partitioning_functions(BENT, 2)
+        # n = 3 runs one climb; the bent map carries the points off the curve
+        with pytest.raises(InternalInvariantError, match="off the curve"):
+            partition_curve(BENT, 3)
 
 
 class TestExtractPoints:
@@ -117,12 +118,17 @@ class TestExtractPoints:
             res = extract_points(diagonal_curve(), pf)
             assert res.dx == res.dy
 
-    def test_tampered_functions_rejected(self):
-        pf = build_partitioning_functions(BENT, 2)
-        off = pl_scale_values(pf.xs[0], R(1, 2))
-        tampered = replace(pf, xs=(off,) + pf.xs[1:])
+    def test_tampered_functions_rejected(self, monkeypatch):
+        real = pipeline.build_partitioning_functions
+
+        def tampered(curve, n):
+            pf = real(curve, n)
+            off = pl_scale_values(pf.xs[0], R(1, 2))
+            return replace(pf, xs=(off,) + pf.xs[1:])
+
+        monkeypatch.setattr(pipeline, "build_partitioning_functions", tampered)
         with pytest.raises(InternalInvariantError, match="off the curve"):
-            extract_points(BENT, tampered)
+            partition_curve(BENT, 3)
 
     def test_interior_curves_satisfy_shift_exactly(self):
         for seed in range(8):
