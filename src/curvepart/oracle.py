@@ -8,8 +8,9 @@ compared through the verifier, never by point equality.
 
 brute_force converts the curve to floats once per call and streams its
 grid: each grid point costs one float chase and O(1) memory, since only
-the previous point's residual is kept.  Full shots, with their point
-sequences, are built only while bisecting a sign change.
+the previous point's residual is kept.  Bisection of a sign change chases
+on the same float residual; a full shot, with its point sequence, is built
+only for the root it returns.
 """
 
 from bisect import bisect_right
@@ -19,6 +20,9 @@ from itertools import islice
 from .pipeline import PartitionResult, PipelineTrace, Rearrangement, increments
 from .plcurve import point_curve_distance_sq
 from .scalar import ZERO, as_float, rat
+
+# bisection steps per sign change in brute_force
+BISECT_STEPS = 80
 
 
 @dataclass(frozen=True)
@@ -252,7 +256,7 @@ def _sign_changes(ch, n, grid, vectors):
             return
 
 
-def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6), refine_steps=80):
+def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6)):
     """Sweep the free parameter over every chase branch, bisect sign
     changes, and return all verified partitions.  Runs in float mode; an
     empty list is a valid outcome, not an error."""
@@ -261,7 +265,7 @@ def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6), refine_steps=80):
     results = []
     for branches, t0, t1, r0 in _sign_changes(ch, n, grid,
                                               _branch_vectors(curve, n)):
-        root = _bisect_shot(curve, n, t0, t1, r0, refine_steps, branches)
+        root = _bisect_shot(curve, n, t0, t1, r0, BISECT_STEPS, branches)
         if root is not None:
             results.append(root)
 
@@ -276,13 +280,9 @@ def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6), refine_steps=80):
         if any(abs(t_root - t_old) < 1.0 / grid / 4 for t_old in seen):
             continue
         seen.append(t_root)
-        dx, dy = increments(shot.points)
         out.append(
             PartitionResult(
-                S=n + 2,
                 points=shot.points,
-                dx=dx,
-                dy=dy,
                 rearrangement=(
                     Rearrangement(shift=rep.detected_shift)
                     if rep.detected_shift is not None
@@ -297,21 +297,28 @@ def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6), refine_steps=80):
 
 
 def _bisect_shot(curve, n, lo, hi, f_lo, steps, branches=()):
+    """(t, shot) at the last feasible midpoint of a bisection of [lo, hi],
+    or None.  The bisection reads `_float_residual` of one float copy of
+    the curve; the full closure_shot is built only for the returned t."""
+    ch = _Chaser(curve, float_mode=True)
     best = mid = None
     for _ in range(steps):
         prev, mid = mid, (lo + hi) / 2
         if mid == prev:  # float resolution: lo, hi and best stay fixed
             break
-        shot = closure_shot(curve, n, mid, float_mode=True, branches=branches)
-        if not shot.feasible or shot.residual is None:
+        r = _float_residual(ch, n, as_float(mid), branches)
+        if r is None:
             # shrink toward the known-feasible side
             hi = mid
             continue
-        best = (mid, shot)
-        if shot.residual == 0:
-            return best
-        if (shot.residual < 0) == (f_lo < 0):
+        best = mid
+        if r == 0:
+            break
+        if (r < 0) == (f_lo < 0):
             lo = mid
         else:
             hi = mid
-    return best
+    if best is None:
+        return None
+    return best, closure_shot(curve, n, best, float_mode=True,
+                              branches=branches)

@@ -8,10 +8,12 @@ consequence.  The stages return results unchecked; `partition_curve` is
 the one verified boundary, where every branch passes `_final_verify`, so
 `partition_curve(curve, n + 1)` gives the points of
 `partition_below_diagonal(curve, n)`, verified.
-Curves whose height component resists the exact route go through a
-deterministic perturb-and-refine loop with verified residuals; curves
-whose normalized tail leaves the lower triangle go through a
-boundary-joining schedule, accepted only when the result verifies.
+Curves the exact route cannot take go through one acceptance loop,
+`_accept`, over a fixed budget of candidates: perturb-and-refine perturbs
+the height by DELTA0/2^k (REFINE_ROUNDS rounds), boundary joining cuts the
+normalized tail and joins it to the origin (JOIN_CUTS cuts).  The first
+candidate whose points, mapped back, have positive increments and a shift-1
+residual within tol is accepted; a spent budget raises ConvergenceError.
 """
 
 from dataclasses import dataclass, field
@@ -55,7 +57,11 @@ from .plfun import (
 from .scalar import ONE, ZERO, rat
 
 DEFAULT_TOL = rat(1, 10**9)
-DEFAULT_DELTA0 = rat(1, 8)
+# retry budgets of the inexact routes: height perturbations DELTA0/2^k for
+# k = 1..REFINE_ROUNDS, and boundary-join cuts for k = 1..JOIN_CUTS
+DELTA0 = rat(1, 8)
+REFINE_ROUNDS = 80
+JOIN_CUTS = 48
 
 
 @dataclass(frozen=True)
@@ -100,14 +106,25 @@ class PipelineTrace:
 
 @dataclass(frozen=True)
 class PartitionResult:
-    S: int
+    """Partition points with their rearrangement.  S, dx and dy are derived
+    from the points at construction, so they always agree with them."""
+
     points: tuple
-    dx: tuple
-    dy: tuple
     rearrangement: Rearrangement
     exact: bool
     residual: object
     trace: PipelineTrace = field(default_factory=PipelineTrace)
+    S: int = field(init=False)
+    dx: tuple = field(init=False)
+    dy: tuple = field(init=False)
+
+    def __post_init__(self):
+        pts = tuple(self.points)
+        dx, dy = increments(pts)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "S", len(pts) - 1)
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "dy", dy)
 
 
 def increments(points):
@@ -198,12 +215,8 @@ def extract_points(curve, pf):
     pts.append((ONE - pl_eval(y, t0), pl_eval(xs[-1], t0) + pl_eval(y, t0)))
     pts.append((ONE, ONE))
 
-    dx, dy = increments(pts)
     return PartitionResult(
-        S=pf.n + 2,
-        points=tuple(pts),
-        dx=dx,
-        dy=dy,
+        points=pts,
         rearrangement=Rearrangement(shift=1),
         exact=True,
         residual=ZERO,
@@ -221,16 +234,15 @@ def _antidiagonal_point(curve):
     return curve(t0)
 
 
-def partition_below_diagonal(curve, n, tol=DEFAULT_TOL, max_iter=80,
-                             delta0=DEFAULT_DELTA0):
+def partition_below_diagonal(curve, n, tol=DEFAULT_TOL):
     """Partition a curve that stays strictly inside 0 < y < x < 1.
 
     n is the partitioning-function count: the result has S = n + 2
     increments; n = 0 is the plain closing-point case.  Exact whenever
     every climb in the induction finds a class-U side; otherwise the
-    height profile is perturbed by delta0/2^k and the exact solution of
-    the perturbed curve is projected back and accepted once its
-    cyclic-shift residual is within tol.
+    height profile is perturbed by DELTA0/2^k, k = 1..REFINE_ROUNDS, and
+    the exact solution of the perturbed curve is projected back and
+    accepted once its cyclic-shift residual is within tol.
 
     Unchecked, as a solver stage: `partition_curve(curve, n + 1)` returns
     the same points, verified.
@@ -245,9 +257,8 @@ def partition_below_diagonal(curve, n, tol=DEFAULT_TOL, max_iter=80,
 
     if n == 0:
         pts = ((ZERO, ZERO), _antidiagonal_point(curve), (ONE, ONE))
-        dx, dy = increments(pts)
         return PartitionResult(
-            S=2, points=pts, dx=dx, dy=dy,
+            points=pts,
             rearrangement=Rearrangement(shift=1), exact=True, residual=ZERO,
             trace=PipelineTrace(branch="below", solver_frame_points=pts),
         )
@@ -257,33 +268,53 @@ def partition_below_diagonal(curve, n, tol=DEFAULT_TOL, max_iter=80,
         return extract_points(curve, pf)
     except ClassUError:
         pass
-    return _refine_below_diagonal(curve, n, tol, max_iter, delta0)
+    return _refine_below_diagonal(curve, n, tol)
 
 
-def _refine_below_diagonal(curve, n, tol, max_iter, delta0):
+def _refine_below_diagonal(curve, n, tol):
+    """Perturb-and-refine: the exact solution of the curve with its height
+    perturbed by DELTA0/2^k, projected back onto the curve; never exact."""
     width = curve.x_function()
     y_fun = curve.y_function()
-    deltas = []
-    history = []
-    best = None
-    for k in range(1, max_iter + 1):
-        delta = delta0 / 2**k
-        deltas.append(delta)
+
+    def attempt(delta):
         try:
             y_pert = perturb_distinct_extrema(y_fun, delta)
         except InfeasiblePerturbationError:
-            continue
+            return None
         pert_curve = curve_from_functions(width, y_pert)
         if not is_lower_triangle_interior(pert_curve):
-            continue
+            return None
         try:
             pf = build_partitioning_functions(pert_curve, n)
             res = extract_points(pert_curve, pf)
         except (ClassUError, InternalInvariantError):
-            continue
+            return None
         pts = _project_points(pert_curve, curve, res.points)
         if pts is None:
+            return None
+        return res.points, pts, False
+
+    return _accept(
+        (DELTA0 / 2**k for k in range(1, REFINE_ROUNDS + 1)), attempt, tol,
+        "perturbations",
+        f"no verified partition within {REFINE_ROUNDS} refinement rounds")
+
+
+def _accept(schedule, attempt, tol, trace_field, failure):
+    """The one acceptance loop of the inexact routes.  Each candidate is
+    recorded in `trace_field`; `attempt` skips it (None) or returns
+    (solver-frame points, points mapped onto the curve, whether a zero
+    residual is exact).  residual_history keeps the best residual so far."""
+    tried = []
+    history = []
+    best = None
+    for cand in schedule:
+        tried.append(cand)
+        got = attempt(cand)
+        if got is None:
             continue
+        frame, pts, exact_at_zero = got
         dx, dy = increments(pts)
         if any(d <= 0 for d in dx + dy):
             continue
@@ -292,21 +323,14 @@ def _refine_below_diagonal(curve, n, tol, max_iter, delta0):
         history.append(best)
         if resid <= tol:
             return PartitionResult(
-                S=n + 2, points=tuple(pts), dx=dx, dy=dy,
-                rearrangement=Rearrangement(shift=1), exact=False,
-                residual=resid,
+                points=pts, rearrangement=Rearrangement(shift=1),
+                exact=resid == 0 and exact_at_zero, residual=resid,
                 trace=PipelineTrace(
-                    branch="below",
-                    perturbations=tuple(deltas),
-                    residual_history=tuple(history),
-                    solver_frame_points=tuple(res.points),
+                    branch="below", residual_history=tuple(history),
+                    solver_frame_points=frame, **{trace_field: tuple(tried)},
                 ),
             )
-    raise ConvergenceError(
-        f"no verified partition within {max_iter} refinement rounds",
-        best_residual=best,
-        history=history,
-    )
+    raise ConvergenceError(failure, best_residual=best, history=history)
 
 
 def _project_points(from_curve, to_curve, points):
@@ -320,7 +344,7 @@ def _project_points(from_curve, to_curve, points):
     return out
 
 
-def partition_curve(curve, n, tol=DEFAULT_TOL, max_iter=80, max_joins=48):
+def partition_curve(curve, n, tol=DEFAULT_TOL):
     """Equal-increment partition with S = n + 1 increments.
 
     Dispatch: a curve ending in a diagonal segment gets uniform points on
@@ -338,11 +362,11 @@ def partition_curve(curve, n, tol=DEFAULT_TOL, max_iter=80, max_joins=48):
         raise NonInteriorCurveError(
             "curve leaves the open unit square at an interior parameter"
         )
-    res = _dispatch(curve, n + 1, tol, max_iter, max_joins)
+    res = _dispatch(curve, n + 1, tol)
     return _final_verify(curve, res, tol)
 
 
-def _dispatch(curve, s_total, tol, max_iter, max_joins):
+def _dispatch(curve, s_total, tol):
     """The branches of `partition_curve`, S = s_total; unverified."""
     x_fun, y_fun = curve.x_function(), curve.y_function()
     diff = pl_sub(x_fun, y_fun)
@@ -356,11 +380,10 @@ def _dispatch(curve, s_total, tol, max_iter, max_joins):
     last_touch = max(touches) if touches else ZERO
 
     if last_touch == 0:
-        eta, anchor, prepend = curve, ZERO, False
+        eta, anchor = curve, ZERO
         s_eta = s_total
     else:
         eta, anchor = normalize_tail(curve, last_touch)
-        prepend = True
         s_eta = s_total - 1
 
     if s_eta == 1:
@@ -372,20 +395,19 @@ def _dispatch(curve, s_total, tol, max_iter, max_joins):
         swapped = ey > ex
         eta_solve = swap_curve(eta) if swapped else eta
         if is_lower_triangle_interior(eta_solve):
-            eta_res = partition_below_diagonal(eta_solve, s_eta - 2, tol, max_iter)
+            eta_res = partition_below_diagonal(eta_solve, s_eta - 2, tol)
         else:
-            eta_res = _boundary_join_solve(eta_solve, s_eta, tol, max_iter,
-                                           max_joins)
+            eta_res = _boundary_join_solve(eta_solve, s_eta, tol)
         if swapped:
             eta_res = _swap_result(eta_res)
 
-    return _assemble(eta_res, last_touch, anchor, prepend, swapped, s_total)
+    return _assemble(eta_res, last_touch, anchor, swapped)
 
 
 def _trivial_result():
     pts = ((ZERO, ZERO), (ONE, ONE))
     return PartitionResult(
-        S=1, points=pts, dx=(ONE,), dy=(ONE,),
+        points=pts,
         rearrangement=Rearrangement(shift=0), exact=True, residual=ZERO,
         trace=PipelineTrace(branch="below", solver_frame_points=pts),
     )
@@ -398,9 +420,8 @@ def _diagonal_tail_result(x_fun, tail_start, s_total):
     for i in range(1, s_total + 1):
         v = c + i * step
         pts.append((v, v))
-    dx, dy = increments(pts)
     return PartitionResult(
-        S=s_total, points=tuple(pts), dx=dx, dy=dy,
+        points=pts,
         rearrangement=Rearrangement(shift=0), exact=True, residual=ZERO,
         trace=PipelineTrace(last_touch=ONE, branch="diagonal",
                             solver_frame_points=tuple(pts)),
@@ -408,25 +429,17 @@ def _diagonal_tail_result(x_fun, tail_start, s_total):
 
 
 def _swap_result(res):
+    """Mirror a below-diagonal result; every one carries a cyclic shift."""
     pts = tuple((y, x) for x, y in res.points)
-    dx, dy = increments(pts)
-    s = res.S
     # dy_i = dx_{(i-1) mod S} swaps into dx_i = dy_{(i-1)}, i.e. shift S-1
-    if res.rearrangement.shift is not None:
-        rearr = Rearrangement(shift=(-res.rearrangement.shift) % s)
-    else:
-        perm = res.rearrangement.perm
-        inv = [0] * s
-        for i, p in enumerate(perm):
-            inv[p] = i
-        rearr = Rearrangement(perm=tuple(inv))
+    rearr = Rearrangement(shift=(-res.rearrangement.shift) % res.S)
     return PartitionResult(
-        S=s, points=pts, dx=dx, dy=dy, rearrangement=rearr,
+        points=pts, rearrangement=rearr,
         exact=res.exact, residual=res.residual, trace=res.trace,
     )
 
 
-def _boundary_join_solve(eta, s_eta, tol, max_iter, max_joins):
+def _boundary_join_solve(eta, s_eta, tol):
     """Cut at the last zero of the height, join a segment from the origin,
     and accept the first join whose solution snaps onto the tail curve
     within tol."""
@@ -438,12 +451,8 @@ def _boundary_join_solve(eta, s_eta, tol, max_iter, max_joins):
             "returns to zero; unsupported accumulation pattern"
         )
     t_last = max(zeros)
-    joins = []
-    history = []
-    best = None
-    for k in range(1, max_joins + 1):
-        t_k = t_last + (ONE - t_last) / 2**k
-        joins.append(t_k)
+
+    def attempt(t_k):
         tail_knots = [t for t in eta.knots if t_k < t < 1]
         knots = [ZERO, t_k] + tail_knots + [ONE]
         verts = [(ZERO, ZERO), eta(t_k)] + [eta(t) for t in tail_knots] + [
@@ -451,11 +460,11 @@ def _boundary_join_solve(eta, s_eta, tol, max_iter, max_joins):
         ]
         joined = PLCurve(knots, verts)
         if not is_lower_triangle_interior(joined):
-            continue
+            return None
         try:
-            res = partition_below_diagonal(joined, s_eta - 2, tol, max_iter)
+            res = partition_below_diagonal(joined, s_eta - 2, tol)
         except (ConvergenceError, NonInteriorCurveError):
-            continue
+            return None
         snapped = []
         any_snapped = False
         for p in res.points:
@@ -464,51 +473,32 @@ def _boundary_join_solve(eta, s_eta, tol, max_iter, max_joins):
                 continue
             any_snapped = True
             snapped.append(nearest_point_on_curve(eta, p))
-        dx, dy = increments(snapped)
-        if any(d <= 0 for d in dx + dy):
-            continue
-        resid = _shift_residual(dx, dy, 1)
-        best = min(best, resid) if best is not None else resid
-        history.append(best)
-        if resid <= tol:
-            exact = resid == 0 and not any_snapped and res.exact
-            return PartitionResult(
-                S=s_eta, points=tuple(snapped), dx=dx, dy=dy,
-                rearrangement=Rearrangement(shift=1), exact=exact,
-                residual=resid,
-                trace=PipelineTrace(
-                    branch="below", boundary_joins=tuple(joins),
-                    residual_history=tuple(history),
-                    solver_frame_points=res.points,
-                ),
-            )
-    raise ConvergenceError(
-        f"boundary joining failed to verify within {max_joins} cuts",
-        best_residual=best, history=history,
-    )
+        return res.points, snapped, not any_snapped and res.exact
+
+    return _accept(
+        (t_last + (ONE - t_last) / 2**k for k in range(1, JOIN_CUTS + 1)),
+        attempt, tol, "boundary_joins",
+        f"boundary joining failed to verify within {JOIN_CUTS} cuts")
 
 
-def _assemble(eta_res, last_touch, anchor, prepend, swapped, s_total):
+def _assemble(eta_res, last_touch, anchor, swapped):
     scale = ONE - anchor
-    if prepend:
+    if last_touch != 0:
         pts = [(ZERO, ZERO)]
         for x, y in eta_res.points:
             pts.append((anchor + x * scale, anchor + y * scale))
         inner = eta_res.rearrangement.as_perm(eta_res.S)
         perm = [0] + [1 + p for p in inner]
         rearr = _reduce_to_shift(perm)
-        branch = "above" if swapped else "below"
     else:
-        pts = list(eta_res.points)
+        pts = eta_res.points
         rearr = eta_res.rearrangement
-        branch = "above" if swapped else "below"
-    dx, dy = increments(pts)
     return PartitionResult(
-        S=s_total, points=tuple(pts), dx=dx, dy=dy, rearrangement=rearr,
+        points=pts, rearrangement=rearr,
         exact=eta_res.exact, residual=eta_res.residual,
         trace=PipelineTrace(
             last_touch=last_touch,
-            branch=branch,
+            branch="above" if swapped else "below",
             boundary_joins=eta_res.trace.boundary_joins,
             perturbations=eta_res.trace.perturbations,
             residual_history=eta_res.trace.residual_history,
@@ -606,7 +596,7 @@ def _parameter_of_point(cum_f, cum_g, point):
     return None
 
 
-def partition_densities(dens_f, dens_g, n, tol=DEFAULT_TOL, max_iter=80):
+def partition_densities(dens_f, dens_g, n, tol=DEFAULT_TOL):
     """Split [0,1] so the interval masses of the two densities agree up to
     the returned rearrangement.
 
@@ -620,7 +610,7 @@ def partition_densities(dens_f, dens_g, n, tol=DEFAULT_TOL, max_iter=80):
     _check_cumulative(cum_f, "f")
     _check_cumulative(cum_g, "g")
     curve = curve_from_functions(cum_f, cum_g)
-    res = partition_curve(curve, n, tol=tol, max_iter=max_iter)
+    res = partition_curve(curve, n, tol=tol)
     params = []
     for p in res.points:
         t = _parameter_of_point(cum_f, cum_g, p)

@@ -246,16 +246,23 @@ def _merge_overlaps(overlaps):
     return merged
 
 
-def point_segment_distance_sq(q, p0, p1):
+def _segment_nearest(q, p0, p1):
+    """(squared distance, point) of the clamped projection of q onto the
+    segment p0..p1; a zero-length segment projects to p0."""
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]
     den = dx * dx + dy * dy
     if den == 0:
-        ex, ey = q[0] - p0[0], q[1] - p0[1]
-        return ex * ex + ey * ey
-    s = ((q[0] - p0[0]) * dx + (q[1] - p0[1]) * dy) / den
-    s = ZERO if s < 0 else ONE if s > 1 else s
-    ex, ey = q[0] - (p0[0] + s * dx), q[1] - (p0[1] + s * dy)
-    return ex * ex + ey * ey
+        cand = p0
+    else:
+        s = ((q[0] - p0[0]) * dx + (q[1] - p0[1]) * dy) / den
+        s = ZERO if s < 0 else ONE if s > 1 else s
+        cand = (p0[0] + s * dx, p0[1] + s * dy)
+    ex, ey = q[0] - cand[0], q[1] - cand[1]
+    return ex * ex + ey * ey, cand
+
+
+def point_segment_distance_sq(q, p0, p1):
+    return _segment_nearest(q, p0, p1)[0]
 
 
 def point_curve_distance_sq(curve, q):
@@ -270,16 +277,7 @@ def nearest_point_on_curve(curve, q):
     """Closest curve point to q (stable tie-break: earliest segment)."""
     best = None
     for _, _, p0, p1 in curve.segments():
-        dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-        den = dx * dx + dy * dy
-        if den == 0:
-            cand = p0
-        else:
-            s = ((q[0] - p0[0]) * dx + (q[1] - p0[1]) * dy) / den
-            s = ZERO if s < 0 else ONE if s > 1 else s
-            cand = (p0[0] + s * dx, p0[1] + s * dy)
-        ex, ey = q[0] - cand[0], q[1] - cand[1]
-        d2 = ex * ex + ey * ey
+        d2, cand = _segment_nearest(q, p0, p1)
         if best is None or d2 < best[0]:
             best = (d2, cand)
     return best[1]
@@ -354,9 +352,9 @@ def is_lower_triangle_interior(curve):
     return True
 
 
-def require_endpoints(curve, start=(ZERO, ZERO), end=(ONE, ONE)):
-    s = (rat(start[0]), rat(start[1]))
-    e = (rat(end[0]), rat(end[1]))
+def require_endpoints(curve):
+    """The curve must run from (0,0) to (1,1)."""
+    s, e = (ZERO, ZERO), (ONE, ONE)
     if curve.vertices[0] != s or curve.vertices[-1] != e:
         raise PreconditionError(
             f"curve endpoints {curve.vertices[0]} .. {curve.vertices[-1]} "

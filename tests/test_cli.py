@@ -4,7 +4,9 @@ import re
 import pytest
 
 from curvepart.cli import run
-from curvepart.fileio import dump_json
+from curvepart.fileio import curve_to_obj, dump_json
+
+from test_golden import REFINE
 
 
 @pytest.fixture
@@ -58,6 +60,18 @@ class TestPartition:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["type"] == "NonInteriorCurveError"
+
+    def test_refinement_budget_exhausted_exit_3(self, tmp_path, capsys):
+        # at tol 0 no perturbed solve projects back exactly
+        path = tmp_path / "refine.json"
+        dump_json(curve_to_obj(REFINE), path)
+        code = run(["partition", "--input", str(path), "--n", "3",
+                    "--tol", "0"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["type"] == "convergence"
+        assert err["error"]["message"] == (
+            "no verified partition within 80 refinement rounds")
 
     def test_exact_output_only_rationals(self, bent_file, tmp_path):
         out = tmp_path / "res.json"

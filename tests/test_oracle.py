@@ -20,7 +20,6 @@ from curvepart.pipeline import (
     PartitionResult,
     PipelineTrace,
     Rearrangement,
-    increments,
 )
 from curvepart.scalar import as_float, rat
 
@@ -219,13 +218,9 @@ def ref_brute_force(curve, n, grid=10_000, tol=rat(1, 10**6), refine_steps=80):
         if any(abs(t_root - t_old) < 1.0 / grid / 4 for t_old in seen):
             continue
         seen.append(t_root)
-        dx, dy = increments(shot.points)
         out.append(
             PartitionResult(
-                S=n + 2,
                 points=shot.points,
-                dx=dx,
-                dy=dy,
                 rearrangement=(
                     Rearrangement(shift=rep.detected_shift)
                     if rep.detected_shift is not None

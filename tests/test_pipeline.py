@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from curvepart import (
     ClassUError,
+    ConvergenceError,
     InternalInvariantError,
     NonInteriorCurveError,
     PLCurve,
@@ -32,12 +33,18 @@ from curvepart.plcurve import Intersection, curve_from_functions, curve_intersec
 from curvepart.plfun import pl_add, pl_scale_values
 from curvepart.scalar import rat
 
+from test_golden import REFINE
 from util import fold_levels, functions_on_curve
 
 R = rat
 
 BENT = PLCurve([0, R(1, 2), 1], [(0, 0), (R(4, 5), R(1, 5)), (1, 1)])
 SECTION5 = PLCurve([0, R(1, 2), 1], [(0, 0), (1, 0), (1, 1)])
+# the tail after the diagonal touch dips back to height 0; n = 3 accepts
+# the fourth cut
+DIPPING_TAIL = PLCurve([0, R(1, 4), R(1, 2), R(3, 4), 1],
+                       [(0, 0), (R(1, 2), R(1, 2)), (R(7, 10), R(3, 10)),
+                        (R(9, 10), R(17, 20)), (1, 1)])
 
 
 def assert_shifted(res, k=1):
@@ -285,13 +292,10 @@ class TestPartitionCurve:
                 partition_curve(SECTION5, n)
 
     def test_boundary_join_on_dipping_tail(self):
-        c = PLCurve([0, R(1, 4), R(1, 2), R(3, 4), 1],
-                    [(0, 0), (R(1, 2), R(1, 2)), (R(7, 10), R(3, 10)),
-                     (R(9, 10), R(17, 20)), (1, 1)])
         tol = R(1, 10**9)
-        res = partition_curve(c, 3, tol=tol)
+        res = partition_curve(DIPPING_TAIL, 3, tol=tol)
         assert res.trace.boundary_joins
-        rep = verify(c, res.points, tol=tol)
+        rep = verify(DIPPING_TAIL, res.points, tol=tol)
         assert rep.ok
 
     def test_boundary_join_after_swap(self):
@@ -351,6 +355,41 @@ class TestPipelineProperties:
         assert rep.ok
         perm = res.rearrangement.as_perm(res.S)
         assert sorted(perm) == list(range(res.S))
+
+
+def assert_best_so_far(err):
+    """A ConvergenceError's history is the running best residual."""
+    assert err.history
+    assert err.history == sorted(err.history, reverse=True)
+    assert err.best_residual == err.history[-1]
+
+
+class TestRetryBudgets:
+    """Both inexact routes raise ConvergenceError once their fixed budget
+    is spent."""
+
+    def test_refinement_rounds_exhausted(self):
+        with pytest.raises(ConvergenceError) as exc:
+            partition_below_diagonal(REFINE, 2, tol=0)
+        err = exc.value
+        assert str(err) == "no verified partition within 80 refinement rounds"
+        assert len(err.history) <= pipeline.REFINE_ROUNDS
+        assert_best_so_far(err)
+        assert err.best_residual > 0
+
+    def test_join_cuts_exhausted(self, monkeypatch):
+        tol = R(1, 10**9)
+        res = partition_curve(DIPPING_TAIL, 3, tol=tol)
+        assert len(res.trace.boundary_joins) == 4
+        monkeypatch.setattr(pipeline, "JOIN_CUTS", 3)
+        with pytest.raises(ConvergenceError) as exc:
+            partition_curve(DIPPING_TAIL, 3, tol=tol)
+        err = exc.value
+        assert str(err) == "boundary joining failed to verify within 3 cuts"
+        assert len(err.history) <= 3
+        assert_best_so_far(err)
+        assert err.best_residual > tol
+        assert err.history == list(res.trace.residual_history[:len(err.history)])
 
 
 class TestWideClosingCurves:
