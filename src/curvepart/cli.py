@@ -48,8 +48,6 @@ def build_parser():
         if needs_n:
             sp.add_argument("--n", type=int, default=1,
                             help="partition order (S = n + 1 increments)")
-        sp.add_argument("--tol", default="1e-9",
-                        help="tolerance for inexact branches (default 1e-9)")
         sp.add_argument("--mode", choices=("exact", "float"), default="exact",
                         help="number format of inputs and outputs")
         sp.add_argument("--allow-inexact", action="store_true",
@@ -90,6 +88,10 @@ def build_parser():
     sp.add_argument("--mode", choices=("exact", "float"), default="exact")
     sp.add_argument("--allow-inexact", action="store_true")
 
+    for name in ("partition", "verify", "densities"):
+        sub.choices[name].add_argument(
+            "--tol", default="1e-9",
+            help="tolerance for inexact branches (default 1e-9)")
     return p
 
 

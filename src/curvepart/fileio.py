@@ -150,14 +150,17 @@ def result_to_obj(res, mode=EXACT):
 
 
 def result_points_from_obj(obj, mode=EXACT, allow_inexact=False):
-    """Points list from either a full result file or a bare points file."""
-    pts = obj.get("points")
-    if pts is None:
-        raise InputError("no 'points' field in input")
-    return [
-        (read_number(x, mode, allow_inexact), read_number(y, mode, allow_inexact))
-        for x, y in pts
-    ]
+    """Points list from either a full result file or a bare points file:
+    an object whose "points" is a nonempty list of [x, y] pairs."""
+    if not isinstance(obj, dict) or not obj.get("points"):
+        raise InputError("no 'points' list in input")
+    try:
+        return [
+            (read_number(x, mode, allow_inexact), read_number(y, mode, allow_inexact))
+            for x, y in obj["points"]
+        ]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad points list: {exc}") from exc
 
 
 def report_to_obj(rep, mode=EXACT):

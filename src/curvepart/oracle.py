@@ -55,6 +55,12 @@ def verify(curve, points, tol=ZERO):
     cyclic-shift structure of the two increment sequences, within tol."""
     tol = rat(tol)
     pts = [(rat(x), rat(y)) for x, y in points]
+    if not pts:
+        # no endpoints to measure: a failing report
+        return VerifyReport(
+            ok=False, on_curve_max_dist=ZERO, increments_positive=False,
+            multiset_match=False, detected_shift=None,
+            detected_permutation=None, tol=tol)
     s = len(pts) - 1
     tol2 = tol * tol
 

@@ -45,7 +45,6 @@ from .plcurve import (
 from .plfun import (
     PLFunction,
     compose,
-    identity,
     level_set,
     perturb_distinct_extrema,
     pl_add,
@@ -62,20 +61,17 @@ DEFAULT_TOL = rat(1, 10**9)
 DELTA0 = rat(1, 8)
 REFINE_ROUNDS = 80
 JOIN_CUTS = 48
+# sample pieces per density piece in pl_density_cumulative
+DENSITY_SUBDIV = 8
 
 
 @dataclass(frozen=True)
 class PartitioningFunctions:
-    """Functions y, x_1..x_n with (x_i(t), x_{i-1}(t) + y(t)) on the curve.
+    """Functions y, x_1..x_n with (x_i(t), x_{i-1}(t) + y(t)) on the curve,
+    x_0 = 0; n is len(xs)."""
 
-    params holds the parameter maps tau_1..tau_n: with x_0 = 0, the i-th
-    point (x_i(t), x_{i-1}(t) + y(t)) is curve(tau_i(t)).
-    """
-
-    n: int
     y: PLFunction
     xs: tuple
-    params: tuple
 
 
 @dataclass(frozen=True)
@@ -147,14 +143,16 @@ def _reduce_to_shift(perm):
 
 
 def build_partitioning_functions(curve, n):
-    """Induction on n; each step compresses the closing sum onto [0,1] and
-    solves one climb against the curve's height component.
+    """Induction on n carrying y, x_1..x_n, as in the paper: y = height and
+    x_1 = width to start; each level compresses the closing sum x_n + y
+    onto [0,1], solves one climb against the height, composes y and every
+    x_i with the climb's inner map and appends x_{n+1} = width o g1.
 
-    The parameter maps tau_i are the only induction state, so x_i =
-    width o tau_i and y = height o tau_1 hold by construction.  The rest
-    (height o tau_i == x_{i-1} + y, the start at 0, the close at (1, 1))
-    follows exactly from the climb identities, which `climb.solve` checks,
-    since exact composition is associative; nothing is re-checked here.
+    By associativity of exact composition, x_i = width o tau_i and y =
+    height o tau_1 for the products tau_i of the maps.  The rest (height o
+    tau_i == x_{i-1} + y, the start at 0, the close at (1, 1)) follows
+    exactly from the climb identities, which `climb.solve` checks; nothing
+    is re-checked here.
 
     The curve must run from (0,0) to (1,1) through the open unit square.
     The exact route needs a class-U profile on one side of every climb;
@@ -168,9 +166,9 @@ def build_partitioning_functions(curve, n):
 
     height = curve.y_function()
     width = curve.x_function()
-    taus = [identity()]
+    y, xs = height, [width]
     for _ in range(1, n):
-        w = pl_add(compose(width, taus[-1]), compose(height, taus[0]))
+        w = pl_add(xs[-1], y)
         hits = level_set(w, ONE)
         if not hits:
             raise InternalInvariantError("closing sum never reaches 1")
@@ -178,12 +176,10 @@ def build_partitioning_functions(curve, n):
         f2 = pl_compress_param(w, t_stop)
         sol = climb.solve_either_orientation(height, f2)
         inner = pl_scale_values(sol.g2, t_stop)
-        taus = [compose(tau, inner) for tau in taus]
-        taus.append(sol.g1)
-
-    y = compose(height, taus[0])
-    xs = tuple(compose(width, tau) for tau in taus)
-    return PartitioningFunctions(n=n, y=y, xs=xs, params=tuple(taus))
+        y = compose(y, inner)
+        xs = [compose(x, inner) for x in xs]
+        xs.append(compose(width, sol.g1))
+    return PartitioningFunctions(y=y, xs=tuple(xs))
 
 
 def extract_points(curve, pf):
@@ -533,23 +529,23 @@ def step_cumulative(knots, values):
     return PLFunction(pts)
 
 
-def pl_density_cumulative(f, subdiv=8):
+def pl_density_cumulative(f):
     """Cumulative distribution of a PL density, pre-sampled to a polyline.
 
     The true cumulative is piecewise quadratic; each density piece is split
-    into subdiv parts and the exact quadratic values at the sample knots
-    are joined by straight segments.
+    into DENSITY_SUBDIV parts and the exact quadratic values at the sample
+    knots are joined by straight segments.
     """
-    if any(v < 0 for v in f.values) or subdiv < 1:
-        raise PreconditionError("density must be nonnegative, subdiv >= 1")
+    if any(v < 0 for v in f.values):
+        raise PreconditionError("density must be nonnegative")
     pts = [(ZERO, ZERO)]
     acc = ZERO
     bps = f.breakpoints
     for (t0, v0), (t1, v1) in zip(bps, bps[1:]):
         w = t1 - t0
         slope = (v1 - v0) / w
-        for j in range(1, subdiv + 1):
-            dt = w * rat(j, subdiv)
+        for j in range(1, DENSITY_SUBDIV + 1):
+            dt = w * rat(j, DENSITY_SUBDIV)
             val = acc + v0 * dt + slope * dt * dt / 2
             pts.append((t0 + dt, val))
         acc = pts[-1][1]

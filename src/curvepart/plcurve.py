@@ -299,26 +299,15 @@ def _on_polyline(vs, q):
     return False
 
 
-def first_parameter_at(curve, q, start=ZERO):
-    """Smallest parameter t >= start with curve(t) == q, or None."""
-    best = None
+def first_parameter_at(curve, q):
+    """Smallest parameter t with curve(t) == q, or None.  Segments run in t
+    order and a stalled segment places q at its start, so the first hit is
+    the smallest."""
     for t0, t1, p0, p1 in curve.segments():
-        if t1 < start:
-            continue
         s = _segment_point_param(p0, p1, q)
-        if s is None:
-            # zero-length pieces or interior hits handled by param placement
-            continue
-        t = t0 + s * (t1 - t0)
-        if t < start:
-            # q may sit later within the same segment only if segment stalls
-            if p0 == p1 and start <= t1:
-                t = start
-            else:
-                continue
-        if best is None or t < best:
-            best = t
-    return best
+        if s is not None:
+            return t0 + s * (t1 - t0)
+    return None
 
 
 def interior_vertices(curve):

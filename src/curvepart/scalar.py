@@ -29,8 +29,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 ZERO = rat(0)
 ONE = rat(1)
-TWO = rat(2)
-HALF = rat(1, 2)
 
 
 def parse_rational(text):

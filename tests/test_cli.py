@@ -9,6 +9,14 @@ from curvepart.fileio import curve_to_obj, dump_json
 from test_golden import REFINE
 
 
+# an empty list, a pair missing its ordinate, a top-level list
+MALFORMED_POINTS = (
+    {"points": []},
+    {"points": [["0/1", "0/1"], ["1/1"]]},
+    [["0/1", "0/1"], ["1/1", "1/1"]],
+)
+
+
 @pytest.fixture
 def diag_file(tmp_path):
     path = tmp_path / "diag.json"
@@ -184,6 +192,14 @@ class TestClimb:
                            "bumps": 1}
 
 
+@pytest.mark.parametrize("command", ["climb", "graph-case"])
+def test_tol_not_an_option(tmp_path, capsys, command):
+    code = run([command, "--input", str(tmp_path / "in.json"),
+                "--tol", "1/2"])
+    assert code == 1
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_round_trip(self, bent_file, tmp_path):
         out = tmp_path / "res.json"
@@ -202,6 +218,14 @@ class TestVerifyCommand:
                               ["1/1", "1/1"]]}, pts)
         code = run(["verify", "--input", diag_file, "--points", str(pts)])
         assert code == 3
+
+    @pytest.mark.parametrize("doc", MALFORMED_POINTS)
+    def test_malformed_points_exit_1(self, bent_file, tmp_path, capsys, doc):
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps(doc))
+        code = run(["verify", "--input", bent_file, "--points", str(pts)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
 
     def test_float_mode_round_trip(self, bent_file, tmp_path):
         out = tmp_path / "res.json"
@@ -250,6 +274,16 @@ class TestExploreAndPlot:
                     "--svg", str(svg)])
         assert code == 0
         assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("doc", MALFORMED_POINTS)
+    def test_plot_malformed_points_exit_1(self, tmp_path, capsys, doc):
+        res = tmp_path / "res.json"
+        res.write_text(json.dumps(doc))
+        svg = tmp_path / "plot.svg"
+        code = run(["plot", "--input", str(res), "--svg", str(svg)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
+        assert not svg.exists()
 
     def test_unknown_input_exit_1(self, tmp_path, capsys):
         code = run(["partition", "--input", str(tmp_path / "missing.json"),

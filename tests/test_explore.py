@@ -11,6 +11,7 @@ from curvepart import (
     conjecture_search,
     diagonal_curve,
     random_curve,
+    verify,
 )
 from curvepart.plcurve import is_lower_triangle_interior, is_unit_interior
 from curvepart.scalar import rat
@@ -86,6 +87,27 @@ class TestConjectureSearch:
             dy = [b[1] - a[1] for a, b in zip(rec.points, rec.points[1:])]
             for i in range(3):
                 assert abs(float(dy[i]) - float(dx[(i - 2) % 3])) < 1e-5
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_shift_two_forces_the_chased_points(self, n):
+        # with k = 2 < n, the relations dy_j = dx_{j-2}, j = 2..n-1, force
+        # the points after the two free ones
+        tol = R(1, 10**6)
+        found = 0
+        for seed in range(4):
+            c = random_curve(seed, vertices=5, curve_class="deltaInterior")
+            rec = conjecture_search(c, n, CyclicPermutation(size=n + 1,
+                                                            shift=2), tol=tol)
+            if rec.outcome != "found":
+                continue
+            found += 1
+            assert len(rec.points) == n + 2
+            assert verify(c, rec.points, tol).ok
+            dx = [b[0] - a[0] for a, b in zip(rec.points, rec.points[1:])]
+            dy = [b[1] - a[1] for a, b in zip(rec.points, rec.points[1:])]
+            for i in range(n + 1):
+                assert abs(dy[i] - dx[(i - 2) % (n + 1)]) <= float(tol)
+        assert found >= 1
 
     def test_theta_size_must_match(self):
         with pytest.raises(PreconditionError):

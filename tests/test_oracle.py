@@ -59,6 +59,12 @@ class TestVerify:
         rep = verify(diagonal_curve(), pts, tol=0)
         assert not rep.ok
 
+    def test_empty_points_fail_without_raising(self):
+        rep = verify(BENT, [], tol=R(1, 2))
+        assert not rep.ok
+        assert not rep.increments_positive and not rep.multiset_match
+        assert rep.detected_shift is None
+
     def test_tolerance_band(self):
         eps = R(1, 10**12)
         pts = [(0, 0), (R(1, 2), R(1, 2) + eps), (1, 1)]

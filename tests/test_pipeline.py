@@ -72,14 +72,9 @@ class TestBuildPartitioningFunctions:
     def test_membership_oracle_full_coverage(self):
         c = PLCurve([0, R(1, 3), R(2, 3), 1],
                     [(0, 0), (R(1, 2), R(1, 5)), (R(7, 10), R(2, 5)), (1, 1)])
-        width, height = c.x_function(), c.y_function()
         for n in (1, 2, 3):
             pf = build_partitioning_functions(c, n)
             assert functions_on_curve(c, list(pf.xs), pf.y)
-            assert [compose(width, tau) for tau in pf.params] == list(pf.xs)
-            prevs = [PLFunction([(0, 0), (1, 0)])] + list(pf.xs[:-1])
-            assert [compose(height, tau) for tau in pf.params] == [
-                pl_add(prev, pf.y) for prev in prevs]
 
     def test_boundary_conditions_of_functions(self):
         pf = build_partitioning_functions(BENT, 3)
@@ -449,9 +444,14 @@ class TestPartitionDensities:
 
     def test_pl_density_pre_sampling(self):
         tent = PLFunction([(0, 0), (R(1, 2), 2), (1, 0)])
-        cum = pl_density_cumulative(tent, subdiv=4)
+        cum = pl_density_cumulative(tent)
         assert pl_eval(cum, 1) == 1
         assert pl_eval(cum, R(1, 2)) == R(1, 2)
+        # each tent piece is sampled at DENSITY_SUBDIV points of the exact
+        # quadratic, 2t^2 on [0, 1/2]
+        step = R(1, 2) / pipeline.DENSITY_SUBDIV
+        assert cum.breakpoints[1] == (step, 2 * step * step)
+        assert pl_eval(cum, R(1, 4)) == R(1, 8)
         out = partition_densities(("pl", tent), ("pl", tent), 1)
         assert out.result.dx == out.result.dy
 

@@ -125,7 +125,12 @@ class TestPointQueries:
 
     def test_first_parameter(self):
         assert first_parameter_at(BENT, (R(2, 5), R(1, 10))) == R(1, 4)
-        assert first_parameter_at(BENT, (R(2, 5), R(1, 10)), start=R(1, 2)) is None
+        assert first_parameter_at(BENT, (R(4, 5), R(1, 5))) == R(1, 2)
+        assert first_parameter_at(BENT, (R(2, 5), R(1, 5))) is None
+        # a stall holds its point over [1/4, 1/2]; the first parameter is 1/4
+        stall = PLCurve([0, R(1, 4), R(1, 2), 1],
+                        [(0, 0), (R(1, 2), R(1, 4)), (R(1, 2), R(1, 4)), (1, 1)])
+        assert first_parameter_at(stall, (R(1, 2), R(1, 4))) == R(1, 4)
 
 
 class TestRegions:
