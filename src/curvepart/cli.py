@@ -195,13 +195,8 @@ def _cmd_explore(args):
 def _cmd_plot(args):
     doc = fileio.load_json(args.input)
     pts = fileio.result_points_from_obj(doc, args.mode, args.allow_inexact)
-    dx = [fileio.read_number(d, args.mode, args.allow_inexact)
-          for d in doc.get("dx", [])]
-    dy = [fileio.read_number(d, args.mode, args.allow_inexact)
-          for d in doc.get("dy", [])]
-    if not dx or not dy:
-        dx = [b[0] - a[0] for a, b in zip(pts, pts[1:])]
-        dy = [b[1] - a[1] for a, b in zip(pts, pts[1:])]
+    dx, dy = fileio.result_increments_from_obj(
+        doc, pts, args.mode, args.allow_inexact)
     curve = None
     if args.curve:
         curve = fileio.load_curve(args.curve, args.mode, args.allow_inexact)

@@ -163,6 +163,27 @@ def result_points_from_obj(obj, mode=EXACT, allow_inexact=False):
         raise InputError(f"bad points list: {exc}") from exc
 
 
+def result_increments_from_obj(obj, points, mode=EXACT, allow_inexact=False):
+    """(dx, dy) from a result file, or the points' own increments when the
+    file has neither list.  Given lists must both be lists with one entry
+    per increment of `points`."""
+    if "dx" not in obj and "dy" not in obj:
+        return ([b[0] - a[0] for a, b in zip(points, points[1:])],
+                [b[1] - a[1] for a, b in zip(points, points[1:])])
+    count = len(points) - 1
+    lists = []
+    for key in ("dx", "dy"):
+        vals = obj.get(key)
+        if not isinstance(vals, list):
+            raise InputError(f"'{key}' is not a list")
+        if len(vals) != count:
+            raise InputError(
+                f"'{key}' has {len(vals)} entries; {len(points)} points give {count}"
+            )
+        lists.append([read_number(d, mode, allow_inexact) for d in vals])
+    return tuple(lists)
+
+
 def report_to_obj(rep, mode=EXACT):
     return {
         "pass": rep.ok,

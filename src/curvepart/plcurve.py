@@ -7,7 +7,8 @@ of the parameter, never just as a point set.
 Kernel costs, for curves a and b with m and k segments (each step is O(1)
 exact rational operations):
 
-- PLCurve(...): O(m); canonicalization costs three subtractions per point.
+- PLCurve(...): O(m); canonicalization tests x and then y with plfun's
+  integer collinearity test (`_collinear`), building no Fraction.
 - curve(t): O(log m), a bisection of the knots.
 - curve_from_functions(fx, fy): O(pieces(fx) + pieces(fy)), one merge-walk.
 - point_on_curve(curve, q): O(m) box tests; it stops at the first segment
@@ -25,25 +26,26 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError
-from .plfun import PLFunction, union_knot_values
+from .plfun import PLFunction, _collinear, _parts, union_knot_values
 from .scalar import ONE, ZERO, rat
 
 
 def _canonical(knots, verts):
-    out = [(knots[0], verts[0])]
-    steps = []  # steps[i] = (dt, dx, dy) from out[i] to out[i + 1]
-    for t, p in zip(knots[1:], verts[1:]):
-        t1, p1 = out[-1]
-        dt, dx, dy = t - t1, p[0] - p1[0], p[1] - p1[1]
-        while steps:
-            dt0, dx0, dy0 = steps[-1]
-            if dx0 * dt != dx * dt0 or dy0 * dt != dy * dt0:
+    """Drop interior knots at which both coordinates are collinear with
+    their neighbors; the kept knots and vertices are the input's own."""
+    out = []
+    parts = []  # parts[i] = (t, x, y) of out[i] as (numerator, denominator) pairs
+    for t, p in zip(knots, verts):
+        q = (_parts(t), _parts(p[0]), _parts(p[1]))
+        while len(out) >= 2:
+            (t0, x0, y0), (t1, x1, y1) = parts[-2], parts[-1]
+            if not (_collinear(t0, t1, q[0], x0, x1, q[1])
+                    and _collinear(t0, t1, q[0], y0, y1, q[2])):
                 break
             out.pop()
-            steps.pop()
-            dt, dx, dy = dt0 + dt, dx0 + dx, dy0 + dy
+            parts.pop()
         out.append((t, p))
-        steps.append((dt, dx, dy))
+        parts.append(q)
     return out
 
 

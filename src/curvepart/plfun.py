@@ -7,8 +7,10 @@ constructor so piece counts stay minimal through long composition chains.
 Kernel costs, for f with m pieces, g with k pieces and r result pieces
 (each step is O(1) exact rational operations):
 
-- PLFunction(...): O(m); canonicalization costs two subtractions per point
-  and the knot tuple is built once.
+- PLFunction(...): O(m); canonicalization reads each point's numerators and
+  denominators once and tests collinearity with integer cross-products
+  (`_collinear`), building no Fraction and taking no gcd; the knot tuple is
+  built once.
 - pl_eval(f, t): O(log m), a bisection of the cached knots.
 - compose(outer, inner): O(k log m + r); each inner knot bisects the outer
   knots once, and each inner piece emits the outer knots it crosses in
@@ -33,22 +35,42 @@ DOWN = "down"
 FLAT = "flat"
 
 
+def _parts(x):
+    return x.numerator, x.denominator
+
+
+def _collinear(t0, t1, t2, v0, v1, v2):
+    """Whether (t0, v0), (t1, v1), (t2, v2) lie on one line.
+
+    Each argument is a rational as its (numerator, denominator) pair,
+    t_i = a_i / b_i and v_i = c_i / d_i with b_i, d_i > 0.  The equation
+    (t1 - t0)(v2 - v0) == (t2 - t0)(v1 - v0) is tested with both sides
+    multiplied by the positive integer b0 b1 b2 d0 d1 d2, so only integer
+    products are formed: no Fraction is built and no gcd is taken.
+    """
+    (a0, b0), (a1, b1), (a2, b2) = t0, t1, t2
+    (c0, d0), (c1, d1), (c2, d2) = v0, v1, v2
+    return ((a1 * b0 - a0 * b1) * (c2 * d0 - c0 * d2) * b2 * d1
+            == (a2 * b0 - a0 * b2) * (c1 * d0 - c0 * d1) * b1 * d2)
+
+
 def _canonical(points):
-    """Drop interior breakpoints collinear with both neighbors."""
-    out = [points[0]]
-    steps = []  # steps[i] = (dt, dv) from out[i] to out[i + 1]
-    for t, v in points[1:]:
-        t1, v1 = out[-1]
-        dt, dv = t - t1, v - v1
-        while steps:
-            dt0, dv0 = steps[-1]
-            if dv0 * dt != dv * dt0:
+    """Drop interior breakpoints collinear with both neighbors.
+
+    The kept points are the input's own (t, v) tuples.
+    """
+    out = []
+    parts = []  # parts[i] = (t, v) of out[i] as (numerator, denominator) pairs
+    for p in points:
+        q = (_parts(p[0]), _parts(p[1]))
+        while len(out) >= 2:
+            (t0, v0), (t1, v1) = parts[-2], parts[-1]
+            if not _collinear(t0, t1, q[0], v0, v1, q[1]):
                 break
             out.pop()
-            steps.pop()
-            dt, dv = dt0 + dt, dv0 + dv
-        out.append((t, v))
-        steps.append((dt, dv))
+            parts.pop()
+        out.append(p)
+        parts.append(q)
     return out
 
 
@@ -321,17 +343,6 @@ def monotone_decompose(f):
         in_class_u=not violations,
         violations=tuple(violations),
     )
-
-
-def critical_levels(f):
-    """Fold levels plus flat levels; the values that can produce degenerate
-    vertices in a level-set traversal against another function."""
-    dec = monotone_decompose(f)
-    levels = {v for _, v, _ in dec.local_extrema}
-    for lo, hi, d in dec.pieces:
-        if d == FLAT:
-            levels.add(pl_eval(f, lo))
-    return sorted(levels)
 
 
 def perturb_distinct_extrema(f, delta, avoid=()):

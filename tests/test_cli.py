@@ -285,6 +285,34 @@ class TestExploreAndPlot:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
         assert not svg.exists()
 
+    @pytest.mark.parametrize("incs", (
+        {"dx": 5, "dy": ["1/1"]},                   # dx not a list
+        {"dx": ["1/2", "1/2"], "dy": ["1/1"]},      # lengths differ
+        {"dx": ["1/1", "0/1"], "dy": ["1/1", "0/1"]},  # 2 points, 1 increment
+        {"dx": ["1/1"]},                            # dy missing
+    ))
+    def test_plot_malformed_increments_exit_1(self, tmp_path, capsys, incs):
+        res = tmp_path / "res.json"
+        res.write_text(json.dumps(
+            {"points": [["0/1", "0/1"], ["1/1", "1/1"]], **incs}))
+        svg = tmp_path / "plot.svg"
+        code = run(["plot", "--input", str(res), "--svg", str(svg)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
+        assert not svg.exists()
+
+    def test_plot_draws_given_increments(self, tmp_path):
+        res = tmp_path / "res.json"
+        res.write_text(json.dumps(
+            {"points": [["0/1", "0/1"], ["1/1", "1/1"]],
+             "dx": ["1/3"], "dy": ["2/3"]}))
+        svg, csv = tmp_path / "plot.svg", tmp_path / "inc.csv"
+        code = run(["plot", "--input", str(res), "--svg", str(svg),
+                    "--csv", str(csv)])
+        assert code == 0
+        assert svg.read_text().startswith("<svg")
+        assert csv.read_text() == "i,dx,dy\n0,1/3,2/3\n"
+
     def test_unknown_input_exit_1(self, tmp_path, capsys):
         code = run(["partition", "--input", str(tmp_path / "missing.json"),
                     "--n", "1"])

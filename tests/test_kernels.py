@@ -4,7 +4,9 @@ implementations they replaced, kept here verbatim as references.
 Inputs are seeded random dyadic functions and curves on coarse grids, so
 the degenerate cases the fast paths must get right come up often: flat and
 decreasing pieces, inner values landing on outer knots, collinear overlaps,
-zero-length segments and query points on segment endpoints.
+zero-length segments and query points on segment endpoints.  The canonical
+forms also get collinear runs over large coprime denominators, the inputs
+a deep induction gives them.
 
 The same inputs also pin the two exact identities of `compose` that carry
 each climb identity into the partitioning functions, which the pipeline
@@ -13,6 +15,7 @@ does not re-check.
 
 import random
 from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 
@@ -186,6 +189,46 @@ def rand_curve(rng, segs, grid=4, tden=64):
     return PLCurve(rand_knots(rng, segs, tden), verts)
 
 
+# pairwise coprime and not dyadic, 190 to 300 bits each: about the size of
+# the denominators a deep induction builds
+BIG_DENS = (3**130, 5**90, 7**75, 11**60, 13**80, 17**70, 19**70)
+
+
+def big_rat(rng, scale=1):
+    """A rational in (-scale, scale) over one of BIG_DENS."""
+    q = rng.choice(BIG_DENS)
+    return rat(rng.randrange(1 - scale * q, scale * q), q)
+
+
+def big_knots(rng, pieces):
+    """0, 1 and up to pieces - 1 inner knots, each over its own BIG_DENS
+    entry, so neighbouring knots have coprime denominators."""
+    inner = set()
+    for _ in range(pieces - 1):
+        q = rng.choice(BIG_DENS)
+        inner.add(rat(rng.randrange(1, q), q))
+    return [rat(0)] + sorted(inner) + [rat(1)]
+
+
+def run_values(rng, ts):
+    """Values at ts made of collinear runs of up to 20 knots, each run on
+    its own line a + b t: a of either sign over a BIG_DENS entry, b of
+    either sign, zero, steep (up to 2^200) or shallow (down to 3^-200).
+    Now and then a point sits off its line by 1/q^2 for a q in BIG_DENS,
+    far less than any knot spacing."""
+    vs = []
+    while len(vs) < len(ts):
+        a = big_rat(rng, 4)
+        b = rat(rng.randint(-9, 9), rng.randint(1, 9)) * rng.choice(
+            (1, 2 ** rng.randint(60, 200), rat(1, 3 ** rng.randint(60, 200))))
+        for t in ts[len(vs):len(vs) + rng.randint(1, 20)]:
+            v = a + b * t
+            if rng.random() < 0.1:
+                v += rat(rng.choice((-1, 1)), rng.choice(BIG_DENS) ** 2)
+            vs.append(v)
+    return vs
+
+
 # ------------------------------------------------------------------ tests
 
 
@@ -297,6 +340,69 @@ def test_canonical_matches_reference():
         assert out == ref_curve_canonical(ts, ps)
         dropped_curve += len(ps) - len(out)
     assert dropped_fun and dropped_curve
+
+    # the inputs a deep induction produces: big coprime denominators, mixed
+    # within each collinear run, negative values and extreme slopes
+    dropped_fun = dropped_curve = 0
+    for _ in range(150):
+        ts = big_knots(rng, rng.randint(2, 60))
+        vs = run_values(rng, ts)
+        pts = list(zip(ts, vs))
+        out = plfun._canonical(pts)
+        assert out == ref_fun_canonical(pts)
+        dropped_fun += len(pts) - len(out)
+        # y runs break elsewhere, so a knot goes only where both agree
+        ws = vs if rng.random() < 0.3 else run_values(rng, ts)
+        ps = list(zip(vs, ws))
+        out = plcurve._canonical(ts, ps)
+        assert out == ref_curve_canonical(ts, ps)
+        dropped_curve += len(ps) - len(out)
+    assert dropped_fun and dropped_curve
+
+
+class Opaque(Fraction):
+    """A Fraction that refuses arithmetic and comparison; only numerator
+    and denominator can be read."""
+
+
+def _refuse(self, *args):
+    raise AssertionError("rational arithmetic in canonicalization")
+
+
+for _op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow", "divmod"):
+    setattr(Opaque, f"__{_op}__", _refuse)
+    setattr(Opaque, f"__r{_op}__", _refuse)
+for _op in ("neg", "pos", "abs", "eq", "ne", "lt", "le", "gt", "ge"):
+    setattr(Opaque, f"__{_op}__", _refuse)
+
+
+def test_canonical_does_no_rational_arithmetic():
+    # each canonical form reads only numerators and denominators, and keeps
+    # the input's own point objects
+    rng = random.Random(16)
+    for _ in range(40):
+        ts = big_knots(rng, rng.randint(2, 30))
+        vs = run_values(rng, ts)
+        ws = run_values(rng, ts)
+        ref = ref_fun_canonical(list(zip(ts, vs)))
+        index = {t: i for i, t in enumerate(ts)}
+        keep = [index[t] for t, _ in ref]
+        pts = [(Opaque(t), Opaque(v)) for t, v in zip(ts, vs)]
+        out = plfun._canonical(pts)
+        assert len(out) == len(keep)
+        assert all(p is pts[i] for p, i in zip(out, keep))
+
+        ref = ref_curve_canonical(ts, list(zip(vs, ws)))
+        keep = [index[t] for t, _ in ref]
+        ks = [Opaque(t) for t in ts]
+        ps = [(Opaque(v), Opaque(w)) for v, w in zip(vs, ws)]
+        out = plcurve._canonical(ks, ps)
+        assert len(out) == len(keep)
+        assert all(t is ks[i] and p is ps[i] for (t, p), i in zip(out, keep))
+    with pytest.raises(AssertionError):
+        Opaque(1, 3) - Opaque(1, 5)
+    with pytest.raises(AssertionError):
+        Opaque(1, 3) < Opaque(1, 5)
 
 
 def test_curve_intersections_matches_reference():

@@ -16,7 +16,6 @@ from curvepart import (
 )
 from curvepart.plfun import (
     clamp_to_unit,
-    critical_levels,
     pl_add,
     pl_compress_param,
     pl_scale_values,
@@ -25,7 +24,12 @@ from curvepart.plfun import (
 )
 from curvepart.scalar import rat
 
-from util import eval_grid_equal, naive_level_solutions, rand_profile
+from util import (
+    critical_levels,
+    eval_grid_equal,
+    naive_level_solutions,
+    rand_profile,
+)
 
 R = rat
 

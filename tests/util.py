@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from curvepart import PLCurve, PLFunction, pl_eval
-from curvepart.plfun import perturb_distinct_extrema
+from curvepart.plfun import FLAT, monotone_decompose, perturb_distinct_extrema
 from curvepart.scalar import rat
 
 DENOM = 2**16
@@ -48,8 +48,6 @@ def climb_pair(seed):
     rng = random.Random(seed)
     f2 = insert_flats(rng, rand_profile(rng, rng.randrange(0, 4)),
                       rng.randrange(1, 4))
-    from curvepart.plfun import critical_levels
-
     f1 = perturb_distinct_extrema(
         rand_profile(rng, rng.randrange(0, 5)),
         rat(1, 10**6),
@@ -58,10 +56,19 @@ def climb_pair(seed):
     return f1, f2
 
 
+def critical_levels(f):
+    """Fold levels plus flat levels; the values that can produce degenerate
+    vertices in a level-set traversal against another function."""
+    dec = monotone_decompose(f)
+    levels = {v for _, v, _ in dec.local_extrema}
+    for lo, hi, d in dec.pieces:
+        if d == FLAT:
+            levels.add(pl_eval(f, lo))
+    return sorted(levels)
+
+
 def fold_levels(f):
     """Values at the interior local extrema of f."""
-    from curvepart.plfun import monotone_decompose
-
     return {v for _, v, _ in monotone_decompose(f).local_extrema}
 
 
