@@ -8,19 +8,11 @@ independent verifier with a brute-force oracle, and a numerical explorer
 for the open generalizations.
 """
 
-from .climb import (
-    ClimbSolution,
-    FlatBumpPlan,
-    apply_bumps,
-    plan_bumps,
-    solve,
-)
+from .climb import ClimbSolution, solve
 from .errors import (
-    ClassUError,
     ConvergenceError,
     CurvepartError,
     DomainError,
-    InfeasiblePerturbationError,
     InputError,
     InternalInvariantError,
     NonInteriorCurveError,
@@ -57,7 +49,6 @@ from .plfun import (
     identity,
     level_set,
     monotone_decompose,
-    perturb_distinct_extrema,
     pl_eval,
 )
 from .scalar import Scalar, format_rational, parse_rational, rat
@@ -65,9 +56,9 @@ from .scalar import Scalar, format_rational, parse_rational, rat
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClimbSolution", "FlatBumpPlan", "apply_bumps", "plan_bumps", "solve",
-    "ClassUError", "ConvergenceError", "CurvepartError", "DomainError",
-    "InfeasiblePerturbationError", "InputError", "InternalInvariantError",
+    "ClimbSolution", "solve",
+    "ConvergenceError", "CurvepartError", "DomainError",
+    "InputError", "InternalInvariantError",
     "NonInteriorCurveError", "PreconditionError",
     "CyclicPermutation", "TrialRecord", "batch", "conjecture_search",
     "random_curve",
@@ -80,7 +71,7 @@ __all__ = [
     "Intersection", "Overlap", "PLCurve", "curve_from_functions",
     "curve_intersections", "diagonal_curve", "normalize_tail",
     "MonotoneDecomposition", "PLFunction", "compose", "identity", "level_set",
-    "monotone_decompose", "perturb_distinct_extrema", "pl_eval",
+    "monotone_decompose", "pl_eval",
     "Scalar", "format_rational", "parse_rational", "rat",
     "__version__",
 ]

@@ -150,7 +150,6 @@ def _cmd_climb(args):
     summary = {
         "g1": f"{base}.g1.json",
         "g2": f"{base}.g2.json",
-        "bumps": len(sol.plans),
     }
     print(fileio.dump_json(summary, None))
     return EXIT_OK

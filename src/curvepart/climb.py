@@ -3,11 +3,15 @@
 Given height profiles f1, f2 on [0,1] with f(0)=0, f(1)=1, find continuous
 g1, g2 with the same boundary values such that f1(g1(t)) = f2(g2(t)) for
 all t, exactly.  The engine walks the one-dimensional solution complex of
-f1(s) = f2(t) inside the parameter square; constancy intervals of f2 are
-first replaced by small tents and afterwards collapsed back.
+f1(s) = f2(t) inside the parameter square.  Each maximal flat (constancy
+interval) of either profile is first contracted to a point; the walk runs
+on the flat-free quotients and is lifted back, one climber crossing a
+plateau while the other waits.  This solves every piecewise-monotone
+profile, plateaus included (Huneke, "Mountain climbing", Trans. AMS 1969;
+Keleti, "The mountain climbers' problem", Proc. AMS 1993).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
 from .plfun import (
@@ -15,11 +19,8 @@ from .plfun import (
     PLFunction,
     assert_unit_range,
     compose,
-    level_set,
     monotone_decompose,
     pl_eval,
-    preimage_open_interval,
-    require_class_u,
 )
 from .scalar import ONE, ZERO, rat
 
@@ -30,25 +31,6 @@ class ClimbSolution:
 
     g1: PLFunction
     g2: PLFunction
-    plans: tuple = ()
-
-
-@dataclass(frozen=True)
-class FlatBumpPlan:
-    """Replacement recipe for one maximal constancy interval of f2.
-
-    f2 == level on [start, end]; preimage lists where f1 meets that level;
-    the tent deviates by half_width with the given sign, chosen so folds of
-    f1 at this level only ever touch the tent tangentially.
-    """
-
-    start: object
-    end: object
-    level: object
-    preimage: tuple
-    half_width: object
-    sign: str
-    collapse_intervals: tuple = ()
 
 
 def _check_boundary(f, name):
@@ -62,79 +44,6 @@ def _flat_runs(f):
         for lo, hi, d in monotone_decompose(f).pieces
         if d == FLAT
     ]
-
-
-def plan_bumps(f1, f2):
-    """One FlatBumpPlan per maximal constancy interval of f2.
-
-    Requires f1 in class U so each level preimage is finite.  The tent
-    half-width keeps a margin of half the distance from the flat level to
-    the nearest other extremum level of f1, endpoint values included, and
-    never lets the tent peak leave [0, 1].
-    """
-    dec1 = require_class_u(f1, "f1")
-    min_fold_levels = {v for _, v, k in dec1.local_extrema if k == "min"}
-    extremum_levels = {v for _, v, _ in dec1.local_extrema}
-    extremum_levels.add(pl_eval(f1, ZERO))
-    extremum_levels.add(pl_eval(f1, ONE))
-
-    plans = []
-    for lo, hi in _flat_runs(f2):
-        c = pl_eval(f2, lo)
-        hits = level_set(f1, c)
-        if any(a < b for a, b in hits):
-            raise InternalInvariantError("class-U f1 produced a flat level hit")
-        preimage = tuple(a for a, _ in hits)
-
-        gaps = [abs(v - c) for v in extremum_levels if v != c]
-        d = min(gaps) / 2 if gaps else rat(1, 4)
-
-        if c == 0:
-            sign = "plus"
-        elif c == 1:
-            sign = "minus"
-        else:
-            sign = "minus" if c in min_fold_levels else "plus"
-        # keep the tent peak strictly inside (0, 1)
-        cap = (ONE - c) / 2 if sign == "plus" else c / 2
-        if cap > 0:
-            d = min(d, cap)
-        if d <= 0:
-            raise InternalInvariantError(f"degenerate bump width at level {c}")
-        plans.append(
-            FlatBumpPlan(start=lo, end=hi, level=c, preimage=preimage,
-                         half_width=d, sign=sign)
-        )
-    return plans
-
-
-def apply_bumps(f2, plans):
-    """Replace each planned constancy interval by a linear tent.
-
-    The tent rises (or dips) from the flat level to level +/- half_width at
-    the interval midpoint, so the result is locally non-constant while
-    deviating from f2 by at most max half_width.
-    """
-    if not plans:
-        return f2
-    pts = []
-    spans = {(p.start, p.end): p for p in plans}
-    bps = list(f2.breakpoints)
-    i = 0
-    while i < len(bps):
-        t, v = bps[i]
-        pts.append((t, v))
-        if i + 1 < len(bps):
-            t1, v1 = bps[i + 1]
-            plan = spans.get((t, t1))
-            if plan is not None:
-                mid = (t + t1) / 2
-                peak = plan.level + (
-                    plan.half_width if plan.sign == "plus" else -plan.half_width
-                )
-                pts.append((mid, peak))
-        i += 1
-    return PLFunction(pts)
 
 
 def _cell_edge(s0, s1, fa0, fa1, t0, t1, fb0, fb1):
@@ -225,69 +134,108 @@ def _path_to_functions(path):
     return g1, g2
 
 
-def _collapse(h, spans_and_values):
-    """Overwrite h with constants on disjoint closed spans."""
-    if not spans_and_values:
-        return h
+def _contract(f):
+    """Contract each maximal flat of f to a point.
+
+    Returns the flat-free quotient q and a dict sending each contracted
+    point u of q to its flat (lo, hi) of f.  Parameter t of f maps to
+    u = (t - flat length below t) / (1 - total flat length), and q(u) =
+    f(t).  A flat-free f is its own quotient.
+    """
+    runs = _flat_runs(f)
+    if not runs:
+        return f, {}
+    keep = ONE - sum(hi - lo for lo, hi in runs)
+
+    def quotient(t):
+        below = sum(min(max(t - lo, ZERO), hi - lo) for lo, hi in runs)
+        return (t - below) / keep
+
     pts = []
-    spans = sorted(spans_and_values)
-    si = 0
-    for t, v in h.breakpoints:
-        while si < len(spans) and spans[si][1] < t:
-            si += 1
-        if si < len(spans):
-            u, vv, const = spans[si]
-            if u <= t <= vv:
-                continue
-        pts.append((t, v))
-    for u, v, const in spans:
-        pts.append((u, const))
-        pts.append((v, const))
-    pts.sort(key=lambda p: p[0])
-    dedup = []
-    for t, v in pts:
-        if dedup and dedup[-1][0] == t:
-            if dedup[-1][1] != v:
-                raise InternalInvariantError("collapse produced a jump")
-            continue
-        dedup.append((t, v))
-    return PLFunction(dedup)
+    for t, v in f.breakpoints:
+        u = quotient(t)
+        if not pts or pts[-1][0] != u:
+            pts.append((u, v))
+    return PLFunction(pts), {quotient(lo): (lo, hi) for lo, hi in runs}
+
+
+def _lift_vertex(u, before, after, flats):
+    """Parameters of f at quotient coordinate u, in walking order.
+
+    Off the contracted points this is the one parameter that maps to u.
+    On one, the climber enters its plateau from the side of `before` and
+    leaves toward `after` (None at the start and end of the walk, which
+    count as coming from the left and leaving to the right); leaving on
+    the other side means crossing the plateau, so both ends are returned.
+    """
+    if u not in flats:
+        keep = ONE - sum(hi - lo for lo, hi in flats.values())
+        return [u * keep + sum(hi - lo for w, (lo, hi) in flats.items()
+                               if w < u)]
+    lo, hi = flats[u]
+    enter = lo if before is None or before < u else hi
+    leave = hi if after is None or after > u else lo
+    return [enter] if enter == leave else [enter, leave]
+
+
+def _lift(path, flats1, flats2):
+    """Lift a walk of the contracted quotients back to the profiles.
+
+    Every edge of the walk changes both coordinates strictly.  An edge
+    that passes a contracted point strictly inside itself is split there
+    first: the quotient's canonical form may have dropped that knot.  At
+    a vertex on a contracted point the climber who crosses the plateau
+    takes an inserted step while the other waits, f1's climber first.
+    """
+    split = [path[0]]
+    for (s0, t0), (s1, t1) in zip(path, path[1:]):
+        cuts = {}
+        for u in flats1:
+            if min(s0, s1) < u < max(s0, s1):
+                lam = (u - s0) / (s1 - s0)
+                cuts[lam] = (u, t0 + lam * (t1 - t0))
+        for u in flats2:
+            if min(t0, t1) < u < max(t0, t1):
+                lam = (u - t0) / (t1 - t0)
+                cuts[lam] = (s0 + lam * (s1 - s0), u)
+        split.extend(cuts[lam] for lam in sorted(cuts))
+        split.append((s1, t1))
+
+    ends = (None, None)
+    lifted = []
+    for k, (s, t) in enumerate(split):
+        before = split[k - 1] if k > 0 else ends
+        after = split[k + 1] if k + 1 < len(split) else ends
+        ss = _lift_vertex(s, before[0], after[0], flats1)
+        ts = _lift_vertex(t, before[1], after[1], flats2)
+        for p in ((ss[0], ts[0]), (ss[-1], ts[0]), (ss[-1], ts[-1])):
+            if not lifted or lifted[-1] != p:
+                lifted.append(p)
+    return lifted
 
 
 def solve(f1, f2):
-    """Climb: bump the flats of f2, walk the solution complex, collapse.
+    """Climb: contract the flats of both profiles, walk the solution
+    complex of the flat-free quotients, lift the walk back.
 
     Requires boundary values 0 -> 0, 1 -> 1 and range [0, 1] on both
-    sides, and f1 in class U.  Fold levels of f1 and f2 may coincide: a
-    same-level meeting only creates even-degree vertices, so the trail
-    argument still lands at (1,1).  Flat levels of f2 are fine too: the
-    planned tent signs make those meetings tangential.
+    sides; class U is not needed.  Fold levels of f1 and f2 may coincide:
+    a same-level meeting only creates even-degree vertices (4 for two
+    maxima or two minima, 0 for a maximum and a minimum), so the trail
+    argument still lands at (1,1).  Flat-free profiles skip the
+    contraction, and their path is the walk itself.
     """
     _check_boundary(f1, "f1")
     _check_boundary(f2, "f2")
     assert_unit_range(f1, "f1")
     assert_unit_range(f2, "f2")
-    plans = plan_bumps(f1, f2)  # requires f1 in class U
-    f3 = apply_bumps(f2, plans)
-    h, k = _path_to_functions(level_complex_path(f1, f3))
-
-    filled = []
-    spans = []
-    for plan in plans:
-        comps = []
-        for u, v in preimage_open_interval(k, plan.start, plan.end):
-            hu, hv = pl_eval(h, u), pl_eval(h, v)
-            if hu != hv:
-                raise InternalInvariantError(
-                    f"collapse mismatch h({u}) = {hu} != {hv} = h({v}); "
-                    f"bump width too large at level {plan.level}"
-                )
-            comps.append((u, v))
-            spans.append((u, v, hu))
-        filled.append(replace(plan, collapse_intervals=tuple(comps)))
-
-    g1 = _collapse(h, spans)
-    sol = ClimbSolution(g1=g1, g2=k, plans=tuple(filled))
+    q1, flats1 = _contract(f1)
+    q2, flats2 = _contract(f2)
+    path = level_complex_path(q1, q2)
+    if flats1 or flats2:
+        path = _lift(path, flats1, flats2)
+    g1, g2 = _path_to_functions(path)
+    sol = ClimbSolution(g1=g1, g2=g2)
     _assert_solution(f1, f2, sol)
     return sol
 
@@ -302,11 +250,13 @@ def _assert_solution(f1, f2, sol):
 
 
 def solve_either_orientation(f1, f2):
-    """Climb with whichever side is class U; swaps roles when only f2 is."""
-    if monotone_decompose(f1).in_class_u:
+    """Climb f1 against f2, swapping roles when only f2 is class U.
+
+    Every climb is exact; the orientation only picks which of the walks
+    is taken, and this rule keeps the walks of earlier releases.
+    """
+    if (monotone_decompose(f1).in_class_u
+            or not monotone_decompose(f2).in_class_u):
         return solve(f1, f2)
-    if monotone_decompose(f2).in_class_u:
-        swapped = solve(f2, f1)
-        return ClimbSolution(g1=swapped.g2, g2=swapped.g1,
-                             plans=swapped.plans)
-    require_class_u(f1, "f1")  # raises with f1's violations
+    swapped = solve(f2, f1)
+    return ClimbSolution(g1=swapped.g2, g2=swapped.g1)

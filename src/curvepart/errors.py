@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all curvepart modules.
 
 The CLI maps these onto exit codes: precondition failures exit 2,
-convergence failures exit 3, input/parse problems exit 1.
+convergence failures exit 3, input/parse problems exit 1.  No climb fails
+for the shape of its profiles, so the one convergence failure is a spent
+boundary-join budget.
 """
 
 
@@ -29,23 +31,9 @@ class NonInteriorCurveError(PreconditionError):
     """Curve leaves the open unit square at an interior parameter."""
 
 
-class ClassUError(PreconditionError):
-    """Function is not piecewise monotone with separated extremum levels.
-
-    Carries the list of violations: (level, witness_max_t, witness_min_t).
-    """
-
-    def __init__(self, message, violations=()):
-        super().__init__(message, witness=list(violations))
-        self.violations = list(violations)
-
-
-class InfeasiblePerturbationError(PreconditionError):
-    """Requested perturbation budget cannot preserve the piece pattern."""
-
-
 class ConvergenceError(CurvepartError):
-    """Iterative refinement failed to reach tolerance; carries best residual."""
+    """Boundary joining spent its cuts without reaching tolerance; carries
+    the best residual and its history."""
 
     def __init__(self, message, best_residual=None, history=()):
         super().__init__(message)

@@ -205,6 +205,8 @@ def density_from_obj(obj, mode=EXACT, allow_inexact=False):
     step: {"kind": "step", "knots": [t0..tm], "values": [v1..vm]}
     pl:   {"breakpoints": [[t, v], ...]}  (kind optional)
     """
+    if not isinstance(obj, dict):
+        raise InputError(f"a density must be an object, not {obj!r}")
     if obj.get("kind") == "step":
         try:
             knots = [read_number(t, mode, allow_inexact) for t in obj["knots"]]

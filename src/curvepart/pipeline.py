@@ -8,11 +8,11 @@ consequence.  The stages return results unchecked; `partition_curve` is
 the one verified boundary, where every branch passes `_final_verify`, so
 `partition_curve(curve, n + 1)` gives the points of
 `partition_below_diagonal(curve, n)`, verified.
-Curves the exact route cannot take go through one acceptance loop,
-`_accept`, over a fixed budget of candidates: perturb-and-refine perturbs
-the height by DELTA0/2^k (REFINE_ROUNDS rounds), boundary joining cuts the
-normalized tail and joins it to the origin (JOIN_CUTS cuts).  The first
-candidate whose points, mapped back, have positive increments and a shift-1
+Every climb is exact, so a curve below the diagonal always solves exactly.
+The one inexact route is boundary joining, for a normalized tail that
+leaves the lower triangle: it cuts the tail and joins it to the origin,
+over a fixed budget of JOIN_CUTS cuts.  The first cut whose points,
+snapped back onto the tail, have positive increments and a shift-1
 residual within tol is accepted; a spent budget raises ConvergenceError.
 """
 
@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 
 from . import climb
 from .errors import (
-    ClassUError,
     ConvergenceError,
-    InfeasiblePerturbationError,
     InternalInvariantError,
     NonInteriorCurveError,
     PreconditionError,
@@ -32,7 +30,6 @@ from .plcurve import (
     PLCurve,
     curve_from_functions,
     curve_intersections,
-    first_parameter_at,
     is_lower_triangle_interior,
     is_unit_interior,
     nearest_point_on_curve,
@@ -46,7 +43,6 @@ from .plfun import (
     PLFunction,
     compose,
     level_set,
-    perturb_distinct_extrema,
     pl_add,
     pl_compress_param,
     pl_eval,
@@ -56,10 +52,7 @@ from .plfun import (
 from .scalar import ONE, ZERO, rat
 
 DEFAULT_TOL = rat(1, 10**9)
-# retry budgets of the inexact routes: height perturbations DELTA0/2^k for
-# k = 1..REFINE_ROUNDS, and boundary-join cuts for k = 1..JOIN_CUTS
-DELTA0 = rat(1, 8)
-REFINE_ROUNDS = 80
+# retry budget of the inexact route: boundary-join cuts for k = 1..JOIN_CUTS
 JOIN_CUTS = 48
 # sample pieces per density piece in pl_density_cumulative
 DENSITY_SUBDIV = 8
@@ -93,6 +86,7 @@ class PipelineTrace:
     last_touch: object = ZERO
     branch: str = "below"
     boundary_joins: tuple = ()
+    # always empty: every climb is exact; kept so result files keep the key
     perturbations: tuple = ()
     residual_history: tuple = ()
     anchor: object = ZERO
@@ -155,8 +149,7 @@ def build_partitioning_functions(curve, n):
     is re-checked here.
 
     The curve must run from (0,0) to (1,1) through the open unit square.
-    The exact route needs a class-U profile on one side of every climb;
-    otherwise ClassUError propagates and callers fall back to refinement.
+    Every climb is exact, whatever the profiles' folds and flats.
     """
     if n < 1:
         raise PreconditionError("n must be a positive integer")
@@ -230,15 +223,12 @@ def _antidiagonal_point(curve):
     return curve(t0)
 
 
-def partition_below_diagonal(curve, n, tol=DEFAULT_TOL):
+def partition_below_diagonal(curve, n):
     """Partition a curve that stays strictly inside 0 < y < x < 1.
 
     n is the partitioning-function count: the result has S = n + 2
-    increments; n = 0 is the plain closing-point case.  Exact whenever
-    every climb in the induction finds a class-U side; otherwise the
-    height profile is perturbed by DELTA0/2^k, k = 1..REFINE_ROUNDS, and
-    the exact solution of the perturbed curve is projected back and
-    accepted once its cyclic-shift residual is within tol.
+    increments; n = 0 is the plain closing-point case.  Always exact: every
+    climb in the induction is.
 
     Unchecked, as a solver stage: `partition_curve(curve, n + 1)` returns
     the same points, verified.
@@ -259,85 +249,8 @@ def partition_below_diagonal(curve, n, tol=DEFAULT_TOL):
             trace=PipelineTrace(branch="below", solver_frame_points=pts),
         )
 
-    try:
-        pf = build_partitioning_functions(curve, n)
-        return extract_points(curve, pf)
-    except ClassUError:
-        pass
-    return _refine_below_diagonal(curve, n, tol)
-
-
-def _refine_below_diagonal(curve, n, tol):
-    """Perturb-and-refine: the exact solution of the curve with its height
-    perturbed by DELTA0/2^k, projected back onto the curve; never exact."""
-    width = curve.x_function()
-    y_fun = curve.y_function()
-
-    def attempt(delta):
-        try:
-            y_pert = perturb_distinct_extrema(y_fun, delta)
-        except InfeasiblePerturbationError:
-            return None
-        pert_curve = curve_from_functions(width, y_pert)
-        if not is_lower_triangle_interior(pert_curve):
-            return None
-        try:
-            pf = build_partitioning_functions(pert_curve, n)
-            res = extract_points(pert_curve, pf)
-        except (ClassUError, InternalInvariantError):
-            return None
-        pts = _project_points(pert_curve, curve, res.points)
-        if pts is None:
-            return None
-        return res.points, pts, False
-
-    return _accept(
-        (DELTA0 / 2**k for k in range(1, REFINE_ROUNDS + 1)), attempt, tol,
-        "perturbations",
-        f"no verified partition within {REFINE_ROUNDS} refinement rounds")
-
-
-def _accept(schedule, attempt, tol, trace_field, failure):
-    """The one acceptance loop of the inexact routes.  Each candidate is
-    recorded in `trace_field`; `attempt` skips it (None) or returns
-    (solver-frame points, points mapped onto the curve, whether a zero
-    residual is exact).  residual_history keeps the best residual so far."""
-    tried = []
-    history = []
-    best = None
-    for cand in schedule:
-        tried.append(cand)
-        got = attempt(cand)
-        if got is None:
-            continue
-        frame, pts, exact_at_zero = got
-        dx, dy = increments(pts)
-        if any(d <= 0 for d in dx + dy):
-            continue
-        resid = _shift_residual(dx, dy, 1)
-        best = min(best, resid) if best is not None else resid
-        history.append(best)
-        if resid <= tol:
-            return PartitionResult(
-                points=pts, rearrangement=Rearrangement(shift=1),
-                exact=resid == 0 and exact_at_zero, residual=resid,
-                trace=PipelineTrace(
-                    branch="below", residual_history=tuple(history),
-                    solver_frame_points=frame, **{trace_field: tuple(tried)},
-                ),
-            )
-    raise ConvergenceError(failure, best_residual=best, history=history)
-
-
-def _project_points(from_curve, to_curve, points):
-    """Carry points between curves sharing knots/x: match parameters."""
-    out = []
-    for p in points:
-        t = first_parameter_at(from_curve, p)
-        if t is None:
-            return None
-        out.append(to_curve(t))
-    return out
+    pf = build_partitioning_functions(curve, n)
+    return extract_points(curve, pf)
 
 
 def partition_curve(curve, n, tol=DEFAULT_TOL):
@@ -391,7 +304,7 @@ def _dispatch(curve, s_total, tol):
         swapped = ey > ex
         eta_solve = swap_curve(eta) if swapped else eta
         if is_lower_triangle_interior(eta_solve):
-            eta_res = partition_below_diagonal(eta_solve, s_eta - 2, tol)
+            eta_res = partition_below_diagonal(eta_solve, s_eta - 2)
         else:
             eta_res = _boundary_join_solve(eta_solve, s_eta, tol)
         if swapped:
@@ -438,7 +351,9 @@ def _swap_result(res):
 def _boundary_join_solve(eta, s_eta, tol):
     """Cut at the last zero of the height, join a segment from the origin,
     and accept the first join whose solution snaps onto the tail curve
-    within tol."""
+    within tol.  Each cut is recorded in boundary_joins; a cut is skipped
+    when the joined curve leaves the lower triangle or its snapped points
+    do not increase.  residual_history keeps the best residual so far."""
     y_fun = eta.y_function()
     zeros = [hi for lo, hi in level_set(y_fun, ZERO) if 0 < hi < 1]
     if not zeros:
@@ -448,7 +363,12 @@ def _boundary_join_solve(eta, s_eta, tol):
         )
     t_last = max(zeros)
 
-    def attempt(t_k):
+    tried = []
+    history = []
+    best = None
+    for k in range(1, JOIN_CUTS + 1):
+        t_k = t_last + (ONE - t_last) / 2**k
+        tried.append(t_k)
         tail_knots = [t for t in eta.knots if t_k < t < 1]
         knots = [ZERO, t_k] + tail_knots + [ONE]
         verts = [(ZERO, ZERO), eta(t_k)] + [eta(t) for t in tail_knots] + [
@@ -456,11 +376,8 @@ def _boundary_join_solve(eta, s_eta, tol):
         ]
         joined = PLCurve(knots, verts)
         if not is_lower_triangle_interior(joined):
-            return None
-        try:
-            res = partition_below_diagonal(joined, s_eta - 2, tol)
-        except (ConvergenceError, NonInteriorCurveError):
-            return None
+            continue
+        res = partition_below_diagonal(joined, s_eta - 2)
         snapped = []
         any_snapped = False
         for p in res.points:
@@ -469,12 +386,26 @@ def _boundary_join_solve(eta, s_eta, tol):
                 continue
             any_snapped = True
             snapped.append(nearest_point_on_curve(eta, p))
-        return res.points, snapped, not any_snapped and res.exact
-
-    return _accept(
-        (t_last + (ONE - t_last) / 2**k for k in range(1, JOIN_CUTS + 1)),
-        attempt, tol, "boundary_joins",
-        f"boundary joining failed to verify within {JOIN_CUTS} cuts")
+        dx, dy = increments(snapped)
+        if any(d <= 0 for d in dx + dy):
+            continue
+        resid = _shift_residual(dx, dy, 1)
+        best = min(best, resid) if best is not None else resid
+        history.append(best)
+        if resid <= tol:
+            return PartitionResult(
+                points=snapped, rearrangement=Rearrangement(shift=1),
+                exact=resid == 0 and not any_snapped,
+                residual=resid,
+                trace=PipelineTrace(
+                    branch="below", boundary_joins=tuple(tried),
+                    residual_history=tuple(history),
+                    solver_frame_points=res.points,
+                ),
+            )
+    raise ConvergenceError(
+        f"boundary joining failed to verify within {JOIN_CUTS} cuts",
+        best_residual=best, history=history)
 
 
 def _assemble(eta_res, last_touch, anchor, swapped):
@@ -496,7 +427,6 @@ def _assemble(eta_res, last_touch, anchor, swapped):
             last_touch=last_touch,
             branch="above" if swapped else "below",
             boundary_joins=eta_res.trace.boundary_joins,
-            perturbations=eta_res.trace.perturbations,
             residual_history=eta_res.trace.residual_history,
             anchor=anchor,
             swapped=swapped,

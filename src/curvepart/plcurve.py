@@ -301,17 +301,6 @@ def _on_polyline(vs, q):
     return False
 
 
-def first_parameter_at(curve, q):
-    """Smallest parameter t with curve(t) == q, or None.  Segments run in t
-    order and a stalled segment places q at its start, so the first hit is
-    the smallest."""
-    for t0, t1, p0, p1 in curve.segments():
-        s = _segment_point_param(p0, p1, q)
-        if s is not None:
-            return t0 + s * (t1 - t0)
-    return None
-
-
 def interior_vertices(curve):
     return curve.vertices[1:-1]
 

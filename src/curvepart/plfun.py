@@ -22,12 +22,7 @@ Kernel costs, for f with m pieces, g with k pieces and r result pieces
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import (
-    ClassUError,
-    DomainError,
-    InfeasiblePerturbationError,
-    PreconditionError,
-)
+from .errors import DomainError, PreconditionError
 from .scalar import ONE, ZERO, rat
 
 UP = "up"
@@ -345,156 +340,8 @@ def monotone_decompose(f):
     )
 
 
-def perturb_distinct_extrema(f, delta, avoid=()):
-    """Nudge f by at most delta (sup-norm) into class U.
-
-    Endpoint values are kept.  Flat pieces are tilted to continue the
-    incoming direction; duplicated extremum levels are then lowered by
-    delta/2^rank in order of appearance (rank counts nudges globally,
-    starting at 1).  Values in `avoid` are treated as already taken.
-    Raises InfeasiblePerturbation when a literal delta/2^rank nudge would
-    break the up/down piece pattern, or when delta = 0 but work is needed.
-    """
-    delta = rat(delta)
-    if delta < 0:
-        raise PreconditionError("delta must be nonnegative")
-    avoid = {rat(a) for a in avoid}
-
-    dec = monotone_decompose(f)
-    has_flats = any(d == FLAT for _, _, d in dec.pieces)
-    needs_work = has_flats or bool(_nudge_plan(dec, f, delta, avoid))
-    if not needs_work:
-        return f
-    if delta == 0:
-        raise InfeasiblePerturbationError("zero budget but perturbation required")
-
-    g = _tilt_flats(f, delta, dec) if has_flats else f
-    g = _separate_extrema(g, delta, avoid)
-
-    out_dec = monotone_decompose(g)
-    out_levels = [v for _, v, _ in out_dec.local_extrema]
-    if not out_dec.in_class_u or len(set(out_levels)) != len(out_levels) or (
-        set(out_levels) & avoid
-    ):
-        raise InfeasiblePerturbationError(
-            "nudged extremum collided with an existing level",
-            witness=out_dec.violations,
-        )
-    return g
-
-
-def _nudge_plan(dec, f, delta, avoid):
-    """Map fold time -> nudged value for duplicates, scanning in t-order."""
-    taken = set(avoid)
-    taken.add(pl_eval(f, ZERO))
-    taken.add(pl_eval(f, ONE))
-    adjust = {}
-    rank = 0
-    for t, v, kind in dec.local_extrema:
-        if v in taken:
-            rank += 1
-            nudged = v - delta / 2 ** rank
-            adjust[t] = nudged
-            taken.add(nudged)
-        else:
-            taken.add(v)
-    return adjust
-
-
-def _tilt_flats(f, delta, dec):
-    pts = list(f.breakpoints)
-    index_of = {t: i for i, (t, _) in enumerate(pts)}
-    flats = [(lo, hi) for lo, hi, d in dec.pieces if d == FLAT]
-    nonflat = [(lo, hi, d) for lo, hi, d in dec.pieces if d != FLAT]
-    if flats and not nonflat:
-        raise InfeasiblePerturbationError("constant function cannot be made locally non-constant")
-
-    for rank, (lo, hi) in enumerate(flats):
-        prev_dir = next((d for l, h, d in reversed(nonflat) if h <= lo), None)
-        next_dir = next((d for l, h, d in nonflat if l >= hi), None)
-        tilt = prev_dir if prev_dir is not None else next_dir
-        # End-flats move their left breakpoint (t=1 value is pinned),
-        # all others move the right one.
-        move = index_of[lo] if hi == 1 else index_of[hi]
-        if move == 0 or move == len(pts) - 1:
-            raise InfeasiblePerturbationError("flat spans the whole domain")
-        t_m, v_m = pts[move]
-        gaps = []
-        if move > 0 and pts[move - 1][1] != v_m:
-            gaps.append(abs(pts[move - 1][1] - v_m))
-        if move < len(pts) - 1 and pts[move + 1][1] != v_m:
-            gaps.append(abs(pts[move + 1][1] - v_m))
-        eps = min([delta] + gaps) / 2 ** (rank + 2)
-        if hi == 1:
-            # tilt the flat so it continues prev_dir into the pinned endpoint
-            step = -eps if tilt == UP else eps
-        else:
-            step = eps if tilt == UP else -eps
-        pts[move] = (t_m, v_m + step)
-
-    return PLFunction(pts)
-
-
-def _separate_extrema(f, delta, avoid):
-    dec = monotone_decompose(f)
-    adjust = _nudge_plan(dec, f, delta, avoid)
-    if not adjust:
-        return f
-
-    pts = list(f.breakpoints)
-    for i, (t, v) in enumerate(pts):
-        if t not in adjust:
-            continue
-        new_v = adjust[t]
-        for j in (i - 1, i + 1):
-            if 0 <= j < len(pts):
-                old_gap = pts[j][1] - v
-                new_gap = pts[j][1] - new_v
-                if old_gap != 0 and (new_gap == 0 or (old_gap > 0) != (new_gap > 0)):
-                    raise InfeasiblePerturbationError(
-                        f"nudge of {v} at t={t} breaks the piece pattern",
-                        witness=t,
-                    )
-        pts[i] = (t, new_v)
-    return PLFunction(pts)
-
-
-def preimage_open_interval(f, a, b):
-    """Maximal open intervals (u, v) with f(t) in (a, b) for t in (u, v)."""
-    a, b = rat(a), rat(b)
-    if not a < b:
-        raise PreconditionError("empty interval")
-    cuts = {ZERO, ONE}
-    cuts.update(f.knots)
-    for lo, hi in level_set(f, a) + level_set(f, b):
-        cuts.update((lo, hi))
-    ts = sorted(cuts)
-    inside = []
-    for t0, t1 in zip(ts, ts[1:]):
-        mid = (t0 + t1) / 2
-        inside.append(a < pl_eval(f, mid) < b)
-    spans = []
-    for (t0, t1), is_in in zip(zip(ts, ts[1:]), inside):
-        if not is_in:
-            continue
-        if spans and spans[-1][1] == t0 and a < pl_eval(f, t0) < b:
-            spans[-1] = (spans[-1][0], t1)
-        else:
-            spans.append((t0, t1))
-    return [tuple(s) for s in spans]
-
-
 def assert_unit_range(f, what="function"):
     lo, hi = f.range_bounds()
     if lo < 0 or hi > 1:
         raise PreconditionError(f"{what} range [{lo}, {hi}] escapes [0,1]")
 
-
-def require_class_u(f, what="function"):
-    dec = monotone_decompose(f)
-    if not dec.in_class_u:
-        raise ClassUError(
-            f"{what} is not class-U: {len(dec.violations)} violating level(s)",
-            violations=dec.violations,
-        )
-    return dec

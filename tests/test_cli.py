@@ -3,10 +3,11 @@ import re
 
 import pytest
 
+from curvepart import pipeline
 from curvepart.cli import run
 from curvepart.fileio import curve_to_obj, dump_json
 
-from test_golden import REFINE
+from test_pipeline import DIPPING_TAIL
 
 
 # an empty list, a pair missing its ordinate, a top-level list
@@ -69,17 +70,19 @@ class TestPartition:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["type"] == "NonInteriorCurveError"
 
-    def test_refinement_budget_exhausted_exit_3(self, tmp_path, capsys):
-        # at tol 0 no perturbed solve projects back exactly
-        path = tmp_path / "refine.json"
-        dump_json(curve_to_obj(REFINE), path)
+    def test_join_budget_exhausted_exit_3(self, tmp_path, capsys,
+                                          monkeypatch):
+        # at tol 0 none of the first three joined cuts snaps back exactly
+        path = tmp_path / "dipping.json"
+        dump_json(curve_to_obj(DIPPING_TAIL), path)
+        monkeypatch.setattr(pipeline, "JOIN_CUTS", 3)
         code = run(["partition", "--input", str(path), "--n", "3",
                     "--tol", "0"])
         assert code == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["type"] == "convergence"
         assert err["error"]["message"] == (
-            "no verified partition within 80 refinement rounds")
+            "boundary joining failed to verify within 3 cuts")
 
     def test_exact_output_only_rationals(self, bent_file, tmp_path):
         out = tmp_path / "res.json"
@@ -184,12 +187,27 @@ class TestClimb:
         assert code == 0
         g1 = json.loads((tmp_path / "sol.g1.json").read_text())
         g2 = json.loads((tmp_path / "sol.g2.json").read_text())
-        assert g2["breakpoints"] == [["0/1", "0/1"], ["1/1", "1/1"]]
-        assert g1["breakpoints"] == [["0/1", "0/1"], ["1/4", "1/2"],
-                                     ["3/4", "1/2"], ["1/1", "1/1"]]
+        # f2's climber crosses the plateau [1/4, 3/4] while f1's waits
+        assert g1["breakpoints"] == [["0/1", "0/1"], ["1/3", "1/2"],
+                                     ["2/3", "1/2"], ["1/1", "1/1"]]
+        assert g2["breakpoints"] == [["0/1", "0/1"], ["1/3", "1/4"],
+                                     ["2/3", "3/4"], ["1/1", "1/1"]]
         summary = json.loads(capsys.readouterr().out)
-        assert summary == {"g1": f"{base}.g1.json", "g2": f"{base}.g2.json",
-                           "bumps": 1}
+        assert summary == {"g1": f"{base}.g1.json", "g2": f"{base}.g2.json"}
+
+    def test_non_class_u_f1_exit_0(self, tmp_path, capsys):
+        # f1 is not class U: it has a flat at 1/2, the level of its max
+        path = tmp_path / "pair.json"
+        dump_json({
+            "f1": {"breakpoints": [["0/1", "0/1"], ["1/5", "1/2"],
+                                   ["2/5", "1/4"], ["3/5", "1/2"],
+                                   ["4/5", "1/2"], ["1/1", "1/1"]]},
+            "f2": {"breakpoints": [["0/1", "0/1"], ["1/1", "1/1"]]},
+        }, path)
+        base = tmp_path / "sol"
+        code = run(["climb", "--input", str(path), "--output", str(base)])
+        assert code == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"g1", "g2"}
 
 
 @pytest.mark.parametrize("command", ["climb", "graph-case"])
@@ -251,6 +269,14 @@ class TestDensities:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["parameters"] == ["0/1", "1/4", "1/2", "3/4", "1/1"]
+
+    @pytest.mark.parametrize("spec", ([], 5))
+    def test_non_object_spec_exit_1(self, tmp_path, capsys, spec):
+        path = tmp_path / "dens.json"
+        dump_json({"f": spec, "g": spec}, path)
+        code = run(["densities", "--input", str(path), "--n", "2"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
 
 
 class TestExploreAndPlot:

@@ -2,20 +2,16 @@
 import pytest
 
 from curvepart import (
-    ClassUError,
     InternalInvariantError,
     PLFunction,
     PreconditionError,
-    apply_bumps,
     compose,
     identity,
-    plan_bumps,
     pl_eval,
     solve,
 )
 from curvepart import climb
 from curvepart.climb import level_complex_path, solve_either_orientation
-from curvepart.plfun import monotone_decompose
 from curvepart.scalar import rat
 
 from util import climb_pair, fold_levels, march_free_space, shared_fold_pair
@@ -35,7 +31,6 @@ class TestTraversal:
     def test_identity_pair(self):
         sol = solve(identity(), identity())
         assert sol.g1 == identity() and sol.g2 == identity()
-        assert sol.plans == ()
 
     def test_zigzag_against_identity_is_forced(self):
         sol = solve(ZIGZAG, identity())
@@ -81,11 +76,13 @@ class TestTraversal:
             )
             assert near, (ms, mt)
 
-    def test_not_class_u_rejected(self):
+    def test_not_class_u_solved(self):
+        # a max and a min of f share level 1/2; the walk needs no class U
         f = F((0, 0), (R(1, 5), R(1, 2)), (R(2, 5), R(1, 4)),
               (R(3, 5), R(3, 4)), (R(4, 5), R(1, 2)), (1, 1))
-        with pytest.raises(ClassUError):
-            solve(f, identity())
+        for f1, f2 in ((f, identity()), (identity(), f), (f, f)):
+            sol = solve(f1, f2)
+            assert compose(f1, sol.g1) == compose(f2, sol.g2)
 
     def test_shared_fold_level_solved(self):
         # a fold of f2 at one of f1's fold levels is a degenerate vertex
@@ -95,10 +92,11 @@ class TestTraversal:
             flats = seed % 2 == 1
             f1, f2, c = shared_fold_pair(seed, flats)
             shared[flats] += c in fold_levels(f2)
-            sol = solve(f1, f2)
-            assert compose(f1, sol.g1) == compose(f2, sol.g2), seed
-            for g in (sol.g1, sol.g2):
-                assert pl_eval(g, 0) == 0 and pl_eval(g, 1) == 1, seed
+            for a, b in ((f1, f2), (f2, f1)):
+                sol = solve(a, b)
+                assert compose(a, sol.g1) == compose(b, sol.g2), seed
+                for g in (sol.g1, sol.g2):
+                    assert pl_eval(g, 0) == 0 and pl_eval(g, 1) == 1, seed
         # inserted shelves may replace the shared fold; enough keep it
         assert shared[False] >= 25 and shared[True] >= 25, shared
 
@@ -142,63 +140,6 @@ class TestTraversal:
                         assert False, (s0, t0)
 
 
-class TestBumpPlans:
-    def test_no_flats_empty(self):
-        assert plan_bumps(identity(), ZIGZAG) == []
-
-    def test_single_flat_plan(self):
-        (plan,) = plan_bumps(identity(), ONE_FLAT)
-        assert (plan.start, plan.end) == (R(1, 4), R(3, 4))
-        assert plan.level == R(1, 2)
-        assert plan.preimage == (R(1, 2),)
-        assert plan.half_width == R(1, 4)
-        assert plan.sign == "plus"
-
-    def test_minus_sign_at_min_fold_level(self):
-        f1 = F((0, 0), (R(2, 5), R(4, 5)), (R(3, 5), R(2, 5)), (1, 1))
-        f2 = F((0, 0), (R(3, 10), R(2, 5)), (R(7, 10), R(2, 5)), (1, 1))
-        (plan,) = plan_bumps(f1, f2)
-        assert plan.sign == "minus"
-        assert plan.preimage == (R(1, 5), R(3, 5))
-        # nearest other fold level of f1 is 4/5, at distance 2/5
-        assert plan.half_width == R(1, 5)
-
-    def test_rejects_non_class_u(self):
-        with pytest.raises(ClassUError):
-            plan_bumps(ONE_FLAT, identity())
-
-
-class TestApplyBumps:
-    def test_empty_plans_identity(self):
-        assert apply_bumps(ONE_FLAT, []) == ONE_FLAT
-
-    def test_tent_formula(self):
-        plans = plan_bumps(identity(), ONE_FLAT)
-        f3 = apply_bumps(ONE_FLAT, plans)
-        assert f3.breakpoints == (
-            (R(0), R(0)), (R(1, 4), R(1, 2)), (R(1, 2), R(3, 4)),
-            (R(3, 4), R(1, 2)), (R(1), R(1)))
-        # tent height follows c + d (1 - |2x - a - b| / (b - a))
-        for num in range(0, 33):
-            x = R(num, 32)
-            if R(1, 4) <= x <= R(3, 4):
-                expected = R(1, 2) + R(1, 4) * (
-                    1 - abs(2 * x - 1) / R(1, 2))
-                assert pl_eval(f3, x) == expected
-
-    def test_two_flats_opposite_signs(self):
-        f1 = F((0, 0), (R(2, 5), R(4, 5)), (R(3, 5), R(2, 5)), (1, 1))
-        f2 = F((0, 0), (R(1, 5), R(1, 10)), (R(3, 10), R(1, 10)),
-               (R(1, 2), R(2, 5)), (R(7, 10), R(2, 5)), (1, 1))
-        plans = plan_bumps(f1, f2)
-        assert [p.sign for p in plans] == ["plus", "minus"]
-        f3 = apply_bumps(f2, plans)
-        ts = sorted(set(f2.knots) | set(f3.knots))
-        sup = max(abs(pl_eval(f3, t) - pl_eval(f2, t)) for t in ts)
-        assert sup == max(p.half_width for p in plans)
-        assert monotone_decompose(f3).local_extrema  # locally non-constant
-
-
 class TestSolve:
     def test_no_flats_reduces_to_traversal(self):
         f2 = F((0, 0), (R(1, 2), R(3, 5)), (R(7, 10), R(1, 5)), (1, 1))
@@ -208,16 +149,62 @@ class TestSolve:
         sol = solve(f1, f2)
         assert sol.g1 == F(*((R(k, m), s) for k, (s, _) in enumerate(path)))
         assert sol.g2 == F(*((R(k, m), t) for k, (_, t) in enumerate(path)))
-        assert sol.plans == ()
 
     def test_identity_with_flat_partner_forced(self):
+        # the quotient of ONE_FLAT is the identity, whose canonical form
+        # drops the contracted point 1/2: the walk's one edge is split
+        # there, and f2's climber crosses [1/4, 3/4] while f1's waits
         sol = solve(identity(), ONE_FLAT)
-        assert sol.g2 == identity()
-        assert sol.g1 == ONE_FLAT
-        assert sol.plans[0].collapse_intervals == ((R(1, 4), R(3, 4)),)
-        # the walk alone refuses the flat; solve tents it first
+        assert sol.g1 == F((0, 0), (R(1, 3), R(1, 2)), (R(2, 3), R(1, 2)),
+                           (1, 1))
+        assert sol.g2 == F((0, 0), (R(1, 3), R(1, 4)), (R(2, 3), R(3, 4)),
+                           (1, 1))
+        # the walk alone refuses the flat; solve contracts it first
         with pytest.raises(PreconditionError):
             level_complex_path(identity(), ONE_FLAT)
+
+    def test_contract_flat_to_point(self):
+        assert climb._contract(ONE_FLAT) == (
+            identity(), {R(1, 2): (R(1, 4), R(3, 4))})
+        assert climb._contract(ZIGZAG) == (ZIGZAG, {})
+
+    def test_flats_on_both_sides_cross_in_turn(self):
+        # both climbers meet their plateaus at level 1/2 together; f1's
+        # climber crosses first, then f2's
+        sol = solve(ONE_FLAT, ONE_FLAT)
+        assert sol.g1.breakpoints == (
+            (0, 0), (R(1, 4), R(1, 4)), (R(1, 2), R(3, 4)),
+            (R(3, 4), R(3, 4)), (1, 1))
+        assert sol.g2.breakpoints == (
+            (0, 0), (R(1, 4), R(1, 4)), (R(1, 2), R(1, 4)),
+            (R(3, 4), R(3, 4)), (1, 1))
+
+    def test_flat_and_non_class_u_profiles_exact(self):
+        # profiles the tents could not take: flats on f1's side, flats at
+        # both ends, flats meeting folds and flats of the other side at
+        # one level, and shared max/min levels on both sides
+        profiles = [
+            ONE_FLAT,
+            F((0, 0), (R(1, 4), 0), (R(1, 2), R(1, 2)), (R(3, 4), 1), (1, 1)),
+            F((0, 0), (R(1, 5), R(1, 2)), (R(2, 5), R(1, 2)),
+              (R(3, 5), R(1, 4)), (1, 1)),
+            F((0, 0), (R(1, 6), R(1, 2)), (R(1, 3), R(1, 4)),
+              (R(1, 2), R(1, 2)), (R(2, 3), R(1, 2)), (R(5, 6), R(3, 4)),
+              (1, 1)),
+            F((0, 0), (R(1, 5), R(1, 2)), (R(2, 5), R(1, 4)),
+              (R(3, 5), R(3, 4)), (R(4, 5), R(1, 2)), (1, 1)),
+            F((0, 0), (R(1, 8), R(3, 4)), (R(3, 8), R(3, 4)),
+              (R(1, 2), R(1, 4)), (R(5, 8), R(1, 4)), (R(3, 4), R(3, 4)),
+              (1, 1)),
+        ]
+        for f1 in profiles:
+            for f2 in profiles:
+                sol = solve(f1, f2)
+                assert compose(f1, sol.g1) == compose(f2, sol.g2)
+                for g in (sol.g1, sol.g2):
+                    lo, hi = g.range_bounds()
+                    assert pl_eval(g, 0) == 0 and pl_eval(g, 1) == 1
+                    assert lo >= 0 and hi <= 1
 
     def test_flat_at_fold_level(self):
         # the flat of f2 sits exactly at f1's min-fold level
@@ -227,44 +214,49 @@ class TestSolve:
         assert compose(f1, sol.g1) == compose(f2, sol.g2)
 
     def test_collapse_keeps_continuity(self):
+        # while f2's climber crosses its plateau [1/5, 2/5] at level 1/2,
+        # f1's climber waits at s = 1/4, where ZIGZAG is 1/2
         f1 = ZIGZAG
         f2 = F((0, 0), (R(1, 5), R(1, 2)), (R(2, 5), R(1, 2)),
                (R(3, 5), R(1, 4)), (1, 1))
         sol = solve(f1, f2)
         assert compose(f1, sol.g1) == compose(f2, sol.g2)
-        for plan in sol.plans:
-            for u, v in plan.collapse_intervals:
-                assert pl_eval(sol.g1, u) == pl_eval(sol.g1, v)
+        a, b = R(1, 6), R(1, 3)
+        assert (pl_eval(sol.g2, a), pl_eval(sol.g2, b)) == (R(1, 5), R(2, 5))
+        assert pl_eval(sol.g1, a) == pl_eval(sol.g1, b) == R(1, 4)
 
     def test_flat_at_level_zero_start(self):
-        # the tent must rise here: f1 >= 0 cannot track a dip below zero
+        # the start counts as coming from the left: f2's climber first
+        # crosses the plateau [0, 1/4] while f1's waits at 0
         f2 = F((0, 0), (R(1, 4), 0), (1, 1))
-        (plan,) = plan_bumps(identity(), f2)
-        assert plan.sign == "plus"
         sol = solve(identity(), f2)
         assert compose(identity(), sol.g1) == compose(f2, sol.g2)
+        assert sol.g1 == F((0, 0), (R(1, 2), 0), (1, 1))
+        assert sol.g2 == F((0, 0), (R(1, 2), R(1, 4)), (1, 1))
 
     def test_flat_at_level_one_end(self):
+        # the end counts as leaving to the right: f2's climber crosses
+        # the plateau [3/4, 1] last, while f1's waits at 1
         f2 = F((0, 0), (R(3, 4), 1), (1, 1))
-        (plan,) = plan_bumps(identity(), f2)
-        assert plan.sign == "minus"
         sol = solve(identity(), f2)
         assert compose(identity(), sol.g1) == compose(f2, sol.g2)
+        assert sol.g1 == F((0, 0), (R(1, 2), 1), (1, 1))
+        assert sol.g2 == F((0, 0), (R(1, 2), R(3, 4)), (1, 1))
 
     def test_two_flats_at_same_level(self):
         f2 = F((0, 0), (R(1, 5), R(1, 2)), (R(3, 10), R(1, 2)),
                (R(2, 5), R(5, 8)), (R(1, 2), R(1, 2)), (R(7, 10), R(1, 2)),
                (1, 1))
-        sol = solve(identity(), f2)
-        assert len(sol.plans) == 2
-        assert compose(identity(), sol.g1) == compose(f2, sol.g2)
+        for f1, g in ((identity(), f2), (f2, identity()), (f2, f2)):
+            sol = solve(f1, g)
+            assert compose(f1, sol.g1) == compose(g, sol.g2)
 
     def test_wrong_collapse_rejected(self, monkeypatch):
-        # a reparametrized g1 keeps its endpoints but breaks f1∘g1 = f2∘g2
-        real = climb._collapse
-        bent = F((0, 0), (R(1, 2), R(1, 4)), (1, 1))
-        monkeypatch.setattr(climb, "_collapse",
-                            lambda h, spans: compose(real(h, spans), bent))
+        # a lift that bends f1's coordinate keeps the endpoints but breaks
+        # f1∘g1 = f2∘g2
+        real = climb._lift
+        monkeypatch.setattr(climb, "_lift", lambda *args: [
+            (s * s, t) for s, t in real(*args)])
         f2 = F((0, 0), (R(1, 5), R(1, 2)), (R(2, 5), R(1, 2)),
                (R(3, 5), R(1, 4)), (1, 1))
         with pytest.raises(InternalInvariantError,
@@ -273,23 +265,41 @@ class TestSolve:
 
     def test_randomized_suite(self):
         for seed in range(25):
-            f1, f2 = climb_pair(seed)
-            sol = solve(f1, f2)
-            assert compose(f1, sol.g1) == compose(f2, sol.g2), seed
-            assert pl_eval(sol.g1, 0) == 0 and pl_eval(sol.g1, 1) == 1
-            assert pl_eval(sol.g2, 0) == 0 and pl_eval(sol.g2, 1) == 1
-            lo1, hi1 = sol.g1.range_bounds()
-            lo2, hi2 = sol.g2.range_bounds()
-            assert lo1 >= 0 and hi1 <= 1 and lo2 >= 0 and hi2 <= 1
+            pair = climb_pair(seed)
+            for f1, f2 in (pair, pair[::-1]):
+                sol = solve(f1, f2)
+                assert compose(f1, sol.g1) == compose(f2, sol.g2), seed
+                assert pl_eval(sol.g1, 0) == 0 and pl_eval(sol.g1, 1) == 1
+                assert pl_eval(sol.g2, 0) == 0 and pl_eval(sol.g2, 1) == 1
+                lo1, hi1 = sol.g1.range_bounds()
+                lo2, hi2 = sol.g2.range_bounds()
+                assert lo1 >= 0 and hi1 <= 1 and lo2 >= 0 and hi2 <= 1
 
 
 class TestEitherOrientation:
-    def test_swaps_when_only_f2_qualifies(self):
-        sol = solve_either_orientation(ONE_FLAT, identity())
-        assert compose(ONE_FLAT, sol.g1) == compose(identity(), sol.g2)
+    @staticmethod
+    def _record_solves(monkeypatch):
+        calls = []
 
-    def test_raises_when_neither_qualifies(self):
+        def recording(f1, f2):
+            calls.append((f1, f2))
+            return solve(f1, f2)
+
+        monkeypatch.setattr(climb, "solve", recording)
+        return calls
+
+    def test_swaps_when_only_f2_qualifies(self, monkeypatch):
+        calls = self._record_solves(monkeypatch)
+        sol = solve_either_orientation(ONE_FLAT, identity())
+        assert calls == [(identity(), ONE_FLAT)]
+        assert compose(ONE_FLAT, sol.g1) == compose(identity(), sol.g2)
+        swapped = solve(identity(), ONE_FLAT)
+        assert (sol.g1, sol.g2) == (swapped.g2, swapped.g1)
+
+    def test_solves_directly_when_neither_qualifies(self, monkeypatch):
+        calls = self._record_solves(monkeypatch)
         bad = F((0, 0), (R(1, 5), R(1, 2)), (R(2, 5), R(1, 4)),
                 (R(3, 5), R(3, 4)), (R(4, 5), R(1, 2)), (1, 1))
-        with pytest.raises(ClassUError):
-            solve_either_orientation(bad, bad)
+        sol = solve_either_orientation(bad, ONE_FLAT)
+        assert calls == [(bad, ONE_FLAT)]
+        assert compose(bad, sol.g1) == compose(ONE_FLAT, sol.g2)

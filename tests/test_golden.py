@@ -6,7 +6,7 @@ field or rearrangement on these curves fails here.  Every curve is
 spelled out with dyadic coordinates (no random generator), and together
 they reach each solve branch: below the diagonal, tail normalization
 after a diagonal touch, a diagonal tail, the swap above the diagonal,
-boundary joins and the perturb-and-refine loop.
+boundary joins, and climbs where neither profile is class U.
 """
 
 import hashlib
@@ -20,13 +20,14 @@ from curvepart import (
     partition_below_diagonal,
     partition_curve,
     pipeline,
+    verify,
 )
 from curvepart.fileio import result_to_obj
 from curvepart.pipeline import DEFAULT_TOL
 from curvepart.scalar import rat as R
 
 GOLDEN_SHA256 = (
-    "e6a4506889fdd17d0dc321c3fa709b01966632ed8199e300523d55ef060d633d")
+    "cd370eb014f588c0920e098e51855bedeb499c478465e9b3a341ae6111f72d5a")
 
 BELOW = PLCurve([0, R(1, 2), 1], [(0, 0), (R(3, 4), R(1, 4)), (1, 1)])
 BELOW_WIGGLE = PLCurve(
@@ -50,11 +51,10 @@ JOIN_SWAPPED = PLCurve(
     [(0, 0), (R(3, 8), R(3, 16)), (R(1, 2), R(1, 2)), (R(5, 16), R(11, 16)),
      (1, 1)])
 # neither the height nor the first closing sum is class U
-REFINE = PLCurve(
+NOT_CLASS_U = PLCurve(
     [R(k, 8) for k in range(6)] + [1],
     [(0, 0), (R(1, 2), R(3, 8)), (R(3, 8), R(3, 16)), (R(1, 2), R(7, 16)),
      (R(1, 2), R(3, 8)), (R(3, 4), R(11, 16)), (1, 1)])
-REFINE_TOL = R(1, 2**12)
 
 
 def _golden_results():
@@ -75,8 +75,7 @@ def _golden_results():
         ("join-swapped", JOIN_SWAPPED, 3),
     ):
         out.append((name, n, partition_curve(curve, n)))
-    out.append(("refine", 2,
-                partition_below_diagonal(REFINE, 2, tol=REFINE_TOL)))
+    out.append(("not-class-u", 2, partition_below_diagonal(NOT_CLASS_U, 2)))
     return out
 
 
@@ -99,8 +98,8 @@ def test_golden_cases_reach_every_branch(golden_results):
     assert by_name["join"].trace.boundary_joins
     assert by_name["join-swapped"].trace.boundary_joins
     assert by_name["join-swapped"].trace.swapped
-    assert by_name["refine"].trace.perturbations
-    assert not by_name["refine"].exact
+    assert by_name["not-class-u"].exact
+    assert not by_name["not-class-u"].trace.perturbations
 
 
 def test_golden_bytes(golden_results):
@@ -118,8 +117,8 @@ BRANCH_CASES = {
     "join": (JOIN, 3, DEFAULT_TOL, lambda r: r.trace.boundary_joins),
     "join-swapped": (JOIN_SWAPPED, 3, DEFAULT_TOL,
                      lambda r: r.trace.boundary_joins and r.trace.swapped),
-    "refine": (REFINE, 3, REFINE_TOL,
-               lambda r: r.trace.perturbations and not r.exact),
+    "not-class-u": (NOT_CLASS_U, 3, DEFAULT_TOL,
+                    lambda r: r.exact and not r.trace.perturbations),
 }
 
 
@@ -139,3 +138,10 @@ def test_one_final_verify_per_solve(monkeypatch, name):
     res = partition_curve(curve, n, tol=tol)
     assert took_branch(res)
     assert checked == [curve]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_not_class_u_exact(n):
+    res = partition_curve(NOT_CLASS_U, n, tol=0)
+    assert res.exact and not res.trace.perturbations
+    assert verify(NOT_CLASS_U, res.points, tol=0).ok

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvepart import (
-    ClassUError,
     ConvergenceError,
     InternalInvariantError,
     NonInteriorCurveError,
@@ -33,8 +32,7 @@ from curvepart.plcurve import Intersection, curve_from_functions, curve_intersec
 from curvepart.plfun import pl_add, pl_scale_values
 from curvepart.scalar import rat
 
-from test_golden import REFINE
-from util import fold_levels, functions_on_curve
+from util import degenerate_lower_curve, fold_levels, functions_on_curve
 
 R = rat
 
@@ -173,23 +171,20 @@ class TestPartitionBelowDiagonal:
         assert_shifted(res)
         assert verify(c, res.points, tol=0).ok
 
-    def test_refinement_when_both_orientations_fail(self):
+    def test_exact_when_neither_orientation_is_class_u(self):
+        # the height has a max and a min at level 2/5, and the width a
+        # flat; the climbs solve it as it is, with no perturbation
         knots = [R(k, 6) for k in range(7)]
         ys = [0, R(2, 5), R(1, 5), R(9, 20), R(2, 5), R(7, 10), 1]
         xs = [0, R(1, 2), R(2, 5), R(1, 2), R(1, 2), R(3, 4), 1]
         c = PLCurve(knots, list(zip(xs, ys)))
-        with pytest.raises(ClassUError):
-            build_partitioning_functions(c, 2)
-        tol = R(1, 10**9)
-        res = partition_below_diagonal(c, 2, tol=tol)
-        assert not res.exact
-        assert res.residual <= tol
-        assert res.trace.perturbations
-        assert list(res.trace.residual_history) == sorted(
-            res.trace.residual_history, reverse=True)
-        rep = verify(c, res.points, tol=tol)
-        assert rep.ok and rep.detected_shift == 1
-        assert rep.on_curve_max_dist == 0  # projected points stay on the curve
+        for n in (1, 2, 3):
+            res = partition_below_diagonal(c, n)
+            assert res.exact and res.residual == 0
+            assert not res.trace.perturbations
+            assert_shifted(res)
+            rep = verify(c, res.points, tol=0)
+            assert rep.ok and rep.detected_shift == 1
 
     def test_rejects_diagonal(self):
         with pytest.raises(NonInteriorCurveError):
@@ -359,18 +354,23 @@ def assert_best_so_far(err):
     assert err.best_residual == err.history[-1]
 
 
-class TestRetryBudgets:
-    """Both inexact routes raise ConvergenceError once their fixed budget
-    is spent."""
+class TestDegenerateCurves:
+    """Dyadic curves below the diagonal with horizontal and vertical runs
+    and repeated fold levels: their climbs meet flats and max/min pairs at
+    one level on either side, and every solve is exact."""
 
-    def test_refinement_rounds_exhausted(self):
-        with pytest.raises(ConvergenceError) as exc:
-            partition_below_diagonal(REFINE, 2, tol=0)
-        err = exc.value
-        assert str(err) == "no verified partition within 80 refinement rounds"
-        assert len(err.history) <= pipeline.REFINE_ROUNDS
-        assert_best_so_far(err)
-        assert err.best_residual > 0
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_exact_at_tol_zero(self, n):
+        for seed in range(60):
+            c = degenerate_lower_curve(seed)
+            res = partition_curve(c, n, tol=0)
+            assert res.exact, seed
+            assert verify(c, res.points, tol=0).ok, seed
+
+
+class TestRetryBudgets:
+    """Boundary joining, the one inexact route, raises ConvergenceError
+    once its fixed budget is spent."""
 
     def test_join_cuts_exhausted(self, monkeypatch):
         tol = R(1, 10**9)

@@ -12,7 +12,6 @@ from curvepart import (
     normalize_tail,
 )
 from curvepart.plcurve import (
-    first_parameter_at,
     is_lower_triangle_interior,
     is_unit_interior,
     point_curve_distance_sq,
@@ -122,15 +121,6 @@ class TestPointQueries:
     def test_distance_squared(self):
         d2 = point_curve_distance_sq(diagonal_curve(), (R(1), R(0)))
         assert d2 == R(1, 2)
-
-    def test_first_parameter(self):
-        assert first_parameter_at(BENT, (R(2, 5), R(1, 10))) == R(1, 4)
-        assert first_parameter_at(BENT, (R(4, 5), R(1, 5))) == R(1, 2)
-        assert first_parameter_at(BENT, (R(2, 5), R(1, 5))) is None
-        # a stall holds its point over [1/4, 1/2]; the first parameter is 1/4
-        stall = PLCurve([0, R(1, 4), R(1, 2), 1],
-                        [(0, 0), (R(1, 2), R(1, 4)), (R(1, 2), R(1, 4)), (1, 1)])
-        assert first_parameter_at(stall, (R(1, 2), R(1, 4))) == R(1, 4)
 
 
 class TestRegions:

@@ -5,13 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from curvepart import (
     DomainError,
-    InfeasiblePerturbationError,
     PLFunction,
     compose,
     identity,
     level_set,
     monotone_decompose,
-    perturb_distinct_extrema,
     pl_eval,
 )
 from curvepart.plfun import (
@@ -20,7 +18,6 @@ from curvepart.plfun import (
     pl_compress_param,
     pl_scale_values,
     pl_sub,
-    preimage_open_interval,
 )
 from curvepart.scalar import rat
 
@@ -173,67 +170,6 @@ class TestMonotoneDecompose:
         assert dec.violations[0][0] == 1
 
 
-class TestPerturb:
-    def test_already_distinct_unchanged(self):
-        assert perturb_distinct_extrema(ZIGZAG, R(1, 100)) is ZIGZAG
-
-    TWO_MAXES = F((0, 0), (R(1, 5), R(1, 2)), (R(2, 5), R(1, 4)),
-                  (R(3, 5), R(1, 2)), (R(4, 5), R(3, 8)), (1, 1))
-
-    def test_duplicate_maxima_nudged(self):
-        out = perturb_distinct_extrema(self.TWO_MAXES, R(1, 100))
-        # second duplicate drops by delta/2
-        assert pl_eval(out, R(3, 5)) == R(1, 2) - R(1, 200)
-        assert monotone_decompose(out).in_class_u
-
-    def test_zero_budget_with_duplicates(self):
-        with pytest.raises(InfeasiblePerturbationError):
-            perturb_distinct_extrema(self.TWO_MAXES, 0)
-
-    def test_oversized_nudge_rejected(self):
-        # a delta/2 nudge of the second max would fall below its neighbors
-        with pytest.raises(InfeasiblePerturbationError):
-            perturb_distinct_extrema(self.TWO_MAXES, R(1, 2))
-
-    def test_flat_tilted_into_class_u(self):
-        out = perturb_distinct_extrema(FLATTOP, R(1, 100))
-        dec = monotone_decompose(out)
-        assert dec.in_class_u
-        assert _sup_gap(FLATTOP, out) <= R(1, 100)
-
-    def test_avoid_levels(self):
-        out = perturb_distinct_extrema(ZIGZAG, R(1, 64), avoid=[R(2, 3)])
-        levels = {v for _, v, _ in monotone_decompose(out).local_extrema}
-        assert R(2, 3) not in levels
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.integers(0, 10**6), st.integers(0, 6), st.integers(2, 10))
-    def test_random_profiles(self, seed, folds, dpow):
-        rng = random.Random(seed)
-        f = rand_profile(rng, folds)
-        if rng.random() < 0.5:
-            from util import insert_flats
-
-            f = insert_flats(rng, f, 1)
-        delta = R(1, 2**dpow)
-        try:
-            out = perturb_distinct_extrema(f, delta)
-        except InfeasiblePerturbationError:
-            return
-        dec = monotone_decompose(out)
-        assert dec.in_class_u
-        levels = [v for _, v, _ in dec.local_extrema]
-        assert len(set(levels)) == len(levels)
-        assert pl_eval(out, 0) == pl_eval(f, 0)
-        assert pl_eval(out, 1) == pl_eval(f, 1)
-        assert _sup_gap(f, out) <= delta
-
-
-def _sup_gap(f, g):
-    ts = sorted(set(f.knots) | set(g.knots))
-    return max(abs(pl_eval(f, t) - pl_eval(g, t)) for t in ts)
-
-
 class TestHelpers:
     def test_pl_add_sub(self):
         s = pl_add(ZIGZAG, identity())
@@ -256,11 +192,6 @@ class TestHelpers:
         lo, hi = g.range_bounds()
         assert lo == 0 and hi == 1
         assert pl_eval(g, R(1, 2)) == 1
-
-    def test_preimage_open_interval(self):
-        spans = preimage_open_interval(ZIGZAG, R(1, 3), R(2, 3))
-        assert spans == [(R(1, 6), R(1, 3)), (R(1, 3), R(2, 3)),
-                         (R(2, 3), R(5, 6))]
 
     def test_critical_levels_include_flats(self):
         assert critical_levels(FLATTOP) == [R(1)]

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from curvepart import PLCurve, PLFunction, pl_eval
-from curvepart.plfun import FLAT, monotone_decompose, perturb_distinct_extrema
+from curvepart.plfun import FLAT, monotone_decompose
 from curvepart.scalar import rat
 
 DENOM = 2**16
@@ -42,29 +42,45 @@ def insert_flats(rng, f, count):
     return PLFunction(pts)
 
 
+def shelf_at(f, c):
+    """f with a short shelf at level c, cut into the first piece that
+    reaches c (f takes every level in [0, 1])."""
+    pts = list(f.breakpoints)
+    for i, ((t0, v0), (t1, v1)) in enumerate(zip(pts, pts[1:])):
+        if min(v0, v1) <= c <= max(v0, v1) and v0 != v1:
+            r = t0 + (c - v0) * (t1 - t0) / (v1 - v0)
+            w = min(r - t0, t1 - r) / 2 or (t1 - t0) / 4
+            pts[i + 1:i + 1] = [(max(t0, r - w), c), (min(t1, r + w), c)]
+            return PLFunction([p for j, p in enumerate(pts)
+                               if j == 0 or p[0] != pts[j - 1][0]])
+    raise ValueError(f"no piece reaches level {c}")
+
+
 def climb_pair(seed):
-    """(f1, f2) in criterion-4 shape: f1 perturbed into class U with folds
-    separated from f2's; f2 carries 1..3 flat shelves."""
+    """(f1, f2) in criterion-4 shape: f2 carries 1..3 flat shelves.  f1 is
+    an unperturbed zigzag, class U or not; every third pair gives it shelves
+    of its own, and every third a shelf at the level of one of f2's."""
     rng = random.Random(seed)
     f2 = insert_flats(rng, rand_profile(rng, rng.randrange(0, 4)),
                       rng.randrange(1, 4))
-    f1 = perturb_distinct_extrema(
-        rand_profile(rng, rng.randrange(0, 5)),
-        rat(1, 10**6),
-        avoid=critical_levels(f2),
-    )
+    f1 = rand_profile(rng, rng.randrange(0, 5))
+    if seed % 3 == 1:
+        f1 = insert_flats(rng, f1, rng.randrange(1, 3))
+    elif seed % 3 == 2:
+        f1 = shelf_at(f1, rng.choice(flat_levels(f2)))
     return f1, f2
+
+
+def flat_levels(f):
+    """Values of f on its flat pieces."""
+    return sorted({pl_eval(f, lo) for lo, _, d in monotone_decompose(f).pieces
+                   if d == FLAT})
 
 
 def critical_levels(f):
     """Fold levels plus flat levels; the values that can produce degenerate
     vertices in a level-set traversal against another function."""
-    dec = monotone_decompose(f)
-    levels = {v for _, v, _ in dec.local_extrema}
-    for lo, hi, d in dec.pieces:
-        if d == FLAT:
-            levels.add(pl_eval(f, lo))
-    return sorted(levels)
+    return sorted(fold_levels(f) | set(flat_levels(f)))
 
 
 def fold_levels(f):
@@ -73,14 +89,14 @@ def fold_levels(f):
 
 
 def shared_fold_pair(seed, flats):
-    """(f1, f2, c): f1 in class U with fold level c, and f2 with a fold at
-    the same level c, its two neighbours on one side of it.  With flats,
-    f2 also gets one or two shelves, which may replace that fold."""
+    """(f1, f2, c): f1 with fold level c, and f2 with a fold at the same
+    level c, its two neighbours on one side of it.  With flats, f1 gets a
+    shelf at level c and f2 one or two shelves, which may replace its
+    fold."""
     rng = random.Random(seed)
     levels = set()
     while not levels:
-        f1 = perturb_distinct_extrema(
-            rand_profile(rng, rng.randrange(2, 5)), rat(1, 10**6))
+        f1 = rand_profile(rng, rng.randrange(2, 5))
         levels = fold_levels(f1)
     c = rng.choice(sorted(levels))
     side = (rat(0), c) if rng.random() < 0.5 else (c, rat(1))
@@ -95,8 +111,42 @@ def shared_fold_pair(seed, flats):
     knots = [rat(0)] + [rat(t, 4 * DENOM) for t in ts] + [rat(1)]
     f2 = PLFunction(list(zip(knots, vals)))
     if flats:
+        f1 = shelf_at(f1, c)
         f2 = insert_flats(rng, f2, rng.randrange(1, 3))
     return f1, f2, c
+
+
+def degenerate_lower_curve(seed, den=16):
+    """Seeded curve strictly below the diagonal on the 1/den grid, built
+    from horizontal runs, vertical runs and free steps whose heights come
+    from three levels, so fold levels repeat and both coordinate profiles
+    carry flats."""
+    rng = random.Random(seed)
+    levels = rng.sample(range(1, den - 1), 3)
+
+    def height_below(x):
+        return rng.choice([v for v in levels if v < x] or [rng.randrange(1, x)])
+
+    x = rng.randrange(2, den)
+    y = height_below(x)
+    pts = [(0, 0), (x, y)]
+    size = rng.randint(6, 10)
+    while len(pts) < size:
+        move = rng.choice("hvf")
+        if move == "h":
+            nx, ny = rng.randrange(y + 1, den), y
+        elif move == "v":
+            nx, ny = x, height_below(x)
+        else:
+            nx = rng.randrange(2, den)
+            ny = height_below(nx)
+        if (nx, ny) != (x, y):
+            x, y = nx, ny
+            pts.append((x, y))
+    pts.append((den, den))
+    m = len(pts) - 1
+    return PLCurve([rat(k, m) for k in range(m + 1)],
+                   [(rat(a, den), rat(b, den)) for a, b in pts])
 
 
 # ---------------------------------------------------------------- oracles
