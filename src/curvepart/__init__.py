@@ -43,12 +43,10 @@ from .plcurve import (
     normalize_tail,
 )
 from .plfun import (
-    MonotoneDecomposition,
     PLFunction,
     compose,
     identity,
     level_set,
-    monotone_decompose,
     pl_eval,
 )
 from .scalar import Scalar, format_rational, parse_rational, rat
@@ -70,8 +68,8 @@ __all__ = [
     "partition_densities",
     "Intersection", "Overlap", "PLCurve", "curve_from_functions",
     "curve_intersections", "diagonal_curve", "normalize_tail",
-    "MonotoneDecomposition", "PLFunction", "compose", "identity", "level_set",
-    "monotone_decompose", "pl_eval",
+    "PLFunction", "compose", "identity", "level_set",
+    "pl_eval",
     "Scalar", "format_rational", "parse_rational", "rat",
     "__version__",
 ]

@@ -185,7 +185,10 @@ def _cmd_densities(args):
 
 def _cmd_explore(args):
     with open(args.config) as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as exc:  # not JSON, or not even text
+            raise InputError(f"{args.config} is not valid JSON: {exc}") from exc
     path = explore_mod.batch(config, args.log)
     print(json.dumps({"log": str(path)}))
     return EXIT_OK

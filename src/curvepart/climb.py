@@ -8,18 +8,16 @@ interval) of either profile is first contracted to a point; the walk runs
 on the flat-free quotients and is lifted back, one climber crossing a
 plateau while the other waits.  This solves every piecewise-monotone
 profile, plateaus included (Huneke, "Mountain climbing", Trans. AMS 1969;
-Keleti, "The mountain climbers' problem", Proc. AMS 1993).
+Keleti, "The mountain climbers' problem", Proc. AMS 1993).  `solve` is the
+one climb; the flats are read off each profile's canonical breakpoints.
 """
 
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
 from .plfun import (
-    FLAT,
     PLFunction,
-    assert_unit_range,
     compose,
-    monotone_decompose,
     pl_eval,
 )
 from .scalar import ONE, ZERO, rat
@@ -33,17 +31,20 @@ class ClimbSolution:
     g2: PLFunction
 
 
-def _check_boundary(f, name):
-    if pl_eval(f, ZERO) != 0 or pl_eval(f, ONE) != 1:
+def _check_profile(f, name):
+    vs = f.values
+    if vs[0] != 0 or vs[-1] != 1:
         raise PreconditionError(f"{name} must map 0 to 0 and 1 to 1")
+    lo, hi = min(vs), max(vs)
+    if lo < 0 or hi > 1:
+        raise PreconditionError(f"{name} range [{lo}, {hi}] escapes [0,1]")
 
 
 def _flat_runs(f):
-    return [
-        (lo, hi)
-        for lo, hi, d in monotone_decompose(f).pieces
-        if d == FLAT
-    ]
+    """The pieces of f with equal end values; canonical form has merged
+    neighbouring flats, so each is maximal."""
+    pts = f.breakpoints
+    return [(t0, t1) for (t0, v0), (t1, v1) in zip(pts, pts[1:]) if v0 == v1]
 
 
 def _cell_edge(s0, s1, fa0, fa1, t0, t1, fb0, fb1):
@@ -219,16 +220,14 @@ def solve(f1, f2):
     complex of the flat-free quotients, lift the walk back.
 
     Requires boundary values 0 -> 0, 1 -> 1 and range [0, 1] on both
-    sides; class U is not needed.  Fold levels of f1 and f2 may coincide:
+    sides, and nothing else.  Fold levels of f1 and f2 may coincide:
     a same-level meeting only creates even-degree vertices (4 for two
     maxima or two minima, 0 for a maximum and a minimum), so the trail
     argument still lands at (1,1).  Flat-free profiles skip the
     contraction, and their path is the walk itself.
     """
-    _check_boundary(f1, "f1")
-    _check_boundary(f2, "f2")
-    assert_unit_range(f1, "f1")
-    assert_unit_range(f2, "f2")
+    _check_profile(f1, "f1")
+    _check_profile(f2, "f2")
     q1, flats1 = _contract(f1)
     q2, flats2 = _contract(f2)
     path = level_complex_path(q1, q2)
@@ -249,14 +248,6 @@ def _assert_solution(f1, f2, sol):
         raise InternalInvariantError("composition equality failed")
 
 
-def solve_either_orientation(f1, f2):
-    """Climb f1 against f2, swapping roles when only f2 is class U.
-
-    Every climb is exact; the orientation only picks which of the walks
-    is taken, and this rule keeps the walks of earlier releases.
-    """
-    if (monotone_decompose(f1).in_class_u
-            or not monotone_decompose(f2).in_class_u):
-        return solve(f1, f2)
-    swapped = solve(f2, f1)
-    return ClimbSolution(g1=swapped.g2, g2=swapped.g1)
+# An alias of `solve` only: the benchmark's layer trace looks the climb up
+# by this name, and wraps every binding of the same function object.
+solve_either_orientation = solve

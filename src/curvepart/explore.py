@@ -288,6 +288,8 @@ def batch(config, log_path):
     the log, so interrupted batches resume without duplicates.  A summary
     with found/notFound counts is written next to the log.
     """
+    if not isinstance(config, dict):
+        raise InputError("explore config must be a JSON object")
     if config.get("generalPermutations", False):
         raise InputError(
             "generalPermutations is a reserved extension flag; the search "
@@ -295,6 +297,8 @@ def batch(config, log_path):
         )
     seeds = config.get("seeds", [0])
     if isinstance(seeds, dict):
+        if "start" not in seeds or "count" not in seeds:
+            raise InputError("a seeds range needs 'start' and 'count'")
         seeds = list(range(seeds["start"], seeds["start"] + seeds["count"]))
     curve_specs = config.get("curves", [{"vertices": 4, "class": "deltaInterior"}])
     ns = config.get("n", [1])

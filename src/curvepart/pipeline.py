@@ -167,7 +167,7 @@ def build_partitioning_functions(curve, n):
             raise InternalInvariantError("closing sum never reaches 1")
         t_stop = hits[0][0]
         f2 = pl_compress_param(w, t_stop)
-        sol = climb.solve_either_orientation(height, f2)
+        sol = climb.solve(height, f2)
         inner = pl_scale_values(sol.g2, t_stop)
         y = compose(y, inner)
         xs = [compose(x, inner) for x in xs]

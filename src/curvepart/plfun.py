@@ -25,10 +25,6 @@ from dataclasses import dataclass
 from .errors import DomainError, PreconditionError
 from .scalar import ONE, ZERO, rat
 
-UP = "up"
-DOWN = "down"
-FLAT = "flat"
-
 
 def _parts(x):
     return x.numerator, x.denominator
@@ -285,63 +281,3 @@ def pl_compress_param(f, t_stop):
         raise PreconditionError(f"compression point {t_stop} outside (0,1]")
     ts = sorted({t / t_stop for t in f.knots if t < t_stop} | {ZERO, ONE})
     return PLFunction([(t, pl_eval(f, t * t_stop)) for t in ts])
-
-
-@dataclass(frozen=True)
-class MonotoneDecomposition:
-    """Maximal runs of constant slope sign, plus the class-U verdict.
-
-    pieces: ((lo, hi, direction), ...) tiling [0,1].
-    local_extrema: interior fold points ((t, value, "max"|"min"), ...).
-    violations: levels witnessed by both a local max and a local min
-    (flat pieces witness both at once).
-    """
-
-    pieces: tuple
-    local_extrema: tuple
-    in_class_u: bool
-    violations: tuple
-
-
-def monotone_decompose(f):
-    pts = f.breakpoints
-    runs = []
-    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-        d = UP if v1 > v0 else DOWN if v1 < v0 else FLAT
-        if runs and runs[-1][2] == d:
-            runs[-1] = (runs[-1][0], t1, d)
-        else:
-            runs.append((t0, t1, d))
-
-    extrema = []
-    for (lo0, hi0, d0), (lo1, hi1, d1) in zip(runs, runs[1:]):
-        if d0 == UP and d1 == DOWN:
-            extrema.append((hi0, pl_eval(f, hi0), "max"))
-        elif d0 == DOWN and d1 == UP:
-            extrema.append((hi0, pl_eval(f, hi0), "min"))
-
-    by_level = {}
-    for t, v, kind in extrema:
-        by_level.setdefault(v, {"max": [], "min": []})[kind].append(t)
-    violations = []
-    for lo, hi, d in runs:
-        if d == FLAT:
-            mid = (lo + hi) / 2
-            violations.append((pl_eval(f, lo), mid, mid))
-    for v, kinds in sorted(by_level.items()):
-        if kinds["max"] and kinds["min"]:
-            violations.append((v, kinds["max"][0], kinds["min"][0]))
-
-    return MonotoneDecomposition(
-        pieces=tuple(runs),
-        local_extrema=tuple(extrema),
-        in_class_u=not violations,
-        violations=tuple(violations),
-    )
-
-
-def assert_unit_range(f, what="function"):
-    lo, hi = f.range_bounds()
-    if lo < 0 or hi > 1:
-        raise PreconditionError(f"{what} range [{lo}, {hi}] escapes [0,1]")
-

@@ -301,6 +301,20 @@ class TestExploreAndPlot:
         assert code == 0
         assert svg.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("text", (
+        '{"seeds": [0,',               # not valid JSON
+        '[{"seeds": [0]}]',            # a list, not an object
+        '{"seeds": {"start": 0}}',     # seeds range without a count
+    ))
+    def test_explore_malformed_config_exit_1(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        log = tmp_path / "log.jsonl"
+        code = run(["explore", "--config", str(cfg), "--log", str(log)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
+        assert not log.exists()
+
     @pytest.mark.parametrize("doc", MALFORMED_POINTS)
     def test_plot_malformed_points_exit_1(self, tmp_path, capsys, doc):
         res = tmp_path / "res.json"

@@ -11,7 +11,7 @@ from curvepart import (
     solve,
 )
 from curvepart import climb
-from curvepart.climb import level_complex_path, solve_either_orientation
+from curvepart.climb import level_complex_path
 from curvepart.scalar import rat
 
 from util import climb_pair, fold_levels, march_free_space, shared_fold_pair
@@ -274,32 +274,3 @@ class TestSolve:
                 lo1, hi1 = sol.g1.range_bounds()
                 lo2, hi2 = sol.g2.range_bounds()
                 assert lo1 >= 0 and hi1 <= 1 and lo2 >= 0 and hi2 <= 1
-
-
-class TestEitherOrientation:
-    @staticmethod
-    def _record_solves(monkeypatch):
-        calls = []
-
-        def recording(f1, f2):
-            calls.append((f1, f2))
-            return solve(f1, f2)
-
-        monkeypatch.setattr(climb, "solve", recording)
-        return calls
-
-    def test_swaps_when_only_f2_qualifies(self, monkeypatch):
-        calls = self._record_solves(monkeypatch)
-        sol = solve_either_orientation(ONE_FLAT, identity())
-        assert calls == [(identity(), ONE_FLAT)]
-        assert compose(ONE_FLAT, sol.g1) == compose(identity(), sol.g2)
-        swapped = solve(identity(), ONE_FLAT)
-        assert (sol.g1, sol.g2) == (swapped.g2, swapped.g1)
-
-    def test_solves_directly_when_neither_qualifies(self, monkeypatch):
-        calls = self._record_solves(monkeypatch)
-        bad = F((0, 0), (R(1, 5), R(1, 2)), (R(2, 5), R(1, 4)),
-                (R(3, 5), R(3, 4)), (R(4, 5), R(1, 2)), (1, 1))
-        sol = solve_either_orientation(bad, ONE_FLAT)
-        assert calls == [(bad, ONE_FLAT)]
-        assert compose(bad, sol.g1) == compose(ONE_FLAT, sol.g2)

@@ -6,7 +6,9 @@ field or rearrangement on these curves fails here.  Every curve is
 spelled out with dyadic coordinates (no random generator), and together
 they reach each solve branch: below the diagonal, tail normalization
 after a diagonal touch, a diagonal tail, the swap above the diagonal,
-boundary joins, and climbs where neither profile is class U.
+boundary joins, and `NOT_CLASS_U`, whose height and first closing sum
+are both outside class U (each has a flat, or a level that is both a local
+maximum and a local minimum).
 """
 
 import hashlib

@@ -44,6 +44,11 @@ DIPPING_TAIL = PLCurve([0, R(1, 4), R(1, 2), R(3, 4), 1],
                        [(0, 0), (R(1, 2), R(1, 2)), (R(7, 10), R(3, 10)),
                         (R(9, 10), R(17, 20)), (1, 1)])
 
+# the height has a flat at 1/5
+FLAT_HEIGHT = PLCurve([0, R(1, 4), R(1, 2), R(3, 4), 1],
+                      [(0, 0), (R(2, 5), R(1, 5)), (R(3, 5), R(1, 5)),
+                       (R(4, 5), R(2, 5)), (1, 1)])
+
 
 def assert_shifted(res, k=1):
     for i in range(res.S):
@@ -86,15 +91,14 @@ class TestBuildPartitioningFunctions:
             build_partitioning_functions(SECTION5, 1)
 
     def test_wrong_climb_solution_rejected(self, monkeypatch):
-        real = pipeline.climb.solve_either_orientation
+        real = pipeline.climb.solve
         bent = PLFunction([(0, 0), (R(1, 2), R(1, 4)), (1, 1)])
 
         def wrong_g1(f1, f2):
             sol = real(f1, f2)
             return replace(sol, g1=compose(sol.g1, bent))
 
-        monkeypatch.setattr(pipeline.climb, "solve_either_orientation",
-                            wrong_g1)
+        monkeypatch.setattr(pipeline.climb, "solve", wrong_g1)
         # n = 3 runs one climb; the bent map carries the points off the curve
         with pytest.raises(InternalInvariantError, match="off the curve"):
             partition_curve(BENT, 3)
@@ -163,13 +167,26 @@ class TestPartitionBelowDiagonal:
                 assert verify(c, res.points, tol=0).ok
 
     def test_flat_height_exact_through_climb(self):
-        c = PLCurve([0, R(1, 4), R(1, 2), R(3, 4), 1],
-                    [(0, 0), (R(2, 5), R(1, 5)), (R(3, 5), R(1, 5)),
-                     (R(4, 5), R(2, 5)), (1, 1)])
+        c = FLAT_HEIGHT
         res = partition_below_diagonal(c, 2)
         assert res.exact and res.residual == 0
         assert_shifted(res)
         assert verify(c, res.points, tol=0).ok
+
+    def test_climbs_run_the_height_first(self, monkeypatch):
+        # the height has a flat and the compressed closing sum rises
+        # throughout; the climb still takes the height as f1, as at every
+        # level of the induction
+        real = pipeline.climb.solve
+        calls = []
+
+        def recording(f1, f2):
+            calls.append(f1)
+            return real(f1, f2)
+
+        monkeypatch.setattr(pipeline.climb, "solve", recording)
+        partition_below_diagonal(FLAT_HEIGHT, 2)
+        assert calls == [FLAT_HEIGHT.y_function()]
 
     def test_exact_when_neither_orientation_is_class_u(self):
         # the height has a max and a min at level 2/5, and the width a

@@ -9,7 +9,6 @@ from curvepart import (
     compose,
     identity,
     level_set,
-    monotone_decompose,
     pl_eval,
 )
 from curvepart.plfun import (
@@ -137,37 +136,6 @@ class TestLevelSet:
         f = rand_profile(rng, folds)
         c = R(cnum, 32)
         assert level_set(f, c) == naive_level_solutions(f, c)
-
-
-class TestMonotoneDecompose:
-    def test_identity(self):
-        dec = monotone_decompose(identity())
-        assert dec.pieces == ((R(0), R(1), "up"),)
-        assert dec.in_class_u
-        assert dec.local_extrema == ()
-
-    def test_zigzag(self):
-        dec = monotone_decompose(ZIGZAG)
-        assert [d for _, _, d in dec.pieces] == ["up", "down", "up"]
-        assert [(v, k) for _, v, k in dec.local_extrema] == [
-            (R(2, 3), "max"), (R(1, 3), "min")
-        ]
-        assert dec.in_class_u
-
-    def test_shared_level_violation(self):
-        f = F((0, 0), (R(1, 5), R(1, 2)), (R(2, 5), R(1, 4)),
-              (R(3, 5), R(3, 4)), (R(4, 5), R(1, 2)), (1, 1))
-        dec = monotone_decompose(f)
-        assert not dec.in_class_u
-        assert len(dec.violations) == 1
-        level, at_max, at_min = dec.violations[0]
-        assert level == R(1, 2)
-        assert at_max == R(1, 5) and at_min == R(4, 5)
-
-    def test_flat_breaks_class_u(self):
-        dec = monotone_decompose(FLATTOP)
-        assert not dec.in_class_u
-        assert dec.violations[0][0] == 1
 
 
 class TestHelpers:

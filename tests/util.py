@@ -9,7 +9,6 @@ import random
 from fractions import Fraction
 
 from curvepart import PLCurve, PLFunction, pl_eval
-from curvepart.plfun import FLAT, monotone_decompose
 from curvepart.scalar import rat
 
 DENOM = 2**16
@@ -73,8 +72,8 @@ def climb_pair(seed):
 
 def flat_levels(f):
     """Values of f on its flat pieces."""
-    return sorted({pl_eval(f, lo) for lo, _, d in monotone_decompose(f).pieces
-                   if d == FLAT})
+    pts = f.breakpoints
+    return sorted({v0 for (_, v0), (_, v1) in zip(pts, pts[1:]) if v0 == v1})
 
 
 def critical_levels(f):
@@ -84,8 +83,11 @@ def critical_levels(f):
 
 
 def fold_levels(f):
-    """Values at the interior local extrema of f."""
-    return {v for _, v, _ in monotone_decompose(f).local_extrema}
+    """Values at the interior local extrema of f: the breakpoints where a
+    rising piece meets a falling one directly.  A flat between two runs
+    is not a fold."""
+    vs = f.values
+    return {b for a, b, c in zip(vs, vs[1:], vs[2:]) if (b - a) * (c - b) < 0}
 
 
 def shared_fold_pair(seed, flats):
