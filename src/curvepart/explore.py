@@ -281,6 +281,16 @@ def _trial_key(seed, spec, n, shift):
     return json.dumps([seed, spec, n, shift], sort_keys=True)
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _require_ints(vals, name):
+    if not isinstance(vals, list) or not all(_is_int(v) for v in vals):
+        raise InputError(f"{name} must be a list of integers")
+    return vals
+
+
 def batch(config, log_path):
     """Run the configured trial grid, appending one JSON record per line.
 
@@ -299,12 +309,26 @@ def batch(config, log_path):
     if isinstance(seeds, dict):
         if "start" not in seeds or "count" not in seeds:
             raise InputError("a seeds range needs 'start' and 'count'")
+        if not (_is_int(seeds["start"]) and _is_int(seeds["count"])):
+            raise InputError("seeds 'start' and 'count' must be integers")
         seeds = list(range(seeds["start"], seeds["start"] + seeds["count"]))
+    _require_ints(seeds, "seeds")
     curve_specs = config.get("curves", [{"vertices": 4, "class": "deltaInterior"}])
-    ns = config.get("n", [1])
-    shifts = config.get("shifts", [1])
+    if not isinstance(curve_specs, list) or not all(
+            isinstance(spec, dict) and _is_int(spec.get("vertices", 4))
+            and spec.get("class", "deltaInterior") in CURVE_CLASSES
+            for spec in curve_specs):
+        raise InputError("curves must be a list of objects with an integer "
+                         f"'vertices' and a 'class' in {CURVE_CLASSES}")
+    ns = _require_ints(config.get("n", [1]), "n")
+    shifts = _require_ints(config.get("shifts", [1]), "shifts")
     grid = config.get("grid", 400)
-    tol = rat(str(config.get("tol", "1/1000000")))
+    if not _is_int(grid) or grid < 1:
+        raise InputError("grid must be a positive integer")
+    try:
+        tol = rat(str(config.get("tol", "1/1000000")))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"tol is not a number: {exc}") from exc
 
     done = set()
     try:

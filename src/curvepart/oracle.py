@@ -75,9 +75,11 @@ def verify(curve, points, tol=ZERO):
     dx, dy = increments(pts)
     positive = all(d > 0 for d in dx) and all(d > 0 for d in dy)
 
-    sorted_dx = sorted(dx)
-    sorted_dy = sorted(dy)
-    multiset = all(abs(a - b) <= tol for a, b in zip(sorted_dx, sorted_dy))
+    # in one dimension, pairing in sorted order matches within tol whenever
+    # any pairing does; ties pair in index order
+    order_dx = sorted(range(s), key=lambda j: dx[j])
+    order_dy = sorted(range(s), key=lambda i: dy[i])
+    multiset = all(abs(dy[i] - dx[j]) <= tol for i, j in zip(order_dy, order_dx))
 
     shift = None
     if multiset and s > 0:
@@ -88,23 +90,8 @@ def verify(curve, points, tol=ZERO):
 
     perm = None
     if multiset and shift is None:
-        used = [False] * s
-        perm_list = []
-        order = sorted(range(s), key=lambda i: dx[i])
-        for i in range(s):
-            match = None
-            for j in order:
-                if not used[j] and abs(dy[i] - dx[j]) <= tol:
-                    match = j
-                    break
-            if match is None:
-                perm_list = None
-                break
-            used[match] = True
-            perm_list.append(match)
-        perm = tuple(perm_list) if perm_list is not None else None
-        if perm is None:
-            multiset = False
+        pairs = dict(zip(order_dy, order_dx))
+        perm = tuple(pairs[i] for i in range(s))
 
     return VerifyReport(
         ok=bool(on_curve and positive and multiset),

@@ -1,19 +1,20 @@
 """Equal-increment partitions of curves from (0,0) to (1,1).
 
-The exact route builds partitioning functions by induction (each step
-solves one climb) and extracts the points from an auxiliary-curve
-intersection.  Each fact is proved once.  `climb.solve` checks every climb
-identity exactly, and the partitioning functions lie on the curve as a
-consequence.  The stages return results unchecked; `partition_curve` is
-the one verified boundary, where every branch passes `_final_verify`, so
-`partition_curve(curve, n + 1)` gives the points of
-`partition_below_diagonal(curve, n)`, verified.
-Every climb is exact, so a curve below the diagonal always solves exactly.
-The one inexact route is boundary joining, for a normalized tail that
-leaves the lower triangle: it cuts the tail and joins it to the origin,
-over a fixed budget of JOIN_CUTS cuts.  The first cut whose points,
-snapped back onto the tail, have positive increments and a shift-1
-residual within tol is accepted; a spent budget raises ConvergenceError.
+The paper's construction partitions one curve below the diagonal: it
+builds partitioning functions by induction (each step solves one climb,
+and `climb.solve` checks every climb identity exactly) and extracts the
+points from an auxiliary-curve intersection.  Every climb is exact, so a
+curve below the diagonal always solves exactly.  Everything else
+`partition_curve` does maps that one solve back to the input: the tail
+after the last diagonal touch is normalized, mirrored when it rides above
+the diagonal, and `_assemble` undoes both in one step.  The one inexact
+route is boundary joining, for a normalized tail that leaves the lower
+triangle: over a fixed budget of JOIN_CUTS cuts it joins the cut tail to
+the origin, projects the points back onto the tail and accepts the first
+cut with positive increments and a shift-1 residual within tol; a spent
+budget raises ConvergenceError.  The stages return results unchecked;
+`partition_curve` is the one verified boundary, where every branch passes
+`_final_verify` with every point exactly on the curve.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +34,6 @@ from .plcurve import (
     is_lower_triangle_interior,
     is_unit_interior,
     nearest_point_on_curve,
-    point_curve_distance_sq,
     point_on_curve,
     require_endpoints,
     normalize_tail,
@@ -128,14 +128,6 @@ def _shift_residual(dx, dy, k):
     return max(abs(dy[i] - dx[(i - k) % s]) for i in range(s))
 
 
-def _reduce_to_shift(perm):
-    s = len(perm)
-    for k in range(s):
-        if all(perm[i] == (i - k) % s for i in range(s)):
-            return Rearrangement(shift=k)
-    return Rearrangement(perm=tuple(perm))
-
-
 def build_partitioning_functions(curve, n):
     """Induction on n carrying y, x_1..x_n, as in the paper: y = height and
     x_1 = width to start; each level compresses the closing sum x_n + y
@@ -161,11 +153,7 @@ def build_partitioning_functions(curve, n):
     width = curve.x_function()
     y, xs = height, [width]
     for _ in range(1, n):
-        w = pl_add(xs[-1], y)
-        hits = level_set(w, ONE)
-        if not hits:
-            raise InternalInvariantError("closing sum never reaches 1")
-        t_stop = hits[0][0]
+        w, t_stop = _closing_sum(xs[-1], y)
         f2 = pl_compress_param(w, t_stop)
         sol = climb.solve(height, f2)
         inner = pl_scale_values(sol.g2, t_stop)
@@ -204,23 +192,25 @@ def extract_points(curve, pf):
     pts.append((ONE - pl_eval(y, t0), pl_eval(xs[-1], t0) + pl_eval(y, t0)))
     pts.append((ONE, ONE))
 
-    return PartitionResult(
-        points=pts,
-        rearrangement=Rearrangement(shift=1),
-        exact=True,
-        residual=ZERO,
-        trace=PipelineTrace(branch="below", solver_frame_points=tuple(pts)),
-    )
+    return _below_result(pts)
 
 
-def _antidiagonal_point(curve):
-    """First curve point with x + y = 1; the two-increment base case."""
-    w = pl_add(curve.x_function(), curve.y_function())
+def _closing_sum(x, y):
+    """The closing sum w = x + y and the first t with w(t) = 1."""
+    w = pl_add(x, y)
     hits = level_set(w, ONE)
     if not hits:
-        raise InternalInvariantError("curve never meets x + y = 1")
-    t0 = hits[0][0]
-    return curve(t0)
+        raise InternalInvariantError("closing sum never reaches 1")
+    return w, hits[0][0]
+
+
+def _below_result(points):
+    """Exact result of a below-diagonal solve: shift 1, which on the
+    one-increment tail (0,0), (1,1) is shift 0."""
+    pts = tuple(points)
+    return PartitionResult(
+        points=pts, rearrangement=Rearrangement(shift=1 % (len(pts) - 1)),
+        exact=True, residual=ZERO, trace=PipelineTrace(solver_frame_points=pts))
 
 
 def partition_below_diagonal(curve, n):
@@ -242,12 +232,8 @@ def partition_below_diagonal(curve, n):
         )
 
     if n == 0:
-        pts = ((ZERO, ZERO), _antidiagonal_point(curve), (ONE, ONE))
-        return PartitionResult(
-            points=pts,
-            rearrangement=Rearrangement(shift=1), exact=True, residual=ZERO,
-            trace=PipelineTrace(branch="below", solver_frame_points=pts),
-        )
+        _, t0 = _closing_sum(curve.x_function(), curve.y_function())
+        return _below_result(((ZERO, ZERO), curve(t0), (ONE, ONE)))
 
     pf = build_partitioning_functions(curve, n)
     return extract_points(curve, pf)
@@ -295,9 +281,9 @@ def _dispatch(curve, s_total, tol):
         eta, anchor = normalize_tail(curve, last_touch)
         s_eta = s_total - 1
 
+    swapped = False
     if s_eta == 1:
-        eta_res = _trivial_result()
-        swapped = False
+        eta_res = _below_result(((ZERO, ZERO), (ONE, ONE)))
     else:
         mid = (eta.knots[0] + eta.knots[1]) / 2
         ex, ey = eta(mid)
@@ -307,19 +293,8 @@ def _dispatch(curve, s_total, tol):
             eta_res = partition_below_diagonal(eta_solve, s_eta - 2)
         else:
             eta_res = _boundary_join_solve(eta_solve, s_eta, tol)
-        if swapped:
-            eta_res = _swap_result(eta_res)
 
     return _assemble(eta_res, last_touch, anchor, swapped)
-
-
-def _trivial_result():
-    pts = ((ZERO, ZERO), (ONE, ONE))
-    return PartitionResult(
-        points=pts,
-        rearrangement=Rearrangement(shift=0), exact=True, residual=ZERO,
-        trace=PipelineTrace(branch="below", solver_frame_points=pts),
-    )
 
 
 def _diagonal_tail_result(x_fun, tail_start, s_total):
@@ -334,17 +309,6 @@ def _diagonal_tail_result(x_fun, tail_start, s_total):
         rearrangement=Rearrangement(shift=0), exact=True, residual=ZERO,
         trace=PipelineTrace(last_touch=ONE, branch="diagonal",
                             solver_frame_points=tuple(pts)),
-    )
-
-
-def _swap_result(res):
-    """Mirror a below-diagonal result; every one carries a cyclic shift."""
-    pts = tuple((y, x) for x, y in res.points)
-    # dy_i = dx_{(i-1) mod S} swaps into dx_i = dy_{(i-1)}, i.e. shift S-1
-    rearr = Rearrangement(shift=(-res.rearrangement.shift) % res.S)
-    return PartitionResult(
-        points=pts, rearrangement=rearr,
-        exact=res.exact, residual=res.residual, trace=res.trace,
     )
 
 
@@ -397,11 +361,8 @@ def _boundary_join_solve(eta, s_eta, tol):
                 points=snapped, rearrangement=Rearrangement(shift=1),
                 exact=resid == 0 and not any_snapped,
                 residual=resid,
-                trace=PipelineTrace(
-                    branch="below", boundary_joins=tuple(tried),
-                    residual_history=tuple(history),
-                    solver_frame_points=res.points,
-                ),
+                trace=PipelineTrace(boundary_joins=tuple(tried),
+                                    residual_history=tuple(history)),
             )
     raise ConvergenceError(
         f"boundary joining failed to verify within {JOIN_CUTS} cuts",
@@ -409,17 +370,26 @@ def _boundary_join_solve(eta, s_eta, tol):
 
 
 def _assemble(eta_res, last_touch, anchor, swapped):
-    scale = ONE - anchor
+    """The one map from the tail frame back to the input.  A swapped solve
+    is mirrored (shift k becomes -k mod S; the trace keeps these points as
+    solver_frame_points), then a normalized tail is scaled back behind its
+    diagonal increment, which stays first.  A permutation that fixes index
+    0 is a cyclic shift only when it is the identity, so the result is
+    shift 0 when k is 0 (only the one-increment tail) and else the perm."""
+    pts = eta_res.points
+    k = eta_res.rearrangement.shift
+    if swapped:
+        pts = tuple((y, x) for x, y in pts)
+        k = -k % eta_res.S
+    rearr = Rearrangement(shift=k)
+    frame_pts = pts
     if last_touch != 0:
-        pts = [(ZERO, ZERO)]
-        for x, y in eta_res.points:
-            pts.append((anchor + x * scale, anchor + y * scale))
-        inner = eta_res.rearrangement.as_perm(eta_res.S)
-        perm = [0] + [1 + p for p in inner]
-        rearr = _reduce_to_shift(perm)
-    else:
-        pts = eta_res.points
-        rearr = eta_res.rearrangement
+        scale = ONE - anchor
+        pts = ((ZERO, ZERO),) + tuple(
+            (anchor + x * scale, anchor + y * scale) for x, y in pts)
+        if k != 0:
+            inner = rearr.as_perm(eta_res.S)
+            rearr = Rearrangement(perm=(0,) + tuple(1 + p for p in inner))
     return PartitionResult(
         points=pts, rearrangement=rearr,
         exact=eta_res.exact, residual=eta_res.residual,
@@ -430,7 +400,7 @@ def _assemble(eta_res, last_touch, anchor, swapped):
             residual_history=eta_res.trace.residual_history,
             anchor=anchor,
             swapped=swapped,
-            solver_frame_points=eta_res.points,
+            solver_frame_points=frame_pts,
         ),
     )
 
@@ -552,8 +522,11 @@ def partition_densities(dens_f, dens_g, n, tol=DEFAULT_TOL):
 
 def _final_verify(curve, res, tol):
     """The one geometric check, run at `partition_curve`'s exit only: the
-    rearrangement identity, positive increments and every point on the
-    curve, exactly for exact results and within tol for inexact ones."""
+    rearrangement identity (exactly for exact results, within tol or the
+    residual for joins), positive increments and every point exactly on
+    the curve.  A join's points are exact projections onto the tail, and
+    mirroring and the affine map back are exact, so every branch lands
+    its points on the curve itself."""
     perm = res.rearrangement.as_perm(res.S)
     for i in range(res.S):
         gap = abs(res.dy[i] - res.dx[perm[i]])
@@ -564,12 +537,7 @@ def _final_verify(curve, res, tol):
     for d in res.dx + res.dy:
         if d <= 0:
             raise InternalInvariantError("non-positive increment")
-    # every solve path lands its points exactly on the input curve; the
-    # inexact band below is pure defence
     for p in res.points:
-        if res.exact:
-            if not point_on_curve(curve, p):
-                raise InternalInvariantError(f"point {p} off the curve")
-        elif point_curve_distance_sq(curve, p) > tol * tol:
-            raise InternalInvariantError(f"point {p} too far off the curve")
+        if not point_on_curve(curve, p):
+            raise InternalInvariantError(f"point {p} off the curve")
     return res

@@ -236,16 +236,10 @@ def curve_intersections(a, b, first=False):
 
 
 def _merge_overlaps(overlaps):
-    if not overlaps:
-        return []
-    overlaps = sorted(overlaps, key=lambda ov: (ov.t_a[0], ov.t_a[1], min(ov.t_b)))
-    merged = [overlaps[0]]
-    for ov in overlaps[1:]:
-        last = merged[-1]
-        if ov.t_a[0] <= last.t_a[1] and ov.t_a == last.t_a and ov.t_b == last.t_b:
-            continue
-        merged.append(ov)
-    return merged
+    """Overlaps in order along `a`.  Each comes from its own segment pair,
+    and intervals of positive length on both curves name that pair, so no
+    two are equal and there is nothing to merge."""
+    return sorted(overlaps, key=lambda ov: (ov.t_a[0], ov.t_a[1], min(ov.t_b)))
 
 
 def _segment_nearest(q, p0, p1):

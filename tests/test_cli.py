@@ -305,6 +305,14 @@ class TestExploreAndPlot:
         '{"seeds": [0,',               # not valid JSON
         '[{"seeds": [0]}]',            # a list, not an object
         '{"seeds": {"start": 0}}',     # seeds range without a count
+        '{"seeds": {"start": "a", "count": 2}}',  # range start not an int
+        '{"curves": [5]}',             # a curve spec that is not an object
+        '{"n": 3}',                    # n not a list
+        '{"n": ["a"]}',                # n entry not an int
+        '{"shifts": ["1"]}',           # shift entry not an int
+        '{"curves": [{"vertices": "4"}]}',  # vertices not an int
+        '{"tol": "abc"}',              # tol not a number
+        '{"grid": "x"}',               # grid not an int
     ))
     def test_explore_malformed_config_exit_1(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"

@@ -26,6 +26,7 @@ from curvepart import (
 )
 from curvepart.fileio import result_to_obj
 from curvepart.pipeline import DEFAULT_TOL
+from curvepart.plcurve import point_on_curve
 from curvepart.scalar import rat as R
 
 GOLDEN_SHA256 = (
@@ -140,6 +141,16 @@ def test_one_final_verify_per_solve(monkeypatch, name):
     res = partition_curve(curve, n, tol=tol)
     assert took_branch(res)
     assert checked == [curve]
+
+
+@pytest.mark.parametrize("name", ("join", "join-swapped"))
+def test_join_points_lie_on_the_curve(name):
+    """A join projects its points onto the tail, and the map back to the
+    input is exact, so `_final_verify` can ask for exact membership."""
+    curve, n, tol, took_branch = BRANCH_CASES[name]
+    res = partition_curve(curve, n, tol=tol)
+    assert took_branch(res)
+    assert all(point_on_curve(curve, p) for p in res.points)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -86,6 +86,18 @@ class TestVerify:
             assert dy[i] == dx[perm[i]]
 
 
+    def test_permutation_within_tol(self):
+        # dx = (1,3,4)/8 and dy = (2,1,5)/8: no shift matches within 1/8,
+        # but the permutation (1,0,2) does; a search that gives dy_0 the
+        # smallest dx within tol leaves no dx for dy_1
+        pts = [(0, 0), (R(1, 8), R(2, 8)), (R(4, 8), R(3, 8)), (1, 1)]
+        c = PLCurve([0, R(1, 3), R(2, 3), 1], pts)
+        rep = verify(c, pts, tol=R(1, 8))
+        assert rep.ok and rep.multiset_match
+        assert rep.detected_shift is None
+        assert rep.detected_permutation == (1, 0, 2)
+
+
 class TestClosureResidual:
     def test_diagonal_midpoint(self):
         assert closure_shot(diagonal_curve(), 1, R(1, 3)).residual == 0

@@ -28,7 +28,12 @@ from curvepart.pipeline import (
     pl_density_cumulative,
     step_cumulative,
 )
-from curvepart.plcurve import Intersection, curve_from_functions, curve_intersections
+from curvepart.plcurve import (
+    Intersection,
+    curve_from_functions,
+    curve_intersections,
+    point_on_curve,
+)
 from curvepart.plfun import pl_add, pl_scale_values
 from curvepart.scalar import rat
 
@@ -336,6 +341,56 @@ class TestPartitionCurve:
         if res.trace.swapped:
             mapped = [(y, x) for x, y in mapped]
         assert tuple(mapped) == res.trace.solver_frame_points
+
+
+class TestAssembleAndMembership:
+    """`_assemble` maps the one tail-frame solve back to the input, and
+    `_final_verify` asks every branch for exact curve membership."""
+
+    TOUCHING = PLCurve([0, R(1, 4), R(1, 2), R(3, 4), 1],
+                       [(0, 0), (R(1, 4), R(3, 8)), (R(1, 2), R(1, 2)),
+                        (R(3, 4), R(5, 8)), (1, 1)])
+    # the tail after the touch rides above the diagonal
+    TOUCHING_ABOVE = PLCurve([0, R(1, 4), R(1, 2), R(3, 4), 1],
+                             [(0, 0), (R(1, 2), R(1, 4)), (R(1, 2), R(1, 2)),
+                              (R(5, 8), R(3, 4)), (1, 1)])
+
+    def test_one_increment_tail_is_shift_0(self):
+        for c in (self.TOUCHING, self.TOUCHING_ABOVE):
+            res = partition_curve(c, 1)
+            assert res.trace.last_touch == R(1, 2)
+            assert res.rearrangement == Rearrangement(shift=0)
+            assert res.points[1] == (R(1, 2), R(1, 2))
+
+    def test_longer_tail_is_the_perm(self):
+        for c, swapped in ((self.TOUCHING, False), (self.TOUCHING_ABOVE, True)):
+            for n in (2, 3, 4):
+                res = partition_curve(c, n)
+                assert res.trace.swapped == swapped
+                # the tail solve has shift 1; the mirror makes it -1 mod S
+                s_eta = res.S - 1
+                k = -1 % s_eta if swapped else 1
+                perm = (0,) + tuple(1 + (i - k) % s_eta for i in range(s_eta))
+                assert res.rearrangement == Rearrangement(perm=perm)
+
+    def test_interior_points_lie_on_the_curve(self):
+        joined = 0
+        for seed in range(12):
+            c = random_curve(seed, vertices=6, curve_class="interior")
+            res = partition_curve(c, 3)
+            joined += bool(res.trace.boundary_joins)
+            assert all(point_on_curve(c, p) for p in res.points), seed
+        assert joined
+
+    def test_inexact_point_off_the_curve_rejected(self):
+        # within tol of the diagonal, and within tol of the identity, but
+        # not on the curve
+        eps, tol = R(1, 10**12), R(1, 10**9)
+        res = pipeline.PartitionResult(
+            points=((0, 0), (R(1, 2), R(1, 2) + eps), (1, 1)),
+            rearrangement=Rearrangement(shift=0), exact=False, residual=eps)
+        with pytest.raises(InternalInvariantError, match="off the curve"):
+            pipeline._final_verify(diagonal_curve(), res, tol)
 
 
 class TestPipelineProperties:
