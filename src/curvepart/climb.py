@@ -10,6 +10,18 @@ plateau while the other waits.  This solves every piecewise-monotone
 profile, plateaus included (Huneke, "Mountain climbing", Trans. AMS 1969;
 Keleti, "The mountain climbers' problem", Proc. AMS 1993).  `solve` is the
 one climb; the flats are read off each profile's canonical breakpoints.
+
+Kernel costs of the walk, for flat-free f1 with m pieces, f2 with k pieces
+and e edges in the complex (Goodman, Pach and Yap, "Mountain climbing,
+ladder moving, and the ring-width of a polygon", Amer. Math. Monthly 1989):
+
+- level_complex_path(f1, f2): O(m + k) exact rational operations of setup
+  (each piece's value range, direction and inverse slope, once per call),
+  then O(m k) cells.  A cell whose value ranges do not overlap costs two
+  comparisons; one that overlaps costs O(1) rational operations, since an
+  edge end at a range end takes that coordinate from the knot.  Vertices
+  are keyed by their integer numerators and denominators, so no rational
+  is hashed.  The walk itself is O(e) steps.
 """
 
 from dataclasses import dataclass
@@ -47,29 +59,58 @@ def _flat_runs(f):
     return [(t0, t1) for (t0, v0), (t1, v1) in zip(pts, pts[1:]) if v0 == v1]
 
 
-def _cell_edge(s0, s1, fa0, fa1, t0, t1, fb0, fb1):
-    """Segment of {f1(s) = f2(t)} inside one breakpoint rectangle, or None.
+def _pieces(f, name):
+    """Each piece of a flat-free f as (lo, hi, knot at lo, knot at hi,
+    parameter per unit of value, rising), set up once per walk."""
+    pts = f.breakpoints
+    out = []
+    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+        if v0 == v1:
+            raise PreconditionError(f"{name} must be locally non-constant")
+        per = (t1 - t0) / (v1 - v0)
+        out.append((v0, v1, t0, t1, per, True) if v0 < v1
+                   else (v1, v0, t1, t0, per, False))
+    return out
 
-    Both restrictions are linear with nonzero slope, so the solution set is
-    a line s(t) clipped to the rectangle.
+
+def _complex_edges(f1, f2):
+    """The edges of {f1(s) = f2(t)}, at most one per breakpoint rectangle,
+    in row-major order (f1's pieces outer), each as (from, to) with t
+    increasing.
+
+    Both restrictions to a rectangle are linear with nonzero slope, so the
+    solution set there is a segment from level max(lo1, lo2) to level
+    min(hi1, hi2), of positive length exactly when lo2 < hi1 and lo1 < hi2.
+    At an end level that closes one piece's range the coordinate is that
+    piece's knot, and only the other one is computed.  t runs along the
+    segment in the direction of f2's piece.
     """
-    # clip to s-range: fa0 <= f-level <= fa1 (or reversed), before dividing
-    lv_lo, lv_hi = (fa0, fa1) if fa0 < fa1 else (fa1, fa0)
-    wv_lo, wv_hi = (fb0, fb1) if fb0 < fb1 else (fb1, fb0)
-    v_lo, v_hi = max(lv_lo, wv_lo), min(lv_hi, wv_hi)
-    if v_lo > v_hi:
-        return None
-    a = (fa1 - fa0) / (s1 - s0)
-    b = (fb1 - fb0) / (t1 - t0)
-    # s(t) = s0 + (fb0 - fa0 + b (t - t0)) / a
-    t_of = lambda v: t0 + (v - fb0) / b
-    s_of = lambda v: s0 + (v - fa0) / a
-    tA, tB = t_of(v_lo), t_of(v_hi)
-    pA = (s_of(v_lo), tA)
-    pB = (s_of(v_hi), tB)
-    if pA == pB:
-        return None
-    return (pA, pB) if pA[1] <= pB[1] else (pB, pA)
+    rows = _pieces(f1, "f1")
+    cols = _pieces(f2, "f2")
+    for lo1, hi1, slo, shi, ds, _ in rows:
+        for lo2, hi2, tlo, thi, dt, rising in cols:
+            if lo2 >= hi1 or lo1 >= hi2:
+                continue
+            if lo1 < lo2:
+                a = (slo + (lo2 - lo1) * ds, tlo)
+            elif lo2 < lo1:
+                a = (slo, tlo + (lo1 - lo2) * dt)
+            else:
+                a = (slo, tlo)
+            if hi2 < hi1:
+                b = (slo + (hi2 - lo1) * ds, thi)
+            elif hi1 < hi2:
+                b = (shi, tlo + (hi1 - lo2) * dt)
+            else:
+                b = (shi, thi)
+            yield (a, b) if rising else (b, a)
+
+
+def _key(p):
+    """Integer dict key of a vertex: hashing a Fraction costs a modular
+    inverse, hashing its numerator and denominator does not."""
+    s, t = p
+    return (s.numerator, s.denominator, t.numerator, t.denominator)
 
 
 def _edge_sort_key(frm, to):
@@ -86,44 +127,30 @@ def level_complex_path(f1, f2):
     can only stop at (1,1).  Ties at higher-degree vertices prefer edges
     increasing s, then increasing t.
     """
-    for f, name in ((f1, "f1"), (f2, "f2")):
-        if _flat_runs(f):
-            raise PreconditionError(f"{name} must be locally non-constant")
-
-    sp = f1.breakpoints
-    tp = f2.breakpoints
     adj = {}
-    edges = []
-    for (s0, fa0), (s1, fa1) in zip(sp, sp[1:]):
-        for (t0, fb0), (t1, fb1) in zip(tp, tp[1:]):
-            seg = _cell_edge(s0, s1, fa0, fa1, t0, t1, fb0, fb1)
-            if seg is None:
-                continue
-            eid = len(edges)
-            edges.append(seg)
-            adj.setdefault(seg[0], []).append((eid, seg[1]))
-            adj.setdefault(seg[1], []).append((eid, seg[0]))
+    for eid, (frm, to) in enumerate(_complex_edges(f1, f2)):
+        kf, kt = _key(frm), _key(to)
+        adj.setdefault(kf, []).append((eid, to, kt))
+        adj.setdefault(kt, []).append((eid, frm, kf))
 
-    start, goal = (ZERO, ZERO), (ONE, ONE)
-    if start not in adj:
+    cur = (ZERO, ZERO)
+    key, goal = _key(cur), _key((ONE, ONE))
+    if key not in adj:
         raise InternalInvariantError("no traversal edge leaves (0,0)")
     used = set()
-    path = [start]
-    cur = start
+    path = [cur]
     while True:
-        options = [
-            (eid, other) for eid, other in adj.get(cur, ()) if eid not in used
-        ]
+        options = [o for o in adj.get(key, ()) if o[0] not in used]
         if not options:
             break
-        options.sort(key=lambda eo: _edge_sort_key(cur, eo[1]))
-        eid, nxt = options[0]
+        if len(options) > 1:
+            options.sort(key=lambda o: _edge_sort_key(cur, o[1]))
+        eid, cur, key = options[0]
         used.add(eid)
-        path.append(nxt)
-        cur = nxt
-        if cur == goal:
+        path.append(cur)
+        if key == goal:
             break
-    if cur != goal:
+    if key != goal:
         raise InternalInvariantError(f"traversal stuck at vertex {cur}")
     return path
 

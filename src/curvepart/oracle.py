@@ -13,7 +13,7 @@ on the same float residual; a full shot, with its point sequence, is built
 only for the root it returns.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
@@ -128,16 +128,18 @@ class _Chaser:
 
     def first_ordinate_hit(self, target, start, skip=0):
         """The (skip+1)-th parameter >= start where y equals target, None
-        when fewer occurrences exist."""
+        when fewer occurrences exist.
+
+        The scan starts at the last segment that begins before start:
+        every earlier one ends before start, so none of them can hit.
+        """
         ks, vs = self.knots, self.verts
-        for i in range(len(ks) - 1):
+        for i in range(max(bisect_left(ks, start) - 1, 0), len(ks) - 1):
             t0, t1 = ks[i], ks[i + 1]
-            if t1 < start:
-                continue
-            y0, y1 = vs[i][1], vs[i + 1][1]
-            lo = max(t0, start)
             if t1 == t0:
                 continue
+            y0, y1 = vs[i][1], vs[i + 1][1]
+            lo = start if start > t0 else t0
             w = (lo - t0) / (t1 - t0)
             ylo = y0 + w * (y1 - y0)
             hit = None

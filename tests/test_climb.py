@@ -1,4 +1,6 @@
 
+from fractions import Fraction
+
 import pytest
 
 from curvepart import (
@@ -8,11 +10,13 @@ from curvepart import (
     compose,
     identity,
     pl_eval,
+    random_curve,
     solve,
 )
 from curvepart import climb
 from curvepart.climb import level_complex_path
-from curvepart.scalar import rat
+from curvepart.pipeline import build_partitioning_functions
+from curvepart.scalar import Scalar, rat
 
 from util import climb_pair, fold_levels, march_free_space, shared_fold_pair
 
@@ -114,19 +118,30 @@ class TestTraversal:
         # refined-grid sign-change scan of f1(s) - f2(t)
         f1 = F((0, 0), (R(2, 5), R(4, 5)), (R(3, 5), R(2, 5)), (1, 1))
         f2 = F((0, 0), (R(1, 2), R(3, 5)), (R(7, 10), R(1, 5)), (1, 1))
-        from curvepart.climb import _cell_edge
+        from bisect import bisect_right
+
+        from curvepart.climb import _complex_edges
         from curvepart.plfun import pl_eval
 
         sp, tp = f1.breakpoints, f2.breakpoints
+        # both coordinates change strictly along an edge, so its midpoint
+        # lies inside the one rectangle that holds it
+        cell_edge = {}
+        for edge in _complex_edges(f1, f2):
+            (sa, ta), (sb, tb) = edge
+            cell = (bisect_right(f1.knots, (sa + sb) / 2) - 1,
+                    bisect_right(f2.knots, (ta + tb) / 2) - 1)
+            assert cell not in cell_edge
+            cell_edge[cell] = edge
         sub = 6
-        for (s0, a0), (s1, a1) in zip(sp, sp[1:]):
-            for (t0, b0), (t1, b1) in zip(tp, tp[1:]):
-                edge = _cell_edge(s0, s1, a0, a1, t0, t1, b0, b1)
+        for i, ((s0, a0), (s1, a1)) in enumerate(zip(sp, sp[1:])):
+            for j, ((t0, b0), (t1, b1)) in enumerate(zip(tp, tp[1:])):
+                edge = cell_edge.get((i, j))
                 signs = set()
-                for i in range(sub + 1):
-                    for j in range(sub + 1):
-                        s = s0 + (s1 - s0) * R(i, sub)
-                        t = t0 + (t1 - t0) * R(j, sub)
+                for ii in range(sub + 1):
+                    for jj in range(sub + 1):
+                        s = s0 + (s1 - s0) * R(ii, sub)
+                        t = t0 + (t1 - t0) * R(jj, sub)
                         d = pl_eval(f1, s) - pl_eval(f2, t)
                         signs.add(0 if d == 0 else (1 if d > 0 else -1))
                 scan_says_crossing = len(signs) > 1 or signs == {0}
@@ -138,6 +153,34 @@ class TestTraversal:
                     # no edge: the scan may still see a corner-only touch
                     if scan_says_crossing and 0 not in signs:
                         assert False, (s0, t0)
+
+    @pytest.mark.skipif(Scalar is not Fraction,
+                        reason="counts Fraction hashes; the backend is not "
+                               "fractions.Fraction")
+    def test_walk_hashes_no_fraction(self, monkeypatch):
+        # vertices are keyed by integers: Fraction.__hash__ computes a
+        # modular inverse on every call.  The pair is the flat-free
+        # quotients of the last climb of a depth-8 induction.
+        seen = []
+        monkeypatch.setattr(climb, "level_complex_path",
+                            lambda f1, f2: seen.append((f1, f2))
+                            or level_complex_path(f1, f2))
+        build_partitioning_functions(random_curve(4, vertices=8), 8)
+        monkeypatch.undo()
+        f1, f2 = seen[-1]
+
+        calls = []
+        real = Fraction.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        path = level_complex_path(f1, f2)
+        monkeypatch.undo()
+        assert len(path) > 50
+        assert calls == []
 
 
 class TestSolve:

@@ -19,8 +19,15 @@ from fractions import Fraction
 
 import pytest
 
-from curvepart import DomainError, PLCurve, PLFunction
-from curvepart import plcurve, plfun
+from curvepart import (
+    DomainError,
+    InternalInvariantError,
+    PLCurve,
+    PLFunction,
+    PreconditionError,
+    random_curve,
+)
+from curvepart import climb, oracle, pipeline, plcurve, plfun
 from curvepart.plcurve import (
     Intersection,
     _intersect_segments,
@@ -37,7 +44,9 @@ from curvepart.plfun import (
     pl_compress_param,
     pl_scale_values,
 )
-from curvepart.scalar import rat
+from curvepart.scalar import ONE, ZERO, rat
+
+from util import climb_pair, shared_fold_pair
 
 # ------------------------------------------------------------- references
 
@@ -159,6 +168,104 @@ def ref_point_curve_distance_sq(curve, q):
 
 def ref_point_on_curve(curve, q):
     return ref_point_curve_distance_sq(curve, q) == 0
+
+
+def ref_cell_edge(s0, s1, fa0, fa1, t0, t1, fb0, fb1):
+    """Segment of {f1(s) = f2(t)} inside one breakpoint rectangle, or None.
+
+    Both restrictions are linear with nonzero slope, so the solution set is
+    a line s(t) clipped to the rectangle.
+    """
+    # clip to s-range: fa0 <= f-level <= fa1 (or reversed), before dividing
+    lv_lo, lv_hi = (fa0, fa1) if fa0 < fa1 else (fa1, fa0)
+    wv_lo, wv_hi = (fb0, fb1) if fb0 < fb1 else (fb1, fb0)
+    v_lo, v_hi = max(lv_lo, wv_lo), min(lv_hi, wv_hi)
+    if v_lo > v_hi:
+        return None
+    a = (fa1 - fa0) / (s1 - s0)
+    b = (fb1 - fb0) / (t1 - t0)
+    # s(t) = s0 + (fb0 - fa0 + b (t - t0)) / a
+    t_of = lambda v: t0 + (v - fb0) / b
+    s_of = lambda v: s0 + (v - fa0) / a
+    tA, tB = t_of(v_lo), t_of(v_hi)
+    pA = (s_of(v_lo), tA)
+    pB = (s_of(v_hi), tB)
+    if pA == pB:
+        return None
+    return (pA, pB) if pA[1] <= pB[1] else (pB, pA)
+
+
+def ref_edge_sort_key(frm, to):
+    ds = to[0] - frm[0]
+    dt = to[1] - frm[1]
+    return (0 if ds > 0 else 1, 0 if dt > 0 else 1, -ds, -dt)
+
+
+def ref_level_complex_path(f1, f2):
+    for f, name in ((f1, "f1"), (f2, "f2")):
+        if climb._flat_runs(f):
+            raise PreconditionError(f"{name} must be locally non-constant")
+
+    sp = f1.breakpoints
+    tp = f2.breakpoints
+    adj = {}
+    edges = []
+    for (s0, fa0), (s1, fa1) in zip(sp, sp[1:]):
+        for (t0, fb0), (t1, fb1) in zip(tp, tp[1:]):
+            seg = ref_cell_edge(s0, s1, fa0, fa1, t0, t1, fb0, fb1)
+            if seg is None:
+                continue
+            eid = len(edges)
+            edges.append(seg)
+            adj.setdefault(seg[0], []).append((eid, seg[1]))
+            adj.setdefault(seg[1], []).append((eid, seg[0]))
+
+    start, goal = (ZERO, ZERO), (ONE, ONE)
+    if start not in adj:
+        raise InternalInvariantError("no traversal edge leaves (0,0)")
+    used = set()
+    path = [start]
+    cur = start
+    while True:
+        options = [
+            (eid, other) for eid, other in adj.get(cur, ()) if eid not in used
+        ]
+        if not options:
+            break
+        options.sort(key=lambda eo: ref_edge_sort_key(cur, eo[1]))
+        eid, nxt = options[0]
+        used.add(eid)
+        path.append(nxt)
+        cur = nxt
+        if cur == goal:
+            break
+    if cur != goal:
+        raise InternalInvariantError(f"traversal stuck at vertex {cur}")
+    return path
+
+
+def ref_first_ordinate_hit(chaser, target, start, skip=0):
+    ks, vs = chaser.knots, chaser.verts
+    for i in range(len(ks) - 1):
+        t0, t1 = ks[i], ks[i + 1]
+        if t1 < start:
+            continue
+        y0, y1 = vs[i][1], vs[i + 1][1]
+        lo = max(t0, start)
+        if t1 == t0:
+            continue
+        w = (lo - t0) / (t1 - t0)
+        ylo = y0 + w * (y1 - y0)
+        hit = None
+        if ylo == target:
+            hit = lo
+        elif y1 != y0 and ((ylo < target <= y1) or (y1 <= target < ylo)):
+            hit = t0 + (target - y0) / (y1 - y0) * (t1 - t0)
+        if hit is not None:
+            if skip == 0:
+                return hit
+            skip -= 1
+    return None
 
 
 # ------------------------------------------------------------- generators
@@ -496,3 +603,90 @@ def test_cached_knots_stay_out_of_eq_hash_repr():
     object.__setattr__(g, "knots", ())
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
     assert repr(f) == f"PLFunction(breakpoints={bps!r})"
+
+
+def _overlap_cells(f1, f2):
+    """(lo1, hi1, falling1, lo2, hi2, falling2) for every breakpoint
+    rectangle where the pieces' value ranges overlap in an interval."""
+    def ranges(f):
+        pts = f.breakpoints
+        return [(min(a, b), max(a, b), a > b)
+                for (_, a), (_, b) in zip(pts, pts[1:])]
+    return [r + c for r in ranges(f1) for c in ranges(f2)
+            if c[0] < r[1] and r[0] < c[1]]
+
+
+def test_level_complex_path_matches_reference(monkeypatch):
+    pairs = []
+    for seed in range(60):
+        f1, f2 = climb_pair(seed)
+        pairs.append((f1, f2))
+        f1, f2, _ = shared_fold_pair(seed, seed % 2 == 1)
+        pairs.append((f1, f2))
+    pairs = [(climb._contract(a)[0], climb._contract(b)[0])
+             for f1, f2 in pairs for a, b in ((f1, f2), (f2, f1))]
+    # the compressed closing sums of an induction, against the height
+    real = climb.level_complex_path
+    monkeypatch.setattr(climb, "level_complex_path",
+                        lambda f1, f2: pairs.append((f1, f2)) or real(f1, f2))
+    for seed in (1, 3, 4):
+        pipeline.build_partitioning_functions(random_curve(seed, vertices=8),
+                                              6)
+    monkeypatch.undo()
+    assert len(pairs) == 240 + 15
+
+    shared_lo = shared_hi = falling1 = falling2 = 0
+    for f1, f2 in pairs:
+        assert climb.level_complex_path(f1, f2) == ref_level_complex_path(
+            f1, f2)
+        for lo1, hi1, d1, lo2, hi2, d2 in _overlap_cells(f1, f2):
+            shared_lo += lo1 == lo2
+            shared_hi += hi1 == hi2
+            falling1 += d1
+            falling2 += d2
+    assert shared_lo and shared_hi and falling1 and falling2
+
+
+def test_complex_edges_match_reference_cells():
+    # every cell the reference gives an edge, in row-major order
+    for seed in range(40):
+        f1, f2 = (climb._contract(f)[0] for f in climb_pair(seed))
+        want = []
+        sp, tp = f1.breakpoints, f2.breakpoints
+        for (s0, a0), (s1, a1) in zip(sp, sp[1:]):
+            for (t0, b0), (t1, b1) in zip(tp, tp[1:]):
+                seg = ref_cell_edge(s0, s1, a0, a1, t0, t1, b0, b1)
+                if seg is not None:
+                    want.append(seg)
+        assert list(climb._complex_edges(f1, f2)) == want
+
+
+def test_first_ordinate_hit_matches_linear_scan():
+    # stalls (p0 == p1) come from rand_curve; a repeated knot (t0 == t1)
+    # is put into the chaser directly, as no PLCurve has one
+    rng = random.Random(22)
+    on_knot = stalls = repeats = skipped = hits = 0
+    for _ in range(200):
+        curve = rand_curve(rng, rng.randint(1, 7))
+        stalls += sum(1 for _, _, p, q in curve.segments() if p == q)
+        for float_mode in (False, True):
+            ch = oracle._Chaser(curve, float_mode)
+            if rng.random() < 0.3:
+                i = rng.randrange(len(ch.knots))
+                ch.knots.insert(i, ch.knots[i])
+                ch.verts.insert(i, ch.verts[i])
+                repeats += 1
+            conv = float if float_mode else rat
+            starts = list(ch.knots) + [conv(rat(rng.randint(0, 64), 64))
+                                       for _ in range(4)]
+            for start in starts:
+                on_knot += start in ch.knots
+                for _ in range(3):
+                    target = conv(rat(rng.randint(0, 4), 4))
+                    for skip in range(3):
+                        got = ch.first_ordinate_hit(target, start, skip)
+                        want = ref_first_ordinate_hit(ch, target, start, skip)
+                        assert got == want and type(got) is type(want)
+                        hits += got is not None
+                        skipped += skip > 0 and got is not None
+    assert on_knot and stalls and repeats and skipped and hits
