@@ -102,7 +102,7 @@ def _write_output(obj, path):
 
 
 def _cmd_partition(args):
-    curve = fileio.load_curve(args.input, args.mode, args.allow_inexact)
+    curve = fileio.curve_from_obj(fileio.load_json(args.input), args.decimals)
     tol = parse_rational(args.tol)
     res = pipeline.partition_curve(curve, args.n, tol=tol)
     rep = oracle.verify(curve, res.points,
@@ -121,7 +121,7 @@ def _cmd_partition(args):
 
 
 def _cmd_graph_case(args):
-    f = fileio.load_function(args.input, args.mode, args.allow_inexact)
+    f = fileio.function_from_obj(fileio.load_json(args.input), args.decimals)
     sol = graphcase.solve_graph(f, args.n)
     dx, dy = graphcase.graph_increments(f, sol)
     obj = {
@@ -140,8 +140,8 @@ def _cmd_climb(args):
     doc = fileio.load_json(args.input)
     if not isinstance(doc, dict) or "f1" not in doc or "f2" not in doc:
         raise InputError("climb input must be {'f1': ..., 'f2': ...}")
-    f1 = fileio.function_from_obj(doc["f1"], args.mode, args.allow_inexact)
-    f2 = fileio.function_from_obj(doc["f2"], args.mode, args.allow_inexact)
+    f1 = fileio.function_from_obj(doc["f1"], args.decimals)
+    f2 = fileio.function_from_obj(doc["f2"], args.decimals)
     sol = climb_mod.solve(f1, f2)
     base = args.output or "climb"
     for name, g in (("g1", sol.g1), ("g2", sol.g2)):
@@ -156,10 +156,9 @@ def _cmd_climb(args):
 
 
 def _cmd_verify(args):
-    curve = fileio.load_curve(args.input, args.mode, args.allow_inexact)
-    pts = fileio.result_points_from_obj(
-        fileio.load_json(args.points), args.mode, args.allow_inexact
-    )
+    curve = fileio.curve_from_obj(fileio.load_json(args.input), args.decimals)
+    pts = fileio.result_points_from_obj(fileio.load_json(args.points),
+                                        args.decimals)
     tol = parse_rational(args.tol)
     rep = oracle.verify(curve, pts, tol=tol)
     _write_output(fileio.report_to_obj(rep, args.mode), args.output)
@@ -170,8 +169,8 @@ def _cmd_densities(args):
     doc = fileio.load_json(args.input)
     if not isinstance(doc, dict) or "f" not in doc or "g" not in doc:
         raise InputError("densities input must be {'f': ..., 'g': ...}")
-    dens_f = fileio.density_from_obj(doc["f"], args.mode, args.allow_inexact)
-    dens_g = fileio.density_from_obj(doc["g"], args.mode, args.allow_inexact)
+    dens_f = fileio.density_from_obj(doc["f"], args.decimals)
+    dens_g = fileio.density_from_obj(doc["g"], args.decimals)
     tol = parse_rational(args.tol)
     out = pipeline.partition_densities(dens_f, dens_g, args.n, tol=tol)
     obj = {
@@ -196,12 +195,12 @@ def _cmd_explore(args):
 
 def _cmd_plot(args):
     doc = fileio.load_json(args.input)
-    pts = fileio.result_points_from_obj(doc, args.mode, args.allow_inexact)
-    dx, dy = fileio.result_increments_from_obj(
-        doc, pts, args.mode, args.allow_inexact)
+    pts = fileio.result_points_from_obj(doc, args.decimals)
+    dx, dy = fileio.result_increments_from_obj(doc, pts, args.decimals)
     curve = None
     if args.curve:
-        curve = fileio.load_curve(args.curve, args.mode, args.allow_inexact)
+        curve = fileio.curve_from_obj(fileio.load_json(args.curve),
+                                      args.decimals)
     svg = render.render_partition_svg(curve, pts, dx, dy)
     with open(args.svg, "w") as fh:
         fh.write(svg)
@@ -228,6 +227,9 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    # readers take decimals in float mode or with --allow-inexact
+    args.decimals = (getattr(args, "mode", None) == fileio.FLOAT
+                     or getattr(args, "allow_inexact", False))
     try:
         return _COMMANDS[args.command](args)
     except InputError as exc:

@@ -11,11 +11,12 @@ import json
 import random
 import time
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 from .errors import InputError, PreconditionError
 from .fileio import FLOAT, curve_to_obj
-from .oracle import _bisect_shot, _Chaser, _sign_changes, verify
-from .pipeline import increments
+from .oracle import _bisect_shot, _chase, _Chaser, _sign_changes, verify
+from .pipeline import _shift_residual, increments
 from .plcurve import PLCurve
 from .scalar import ONE, ZERO, as_float, rat
 
@@ -88,28 +89,18 @@ def random_curve(seed, vertices=4, curve_class="deltaInterior"):
     return PLCurve(knots, pts)
 
 
-def _theta_residuals(curve, s, theta_shift, frees, chaser):
+def _theta_residuals(s, k, frees, chaser):
     """Chase the theta-relation system from the free points.
 
-    frees are the parameters of A_1..A_k (k = theta shift).  Relations
-    dy_j = dx_{j-k} for j = k..n-1 force A_{k+1}..A_n; the returned vector
-    holds the wrap mismatches (relation j = n, then j = 0..k-2)."""
-    k = theta_shift
-    pts = [(0.0, 0.0)]
-    cursor = 0.0
-    for t in frees:
-        if not cursor <= t <= 1.0:
-            return None, None
-        pts.append(chaser.at(t))
-        cursor = t
-    for j in range(k, s - 1):
-        target = pts[-1][1] + (pts[j - k + 1][0] - pts[j - k][0])
-        nxt = chaser.first_ordinate_hit(target, cursor)
-        if nxt is None:
-            return None, None
-        cursor = nxt
-        pts.append(chaser.at(nxt))
-    pts.append((1.0, 1.0))
+    frees are the parameters of A_1..A_k, nondecreasing in [0, 1].
+    Relations dy_j = dx_{j-k} for j = k..s-2 force A_{k+1}..A_{s-1}; the
+    returned vector holds the wrap mismatches (relation j = s-1, then
+    j = 0..k-2)."""
+    if not all(a <= b for a, b in zip([0.0] + frees, frees + [1.0])):
+        return None, None
+    pts, missed = _chase(chaser, frees, k, s)
+    if missed is not None:
+        return None, None
     dx, dy = increments(pts)
     res = [dy[s - 1] - dx[(s - 1 - k) % s]]
     for j in range(0, k - 1):
@@ -175,7 +166,7 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
     elif k == 1:
         ch = _Chaser(curve, float_mode=True)
         for _, lo, hi, r0 in _sign_changes(ch, s - 2, grid, [()]):
-            root = _bisect_shot(curve, s - 2, lo, hi, r0, 60)
+            root = _bisect_shot(curve, ch, s - 2, lo, hi, r0)
             best = root[1] if root else None
             if best and abs(best.residual) <= tol_f:
                 found_pts, residual = best.points, abs(best.residual)
@@ -187,8 +178,8 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
     points = ()
     if found_pts is not None:
         rep = verify(curve, found_pts, tol)
-        perm_ok = _theta_relation_holds(found_pts, k, tol_f)
-        if rep.increments_positive and perm_ok:
+        dx, dy = increments(found_pts)
+        if rep.increments_positive and _shift_residual(dx, dy, k) <= tol_f:
             outcome = "found"
             points = tuple(found_pts)
         else:
@@ -206,13 +197,6 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
     )
 
 
-def _theta_relation_holds(pts, k, tol_f):
-    dx, dy = increments(pts)
-    s = len(dx)
-    return all(abs(as_float(dy[i]) - as_float(dx[(i - k) % s])) <= tol_f
-               for i in range(s))
-
-
 def _search_high_shift(curve, s, k, grid, tol_f):
     try:
         from scipy.optimize import root
@@ -221,15 +205,16 @@ def _search_high_shift(curve, s, k, grid, tol_f):
     ch = _Chaser(curve, float_mode=True)
 
     def residual_vec(frees):
-        res, _ = _theta_residuals(curve, s, k, list(frees), ch)
+        res, _ = _theta_residuals(s, k, list(frees), ch)
         if res is None:
             return [1.0 + abs(f) for f in frees]
         return res
 
     coarse = max(8, int(round(grid ** (1.0 / k))))
     best = None
-    for combo in _increasing_grid(coarse, k):
-        res, pts = _theta_residuals(curve, s, k, list(combo), ch)
+    for idx in combinations(range(1, coarse), k):
+        combo = [g / coarse for g in idx]
+        res, pts = _theta_residuals(s, k, combo, ch)
         if res is None:
             continue
         score = max(abs(r) for r in res)
@@ -241,25 +226,14 @@ def _search_high_shift(curve, s, k, grid, tol_f):
     if score <= tol_f:
         return pts, score
     if root is not None:
-        sol = root(residual_vec, list(combo), method="hybr")
+        sol = root(residual_vec, combo, method="hybr")
         if sol.success:
-            res, pts = _theta_residuals(curve, s, k, list(sol.x), ch)
+            res, pts = _theta_residuals(s, k, list(sol.x), ch)
             if res is not None:
                 score = max(abs(r) for r in res)
                 if score <= tol_f:
                     return pts, score
     return None, None
-
-
-def _increasing_grid(m, k):
-    def rec(prefix, start):
-        if len(prefix) == k:
-            yield tuple(prefix)
-            return
-        for g in range(start, m):
-            yield from rec(prefix + [g / m], g + 1)
-
-    yield from rec([], 1)
 
 
 def _record_to_jsonable(rec):

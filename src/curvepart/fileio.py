@@ -2,9 +2,10 @@
 
 Numbers are either JSON decimals or "p/q" strings.  Exact-mode writers
 always emit "p/q"; float-mode writers always emit decimals; the two are
-never mixed in one document.  Exact-mode readers reject decimal inputs
-unless explicitly allowed, in which case the decimal text is converted
-literally (0.1 -> 1/10), never through binary floating point.
+never mixed in one document.  Readers reject decimal inputs unless called
+with decimals=True (the CLI passes it in float mode or with
+--allow-inexact); an accepted decimal's text is converted literally
+(0.1 -> 1/10), never through binary floating point.
 """
 
 import json
@@ -41,13 +42,13 @@ def dump_json(obj, path):
     return text
 
 
-def read_number(v, mode=EXACT, allow_inexact=False):
+def read_number(v, decimals=False):
     if isinstance(v, bool):
         raise InputError(f"not a number: {v!r}")
     if isinstance(v, int):
         return parse_rational(v)
     if isinstance(v, tuple) and len(v) == 2 and v[0] == "decimal":
-        if mode == EXACT and not allow_inexact:
+        if not decimals:
             raise InputError(
                 f"decimal {v[1]} in exact mode; pass --allow-inexact to read "
                 "it as the literal decimal fraction"
@@ -66,13 +67,11 @@ def write_number(x, mode=EXACT):
     return format_rational(x) if mode == EXACT else as_float(x)
 
 
-def curve_from_obj(obj, mode=EXACT, allow_inexact=False):
+def curve_from_obj(obj, decimals=False):
     try:
-        knots = [read_number(t, mode, allow_inexact) for t in obj["knots"]]
-        pts = [
-            (read_number(x, mode, allow_inexact), read_number(y, mode, allow_inexact))
-            for x, y in obj["points"]
-        ]
+        knots = [read_number(t, decimals) for t in obj["knots"]]
+        pts = [(read_number(x, decimals), read_number(y, decimals))
+               for x, y in obj["points"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad curve object: {exc}") from exc
     return PLCurve(knots, pts)
@@ -86,12 +85,10 @@ def curve_to_obj(curve, mode=EXACT):
     }
 
 
-def function_from_obj(obj, mode=EXACT, allow_inexact=False):
+def function_from_obj(obj, decimals=False):
     try:
-        bps = [
-            (read_number(t, mode, allow_inexact), read_number(v, mode, allow_inexact))
-            for t, v in obj["breakpoints"]
-        ]
+        bps = [(read_number(t, decimals), read_number(v, decimals))
+               for t, v in obj["breakpoints"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad function object: {exc}") from exc
     return PLFunction(bps)
@@ -102,14 +99,6 @@ def function_to_obj(f, mode=EXACT):
         "breakpoints": [[write_number(t, mode), write_number(v, mode)]
                         for t, v in f.breakpoints]
     }
-
-
-def load_curve(path, mode=EXACT, allow_inexact=False):
-    return curve_from_obj(load_json(path), mode, allow_inexact)
-
-
-def load_function(path, mode=EXACT, allow_inexact=False):
-    return function_from_obj(load_json(path), mode, allow_inexact)
 
 
 def rearrangement_to_obj(r):
@@ -149,21 +138,19 @@ def result_to_obj(res, mode=EXACT):
     }
 
 
-def result_points_from_obj(obj, mode=EXACT, allow_inexact=False):
+def result_points_from_obj(obj, decimals=False):
     """Points list from either a full result file or a bare points file:
     an object whose "points" is a nonempty list of [x, y] pairs."""
     if not isinstance(obj, dict) or not obj.get("points"):
         raise InputError("no 'points' list in input")
     try:
-        return [
-            (read_number(x, mode, allow_inexact), read_number(y, mode, allow_inexact))
-            for x, y in obj["points"]
-        ]
+        return [(read_number(x, decimals), read_number(y, decimals))
+                for x, y in obj["points"]]
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad points list: {exc}") from exc
 
 
-def result_increments_from_obj(obj, points, mode=EXACT, allow_inexact=False):
+def result_increments_from_obj(obj, points, decimals=False):
     """(dx, dy) from a result file, or the points' own increments when the
     file has neither list.  Given lists must both be lists with one entry
     per increment of `points`."""
@@ -180,7 +167,7 @@ def result_increments_from_obj(obj, points, mode=EXACT, allow_inexact=False):
             raise InputError(
                 f"'{key}' has {len(vals)} entries; {len(points)} points give {count}"
             )
-        lists.append([read_number(d, mode, allow_inexact) for d in vals])
+        lists.append([read_number(d, decimals) for d in vals])
     return tuple(lists)
 
 
@@ -199,7 +186,7 @@ def report_to_obj(rep, mode=EXACT):
     }
 
 
-def density_from_obj(obj, mode=EXACT, allow_inexact=False):
+def density_from_obj(obj, decimals=False):
     """A density is either a step spec or a PL function spec.
 
     step: {"kind": "step", "knots": [t0..tm], "values": [v1..vm]}
@@ -209,11 +196,11 @@ def density_from_obj(obj, mode=EXACT, allow_inexact=False):
         raise InputError(f"a density must be an object, not {obj!r}")
     if obj.get("kind") == "step":
         try:
-            knots = [read_number(t, mode, allow_inexact) for t in obj["knots"]]
-            values = [read_number(v, mode, allow_inexact) for v in obj["values"]]
+            knots = [read_number(t, decimals) for t in obj["knots"]]
+            values = [read_number(v, decimals) for v in obj["values"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad step density: {exc}") from exc
         if len(knots) != len(values) + 1:
             raise InputError("step density needs one more knot than values")
         return ("step", knots, values)
-    return ("pl", function_from_obj(obj, mode, allow_inexact))
+    return ("pl", function_from_obj(obj, decimals))

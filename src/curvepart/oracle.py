@@ -6,11 +6,16 @@ ordinate targets along the curve and returns the mismatch at the final
 wrap; zeros of that residual are partitions.  Solutions are always
 compared through the verifier, never by point equality.
 
+`_chase` is the one chase loop: it places k free points and chases the
+rest of a shift-k relation system.  closure_shot runs it at k = 1, and
+the explorer at every shift.  `_float_residual` is the same chase
+reduced to its residual, the hot path of the grid sweep.
+
 brute_force converts the curve to floats once per call and streams its
 grid: each grid point costs one float chase and O(1) memory, since only
 the previous point's residual is kept.  Bisection of a sign change chases
-on the same float residual; a full shot, with its point sequence, is built
-only for the root it returns.
+on the same float copy; a full shot, with its point sequence and its own
+copy of the curve, is built only for the root it returns.
 """
 
 from bisect import bisect_left, bisect_right
@@ -109,12 +114,9 @@ class _Chaser:
     rationals and for plain floats alike."""
 
     def __init__(self, curve, float_mode=False):
-        if float_mode:
-            self.knots = [as_float(t) for t in curve.knots]
-            self.verts = [(as_float(x), as_float(y)) for x, y in curve.vertices]
-        else:
-            self.knots = list(curve.knots)
-            self.verts = list(curve.vertices)
+        self.conv = conv = as_float if float_mode else rat
+        self.knots = [conv(t) for t in curve.knots]
+        self.verts = [(conv(x), conv(y)) for x, y in curve.vertices]
 
     def at(self, t):
         ks = self.knots
@@ -154,6 +156,32 @@ class _Chaser:
         return None
 
 
+def _chase(ch, frees, k, s, branches=()):
+    """The points A_0..A_s of one chase of the shift-k relations
+    dy_j = dx_{j-k}: A_0 = (0,0), A_1..A_k at the free parameters,
+    A_{k+1}..A_{s-1} forced by the relations j = k..s-2, and A_s = (1,1).
+    The relations j = s-1 and j = 0..k-2 are left to the caller.  Step j
+    takes the earliest ordinate hit after the previous point, skipping
+    branches[j-k] earlier ones.  Returns (points, None), or the points so
+    far and the first ordinate target with no hit."""
+    zero = ch.conv(0)
+    pts = [(zero, zero)]
+    cursor = zero
+    for t in frees:
+        pts.append(ch.at(t))
+        cursor = t
+    for j in range(k, s - 1):
+        target = pts[-1][1] + (pts[j - k + 1][0] - pts[j - k][0])
+        skip = branches[j - k] if j - k < len(branches) else 0
+        cursor = ch.first_ordinate_hit(target, cursor, skip)
+        if cursor is None:
+            return pts, target
+        pts.append(ch.at(cursor))
+    one = ch.conv(1)
+    pts.append((one, one))
+    return pts, None
+
+
 def closure_shot(curve, n, t1, float_mode=False, branches=()):
     """Build the chased point sequence from the free parameter t1.
 
@@ -164,27 +192,13 @@ def closure_shot(curve, n, t1, float_mode=False, branches=()):
     occurrences, selecting a different solution branch.
     """
     ch = _Chaser(curve, float_mode)
-    conv = as_float if float_mode else rat
-    t = conv(t1)
-    one = conv(1)
-    pts = [(conv(0), conv(0))]
-    x, y = ch.at(t)
-    pts.append((x, y))
-    cursor = t
-    for i in range(1, n + 1):
-        target = pts[-1][1] + (pts[-1][0] - pts[-2][0])
-        skip = branches[i - 1] if i - 1 < len(branches) else 0
-        nxt = ch.first_ordinate_hit(target, cursor, skip)
-        if nxt is None:
-            side = 1 if target > pts[-1][1] else -1
-            return ShotOutcome(residual=None, feasible=False, side=side,
-                               points=tuple(pts))
-        cursor = nxt
-        x, y = ch.at(nxt)
-        pts.append((x, y))
+    pts, missed = _chase(ch, (ch.conv(t1),), 1, n + 2, branches)
+    if missed is not None:
+        side = 1 if missed > pts[-1][1] else -1
+        return ShotOutcome(residual=None, feasible=False, side=side,
+                           points=tuple(pts))
     # the wrap forces one more ordinate step of size dx_n ending at (1,1)
-    residual = one - pts[-1][1] - (pts[-1][0] - pts[-2][0])
-    pts.append((one, one))
+    residual = pts[-1][1] - pts[-2][1] - (pts[-2][0] - pts[-3][0])
     return ShotOutcome(residual=residual, feasible=True, points=tuple(pts))
 
 
@@ -260,7 +274,7 @@ def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6)):
     results = []
     for branches, t0, t1, r0 in _sign_changes(ch, n, grid,
                                               _branch_vectors(curve, n)):
-        root = _bisect_shot(curve, n, t0, t1, r0, BISECT_STEPS, branches)
+        root = _bisect_shot(curve, ch, n, t0, t1, r0, branches)
         if root is not None:
             results.append(root)
 
@@ -291,13 +305,14 @@ def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6)):
     return out
 
 
-def _bisect_shot(curve, n, lo, hi, f_lo, steps, branches=()):
+def _bisect_shot(curve, ch, n, lo, hi, f_lo, branches=()):
     """(t, shot) at the last feasible midpoint of a bisection of [lo, hi],
-    or None.  The bisection reads `_float_residual` of one float copy of
-    the curve; the full closure_shot is built only for the returned t."""
-    ch = _Chaser(curve, float_mode=True)
+    or None.  The bisection reads `_float_residual` of ch, the caller's
+    float copy of the curve; the full closure_shot is built only for the
+    returned t.  It stops once the midpoint no longer moves, within about
+    55 halvings of a bracket of width 1/grid, well inside BISECT_STEPS."""
     best = mid = None
-    for _ in range(steps):
+    for _ in range(BISECT_STEPS):
         prev, mid = mid, (lo + hi) / 2
         if mid == prev:  # float resolution: lo, hi and best stay fixed
             break

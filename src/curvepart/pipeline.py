@@ -315,9 +315,11 @@ def _diagonal_tail_result(x_fun, tail_start, s_total):
 def _boundary_join_solve(eta, s_eta, tol):
     """Cut at the last zero of the height, join a segment from the origin,
     and accept the first join whose solution snaps onto the tail curve
-    within tol.  Each cut is recorded in boundary_joins; a cut is skipped
-    when the joined curve leaves the lower triangle or its snapped points
-    do not increase.  residual_history keeps the best residual so far."""
+    within tol.  After that zero the tail keeps 0 < y < x < 1, and so
+    does the segment from the origin, so every joined curve lies in the
+    lower triangle.  Each cut is recorded in boundary_joins; a cut is
+    skipped when its snapped points do not increase.  residual_history
+    keeps the best residual so far."""
     y_fun = eta.y_function()
     zeros = [hi for lo, hi in level_set(y_fun, ZERO) if 0 < hi < 1]
     if not zeros:
@@ -338,10 +340,7 @@ def _boundary_join_solve(eta, s_eta, tol):
         verts = [(ZERO, ZERO), eta(t_k)] + [eta(t) for t in tail_knots] + [
             (ONE, ONE)
         ]
-        joined = PLCurve(knots, verts)
-        if not is_lower_triangle_interior(joined):
-            continue
-        res = partition_below_diagonal(joined, s_eta - 2)
+        res = partition_below_diagonal(PLCurve(knots, verts), s_eta - 2)
         snapped = []
         any_snapped = False
         for p in res.points:
@@ -371,18 +370,18 @@ def _boundary_join_solve(eta, s_eta, tol):
 
 def _assemble(eta_res, last_touch, anchor, swapped):
     """The one map from the tail frame back to the input.  A swapped solve
-    is mirrored (shift k becomes -k mod S; the trace keeps these points as
-    solver_frame_points), then a normalized tail is scaled back behind its
-    diagonal increment, which stays first.  A permutation that fixes index
-    0 is a cyclic shift only when it is the identity, so the result is
-    shift 0 when k is 0 (only the one-increment tail) and else the perm."""
+    is mirrored (shift k becomes -k mod S), then a normalized tail is
+    scaled back behind its diagonal increment, which stays first.  The
+    trace keeps the solve's own points, below the diagonal, as
+    solver_frame_points.  A permutation that fixes index 0 is a cyclic
+    shift only when it is the identity, so the result is shift 0 when k
+    is 0 (only the one-increment tail) and else the perm."""
     pts = eta_res.points
     k = eta_res.rearrangement.shift
     if swapped:
         pts = tuple((y, x) for x, y in pts)
         k = -k % eta_res.S
     rearr = Rearrangement(shift=k)
-    frame_pts = pts
     if last_touch != 0:
         scale = ONE - anchor
         pts = ((ZERO, ZERO),) + tuple(
@@ -400,7 +399,7 @@ def _assemble(eta_res, last_touch, anchor, swapped):
             residual_history=eta_res.trace.residual_history,
             anchor=anchor,
             swapped=swapped,
-            solver_frame_points=frame_pts,
+            solver_frame_points=eta_res.points,
         ),
     )
 

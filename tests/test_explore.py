@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -194,3 +195,35 @@ class TestBatch:
         assert rec["seed"] == 3 and rec["theta"] == {"size": 3, "shift": 1}
         summary = json.loads((tmp_path / "trials.jsonl.summary.json").read_text())
         assert summary["counts"]["error"] == 1
+
+
+class TestExplorerGolden:
+    """Golden bytes of the explorer: the digest of a batch log, wallTime
+    dropped, over both bounded curve classes, n 1-3 and shifts 0-3.  It
+    reaches every search: the diagonal level set (shift 0), the oracle's
+    chase and bisection (shift 1), and the coarse grid and its polish
+    (shifts 2 and 3), with found and notFound outcomes."""
+
+    CONFIG = {
+        "seeds": {"start": 0, "count": 4},
+        "curves": [{"vertices": 5, "class": "deltaInterior"},
+                   {"vertices": 6, "class": "interior"}],
+        "n": [1, 2, 3],
+        "shifts": [0, 1, 2, 3],
+        "grid": 200,
+        "tol": "1/1000000",
+    }
+    SHA256 = "e750cdc7476e3c11e02a9c9e937a09781ee3ff5504251bfbb57b094312f96fa9"
+
+    def test_batch_bytes(self, tmp_path):
+        log = tmp_path / "trials.jsonl"
+        batch(self.CONFIG, str(log))
+        rows = []
+        for line in log.read_text().splitlines():
+            rec = json.loads(line)
+            rec.pop("wallTime")
+            rows.append(rec)
+        assert len(rows) == 4 * 2 * (2 + 3 + 4)
+        assert {r["outcome"] for r in rows} == {"found", "notFound"}
+        text = json.dumps(rows, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256

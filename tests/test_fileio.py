@@ -23,11 +23,10 @@ def test_number_round_trip_exact():
 
 def test_exact_mode_rejects_decimals():
     with pytest.raises(InputError):
-        read_number(("decimal", "0.25"), mode="exact")
-    assert read_number(("decimal", "0.25"), mode="exact",
-                       allow_inexact=True) == R(1, 4)
+        read_number(("decimal", "0.25"))
+    assert read_number(("decimal", "0.25"), decimals=True) == R(1, 4)
     # decimals are read literally, not through binary floating point
-    assert read_number(("decimal", "0.1"), mode="float") == R(1, 10)
+    assert read_number(("decimal", "0.1"), decimals=True) == R(1, 10)
 
 
 def test_integer_numbers_accepted():

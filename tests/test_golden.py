@@ -30,7 +30,7 @@ from curvepart.plcurve import point_on_curve
 from curvepart.scalar import rat as R
 
 GOLDEN_SHA256 = (
-    "cd370eb014f588c0920e098e51855bedeb499c478465e9b3a341ae6111f72d5a")
+    "7db5b31c68b51d9eb202e9c17753f9e54d8de0d69301dfa1104df2d14df0c2be")
 
 BELOW = PLCurve([0, R(1, 2), 1], [(0, 0), (R(3, 4), R(1, 4)), (1, 1)])
 BELOW_WIGGLE = PLCurve(

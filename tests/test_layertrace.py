@@ -1,8 +1,9 @@
 """The benchmark's layer trace (curvebench/layertrace.py) wraps curvepart
-functions by module and name, and its hooks read the results.  A rename or
-a changed result type breaks only traced benchmark runs (exit 3, or an
-error inside a hook); these checks make the plain test run catch it.  The
-file is loaded by path and only read."""
+functions by module and name, and its hooks read the results.  A rename, a
+changed result type or a dropped call breaks only traced benchmark runs
+(exit 3, or an error inside a hook); these checks make the plain test run
+catch it, with one traced op per benchmark workload kind.  The file is
+loaded by path and only read."""
 
 import importlib
 import importlib.util
@@ -12,6 +13,9 @@ from pathlib import Path
 import pytest
 
 from curvepart import oracle, pipeline, random_curve
+from curvepart.scalar import rat
+
+from test_pipeline import DIPPING_TAIL
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "curvebench" / "layertrace.py"
 
@@ -44,15 +48,48 @@ def test_partitioning_functions_hook_reads_y_and_xs(layertrace):
     assert stats["scalar.pf_den_bits_max"] == bits
 
 
-def test_traced_solve_records_every_solve_target(layertrace):
-    # one below-diagonal solve plus the harness's verify, as a benchmark op
-    curve = random_curve(1, vertices=6)
+def _traced(layertrace, fn, *args):
+    """Tracer and result of one traced op."""
     tracer = layertrace.Tracer("curvepart")
     tracer.install()
     try:
-        res = tracer.run_op(0, pipeline.partition_curve, curve, 4)
-        assert oracle.verify(curve, res.points).ok
+        return tracer, tracer.run_op(0, fn, *args)
     finally:
         tracer.uninstall()
+
+
+def _solve_and_verify(curve, n, tol):
+    # a solve op as the benchmark runs it: the solve, then the verify
+    res = pipeline.partition_curve(curve, n, tol=tol)
+    assert oracle.verify(curve, res.points, tol=0 if res.exact else tol).ok
+    return res
+
+
+def test_traced_solve_records_every_solve_target(layertrace):
+    # one below-diagonal solve
+    tracer, _ = _traced(layertrace, _solve_and_verify,
+                        random_curve(1, vertices=6), 4, pipeline.DEFAULT_TOL)
     tracer.check_bindings("deep-induction")
     assert tracer.stats["scalar.pf_den_bits_max"] > 0
+
+
+def test_traced_join_records_every_join_target(layertrace):
+    # the tail's join accepts its fifth cut; the rejected ones snap points
+    # onto the tail, and every cut's solve climbs
+    tracer, res = _traced(layertrace, _solve_and_verify,
+                          DIPPING_TAIL, 4, rat(1, 10**9))
+    assert len(res.trace.boundary_joins) > 1
+    tracer.check_bindings("interior-joins")
+
+
+def _sweep(curve, n, grid):
+    # looked up at call time, as the benchmark's op does, so the traced
+    # binding runs
+    return oracle.brute_force(curve, n, grid=grid)
+
+
+def test_traced_sweep_records_every_oracle_target(layertrace):
+    tracer, res = _traced(layertrace, _sweep,
+                          random_curve(4, vertices=4), 1, 200)
+    assert res
+    tracer.check_bindings("oracle-sweep")

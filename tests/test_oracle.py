@@ -178,7 +178,8 @@ class TestShotConsistency:
             prev = (t, r) if r is not None else None
         assert crossings >= 1
         lo, hi, r_lo = bracket
-        t_root, shot = _bisect_shot(BENT, 1, lo, hi, r_lo, 60)
+        ch = _Chaser(BENT, float_mode=True)
+        t_root, shot = _bisect_shot(BENT, ch, 1, lo, hi, r_lo)
         # the exact residual vanishes at 5/18 (test_zero_at_known_solution)
         assert abs(t_root - R(5, 18)) < 1e-12
         assert shot.feasible
@@ -194,10 +195,11 @@ SWEEP_CURVES = [
 ]
 
 
-def ref_brute_force(curve, n, grid=10_000, tol=rat(1, 10**6), refine_steps=80):
+def ref_brute_force(curve, n, grid=10_000, tol=rat(1, 10**6)):
     """The per-shot sweep brute_force ran before it streamed the grid: one
     closure_shot, with its own float copy of the curve, per grid point."""
     tol_f = as_float(tol)
+    ch = _Chaser(curve, float_mode=True)
     results = []
     for branches in _branch_vectors(curve, n):
         prev = None
@@ -217,8 +219,8 @@ def ref_brute_force(curve, n, grid=10_000, tol=rat(1, 10**6), refine_steps=80):
                     and shot.residual is not None
                     and (s0.residual < 0) != (shot.residual < 0)
                 ):
-                    root = _bisect_shot(curve, n, t0, t, s0.residual,
-                                        refine_steps, branches)
+                    root = _bisect_shot(curve, ch, n, t0, t, s0.residual,
+                                        branches)
                     if root is not None:
                         results.append(root)
             prev = cur
@@ -290,11 +292,20 @@ class TestStreamedSweep:
                 built.append(args)
                 super().__init__(*args, **kwargs)
 
+        shots = []
+        closure_shot = oracle.closure_shot
+
+        def counting_shot(*args, **kwargs):
+            shots.append(args)
+            return closure_shot(*args, **kwargs)
+
         monkeypatch.setattr(oracle, "_Chaser", CountingChaser)
-        grid = 2000
-        assert brute_force(BENT, 1, grid=grid)
-        # bisection still builds one per closure_shot, a few hundred at most
-        assert len(built) < grid // 4
+        monkeypatch.setattr(oracle, "closure_shot", counting_shot)
+        assert brute_force(BENT, 1, grid=2000)
+        # the sweep and every bisection share one copy; each closure_shot,
+        # built once per bisected root, makes its own
+        assert shots
+        assert len(built) == 1 + len(shots)
 
 
 def _curve_of_width(width):

@@ -334,13 +334,19 @@ class TestPartitionCurve:
         c = PLCurve([0, R(1, 4), R(1, 2), R(3, 4), 1],
                     [(0, 0), (R(1, 5), R(2, 5)), (R(1, 2), R(1, 2)),
                      (R(4, 5), R(3, 5)), (1, 1)])
-        res = partition_curve(c, 2)
-        a = res.trace.anchor
-        mapped = [((x - a) / (1 - a), (y - a) / (1 - a))
-                  for x, y in res.points[1:]]
-        if res.trace.swapped:
-            mapped = [(y, x) for x, y in mapped]
-        assert tuple(mapped) == res.trace.solver_frame_points
+        # the tail after the touch rides above the diagonal
+        swapped = TestAssembleAndMembership.TOUCHING_ABOVE
+        for curve, is_swapped in ((c, False), (swapped, True)):
+            res = partition_curve(curve, 2)
+            assert res.trace.swapped == is_swapped
+            a = res.trace.anchor
+            mapped = [((x - a) / (1 - a), (y - a) / (1 - a))
+                      for x, y in res.points[1:]]
+            if res.trace.swapped:
+                mapped = [(y, x) for x, y in mapped]
+            assert tuple(mapped) == res.trace.solver_frame_points
+            # the solver's frame lies below the diagonal
+            assert all(y < x for x, y in mapped[1:-1])
 
 
 class TestAssembleAndMembership:
@@ -380,6 +386,8 @@ class TestAssembleAndMembership:
             res = partition_curve(c, 3)
             joined += bool(res.trace.boundary_joins)
             assert all(point_on_curve(c, p) for p in res.points), seed
+            # no accepted join snaps: every result is exact
+            assert res.exact and res.residual == 0, seed
         assert joined
 
     def test_inexact_point_off_the_curve_rejected(self):
