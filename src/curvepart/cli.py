@@ -20,7 +20,7 @@ from .errors import (
     InputError,
     PreconditionError,
 )
-from .scalar import as_float, parse_rational
+from .scalar import as_float, parse_tolerance
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -103,10 +103,9 @@ def _write_output(obj, path):
 
 def _cmd_partition(args):
     curve = fileio.curve_from_obj(fileio.load_json(args.input), args.decimals)
-    tol = parse_rational(args.tol)
-    res = pipeline.partition_curve(curve, args.n, tol=tol)
+    res = pipeline.partition_curve(curve, args.n, tol=args.tol)
     rep = oracle.verify(curve, res.points,
-                        tol=0 if res.exact else tol)
+                        tol=0 if res.exact else args.tol)
     obj = fileio.result_to_obj(res, args.mode)
     obj["verify"] = fileio.report_to_obj(rep, args.mode)
     _write_output(obj, args.output)
@@ -159,8 +158,7 @@ def _cmd_verify(args):
     curve = fileio.curve_from_obj(fileio.load_json(args.input), args.decimals)
     pts = fileio.result_points_from_obj(fileio.load_json(args.points),
                                         args.decimals)
-    tol = parse_rational(args.tol)
-    rep = oracle.verify(curve, pts, tol=tol)
+    rep = oracle.verify(curve, pts, tol=args.tol)
     _write_output(fileio.report_to_obj(rep, args.mode), args.output)
     return EXIT_OK if rep.ok else EXIT_CONVERGENCE
 
@@ -171,8 +169,7 @@ def _cmd_densities(args):
         raise InputError("densities input must be {'f': ..., 'g': ...}")
     dens_f = fileio.density_from_obj(doc["f"], args.decimals)
     dens_g = fileio.density_from_obj(doc["g"], args.decimals)
-    tol = parse_rational(args.tol)
-    out = pipeline.partition_densities(dens_f, dens_g, args.n, tol=tol)
+    out = pipeline.partition_densities(dens_f, dens_g, args.n, tol=args.tol)
     obj = {
         "parameters": [fileio.write_number(t, args.mode)
                        for t in out.parameters],
@@ -231,6 +228,8 @@ def run(argv):
     args.decimals = (getattr(args, "mode", None) == fileio.FLOAT
                      or getattr(args, "allow_inexact", False))
     try:
+        if hasattr(args, "tol"):
+            args.tol = parse_tolerance(args.tol)
         return _COMMANDS[args.command](args)
     except InputError as exc:
         _emit_error("input", exc)

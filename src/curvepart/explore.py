@@ -4,7 +4,8 @@ Searches for point sequences whose increment sequences match under an
 arbitrary cyclic shift (not just shift-by-one), and for partitions of
 curves that leave the unit square.  Everything here is float-mode and
 exploratory: notFound at a finite grid proves nothing, and the records
-say so.
+say so.  It needs no optional dependency (shifts >= 2 are polished by
+Newton's method written here), so a batch log is the same on every install.
 """
 
 import json
@@ -15,13 +16,18 @@ from itertools import combinations
 
 from .errors import InputError, PreconditionError
 from .fileio import FLOAT, curve_to_obj
-from .oracle import _bisect_shot, _chase, _Chaser, _sign_changes, verify
+from .oracle import _bisect_shot, _chase, _Chaser, _sign_changes
 from .pipeline import _shift_residual, increments
 from .plcurve import PLCurve
-from .scalar import ONE, ZERO, as_float, rat
+from .scalar import ONE, ZERO, as_float, parse_tolerance, rat
 
 CURVE_CLASSES = ("deltaInterior", "interior", "planar")
 _DENOM = 2**20
+# Newton polish for shifts >= 2: iterates per start (the start included),
+# starts from the best coarse combos, and the Jacobian's difference step
+NEWTON_STEPS = 12
+NEWTON_STARTS = 8
+_JAC_STEP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -147,8 +153,8 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
 
     shift 1 is exactly the wrap-chase of the brute-force oracle; shift 0
     looks for level crossings of y - x; shifts >= 2 sweep a coarse grid
-    over the free points and polish with a local root finder.  Outcomes
-    are recorded honestly: notFound is evidence, never disproof.
+    over the free points and polish the best few with Newton's method.
+    Outcomes are recorded honestly: notFound is evidence, never disproof.
     """
     start = time.perf_counter()
     s = n + 1
@@ -177,13 +183,11 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
     outcome = "notFound"
     points = ()
     if found_pts is not None:
-        rep = verify(curve, found_pts, tol)
+        # float differences have the signs of the exact ones
         dx, dy = increments(found_pts)
-        if rep.increments_positive and _shift_residual(dx, dy, k) <= tol_f:
+        if all(d > 0 for d in dx + dy) and _shift_residual(dx, dy, k) <= tol_f:
             outcome = "found"
             points = tuple(found_pts)
-        else:
-            found_pts = None
     return TrialRecord(
         seed=seed,
         curve_spec={},
@@ -197,42 +201,63 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
     )
 
 
-def _search_high_shift(curve, s, k, grid, tol_f):
-    try:
-        from scipy.optimize import root
-    except ImportError:  # pragma: no cover
-        root = None
-    ch = _Chaser(curve, float_mode=True)
+def _solve_linear(a, b):
+    """x with a x = b by Gauss-Jordan elimination with partial pivoting;
+    None when a is singular."""
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    for c in range(len(rows)):
+        p = max(range(c, len(rows)), key=lambda i: abs(rows[i][c]))
+        if rows[p][c] == 0:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in rows:
+            if r is not rows[c]:
+                f = r[c] / rows[c][c]
+                r[:] = [v - f * w for v, w in zip(r, rows[c])]
+    return [r[-1] / r[c] for c, r in enumerate(rows)]
 
-    def residual_vec(frees):
-        res, _ = _theta_residuals(s, k, list(frees), ch)
+
+def _newton(s, k, frees, ch, tol_f):
+    """Newton's method on the wrap mismatches of _theta_residuals from the
+    free parameters frees: (points, score) of the first iterate within
+    tol_f, or None.  The chase is affine in the frees on each cell, so a
+    step that stays in its cell lands on the root."""
+    for _ in range(NEWTON_STEPS):
+        res, pts = _theta_residuals(s, k, frees, ch)
         if res is None:
-            return [1.0 + abs(f) for f in frees]
-        return res
+            return None
+        score = max(abs(r) for r in res)
+        if score <= tol_f:
+            return pts, score
+        moved = [_theta_residuals(s, k, frees[:i] + [f + _JAC_STEP]
+                                  + frees[i + 1:], ch)[0]
+                 for i, f in enumerate(frees)]
+        if None in moved:
+            return None
+        cols = [[(b - a) / _JAC_STEP for a, b in zip(res, m)] for m in moved]
+        step = _solve_linear(list(zip(*cols)), res)
+        if step is None:
+            return None
+        frees = [f - d for f, d in zip(frees, step)]
+    return None
 
+
+def _search_high_shift(curve, s, k, grid, tol_f):
+    """Score a coarse grid of the k free parameters by their largest wrap
+    mismatch, then run Newton from the best few combos in score order."""
+    ch = _Chaser(curve, float_mode=True)
     coarse = max(8, int(round(grid ** (1.0 / k))))
-    best = None
+    scored = []
     for idx in combinations(range(1, coarse), k):
         combo = [g / coarse for g in idx]
-        res, pts = _theta_residuals(s, k, combo, ch)
-        if res is None:
-            continue
-        score = max(abs(r) for r in res)
-        if best is None or score < best[0]:
-            best = (score, combo, pts)
-    if best is None:
-        return None, None
-    score, combo, pts = best
-    if score <= tol_f:
-        return pts, score
-    if root is not None:
-        sol = root(residual_vec, combo, method="hybr")
-        if sol.success:
-            res, pts = _theta_residuals(s, k, list(sol.x), ch)
-            if res is not None:
-                score = max(abs(r) for r in res)
-                if score <= tol_f:
-                    return pts, score
+        res, _ = _theta_residuals(s, k, combo, ch)
+        if res is not None:
+            scored.append((max(abs(r) for r in res), combo))
+    scored.sort(key=lambda sc: sc[0])
+    for _, combo in scored[:NEWTON_STARTS]:
+        hit = _newton(s, k, combo, ch, tol_f)
+        if hit is not None:
+            return hit
     return None, None
 
 
@@ -269,7 +294,8 @@ def batch(config, log_path):
     """Run the configured trial grid, appending one JSON record per line.
 
     Reruns skip every (seed, curve spec, n, shift) key already present in
-    the log, so interrupted batches resume without duplicates.  A summary
+    the log, so interrupted batches resume without duplicates; a last line
+    torn mid-write is dropped and its trial runs again.  A summary
     with found/notFound counts is written next to the log.
     """
     if not isinstance(config, dict):
@@ -299,24 +325,27 @@ def batch(config, log_path):
     grid = config.get("grid", 400)
     if not _is_int(grid) or grid < 1:
         raise InputError("grid must be a positive integer")
-    try:
-        tol = rat(str(config.get("tol", "1/1000000")))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"tol is not a number: {exc}") from exc
+    tol = parse_tolerance(config.get("tol", "1/1000000"))
 
     done = set()
     try:
-        with open(log_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if "outcome" in rec:
-                    done.add(_trial_key(rec["seed"], rec["curveSpec"],
-                                        rec["n"], rec["theta"]["shift"]))
+        with open(log_path, "rb+") as fh:
+            data = fh.read()
+            # cut off a torn final write (no newline); its trial runs again
+            data = data[:data.rfind(b"\n") + 1]
+            fh.truncate(len(data))
     except FileNotFoundError:
-        pass
+        data = b""
+    for number, line in enumerate(data.splitlines(), 1):
+        try:
+            rec = json.loads(line) if line.strip() else {}
+            if "outcome" in rec:
+                done.add(_trial_key(rec["seed"], rec["curveSpec"],
+                                    rec["n"], rec["theta"]["shift"]))
+        except (ValueError, TypeError, KeyError):
+            rec = None
+        if not isinstance(rec, dict):
+            raise InputError(f"{log_path} line {number} is not a trial record")
 
     counts = {"found": 0, "notFound": 0, "error": 0, "skipped": 0}
     with open(log_path, "a") as fh:

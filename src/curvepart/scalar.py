@@ -42,6 +42,14 @@ def parse_rational(text):
         raise InputError(f"not a rational number: {text!r}") from exc
 
 
+def parse_tolerance(text):
+    """parse_rational for a tolerance, which must not be negative."""
+    tol = parse_rational(text)
+    if tol < 0:
+        raise InputError(f"tolerance must not be negative: {text!r}")
+    return tol
+
+
 def format_rational(x):
     """Canonical "p/q" text, always with an explicit denominator."""
     x = rat(x)

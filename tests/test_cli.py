@@ -218,6 +218,23 @@ def test_tol_not_an_option(tmp_path, capsys, command):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["partition", "verify", "densities"])
+def test_negative_tol_exit_1(tmp_path, capsys, bent_file, command):
+    # verify squares tol for its on-curve test, where -1 would act as 1
+    dens = tmp_path / "dens.json"
+    step = {"kind": "step", "knots": ["0/1", "1/1"], "values": ["1/1"]}
+    dump_json({"f": step, "g": step}, dens)
+    pts = tmp_path / "pts.json"
+    dump_json({"points": [["0/1", "0/1"], ["1/1", "1/1"]]}, pts)
+    argv = {"partition": ["--input", bent_file, "--n", "2"],
+            "verify": ["--input", bent_file, "--points", str(pts)],
+            "densities": ["--input", str(dens), "--n", "2"]}[command]
+    code = run([command, *argv, "--tol=-1"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "input" and "negative" in err["message"]
+
+
 class TestVerifyCommand:
     def test_round_trip(self, bent_file, tmp_path):
         out = tmp_path / "res.json"
@@ -312,6 +329,7 @@ class TestExploreAndPlot:
         '{"shifts": ["1"]}',           # shift entry not an int
         '{"curves": [{"vertices": "4"}]}',  # vertices not an int
         '{"tol": "abc"}',              # tol not a number
+        '{"tol": "-1"}',               # tol negative
         '{"grid": "x"}',               # grid not an int
     ))
     def test_explore_malformed_config_exit_1(self, tmp_path, capsys, text):

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
 from curvepart import (
     CyclicPermutation,
+    InputError,
     PLCurve,
     PreconditionError,
     batch,
@@ -14,6 +16,8 @@ from curvepart import (
     random_curve,
     verify,
 )
+from curvepart import explore
+from curvepart.pipeline import _shift_residual, increments
 from curvepart.plcurve import is_lower_triangle_interior, is_unit_interior
 from curvepart.scalar import rat
 
@@ -110,10 +114,54 @@ class TestConjectureSearch:
                 assert abs(dy[i] - dx[(i - 2) % (n + 1)]) <= float(tol)
         assert found >= 1
 
+    def test_fixed_high_shift_set(self):
+        # 500 trials: seeds 0-49, two curve classes, n 2-4, shifts 2-3.
+        # scipy's hybr polish from the best coarse combo found 318 of them
+        tol = R(1, 10**6)
+        found = 0
+        for seed in range(50):
+            for vertices, cls in ((5, "deltaInterior"), (6, "interior")):
+                c = random_curve(seed, vertices=vertices, curve_class=cls)
+                for n in (2, 3, 4):
+                    for shift in range(2, min(n, 3) + 1):
+                        rec = conjecture_search(
+                            c, n, CyclicPermutation(size=n + 1, shift=shift),
+                            grid=200, tol=tol)
+                        if rec.outcome != "found":
+                            continue
+                        found += 1
+                        dx, dy = increments(rec.points)
+                        assert all(d > 0 for d in dx + dy)
+                        assert _shift_residual(dx, dy, shift) <= float(tol)
+        assert found >= 318
+
     def test_theta_size_must_match(self):
         with pytest.raises(PreconditionError):
             conjecture_search(diagonal_curve(), 2,
                               CyclicPermutation(size=5, shift=1))
+
+
+class TestNewtonPolish:
+    def test_solve_linear_pivots(self):
+        # a zero on the diagonal needs a row swap
+        a = [[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [2.0, 0.0, 3.0]]
+        x = explore._solve_linear(a, [7.0, 3.0, 11.0])
+        assert x == pytest.approx([1.0, 2.0, 3.0])
+
+    def test_solve_linear_singular_is_none(self):
+        assert explore._solve_linear([[1.0, 2.0], [2.0, 4.0]],
+                                     [1.0, 2.0]) is None
+        assert explore._solve_linear([[0.0, 0.0], [0.0, 0.0]],
+                                     [1.0, 1.0]) is None
+
+    def test_singular_jacobian_ends_the_polish(self, monkeypatch):
+        # a residual that does not move with the free points has a zero
+        # Jacobian: every start gives up instead of raising
+        monkeypatch.setattr(explore, "_theta_residuals",
+                            lambda s, k, frees, ch: ([0.5] * k, ()))
+        c = random_curve(0, vertices=5, curve_class="deltaInterior")
+        assert explore._newton(4, 2, [0.25, 0.5], None, 1e-6) is None
+        assert explore._search_high_shift(c, 4, 2, 200, 1e-6) == (None, None)
 
 
 class TestBatch:
@@ -197,6 +245,37 @@ class TestBatch:
         assert summary["counts"]["error"] == 1
 
 
+    def test_torn_last_line_runs_again(self, tmp_path):
+        log = tmp_path / "trials.jsonl"
+        batch(self.CONFIG, str(log))
+        whole = log.read_bytes()
+        log.write_bytes(whole[:-40])
+        batch(self.CONFIG, str(log))
+        text = log.read_text()
+        assert text.endswith("\n")
+        rows = [json.loads(b) for b in text.splitlines()]
+        assert len(rows) == 4 * 2 * 2
+        for rec in rows:
+            rec.pop("wallTime")
+        reference = [json.loads(b) for b in whole.decode().splitlines()]
+        for rec in reference:
+            rec.pop("wallTime")
+        assert rows == reference
+        summary = json.loads((tmp_path / "trials.jsonl.summary.json").read_text())
+        assert summary["counts"]["skipped"] == len(rows) - 1
+
+    def test_corrupt_line_is_an_input_error(self, tmp_path):
+        # any line but a torn last one must be a trial record (or blank)
+        log = tmp_path / "trials.jsonl"
+        batch(self.CONFIG, str(log))
+        lines = log.read_text().splitlines(keepends=True)
+        for bad in ("[1, 2]", "{not json", '"outcome"', '{"outcome": "found"}'):
+            lines[2] = bad + "\n"
+            log.write_text("".join(lines))
+            with pytest.raises(InputError, match="line 3 "):
+                batch(self.CONFIG, str(log))
+
+
 class TestExplorerGolden:
     """Golden bytes of the explorer: the digest of a batch log, wallTime
     dropped, over both bounded curve classes, n 1-3 and shifts 0-3.  It
@@ -213,9 +292,19 @@ class TestExplorerGolden:
         "grid": 200,
         "tol": "1/1000000",
     }
-    SHA256 = "e750cdc7476e3c11e02a9c9e937a09781ee3ff5504251bfbb57b094312f96fa9"
+    SHA256 = "9c2d530555e6c5abdba19d3b59577363ed4ad8cb5bd324dd18885e84080c3d9a"
 
     def test_batch_bytes(self, tmp_path):
+        self.check_digest(tmp_path)
+
+    def test_batch_bytes_without_scipy(self, tmp_path, monkeypatch):
+        # the bytes do not depend on what else is installed
+        for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
+            monkeypatch.setitem(sys.modules, name, None)
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        self.check_digest(tmp_path)
+
+    def check_digest(self, tmp_path):
         log = tmp_path / "trials.jsonl"
         batch(self.CONFIG, str(log))
         rows = []
