@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from .errors import InternalInvariantError, PreconditionError
 from .plfun import (
     PLFunction,
-    compose_clamped,
+    clamp_to_unit,
+    compose,
     identity,
     level_set,
     pl_eval,
@@ -57,8 +58,8 @@ def chain_functions(f, n):
     gs = [identity()]
     for _ in range(n):
         prev = gs[-1]
-        fg = compose_clamped(f, prev)
-        pts = [(t, t - ONE + pl_eval(fg, t)) for t in fg.knots]
+        fg = compose(f, clamp_to_unit(prev))
+        pts = [(t, t - ONE + v) for t, v in fg.breakpoints]
         gs.append(PLFunction(pts))
     return gs
 

@@ -17,6 +17,7 @@ budget raises ConvergenceError.  The stages return results unchecked;
 `_final_verify` with every point exactly on the curve.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import climb
@@ -44,10 +45,10 @@ from .plfun import (
     compose,
     level_set,
     pl_add,
-    pl_compress_param,
     pl_eval,
     pl_scale_values,
     pl_sub,
+    pl_window,
 )
 from .scalar import ONE, ZERO, rat
 
@@ -154,7 +155,7 @@ def build_partitioning_functions(curve, n):
     y, xs = height, [width]
     for _ in range(1, n):
         w, t_stop = _closing_sum(xs[-1], y)
-        f2 = pl_compress_param(w, t_stop)
+        f2 = pl_window(w, ZERO, t_stop)
         sol = climb.solve(height, f2)
         inner = pl_scale_values(sol.g2, t_stop)
         y = compose(y, inner)
@@ -335,12 +336,10 @@ def _boundary_join_solve(eta, s_eta, tol):
     for k in range(1, JOIN_CUTS + 1):
         t_k = t_last + (ONE - t_last) / 2**k
         tried.append(t_k)
-        tail_knots = [t for t in eta.knots if t_k < t < 1]
-        knots = [ZERO, t_k] + tail_knots + [ONE]
-        verts = [(ZERO, ZERO), eta(t_k)] + [eta(t) for t in tail_knots] + [
-            (ONE, ONE)
-        ]
-        res = partition_below_diagonal(PLCurve(knots, verts), s_eta - 2)
+        i = bisect_right(eta.knots, t_k)
+        joined = PLCurve((ZERO, t_k) + eta.knots[i:],
+                         ((ZERO, ZERO), eta(t_k)) + eta.vertices[i:])
+        res = partition_below_diagonal(joined, s_eta - 2)
         snapped = []
         any_snapped = False
         for p in res.points:

@@ -1,16 +1,22 @@
 """Polyline curves in the plane over a strictly increasing knot sequence.
 
-Canonicalization only removes knots at which both coordinate graphs are
-collinear with their neighbors, so the curve is preserved as a *function*
+A curve is the pair of its canonical coordinate functions x(t) and y(t),
+and every operation that builds a curve works on those two.  A knot stays
+where either coordinate bends, so the curve is preserved as a *function*
 of the parameter, never just as a point set.
 
 Kernel costs, for curves a and b with m and k segments (each step is O(1)
 exact rational operations):
 
-- PLCurve(...): O(m); canonicalization tests x and then y with plfun's
-  integer collinearity test (`_collinear`), building no Fraction.
-- curve(t): O(log m), a bisection of the knots.
-- curve_from_functions(fx, fy): O(pieces(fx) + pieces(fy)), one merge-walk.
+- PLCurve(...): O(m); each coordinate function is built once, and one
+  walk keeps the input's own knots and vertices where either one bends.
+- x_function(), y_function(): O(1), the stored functions.
+- curve(t): O(log m), `pl_eval` of each coordinate.
+- curve_from_functions(fx, fy): O(pieces(fx) + pieces(fy)), one
+  merge-walk; the functions are stored as given, with no canonical pass.
+- swap_curve(curve): O(m), the two functions swapped.
+- normalize_tail(curve, t_cut): O(m), a `pl_window` and an affine map of
+  each function.
 - point_on_curve(curve, q): O(m) box tests; it stops at the first segment
   whose box holds q and whose line passes through q, without a division.
 - point_curve_distance_sq(curve, q): the same O(m) membership test first,
@@ -22,36 +28,29 @@ exact rational operations):
   it costs O(j k) box tests when that is a's j-th segment.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import DomainError, PreconditionError
-from .plfun import PLFunction, _collinear, _parts, union_knot_values
+from .errors import PreconditionError
+from .plfun import (
+    PLFunction,
+    pl_eval,
+    pl_scale_values,
+    pl_window,
+    union_knot_values,
+)
 from .scalar import ONE, ZERO, rat
-
-
-def _canonical(knots, verts):
-    """Drop interior knots at which both coordinates are collinear with
-    their neighbors; the kept knots and vertices are the input's own."""
-    out = []
-    parts = []  # parts[i] = (t, x, y) of out[i] as (numerator, denominator) pairs
-    for t, p in zip(knots, verts):
-        q = (_parts(t), _parts(p[0]), _parts(p[1]))
-        while len(out) >= 2:
-            (t0, x0, y0), (t1, x1, y1) = parts[-2], parts[-1]
-            if not (_collinear(t0, t1, q[0], x0, x1, q[1])
-                    and _collinear(t0, t1, q[0], y0, y1, q[2])):
-                break
-            out.pop()
-            parts.pop()
-        out.append((t, p))
-        parts.append(q)
-    return out
 
 
 @dataclass(frozen=True)
 class PLCurve:
-    """knots: strictly increasing parameters 0..1; vertices: matching points."""
+    """The curve t -> (x(t), y(t)) of two PL functions on [0, 1].
+
+    The coordinate functions are built once, and x_function() and
+    y_function() return them.  knots are the times where either one bends,
+    and vertices the points there: the input's own, at the input's own
+    knots.  Only knots and vertices are dataclass fields, so they alone
+    take part in ==, hash and repr.
+    """
 
     knots: tuple
     vertices: tuple
@@ -61,35 +60,42 @@ class PLCurve:
         vs = [(rat(x), rat(y)) for x, y in vertices]
         if len(ks) != len(vs):
             raise PreconditionError("knot and vertex counts differ")
-        if len(ks) < 2:
-            raise PreconditionError("a curve needs at least two vertices")
-        if ks[0] != 0 or ks[-1] != 1:
-            raise PreconditionError("knots must span t = 0 .. 1")
-        for a, b in zip(ks, ks[1:]):
-            if not a < b:
-                raise PreconditionError(f"knots not strictly increasing at t={b}")
-        pairs = _canonical(ks, vs)
-        object.__setattr__(self, "knots", tuple(t for t, _ in pairs))
-        object.__setattr__(self, "vertices", tuple(p for _, p in pairs))
+        fx = PLFunction(zip(ks, (p[0] for p in vs)))
+        fy = PLFunction(zip(ks, (p[1] for p in vs)))
+        # one walk over the input keeps each knot that fx or fy keeps
+        xk, yk = fx.knots, fy.knots
+        i = j = 0
+        kept = []
+        for t, p in zip(ks, vs):
+            on_x, on_y = t == xk[i], t == yk[j]
+            if on_x or on_y:
+                kept.append((t, p))
+            i += on_x
+            j += on_y
+        self._set(fx, fy, (t for t, _ in kept), (p for _, p in kept))
+
+    def _set(self, fx, fy, knots, vertices):
+        object.__setattr__(self, "knots", tuple(knots))
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "_x", fx)
+        object.__setattr__(self, "_y", fy)
+
+    @classmethod
+    def _of(cls, fx, fy, knots, vertices):
+        """The curve of fx and fy, whose knots and vertices the caller
+        already has: no validation and no canonical pass."""
+        curve = object.__new__(cls)
+        curve._set(fx, fy, knots, vertices)
+        return curve
 
     def __call__(self, t):
-        t = rat(t)
-        if t < 0 or t > 1:
-            raise DomainError(f"argument {t} outside [0,1]", witness=t)
-        ks, vs = self.knots, self.vertices
-        i = bisect_right(ks, t) - 1
-        t0, (x0, y0) = ks[i], vs[i]
-        if t == t0:  # always so at t = 1, the last knot
-            return (x0, y0)
-        t1, (x1, y1) = ks[i + 1], vs[i + 1]
-        w = (t - t0) / (t1 - t0)
-        return (x0 + (x1 - x0) * w, y0 + (y1 - y0) * w)
+        return pl_eval(self._x, t), pl_eval(self._y, t)
 
     def x_function(self):
-        return PLFunction(tuple(zip(self.knots, (p[0] for p in self.vertices))))
+        return self._x
 
     def y_function(self):
-        return PLFunction(tuple(zip(self.knots, (p[1] for p in self.vertices))))
+        return self._y
 
     def segments(self):
         """((t0, t1, p0, p1), ...) for each polyline piece."""
@@ -100,8 +106,11 @@ class PLCurve:
 
 
 def curve_from_functions(fx, fy):
+    """The curve (fx, fy); both are canonical, so every union knot is a
+    bend of one of them and the curve needs no canonical pass of its own."""
     rows = union_knot_values(fx, fy)
-    return PLCurve([t for t, _, _ in rows], [(x, y) for _, x, y in rows])
+    return PLCurve._of(fx, fy, [t for t, _, _ in rows],
+                       [(x, y) for _, x, y in rows])
 
 
 def diagonal_curve():
@@ -218,7 +227,9 @@ def curve_intersections(a, b, first=False):
         if first and (points or overlaps):
             break
 
-    merged = _merge_overlaps(overlaps)
+    # each overlap comes from its own segment pair, and intervals of
+    # positive length on both curves name that pair: none are equal
+    merged = sorted(overlaps, key=lambda ov: (ov.t_a[0], ov.t_a[1], min(ov.t_b)))
 
     def swallowed(ta, tb):
         # point hits inside a collinear overlap are reported by the overlap
@@ -233,13 +244,6 @@ def curve_intersections(a, b, first=False):
     items = sorted(out, key=lambda it: (it.t_a, it.t_b)) + merged
     items.sort(key=lambda it: it.t_a if isinstance(it, Intersection) else it.t_a[0])
     return items
-
-
-def _merge_overlaps(overlaps):
-    """Overlaps in order along `a`.  Each comes from its own segment pair,
-    and intervals of positive length on both curves name that pair, so no
-    two are equal and there is nothing to merge."""
-    return sorted(overlaps, key=lambda ov: (ov.t_a[0], ov.t_a[1], min(ov.t_b)))
 
 
 def _segment_nearest(q, p0, p1):
@@ -295,17 +299,13 @@ def _on_polyline(vs, q):
     return False
 
 
-def interior_vertices(curve):
-    return curve.vertices[1:-1]
-
-
 def is_unit_interior(curve):
     """True when the curve stays in the open unit square for t in (0,1).
 
     Assumes endpoints (0,0) and (1,1); by convexity a polyline violates
     interiority only at a vertex.
     """
-    for x, y in interior_vertices(curve):
+    for x, y in curve.vertices[1:-1]:
         if not (0 < x < 1 and 0 < y < 1):
             return False
     return True
@@ -317,7 +317,7 @@ def is_lower_triangle_interior(curve):
     A bare diagonal (no interior vertices) runs on the boundary y = x,
     so it does not qualify.
     """
-    verts = interior_vertices(curve)
+    verts = curve.vertices[1:-1]
     if not verts:
         return False
     for x, y in verts:
@@ -346,21 +346,17 @@ def normalize_tail(curve, t_cut):
     t_cut = rat(t_cut)
     if not 0 <= t_cut < 1:
         raise PreconditionError(f"cut parameter {t_cut} outside [0,1)")
-    cx, cy = curve(t_cut)
-    if cx != cy:
-        raise PreconditionError(f"curve({t_cut}) = ({cx}, {cy}) is off the diagonal")
-    a = cx
+    a, cy = curve(t_cut)
+    if a != cy:
+        raise PreconditionError(f"curve({t_cut}) = ({a}, {cy}) is off the diagonal")
     if a >= 1:
         raise PreconditionError("cut point must differ from (1,1)")
     scale = 1 / (ONE - a)
-    w = ONE - t_cut
-    ts = sorted({(t - t_cut) / w for t in curve.knots if t_cut < t < 1} | {ZERO, ONE})
-    verts = []
-    for t in ts:
-        x, y = curve(t_cut + t * w)
-        verts.append(((x - a) * scale, (y - a) * scale))
-    return PLCurve(ts, verts), a
+    fx, fy = (pl_scale_values(pl_window(f, t_cut, ONE), scale, -a * scale)
+              for f in (curve.x_function(), curve.y_function()))
+    return curve_from_functions(fx, fy), a
 
 
 def swap_curve(curve):
-    return PLCurve(curve.knots, [(y, x) for x, y in curve.vertices])
+    return PLCurve._of(curve.y_function(), curve.x_function(), curve.knots,
+                       [(y, x) for x, y in curve.vertices])

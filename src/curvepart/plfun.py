@@ -17,6 +17,9 @@ Kernel costs, for f with m pieces, g with k pieces and r result pieces
   t-order, taking their values from the outer breakpoints.
 - pl_combine(f, g, op) and union_knot_values(f, g): O(m + k), one
   merge-walk over the two sorted breakpoint lists.
+- pl_window(f, lo, hi): O(m); two evaluations for the ends, and f's own
+  breakpoint values in between.  The induction's compression of the
+  closing sum and `plcurve.normalize_tail` both use it.
 """
 
 from bisect import bisect_right
@@ -165,10 +168,6 @@ def compose(outer, inner):
     lo, hi = inner.range_bounds()
     if lo < 0 or hi > 1:
         raise DomainError(f"inner range [{lo}, {hi}] escapes [0,1]")
-    return _compose_unchecked(outer, inner)
-
-
-def _compose_unchecked(outer, inner):
     # The result breaks at every inner knot and wherever an inner piece
     # crosses an outer knot; a crossing takes that outer breakpoint's value.
     # One bisection per inner knot serves both its value and the crossings.
@@ -200,11 +199,6 @@ def _compose_unchecked(outer, inner):
         out.append((t, w))
         prev = (t, v, lo, hi)
     return PLFunction(out)
-
-
-def compose_clamped(outer, inner):
-    """outer(clamp(inner(t), 0, 1)); used when inner may over/undershoot."""
-    return _compose_unchecked(outer, clamp_to_unit(inner))
 
 
 def clamp_to_unit(f):
@@ -274,10 +268,17 @@ def pl_scale_values(f, c, offset=ZERO):
     return PLFunction([(t, c * v + offset) for t, v in f.breakpoints])
 
 
-def pl_compress_param(f, t_stop):
-    """g(t) = f(t_stop * t): squeeze the window [0, t_stop] onto [0, 1]."""
-    t_stop = rat(t_stop)
-    if not 0 < t_stop <= 1:
-        raise PreconditionError(f"compression point {t_stop} outside (0,1]")
-    ts = sorted({t / t_stop for t in f.knots if t < t_stop} | {ZERO, ONE})
-    return PLFunction([(t, pl_eval(f, t * t_stop)) for t in ts])
+def pl_window(f, lo, hi):
+    """g(t) = f(lo + (hi - lo) t): the window [lo, hi] spread onto [0, 1].
+
+    Inside the window g keeps f's own breakpoint values; only the two ends
+    are interpolated.
+    """
+    lo, hi = rat(lo), rat(hi)
+    if not 0 <= lo < hi <= 1:
+        raise PreconditionError(f"window [{lo}, {hi}] is not inside [0,1]")
+    w = hi - lo
+    pts = [(ZERO, pl_eval(f, lo))]
+    pts += [((t - lo) / w, v) for t, v in f.breakpoints if lo < t < hi]
+    pts.append((ONE, pl_eval(f, hi)))
+    return PLFunction(pts)

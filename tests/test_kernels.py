@@ -31,7 +31,6 @@ from curvepart import climb, oracle, pipeline, plcurve, plfun
 from curvepart.plcurve import (
     Intersection,
     _intersect_segments,
-    _merge_overlaps,
     curve_from_functions,
     curve_intersections,
     point_curve_distance_sq,
@@ -41,7 +40,7 @@ from curvepart.plcurve import (
 from curvepart.plfun import (
     compose,
     pl_combine,
-    pl_compress_param,
+    pl_window,
     pl_scale_values,
 )
 from curvepart.scalar import ONE, ZERO, rat
@@ -145,7 +144,7 @@ def ref_curve_intersections(a, b):
                     ub = (tb0 + u0 * (tb1 - tb0), tb0 + u1 * (tb1 - tb0))
                     overlaps.append(plcurve.Overlap(ta, ub, pt0, pt1))
 
-    merged = _merge_overlaps(overlaps)
+    merged = sorted(overlaps, key=lambda ov: (ov.t_a[0], ov.t_a[1], min(ov.t_b)))
 
     def swallowed(ta, tb):
         for ov in merged:
@@ -383,13 +382,31 @@ def test_compress_param_moves_into_inner_scale():
         w = rand_fun(rng, rng.randint(1, 8))
         g = rand_fun(rng, rng.randint(1, 8))
         t_stop = rat(rng.randint(1, 64), 64)
-        assert (compose(pl_compress_param(w, t_stop), g)
+        assert (compose(pl_window(w, 0, t_stop), g)
                 == compose(w, pl_scale_values(g, t_stop)))
         f, d = _flat_and_falling(w, g)
         flat, falling = flat + f, falling + d
         on_knot += t_stop in w.knots
         off_knot += t_stop not in w.knots
     assert flat and falling and on_knot and off_knot
+
+
+def test_window_matches_reference():
+    rng = random.Random(20)
+    inside = 0
+    for _ in range(300):
+        f = rand_fun(rng, rng.randint(1, 8))
+        lo, hi = sorted(rng.sample(range(65), 2))
+        lo, hi = rat(lo, 64), rat(hi, 64)
+        w = hi - lo
+        ts = {ZERO, ONE} | {(t - lo) / w for t in f.knots if lo < t < hi}
+        inside += len(ts) - 2
+        ref = PLFunction([(s, ref_pl_eval(f, lo + w * s)) for s in sorted(ts)])
+        assert pl_window(f, lo, hi) == ref
+    assert inside
+    for lo, hi in ((0, 0), (rat(1, 2), rat(1, 4)), (-1, 1), (0, 2)):
+        with pytest.raises(PreconditionError):
+            pl_window(f, lo, hi)
 
 
 def test_compose_is_associative():
@@ -423,6 +440,10 @@ def test_curve_from_functions_matches_reference():
         assert curve_from_functions(fx, fy) == ref_curve_from_functions(fx, fy)
 
 
+def _curve_points(curve):
+    return list(zip(curve.knots, curve.vertices))
+
+
 def test_canonical_matches_reference():
     rng = random.Random(14)
     dropped_fun = dropped_curve = 0
@@ -443,7 +464,7 @@ def test_canonical_matches_reference():
         dropped_fun += len(pts) - len(out)
         ws = vs if rng.random() < 0.5 else [rat(rng.randint(0, 2), 2) for _ in vs]
         ps = list(zip(vs, ws))
-        out = plcurve._canonical(ts, ps)
+        out = _curve_points(PLCurve(ts, ps))
         assert out == ref_curve_canonical(ts, ps)
         dropped_curve += len(ps) - len(out)
     assert dropped_fun and dropped_curve
@@ -461,7 +482,7 @@ def test_canonical_matches_reference():
         # y runs break elsewhere, so a knot goes only where both agree
         ws = vs if rng.random() < 0.3 else run_values(rng, ts)
         ps = list(zip(vs, ws))
-        out = plcurve._canonical(ts, ps)
+        out = _curve_points(PLCurve(ts, ps))
         assert out == ref_curve_canonical(ts, ps)
         dropped_curve += len(ps) - len(out)
     assert dropped_fun and dropped_curve
@@ -499,13 +520,15 @@ def test_canonical_does_no_rational_arithmetic():
         assert len(out) == len(keep)
         assert all(p is pts[i] for p, i in zip(out, keep))
 
-        ref = ref_curve_canonical(ts, list(zip(vs, ws)))
-        keep = [index[t] for t, _ in ref]
-        ks = [Opaque(t) for t in ts]
-        ps = [(Opaque(v), Opaque(w)) for v, w in zip(vs, ws)]
-        out = plcurve._canonical(ks, ps)
-        assert len(out) == len(keep)
-        assert all(t is ks[i] and p is ps[i] for (t, p), i in zip(out, keep))
+        # a curve keeps each knot that either coordinate's canonical form
+        # keeps, with the input's own knot and coordinate objects
+        qts = [(Opaque(t), Opaque(w)) for t, w in zip(ts, ws)]
+        at = {id(q): i for i, q in enumerate(qts)}
+        kept = set(keep) | {at[id(q)] for q in plfun._canonical(qts)}
+        curve = PLCurve(ts, list(zip(vs, ws)))
+        assert [index[t] for t in curve.knots] == sorted(kept)
+        assert all(t is ts[index[t]] and x is vs[index[t]] and y is ws[index[t]]
+                   for t, (x, y) in zip(curve.knots, curve.vertices))
     with pytest.raises(AssertionError):
         Opaque(1, 3) - Opaque(1, 5)
     with pytest.raises(AssertionError):

@@ -217,7 +217,7 @@ class TestPartitionBelowDiagonal:
         # so the walk meets a degenerate vertex; the climb engine must
         # still solve exactly, inside the pipeline and on its own
         from curvepart import solve
-        from curvepart.plfun import pl_compress_param
+        from curvepart.plfun import pl_window
         from curvepart.plfun import level_set as ls
 
         knots = [0, R(1, 8), R(1, 4), R(3, 8), R(1, 2), 1]
@@ -226,7 +226,7 @@ class TestPartitionBelowDiagonal:
         c = PLCurve(knots, list(zip(xs, ys)))
         y = c.y_function()
         w = pl_add(c.x_function(), y)
-        f2 = pl_compress_param(w, ls(w, 1)[0][0])
+        f2 = pl_window(w, 0, ls(w, 1)[0][0])
         assert fold_levels(y) & fold_levels(f2) == {R(1, 2)}
 
         res = partition_below_diagonal(c, 2)

@@ -12,12 +12,14 @@ from curvepart import (
     normalize_tail,
 )
 from curvepart.plcurve import (
+    curve_from_functions,
     is_lower_triangle_interior,
     is_unit_interior,
     point_curve_distance_sq,
     point_on_curve,
     swap_curve,
 )
+from curvepart.plfun import PLFunction
 from curvepart.scalar import rat
 
 from util import segment_pairs_hits
@@ -48,11 +50,35 @@ class TestConstruction:
         c = C([0, R(1, 2), 1], [(0, 0), (R(1, 2), R(1, 2)), (1, 1)])
         assert c == diagonal_curve()
 
+    def test_coordinate_functions_are_stored(self):
+        fx, fy = BENT.x_function(), BENT.y_function()
+        assert BENT.x_function() is fx and BENT.y_function() is fy
+        swapped = swap_curve(BENT)
+        assert swapped.x_function() is fy and swapped.y_function() is fx
+        joined = curve_from_functions(fy, fx)
+        assert joined.x_function() is fy and joined == swapped
+
+    def test_stored_functions_match_knots_and_vertices(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            m = rng.randint(1, 8)
+            ts = [R(0)] + sorted(R(k, 32) for k in rng.sample(range(1, 32), m - 1)) + [R(1)]
+            vs = [(R(0), R(0))] + [(R(rng.randint(1, 7), 8), R(rng.randint(1, 7), 8))
+                                   for _ in range(m - 1)] + [(R(1), R(1))]
+            c = C(ts, vs)
+            cut = normalize_tail(c, R(0))[0]
+            for curve in (c, swap_curve(c), cut):
+                fx = PLFunction(zip(curve.knots, (p[0] for p in curve.vertices)))
+                fy = PLFunction(zip(curve.knots, (p[1] for p in curve.vertices)))
+                assert curve.x_function() == fx and curve.y_function() == fy
+
     def test_rejects_bad_knots(self):
         with pytest.raises(PreconditionError):
             C([0, R(1, 2), R(1, 2), 1], [(0, 0), (0, 1), (1, 0), (1, 1)])
         with pytest.raises(PreconditionError):
             C([0, R(1, 2)], [(0, 0), (1, 1)])
+        with pytest.raises(PreconditionError):
+            C([0, R(1, 2), 1], [(0, 0), (1, 1)])
 
 
 class TestIntersections:

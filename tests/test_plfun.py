@@ -14,7 +14,7 @@ from curvepart import (
 from curvepart.plfun import (
     clamp_to_unit,
     pl_add,
-    pl_compress_param,
+    pl_window,
     pl_scale_values,
     pl_sub,
 )
@@ -149,7 +149,7 @@ class TestHelpers:
         assert pl_eval(g, R(1, 4)) == R(3, 4)
 
     def test_compress_param(self):
-        g = pl_compress_param(ZIGZAG, R(1, 3))
+        g = pl_window(ZIGZAG, 0, R(1, 3))
         assert eval_grid_equal(
             g, F((0, 0), (1, R(2, 3))), steps=64
         )
