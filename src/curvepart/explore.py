@@ -24,9 +24,11 @@ from .scalar import ONE, ZERO, as_float, parse_tolerance, rat
 CURVE_CLASSES = ("deltaInterior", "interior", "planar")
 _DENOM = 2**20
 # Newton polish for shifts >= 2: iterates per start (the start included),
-# starts from the best coarse combos, and the Jacobian's difference step
+# starts from the best coarse combos, halvings of a step that lands on an
+# infeasible iterate, and the Jacobian's difference step
 NEWTON_STEPS = 12
 NEWTON_STARTS = 8
+NEWTON_HALVINGS = 10
 _JAC_STEP = 1e-9
 
 
@@ -182,12 +184,9 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
 
     outcome = "notFound"
     points = ()
-    if found_pts is not None:
-        # float differences have the signs of the exact ones
-        dx, dy = increments(found_pts)
-        if all(d > 0 for d in dx + dy) and _shift_residual(dx, dy, k) <= tol_f:
-            outcome = "found"
-            points = tuple(found_pts)
+    if found_pts is not None and _accepted(found_pts, k, tol_f):
+        outcome = "found"
+        points = tuple(found_pts)
     return TrialRecord(
         seed=seed,
         curve_spec={},
@@ -199,6 +198,13 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
         points=points,
         wall_time=time.perf_counter() - start,
     )
+
+
+def _accepted(pts, k, tol_f):
+    """Positive increments and a shift-k residual within tol_f; float
+    differences have the signs of the exact ones."""
+    dx, dy = increments(pts)
+    return all(d > 0 for d in dx + dy) and _shift_residual(dx, dy, k) <= tol_f
 
 
 def _solve_linear(a, b):
@@ -220,12 +226,11 @@ def _solve_linear(a, b):
 def _newton(s, k, frees, ch, tol_f):
     """Newton's method on the wrap mismatches of _theta_residuals from the
     free parameters frees: (points, score) of the first iterate within
-    tol_f, or None.  The chase is affine in the frees on each cell, so a
-    step that stays in its cell lands on the root."""
+    tol_f, or None.  A step whose iterate is infeasible is halved, at most
+    NEWTON_HALVINGS times.  The chase is affine in the frees on each cell,
+    so a step that stays in its cell lands on the root."""
+    res, pts = _theta_residuals(s, k, frees, ch)
     for _ in range(NEWTON_STEPS):
-        res, pts = _theta_residuals(s, k, frees, ch)
-        if res is None:
-            return None
         score = max(abs(r) for r in res)
         if score <= tol_f:
             return pts, score
@@ -238,13 +243,22 @@ def _newton(s, k, frees, ch, tol_f):
         step = _solve_linear(list(zip(*cols)), res)
         if step is None:
             return None
-        frees = [f - d for f, d in zip(frees, step)]
+        for _ in range(NEWTON_HALVINGS + 1):
+            nxt = [f - d for f, d in zip(frees, step)]
+            res, pts = _theta_residuals(s, k, nxt, ch)
+            if res is not None:
+                break
+            step = [d / 2 for d in step]
+        else:
+            return None
+        frees = nxt
     return None
 
 
 def _search_high_shift(curve, s, k, grid, tol_f):
     """Score a coarse grid of the k free parameters by their largest wrap
-    mismatch, then run Newton from the best few combos in score order."""
+    mismatch, then run Newton from the best few combos in score order until
+    one converges to an accepted point sequence."""
     ch = _Chaser(curve, float_mode=True)
     coarse = max(8, int(round(grid ** (1.0 / k))))
     scored = []
@@ -256,7 +270,7 @@ def _search_high_shift(curve, s, k, grid, tol_f):
     scored.sort(key=lambda sc: sc[0])
     for _, combo in scored[:NEWTON_STARTS]:
         hit = _newton(s, k, combo, ch, tol_f)
-        if hit is not None:
+        if hit is not None and _accepted(hit[0], k, tol_f):
             return hit
     return None, None
 

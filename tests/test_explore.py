@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 
 import pytest
@@ -116,7 +117,8 @@ class TestConjectureSearch:
 
     def test_fixed_high_shift_set(self):
         # 500 trials: seeds 0-49, two curve classes, n 2-4, shifts 2-3.
-        # scipy's hybr polish from the best coarse combo found 318 of them
+        # scipy's hybr polish from the best coarse combo found 318 of them;
+        # Newton from eight starts, halving infeasible steps, finds 450
         tol = R(1, 10**6)
         found = 0
         for seed in range(50):
@@ -133,7 +135,7 @@ class TestConjectureSearch:
                         dx, dy = increments(rec.points)
                         assert all(d > 0 for d in dx + dy)
                         assert _shift_residual(dx, dy, shift) <= float(tol)
-        assert found >= 318
+        assert found >= 450
 
     def test_theta_size_must_match(self):
         with pytest.raises(PreconditionError):
@@ -162,6 +164,31 @@ class TestNewtonPolish:
         c = random_curve(0, vertices=5, curve_class="deltaInterior")
         assert explore._newton(4, 2, [0.25, 0.5], None, 1e-6) is None
         assert explore._search_high_shift(c, 4, 2, 200, 1e-6) == (None, None)
+
+    def test_infeasible_step_is_halved(self, monkeypatch):
+        # from 0.1 a full Newton step on atan(5 (f - 1/2)) lands beyond 1,
+        # outside the feasible box; halving it reaches the root
+        def residuals(s, k, frees, ch):
+            if not all(0 <= f <= 1 for f in frees):
+                return None, None
+            return [math.atan(5 * (f - 0.5)) for f in frees], tuple(frees)
+
+        monkeypatch.setattr(explore, "_theta_residuals", residuals)
+        pts, score = explore._newton(4, 2, [0.1, 0.15], None, 1e-6)
+        assert pts == pytest.approx((0.5, 0.5)) and score <= 1e-6
+        monkeypatch.setattr(explore, "NEWTON_HALVINGS", 0)
+        assert explore._newton(4, 2, [0.1, 0.15], None, 1e-6) is None
+
+    def test_rejected_hit_moves_on_to_the_next_start(self, monkeypatch):
+        # a start that converges to points out of order is not the answer;
+        # the next start's accepted hit is (dy is dx shifted by 2)
+        out_of_order = [(0.0, 0.0), (0.5, 0.3), (0.2, 0.8), (1.0, 1.0)]
+        accepted = [(0.0, 0.0), (0.2, 0.3), (0.5, 0.8), (1.0, 1.0)]
+        hits = iter([(out_of_order, 0.0), (accepted, 0.0)])
+        monkeypatch.setattr(explore, "_newton",
+                            lambda s, k, frees, ch, tol_f: next(hits))
+        c = random_curve(0, vertices=5, curve_class="deltaInterior")
+        assert explore._search_high_shift(c, 3, 2, 200, 1e-6) == (accepted, 0.0)
 
 
 class TestBatch:
@@ -292,7 +319,7 @@ class TestExplorerGolden:
         "grid": 200,
         "tol": "1/1000000",
     }
-    SHA256 = "9c2d530555e6c5abdba19d3b59577363ed4ad8cb5bd324dd18885e84080c3d9a"
+    SHA256 = "cb7316b70781a5b6d52f46dd435d8269292c4472c4f7d4ff6eb23d33eda1fa7e"
 
     def test_batch_bytes(self, tmp_path):
         self.check_digest(tmp_path)
