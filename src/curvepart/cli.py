@@ -72,8 +72,11 @@ def build_parser():
     sp.add_argument("--points", required=True,
                     help="result JSON or bare points file")
 
-    sp = sub.add_parser("densities", help="split two unit-mass densities "
-                                          "from {'f':..., 'g':...}")
+    sp = sub.add_parser(
+        "densities", help="split two unit-mass densities from {'f':..., 'g':...}",
+        description="A {'breakpoints': ...} density is split exactly for its "
+                    f"cumulative sampled at {pipeline.DENSITY_SUBDIV} points "
+                    "per piece, not for the density itself.")
     common(sp)
 
     sp = sub.add_parser("explore", help="run a conjecture-search batch")

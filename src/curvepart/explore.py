@@ -243,12 +243,11 @@ def _newton(s, k, frees, ch, tol_f):
         step = _solve_linear(list(zip(*cols)), res)
         if step is None:
             return None
-        for _ in range(NEWTON_HALVINGS + 1):
-            nxt = [f - d for f, d in zip(frees, step)]
+        for h in range(NEWTON_HALVINGS + 1):
+            nxt = [f - d / 2**h for f, d in zip(frees, step)]
             res, pts = _theta_residuals(s, k, nxt, ch)
             if res is not None:
                 break
-            step = [d / 2 for d in step]
         else:
             return None
         frees = nxt

@@ -286,8 +286,8 @@ def _dispatch(curve, s_total, tol):
     if s_eta == 1:
         eta_res = _below_result(((ZERO, ZERO), (ONE, ONE)))
     else:
-        mid = (eta.knots[0] + eta.knots[1]) / 2
-        ex, ey = eta(mid)
+        # the first segment leaves (0,0) on the side of its end vertex
+        ex, ey = eta.vertices[1]
         swapped = ey > ex
         eta_solve = swap_curve(eta) if swapped else eta
         if is_lower_triangle_interior(eta_solve):
@@ -498,6 +498,9 @@ def partition_densities(dens_f, dens_g, n, tol=DEFAULT_TOL):
     ("pl", f); both must integrate to 1 exactly with strictly interior
     cumulatives.  The cumulative pair traces a curve through the unit
     square, and the curve partition's points pull back to parameters.
+
+    A PL density is split exactly for `pl_density_cumulative`, its
+    cumulative sampled at DENSITY_SUBDIV points per piece, not for itself.
     """
     cum_f = _cumulative_from_density(dens_f)
     cum_g = _cumulative_from_density(dens_g)

@@ -62,23 +62,14 @@ class PLCurve:
             raise PreconditionError("knot and vertex counts differ")
         fx = PLFunction(zip(ks, (p[0] for p in vs)))
         fy = PLFunction(zip(ks, (p[1] for p in vs)))
-        # one walk over the input keeps each knot that fx or fy keeps
-        xk, yk = fx.knots, fy.knots
-        i = j = 0
-        kept = []
-        for t, p in zip(ks, vs):
-            on_x, on_y = t == xk[i], t == yk[j]
-            if on_x or on_y:
-                kept.append((t, p))
-            i += on_x
-            j += on_y
+        bends = set(fx.knots).union(fy.knots)
+        kept = [(t, p) for t, p in zip(ks, vs) if t in bends]
         self._set(fx, fy, (t for t, _ in kept), (p for _, p in kept))
 
     def _set(self, fx, fy, knots, vertices):
-        object.__setattr__(self, "knots", tuple(knots))
-        object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "_x", fx)
-        object.__setattr__(self, "_y", fy)
+        # frozen: the fields and the two functions go straight to __dict__
+        self.__dict__.update(knots=tuple(knots), vertices=tuple(vertices),
+                             _x=fx, _y=fy)
 
     @classmethod
     def _of(cls, fx, fy, knots, vertices):
@@ -99,10 +90,8 @@ class PLCurve:
 
     def segments(self):
         """((t0, t1, p0, p1), ...) for each polyline piece."""
-        return tuple(
-            (self.knots[i], self.knots[i + 1], self.vertices[i], self.vertices[i + 1])
-            for i in range(len(self.knots) - 1)
-        )
+        ks, vs = self.knots, self.vertices
+        return tuple(zip(ks, ks[1:], vs, vs[1:]))
 
 
 def curve_from_functions(fx, fy):
@@ -261,15 +250,11 @@ def _segment_nearest(q, p0, p1):
     return ex * ex + ey * ey, cand
 
 
-def point_segment_distance_sq(q, p0, p1):
-    return _segment_nearest(q, p0, p1)[0]
-
-
 def point_curve_distance_sq(curve, q):
     if _on_polyline(curve.vertices, q):
         return ZERO
     return min(
-        point_segment_distance_sq(q, p0, p1) for _, _, p0, p1 in curve.segments()
+        _segment_nearest(q, p0, p1)[0] for _, _, p0, p1 in curve.segments()
     )
 
 

@@ -202,20 +202,15 @@ def compose(outer, inner):
 
 
 def clamp_to_unit(f):
-    knots = set(f.knots)
+    """min(max(f, 0), 1): f's breakpoints clamped, plus a breakpoint
+    wherever a piece crosses level 0 or 1."""
     pts = f.breakpoints
+    out = [pts[0]]
     for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-        if v0 == v1:
-            continue
-        vlo, vhi = (v0, v1) if v0 < v1 else (v1, v0)
-        for u in (ZERO, ONE):
-            if vlo < u < vhi:
-                knots.add(t0 + (u - v0) * (t1 - t0) / (v1 - v0))
-
-    def clamp(v):
-        return ZERO if v < 0 else ONE if v > 1 else v
-
-    return PLFunction([(t, clamp(pl_eval(f, t))) for t in sorted(knots)])
+        out += sorted((t0 + (u - v0) * (t1 - t0) / (v1 - v0), u)
+                      for u in (ZERO, ONE) if min(v0, v1) < u < max(v0, v1))
+        out.append((t1, v1))
+    return PLFunction([(t, min(max(v, ZERO), ONE)) for t, v in out])
 
 
 def union_knot_values(f, g):

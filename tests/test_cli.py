@@ -1,11 +1,14 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from curvepart import pipeline
 from curvepart.cli import run
 from curvepart.fileio import curve_to_obj, dump_json
+from curvepart.plfun import PLFunction, pl_eval
+from curvepart.scalar import format_rational
 
 from test_pipeline import DIPPING_TAIL
 
@@ -287,6 +290,36 @@ class TestDensities:
         doc = json.loads(out.read_text())
         assert doc["parameters"] == ["0/1", "1/4", "1/2", "3/4", "1/1"]
 
+    def test_pl_density_is_exact_for_its_sampled_cumulative(self, tmp_path):
+        # f = 1/2 + t against a step g (3/2, then 1/2): dx and dy are the
+        # interval masses of f's cumulative sampled at DENSITY_SUBDIV points
+        # per piece and of g's exact cumulative; f's own masses differ
+        path = tmp_path / "dens.json"
+        dump_json({
+            "f": {"breakpoints": [["0/1", "1/2"], ["1/1", "3/2"]]},
+            "g": {"kind": "step", "knots": ["0/1", "1/2", "1/1"],
+                  "values": ["3/2", "1/2"]},
+        }, path)
+        out = tmp_path / "res.json"
+        code = run(["densities", "--input", str(path), "--n", "3",
+                    "--output", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["result"]["exact"] is True
+        ts = [Fraction(t) for t in doc["parameters"]]
+        cum_f = pipeline.pl_density_cumulative(
+            PLFunction([(0, Fraction(1, 2)), (1, Fraction(3, 2))]))
+        cum_g = pipeline.step_cumulative(
+            [0, Fraction(1, 2), 1], [Fraction(3, 2), Fraction(1, 2)])
+        for key, cum in (("dx", cum_f), ("dy", cum_g)):
+            assert doc["result"][key] == [
+                format_rational(pl_eval(cum, b) - pl_eval(cum, a))
+                for a, b in zip(ts, ts[1:])]
+        true_f = [(b - a) * (1 + a + b) / 2 for a, b in zip(ts, ts[1:])]
+        gap = max(abs(Fraction(d) - m)
+                  for d, m in zip(doc["result"]["dx"], true_f))
+        assert 0 < gap < Fraction(2, 1000)
+
     @pytest.mark.parametrize("spec", ([], 5))
     def test_non_object_spec_exit_1(self, tmp_path, capsys, spec):
         path = tmp_path / "dens.json"
@@ -378,6 +411,34 @@ class TestExploreAndPlot:
         assert code == 0
         assert svg.read_text().startswith("<svg")
         assert csv.read_text() == "i,dx,dy\n0,1/3,2/3\n"
+
+    def test_plot_bare_points_file_uses_their_increments(self, tmp_path):
+        res = tmp_path / "pts.json"
+        res.write_text(json.dumps(
+            {"points": [["0/1", "0/1"], ["1/4", "1/2"], ["1/1", "1/1"]]}))
+        svg, csv = tmp_path / "plot.svg", tmp_path / "inc.csv"
+        code = run(["plot", "--input", str(res), "--svg", str(svg),
+                    "--csv", str(csv)])
+        assert code == 0
+        assert svg.read_text().startswith("<svg")
+        assert csv.read_text() == "i,dx,dy\n0,1/4,1/2\n1,3/4,1/2\n"
+
+    @pytest.mark.parametrize("command, doc", (
+        ("climb", {"f1": {"breakpoints": [["0/1", "0/1"], ["1/1", "1/1"]]}}),
+        ("climb", [1, 2]),
+        ("densities", {"g": {"kind": "step", "knots": ["0/1", "1/1"],
+                             "values": ["1/1"]}}),
+        ("densities", "fg"),
+    ))
+    def test_document_without_its_keys_exit_1(self, tmp_path, capsys,
+                                              command, doc):
+        path = tmp_path / "doc.json"
+        dump_json(doc, path)
+        code = run([command, "--input", str(path),
+                    "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "input" and "input must be" in err["message"]
 
     def test_unknown_input_exit_1(self, tmp_path, capsys):
         code = run(["partition", "--input", str(tmp_path / "missing.json"),

@@ -35,7 +35,6 @@ from curvepart.plcurve import (
     curve_intersections,
     point_curve_distance_sq,
     point_on_curve,
-    point_segment_distance_sq,
 )
 from curvepart.plfun import (
     compose,
@@ -161,7 +160,7 @@ def ref_curve_intersections(a, b):
 
 
 def ref_point_curve_distance_sq(curve, q):
-    return min(point_segment_distance_sq(q, p0, p1)
+    return min(plcurve._segment_nearest(q, p0, p1)[0]
                for _, _, p0, p1 in curve.segments())
 
 

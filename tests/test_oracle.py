@@ -1,5 +1,7 @@
 from itertools import product
 
+import pytest
+
 from curvepart import (
     PLCurve,
     brute_force,
@@ -15,6 +17,7 @@ from curvepart.oracle import (
     _branch_vectors,
     _Chaser,
     _float_residual,
+    _sign_changes,
 )
 from curvepart.pipeline import (
     PartitionResult,
@@ -183,6 +186,41 @@ class TestShotConsistency:
         # the exact residual vanishes at 5/18 (test_zero_at_known_solution)
         assert abs(t_root - R(5, 18)) < 1e-12
         assert shot.feasible
+
+
+    def test_infeasible_midpoints_shrink_toward_the_feasible_end(self):
+        # on BENT at n = 1 the chase is feasible for t <= 1/2 only
+        ch = _Chaser(BENT, float_mode=True)
+        lo, hi = 0.45, 0.9
+        assert _float_residual(ch, 1, (lo + hi) / 2, ()) is None
+        t, shot = _bisect_shot(BENT, ch, 1, lo, hi,
+                               _float_residual(ch, 1, lo, ()))
+        assert lo < t <= 0.5 and shot.feasible
+
+    def test_bracket_without_a_feasible_midpoint_is_none(self):
+        ch = _Chaser(BENT, float_mode=True)
+        assert _bisect_shot(BENT, ch, 1, 0.6, 0.9, 1.0) is None
+
+
+class TestDuplicateRoots:
+    # x + y exceeds 1 after t = 1/5 and comes back to exactly 1 at the
+    # vertex (5/8, 3/8), t = 1/2: the n = 0 residual 1 - x - y touches
+    # zero from below at a grid point, so both neighbouring brackets
+    # bisect to it
+    TOUCH = PLCurve([0, R(1, 4), R(1, 2), 1],
+                    [(0, 0), (R(3, 4), R(1, 2)), (R(5, 8), R(3, 8)), (1, 1)])
+
+    def test_touching_root_is_reported_once(self):
+        ch = _Chaser(self.TOUCH, float_mode=True)
+        brackets = list(_sign_changes(ch, 0, 100, [()]))
+        assert [b[1:3] for b in brackets] == [(0.19, 0.2), (0.49, 0.5),
+                                              (0.5, 0.51)]
+        roots = [_bisect_shot(self.TOUCH, ch, 0, t0, t1, r0)[0]
+                 for _, t0, t1, r0 in brackets]
+        assert abs(roots[1] - roots[2]) < 1 / 100 / 4
+        found = brute_force(self.TOUCH, 0, grid=100)
+        assert [c for r in found for c in r.points[1]] == pytest.approx(
+            [0.6, 0.4, 0.625, 0.375])
 
 
 # ------------------------------------------------------------- streamed sweep
