@@ -9,14 +9,13 @@ Kernel costs, for curves a and b with m and k segments (each step is O(1)
 exact rational operations):
 
 - PLCurve(...): O(m); each coordinate function is built once, and one
-  walk keeps the input's own knots and vertices where either one bends.
+  pass keeps the input's own knots and vertices where either one bends.
 - x_function(), y_function(): O(1), the stored functions.
 - curve(t): O(log m), `pl_eval` of each coordinate.
 - curve_from_functions(fx, fy): O(pieces(fx) + pieces(fy)), one
   merge-walk; the functions are stored as given, with no canonical pass.
-- swap_curve(curve): O(m), the two functions swapped.
-- normalize_tail(curve, t_cut): O(m), a `pl_window` and an affine map of
-  each function.
+- swap_curve(curve): O(m), swapping the functions; normalize_tail: O(m),
+  a `pl_window` and an affine map of each.
 - point_on_curve(curve, q): O(m) box tests; it stops at the first segment
   whose box holds q and whose line passes through q, without a division.
 - point_curve_distance_sq(curve, q): the same O(m) membership test first,
@@ -43,14 +42,10 @@ from .scalar import ONE, ZERO, rat
 
 @dataclass(frozen=True)
 class PLCurve:
-    """The curve t -> (x(t), y(t)) of two PL functions on [0, 1].
-
-    The coordinate functions are built once, and x_function() and
-    y_function() return them.  knots are the times where either one bends,
-    and vertices the points there: the input's own, at the input's own
-    knots.  Only knots and vertices are dataclass fields, so they alone
-    take part in ==, hash and repr.
-    """
+    """The curve t -> (x(t), y(t)) of two PL functions on [0, 1], built once
+    and returned by x_function() and y_function().  knots are where either
+    one bends, and vertices the input's own points there.  Only knots and
+    vertices are fields, so they alone take part in ==, hash and repr."""
 
     knots: tuple
     vertices: tuple
@@ -62,12 +57,18 @@ class PLCurve:
             raise PreconditionError("knot and vertex counts differ")
         fx = PLFunction(zip(ks, (p[0] for p in vs)))
         fy = PLFunction(zip(ks, (p[1] for p in vs)))
-        bends = set(fx.knots).union(fy.knots)
-        kept = [(t, p) for t, p in zip(ks, vs) if t in bends]
-        self._set(fx, fy, (t for t, _ in kept), (p for _, p in kept))
+        # each canonical form keeps a subsequence of ks: merge the two
+        xk, yk = fx.knots, fy.knots
+        i = j = 0
+        kept = []
+        for t, p in zip(ks, vs):
+            on_x, on_y = t == xk[i], t == yk[j]
+            if on_x or on_y:
+                kept.append((t, p))
+            i, j = i + on_x, j + on_y
+        self._set(fx, fy, [t for t, _ in kept], [p for _, p in kept])
 
-    def _set(self, fx, fy, knots, vertices):
-        # frozen: the fields and the two functions go straight to __dict__
+    def _set(self, fx, fy, knots, vertices):  # frozen: fill __dict__ directly
         self.__dict__.update(knots=tuple(knots), vertices=tuple(vertices),
                              _x=fx, _y=fy)
 
