@@ -230,10 +230,9 @@ def _newton(s, k, frees, ch, tol_f):
     NEWTON_HALVINGS times.  The chase is affine in the frees on each cell,
     so a step that stays in its cell lands on the root."""
     res, pts = _theta_residuals(s, k, frees, ch)
-    for _ in range(NEWTON_STEPS):
-        score = max(abs(r) for r in res)
-        if score <= tol_f:
-            return pts, score
+    for _ in range(NEWTON_STEPS - 1):
+        if max(abs(r) for r in res) <= tol_f:
+            break
         moved = [_theta_residuals(s, k, frees[:i] + [f + _JAC_STEP]
                                   + frees[i + 1:], ch)[0]
                  for i, f in enumerate(frees)]
@@ -251,7 +250,8 @@ def _newton(s, k, frees, ch, tol_f):
         else:
             return None
         frees = nxt
-    return None
+    score = max(abs(r) for r in res)
+    return (pts, score) if score <= tol_f else None
 
 
 def _search_high_shift(curve, s, k, grid, tol_f):

@@ -39,8 +39,8 @@ from curvepart.plcurve import (
 from curvepart.plfun import (
     compose,
     pl_combine,
-    pl_window,
     pl_scale_values,
+    pl_window,
 )
 from curvepart.scalar import ONE, ZERO, rat
 

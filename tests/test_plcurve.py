@@ -61,12 +61,18 @@ class TestConstruction:
     def test_stored_functions_match_knots_and_vertices(self):
         rng = random.Random(3)
         for _ in range(50):
-            m = rng.randint(1, 8)
-            ts = [R(0)] + sorted(R(k, 32) for k in rng.sample(range(1, 32), m - 1)) + [R(1)]
-            vs = [(R(0), R(0))] + [(R(rng.randint(1, 7), 8), R(rng.randint(1, 7), 8))
-                                   for _ in range(m - 1)] + [(R(1), R(1))]
+            inner = sorted(rng.sample(range(1, 32), rng.randint(0, 7)))
+            ts = [R(0)] + [R(k, 32) for k in inner] + [R(1)]
+            vs = ([(R(0), R(0))]
+                  + [(R(rng.randint(1, 7), 8), R(rng.randint(1, 7), 8))
+                     for _ in inner]
+                  + [(R(1), R(1))])
             c = C(ts, vs)
-            cut = normalize_tail(c, R(0))[0]
+            # c shrunk onto [1/2, 1]^2 behind a diagonal segment: its tail is c
+            head = C([0] + [(1 + t) / 2 for t in ts],
+                     [(0, 0)] + [((1 + x) / 2, (1 + y) / 2) for x, y in vs])
+            cut, anchor = normalize_tail(head, R(1, 2))
+            assert cut == c and anchor == R(1, 2)
             for curve in (c, swap_curve(c), cut):
                 fx = PLFunction(zip(curve.knots, (p[0] for p in curve.vertices)))
                 fy = PLFunction(zip(curve.knots, (p[1] for p in curve.vertices)))

@@ -14,9 +14,9 @@ from curvepart import (
 from curvepart.plfun import (
     clamp_to_unit,
     pl_add,
-    pl_window,
     pl_scale_values,
     pl_sub,
+    pl_window,
 )
 from curvepart.scalar import rat
 
