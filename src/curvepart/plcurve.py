@@ -57,12 +57,14 @@ class PLCurve:
             raise PreconditionError("knot and vertex counts differ")
         fx = PLFunction(zip(ks, (p[0] for p in vs)))
         fy = PLFunction(zip(ks, (p[1] for p in vs)))
-        # each canonical form keeps a subsequence of ks: merge the two
+        # each canonical form keeps a subsequence of ks: merge the two.  The
+        # Fraction backend keeps ks' own objects, so `is` mostly settles it
         xk, yk = fx.knots, fy.knots
         i = j = 0
         kept = []
         for t, p in zip(ks, vs):
-            on_x, on_y = t == xk[i], t == yk[j]
+            on_x = t is xk[i] or t == xk[i]
+            on_y = t is yk[j] or t == yk[j]
             if on_x or on_y:
                 kept.append((t, p))
             i, j = i + on_x, j + on_y
