@@ -332,9 +332,7 @@ def normalize_tail(curve, t_cut):
     window [t_cut, 1] is re-spread onto [0, 1].
     """
     t_cut = rat(t_cut)
-    if not 0 <= t_cut < 1:
-        raise PreconditionError(f"cut parameter {t_cut} outside [0,1)")
-    a, cy = curve(t_cut)
+    a, cy = curve(t_cut)  # DomainError outside [0, 1]
     if a != cy:
         raise PreconditionError(f"curve({t_cut}) = ({a}, {cy}) is off the diagonal")
     if a >= 1:

@@ -201,6 +201,11 @@ class TestNormalizeTail:
         with pytest.raises(PreconditionError):
             normalize_tail(BENT, R(1, 2))
 
+    @pytest.mark.parametrize("t_cut", (R(-1, 2), R(1), R(3, 2)))
+    def test_cut_outside_the_unit_interval_rejected(self, t_cut):
+        with pytest.raises(PreconditionError):
+            normalize_tail(BENT, t_cut)
+
     def test_swap(self):
         assert swap_curve(BENT).vertices[1] == (R(1, 5), R(4, 5))
         assert swap_curve(swap_curve(BENT)) == BENT
