@@ -19,6 +19,7 @@ budget raises ConvergenceError.  The stages return results unchecked;
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import climb
 from .errors import (
@@ -62,10 +63,36 @@ DENSITY_SUBDIV = 8
 @dataclass(frozen=True)
 class PartitioningFunctions:
     """Functions y, x_1..x_n with (x_i(t), x_{i-1}(t) + y(t)) on the curve,
-    x_0 = 0; n is len(xs)."""
+    x_0 = 0; n is len(bases) + 1.
+
+    y and the newest x_n are stored as functions.  Each older x_i is stored
+    as its level built it, bases[i-1] (the width for i = 1, width o g1 of
+    level i-1 after that), with the inner maps of the levels after it:
+    x_i = bases[i-1] o inners[i-1] o ... o inners[-1].  `xs_at` evaluates
+    every x_i through that chain; `xs` composes it in full on first read.
+    """
 
     y: PLFunction
-    xs: tuple
+    x: PLFunction
+    bases: tuple
+    inners: tuple
+
+    @cached_property
+    def xs(self):
+        """x_1..x_n as functions, composed level by level as the paper's
+        induction carries them."""
+        xs = []
+        for base, inner in zip(self.bases, self.inners):
+            xs = [compose(x, inner) for x in xs + [base]]
+        return tuple(xs) + (self.x,)
+
+    def xs_at(self, t):
+        """(x_1(t), ..., x_n(t)), walking t back through the inner maps."""
+        vals = [pl_eval(self.x, t)]
+        for base, inner in zip(reversed(self.bases), reversed(self.inners)):
+            t = pl_eval(inner, t)
+            vals.append(pl_eval(base, t))
+        return vals[::-1]
 
 
 @dataclass(frozen=True)
@@ -132,8 +159,11 @@ def _shift_residual(dx, dy, k):
 def build_partitioning_functions(curve, n):
     """Induction on n carrying y, x_1..x_n, as in the paper: y = height and
     x_1 = width to start; each level compresses the closing sum x_n + y
-    onto [0,1], solves one climb against the height, composes y and every
-    x_i with the climb's inner map and appends x_{n+1} = width o g1.
+    onto [0,1], solves one climb against the height, composes y with the
+    climb's inner map and builds x_{n+1} = width o g1.  The older x_i are
+    not composed: each level stores the x it replaces and its inner map
+    (`PartitioningFunctions`), so a level makes two compositions here and
+    two in the climb's check, whatever n.
 
     By associativity of exact composition, x_i = width o tau_i and y =
     height o tau_1 for the products tau_i of the maps.  The rest (height o
@@ -152,16 +182,19 @@ def build_partitioning_functions(curve, n):
 
     height = curve.y_function()
     width = curve.x_function()
-    y, xs = height, [width]
+    y, x = height, width
+    bases, inners = [], []
     for _ in range(1, n):
-        w, t_stop = _closing_sum(xs[-1], y)
+        w, t_stop = _closing_sum(x, y)
         f2 = pl_window(w, ZERO, t_stop)
         sol = climb.solve(height, f2)
         inner = pl_scale_values(sol.g2, t_stop)
         y = compose(y, inner)
-        xs = [compose(x, inner) for x in xs]
-        xs.append(compose(width, sol.g1))
-    return PartitioningFunctions(y=y, xs=tuple(xs))
+        bases.append(x)
+        inners.append(inner)
+        x = compose(width, sol.g1)
+    return PartitioningFunctions(y=y, x=x, bases=tuple(bases),
+                                 inners=tuple(inners))
 
 
 def extract_points(curve, pf):
@@ -171,12 +204,13 @@ def extract_points(curve, pf):
     above the top edge, so it meets the input; the intersection with the
     smallest closing-curve parameter is taken.  Only that parameter is
     read, so the intersection scan stops at the first closing-curve segment
-    that meets the input.  The result, shift 1, is exact by construction
-    and unchecked here.
+    that meets the input, and the x_i are evaluated there (`xs_at`), never
+    composed.  The result, shift 1, is exact by construction and unchecked
+    here.
     """
-    y, xs = pf.y, pf.xs
+    y = pf.y
     eta = curve_from_functions(
-        pl_scale_values(y, rat(-1), ONE), pl_add(xs[-1], y)
+        pl_scale_values(y, rat(-1), ONE), pl_add(pf.x, y)
     )
     hits = curve_intersections(eta, curve, first=True)
     if not hits:
@@ -184,13 +218,13 @@ def extract_points(curve, pf):
     first = hits[0]
     t0 = first.t_a if isinstance(first, Intersection) else first.t_a[0]
 
+    yt = pl_eval(y, t0)
     pts = [(ZERO, ZERO)]
     prev = ZERO
-    for x in xs:
-        xi = pl_eval(x, t0)
-        pts.append((xi, prev + pl_eval(y, t0)))
+    for xi in pf.xs_at(t0):
+        pts.append((xi, prev + yt))
         prev = xi
-    pts.append((ONE - pl_eval(y, t0), pl_eval(xs[-1], t0) + pl_eval(y, t0)))
+    pts.append((ONE - yt, prev + yt))
     pts.append((ONE, ONE))
 
     return _below_result(pts)

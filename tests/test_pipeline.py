@@ -22,7 +22,7 @@ from curvepart import (
     random_curve,
     verify,
 )
-from curvepart import pipeline
+from curvepart import climb, pipeline
 from curvepart.pipeline import (
     Rearrangement,
     pl_density_cumulative,
@@ -34,7 +34,7 @@ from curvepart.plcurve import (
     curve_intersections,
     point_on_curve,
 )
-from curvepart.plfun import pl_add, pl_scale_values
+from curvepart.plfun import level_set, pl_add, pl_scale_values, pl_window
 from curvepart.scalar import rat
 
 from util import degenerate_lower_curve, fold_levels, functions_on_curve
@@ -109,6 +109,70 @@ class TestBuildPartitioningFunctions:
             partition_curve(BENT, 3)
 
 
+def ref_partitioning_functions(curve, n):
+    """y and x_1..x_n as the induction once carried them: every level
+    composes y and every x_i with its inner map."""
+    height, width = curve.y_function(), curve.x_function()
+    y, xs = height, [width]
+    for _ in range(1, n):
+        w = pl_add(xs[-1], y)
+        t_stop = level_set(w, 1)[0][0]
+        sol = climb.solve(height, pl_window(w, 0, t_stop))
+        inner = pl_scale_values(sol.g2, t_stop)
+        y = compose(y, inner)
+        xs = [compose(x, inner) for x in xs] + [compose(width, sol.g1)]
+    return y, tuple(xs)
+
+
+def ref_extract_points(curve, y, xs):
+    """Points read off the fully composed y and x_1..x_n."""
+    eta = curve_from_functions(pl_scale_values(y, R(-1), R(1)),
+                               pl_add(xs[-1], y))
+    first = curve_intersections(eta, curve, first=True)[0]
+    t0 = first.t_a if isinstance(first, Intersection) else first.t_a[0]
+    yt = pl_eval(y, t0)
+    vals = [pl_eval(x, t0) for x in xs]
+    lows = [R(0)] + vals[:-1]
+    return (((0, 0),) + tuple((v, lo + yt) for v, lo in zip(vals, lows))
+            + ((1 - yt, vals[-1] + yt), (1, 1)))
+
+
+class TestCompositionChain:
+    """The induction stores the older x_i as built with the inner maps
+    after them, and composes only y and the newest x per level."""
+
+    @pytest.mark.parametrize("n", (2, 4, 8))
+    def test_fixed_compositions_per_level(self, monkeypatch, n):
+        calls = []
+
+        def counting(outer, inner):
+            calls.append(1)
+            return compose(outer, inner)
+
+        monkeypatch.setattr(pipeline, "compose", counting)
+        monkeypatch.setattr(climb, "compose", counting)
+        build_partitioning_functions(random_curve(n, vertices=6), n)
+        # y o inner and width o g1 here, two in the climb's check
+        assert len(calls) == 4 * (n - 1)
+
+    def _assert_matches_reference(self, c, n):
+        pf = build_partitioning_functions(c, n)
+        y, xs = ref_partitioning_functions(c, n)
+        assert extract_points(c, pf).points == ref_extract_points(c, y, xs)
+        assert pf.y == y and pf.xs == xs
+
+    def test_random_curves_match_full_composition(self):
+        rng = random.Random(18)
+        for seed in range(16):
+            c = random_curve(seed, vertices=rng.randint(3, 10))
+            self._assert_matches_reference(c, rng.randint(1, 10))
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_degenerate_curves_match_full_composition(self, n):
+        for seed in range(60):
+            self._assert_matches_reference(degenerate_lower_curve(seed), n)
+
+
 class TestExtractPoints:
     def test_worked_example(self):
         pf = build_partitioning_functions(BENT, 1)
@@ -131,9 +195,11 @@ class TestExtractPoints:
         real = pipeline.build_partitioning_functions
 
         def tampered(curve, n):
+            # x_1 of a two-level solve is the stored width, read at the
+            # inner map's value
             pf = real(curve, n)
-            off = pl_scale_values(pf.xs[0], R(1, 2))
-            return replace(pf, xs=(off,) + pf.xs[1:])
+            off = pl_scale_values(pf.bases[0], R(1, 2))
+            return replace(pf, bases=(off,) + pf.bases[1:])
 
         monkeypatch.setattr(pipeline, "build_partitioning_functions", tampered)
         with pytest.raises(InternalInvariantError, match="off the curve"):
