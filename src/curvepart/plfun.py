@@ -8,9 +8,9 @@ Kernel costs, for f with m pieces, g with k pieces and r result pieces
 (each step is O(1) exact rational operations):
 
 - PLFunction(...): O(m); canonicalization reads each point's numerators and
-  denominators once and tests collinearity with integer cross-products
-  (`_collinear`), building no Fraction and taking no gcd; the knot tuple is
-  built once.
+  denominators once, checks that the times increase and tests collinearity
+  with integer cross-products (`_collinear`), building no Fraction and
+  taking no gcd; the knot tuple is built once.
 - pl_eval(f, t): O(log m), a bisection of the cached knots.
 - compose(outer, inner): O(k log m + r); each inner knot bisects the outer
   knots once, and each inner piece emits the outer knots it crosses in
@@ -51,12 +51,21 @@ def _collinear(t0, t1, t2, v0, v1, v2):
 def _canonical(points):
     """Drop interior breakpoints collinear with both neighbors.
 
-    The kept points are the input's own (t, v) tuples.
+    Raises PreconditionError unless the times strictly increase, compared
+    as a0 b1 < a1 b0 on their integer parts.  The kept points are the
+    input's own (t, v) tuples.
     """
     out = []
     parts = []  # parts[i] = (t, v) of out[i] as (numerator, denominator) pairs
     for p in points:
         q = (_parts(p[0]), _parts(p[1]))
+        if parts:
+            # parts[-1] is the previous input point: a point is popped only
+            # after the next one is read
+            (a0, b0), (a1, b1) = parts[-1][0], q[0]
+            if a0 * b1 >= a1 * b0:
+                raise PreconditionError(
+                    f"breakpoint times not strictly increasing at t={p[0]}")
         while len(out) >= 2:
             (t0, v0), (t1, v1) = parts[-2], parts[-1]
             if not _collinear(t0, t1, q[0], v0, v1, q[1]):
@@ -84,9 +93,6 @@ class PLFunction:
             raise PreconditionError("a PL function needs at least two breakpoints")
         if pts[0][0] != 0 or pts[-1][0] != 1:
             raise PreconditionError("breakpoints must span t = 0 .. 1")
-        for (t0, _), (t1, _) in zip(pts, pts[1:]):
-            if not t0 < t1:
-                raise PreconditionError(f"breakpoint times not strictly increasing at t={t1}")
         pts = tuple(_canonical(pts))
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "knots", tuple(t for t, _ in pts))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from curvepart import (
     DomainError,
     PLFunction,
+    PreconditionError,
     compose,
     identity,
     level_set,
@@ -72,6 +73,17 @@ class TestCanonicalForm:
 
     def test_kinks_survive(self):
         assert len(ZIGZAG.breakpoints) == 4
+
+    @pytest.mark.parametrize("ts, at", [
+        ((0, R(1, 2), R(1, 2), 1), "1/2"),
+        ((0, R(2, 3), R(1, 3), 1), "1/3"),
+        # 1/4 is dropped as collinear once 1/2 is read; 1/3 still meets 1/2
+        ((0, R(1, 4), R(1, 2), R(1, 3), 1), "1/3"),
+    ])
+    def test_times_must_strictly_increase(self, ts, at):
+        with pytest.raises(PreconditionError,
+                           match=f"^breakpoint times not strictly increasing at t={at}$"):
+            F(*((t, t) for t in ts))
 
 
 class TestCompose:
