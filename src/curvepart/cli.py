@@ -18,6 +18,7 @@ from .errors import (
     ConvergenceError,
     CurvepartError,
     InputError,
+    InternalInvariantError,
     PreconditionError,
 )
 from .scalar import as_float, parse_tolerance
@@ -239,6 +240,9 @@ def run(argv):
         return EXIT_INPUT
     except ConvergenceError as exc:
         _emit_error("convergence", exc)
+        return EXIT_CONVERGENCE
+    except InternalInvariantError as exc:  # a result failed verification
+        _emit_error(type(exc).__name__, exc)
         return EXIT_CONVERGENCE
     except PreconditionError as exc:
         _emit_error(type(exc).__name__, exc)

@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all curvepart modules.
 
 The CLI maps these onto exit codes: precondition failures exit 2,
-convergence failures exit 3, input/parse problems exit 1.  No climb fails
-for the shape of its profiles, so the one convergence failure is a spent
-boundary-join budget.
+convergence and verification failures (ConvergenceError,
+InternalInvariantError) exit 3, input/parse problems exit 1.  No climb
+fails for the shape of its profiles, so the one convergence failure is a
+spent boundary-join budget.
 """
 
 

@@ -121,19 +121,18 @@ def _search_shift_zero(curve, s):
     from .plfun import level_set, pl_sub
 
     items = level_set(pl_sub(curve.y_function(), curve.x_function()), ZERO)
-    candidates = set()
+    candidates = []  # ordered disjoint items give increasing candidates
     for lo, hi in items:
         if lo == hi:
-            candidates.add(lo)
+            candidates.append(lo)
         else:
-            for j in range(s + 1):
-                candidates.add(lo + (hi - lo) * rat(j, s))
-    if ZERO not in candidates or ONE not in candidates:
+            candidates += [lo + (hi - lo) * rat(j, s) for j in range(s + 1)]
+    if not candidates or candidates[0] != 0 or candidates[-1] != 1:
         return None
     # keep a strictly x-increasing subsequence, then spread s+1 picks
     filtered = []
     last_x = None
-    for t in sorted(candidates):
+    for t in candidates:
         x, _ = curve(t)
         if last_x is None or x > last_x:
             filtered.append(t)

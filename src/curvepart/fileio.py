@@ -21,12 +21,12 @@ FLOAT = "float"
 
 def load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             # floats arrive as raw strings so their decimal text survives
             return json.load(fh, parse_float=lambda s: ("decimal", s))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an overlong integer
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -22,6 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
+from .errors import PreconditionError
 from .pipeline import PartitionResult, PipelineTrace, Rearrangement, increments
 from .plcurve import point_curve_distance_sq
 from .scalar import ZERO, as_float, rat
@@ -191,6 +192,8 @@ def closure_shot(curve, n, t1, float_mode=False, branches=()):
     earliest ordinate hit by default; branches[i] skips that many earlier
     occurrences, selecting a different solution branch.
     """
+    if n < 0:
+        raise PreconditionError("n must be nonnegative")
     ch = _Chaser(curve, float_mode)
     pts, missed = _chase(ch, (ch.conv(t1),), 1, n + 2, branches)
     if missed is not None:
@@ -269,6 +272,8 @@ def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6)):
     """Sweep the free parameter over every chase branch, bisect sign
     changes, and return all verified partitions.  Runs in float mode; an
     empty list is a valid outcome, not an error."""
+    if n < 0:
+        raise PreconditionError("n must be nonnegative")
     tol_f = as_float(tol)
     ch = _Chaser(curve, float_mode=True)
     results = []

@@ -299,15 +299,14 @@ def partition_curve(curve, n, tol=DEFAULT_TOL):
 def _dispatch(curve, s_total, tol):
     """The branches of `partition_curve`, S = s_total; unverified."""
     x_fun, y_fun = curve.x_function(), curve.y_function()
-    diff = pl_sub(x_fun, y_fun)
-    items = level_set(diff, ZERO)
-
-    for lo, hi in items:
-        if hi == 1 and lo < 1:
-            return _diagonal_tail_result(x_fun, lo, s_total)
-
-    touches = [hi for lo, hi in items if 0 < hi < 1]
-    last_touch = max(touches) if touches else ZERO
+    # x - y vanishes at t = 0 and t = 1, so the last contact item ends at 1;
+    # it is a diagonal tail when it starts before 1, and otherwise the item
+    # before it ends at the last touch (at 0 when there is none)
+    items = level_set(pl_sub(x_fun, y_fun), ZERO)
+    tail_start = items[-1][0]
+    if tail_start < 1:
+        return _diagonal_tail_result(x_fun, tail_start, s_total)
+    last_touch = items[-2][1]
 
     if last_touch == 0:
         eta, anchor = curve, ZERO
@@ -355,14 +354,13 @@ def _boundary_join_solve(eta, s_eta, tol):
     lower triangle.  Each cut is recorded in boundary_joins; a cut is
     skipped when its snapped points do not increase.  residual_history
     keeps the best residual so far."""
-    y_fun = eta.y_function()
-    zeros = [hi for lo, hi in level_set(y_fun, ZERO) if 0 < hi < 1]
-    if not zeros:
+    # y(0) = 0 < 1 = y(1): the last zero of the height ends the last item
+    t_last = level_set(eta.y_function(), ZERO)[-1][1]
+    if t_last == 0:
         raise NonInteriorCurveError(
             "tail curve leaves the lower triangle but its height never "
             "returns to zero; unsupported accumulation pattern"
         )
-    t_last = max(zeros)
 
     tried = []
     history = []
@@ -497,31 +495,29 @@ def _check_cumulative(cum, name):
         raise PreconditionError(
             f"density {name} integrates to {total}, not 1", witness=total
         )
-    zero_items = level_set(cum, ZERO)
-    for lo, hi in zero_items:
-        if lo == 0 and hi > 0:
-            raise PreconditionError(
-                f"density {name} has no mass on [0, {hi}]", witness=hi
-            )
-    one_items = level_set(cum, ONE)
-    for lo, hi in one_items:
-        if hi == 1 and lo < 1:
-            raise PreconditionError(
-                f"density {name} has no mass on [{lo}, 1]", witness=lo
-            )
+    # cum rises from 0 to 1 and never falls, so each level set is one
+    # interval: [0, hi] at level 0 and [lo, 1] at level 1
+    ((_, hi),) = level_set(cum, ZERO)
+    if hi > 0:
+        raise PreconditionError(
+            f"density {name} has no mass on [0, {hi}]", witness=hi
+        )
+    ((lo, _),) = level_set(cum, ONE)
+    if lo < 1:
+        raise PreconditionError(
+            f"density {name} has no mass on [{lo}, 1]", witness=lo
+        )
 
 
 def _parameter_of_point(cum_f, cum_g, point):
-    """Smallest t with (F(t), G(t)) == point, via level-item intersection."""
+    """Smallest t with (F(t), G(t)) == point.  Both cumulatives are
+    nondecreasing, so each level set is one interval, and t is the start
+    of their intersection."""
     fx, gy = point
-    fi = level_set(cum_f, fx)
-    gi = level_set(cum_g, gy)
-    for lo_a, hi_a in fi:
-        for lo_b, hi_b in gi:
-            lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
-            if lo <= hi:
-                return lo
-    return None
+    ((lo_f, hi_f),) = level_set(cum_f, fx)
+    ((lo_g, hi_g),) = level_set(cum_g, gy)
+    lo = max(lo_f, lo_g)
+    return lo if lo <= min(hi_f, hi_g) else None
 
 
 def partition_densities(dens_f, dens_g, n, tol=DEFAULT_TOL):

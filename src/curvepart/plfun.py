@@ -17,6 +17,8 @@ Kernel costs, for f with m pieces, g with k pieces and r result pieces
   t-order, taking their values from the outer breakpoints.
 - pl_combine(f, g, op) and union_knot_values(f, g): O(m + k), one
   merge-walk over the two sorted breakpoint lists.
+- level_set(f, c): O(m), one pass over the pieces in t order that emits
+  the items already ordered and merged; nothing is sorted.
 - pl_window(f, lo, hi): O(m); two evaluations for the ends, and f's own
   breakpoint values in between.  The induction's compression of the
   closing sum and `plcurve.normalize_tail` both use it.
@@ -129,41 +131,32 @@ def pl_eval(f, t):
     return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
-def _piece_solutions(t0, v0, t1, v1, c):
-    """Solutions of the linear piece hitting level c, as (lo, hi) items."""
-    if v0 == c and v1 == c:
-        return [(t0, t1)]
-    hits = []
-    if v0 == c:
-        hits.append((t0, t0))
-    if v1 == c:
-        hits.append((t1, t1))
-    if (v0 < c < v1) or (v1 < c < v0):
-        r = t0 + (c - v0) * (t1 - t0) / (v1 - v0)
-        hits.append((r, r))
-    return hits
-
-
-def _merge_items(items):
-    items = sorted(items)
-    out = []
-    for lo, hi in items:
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return [tuple(it) for it in out]
-
-
 def level_set(f, c):
     """All solutions of f(t) = c: ordered isolated roots (lo == hi) and
-    maximal flat intervals (lo < hi), pairwise disjoint."""
+    maximal flat intervals (lo < hi), pairwise disjoint.
+
+    One pass over the pieces in t order.  A piece meets level c in at most
+    one item (the whole piece when it is flat at c, else one point); that
+    item extends the previous one when it starts where the previous ends,
+    and is appended otherwise.
+    """
     c = rat(c)
     items = []
     pts = f.breakpoints
     for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-        items.extend(_piece_solutions(t0, v0, t1, v1, c))
-    return _merge_items(items)
+        if v0 == c:
+            lo, hi = t0, (t1 if v1 == c else t0)
+        elif v1 == c:
+            lo = hi = t1
+        elif (v0 < c) != (v1 < c):
+            lo = hi = t0 + (c - v0) * (t1 - t0) / (v1 - v0)
+        else:
+            continue
+        if items and items[-1][1] == lo:
+            items[-1] = (items[-1][0], hi)
+        else:
+            items.append((lo, hi))
+    return items
 
 
 def compose(outer, inner):

@@ -5,6 +5,7 @@ with positive denominator, so equality tests in the solvers are exact.
 Backed by gmpy2.mpq when available (much faster), stdlib Fraction otherwise.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -30,14 +31,27 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 ZERO = rat(0)
 ONE = rat(1)
 
+# Largest decimal exponent magnitude parse_rational accepts: CPython's
+# default cap on the digits int() reads, which already bounds "p/q" text.
+# Fraction expands an exponent e into 10**|e|, so an unbounded one costs
+# time and memory that grow with its value, not with the text's length.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
 
 def parse_rational(text):
     """Parse "p/q", integer, or decimal/scientific text into an exact rational.
 
     Decimal text is read literally ("0.1" -> 1/10), never through a float.
+    An exponent beyond MAX_DECIMAL_EXPONENT in magnitude is refused.
     """
     try:
-        return rat(Fraction(str(text).strip()))
+        text = str(text).strip()
+        exp = _EXPONENT.search(text)
+        if exp and abs(int(exp.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise InputError(f"decimal exponent of {text!r} exceeds "
+                             f"{MAX_DECIMAL_EXPONENT} in magnitude")
+        return rat(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational number: {text!r}") from exc
 

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -238,6 +239,34 @@ def test_negative_tol_exit_1(tmp_path, capsys, bent_file, command):
     assert err["type"] == "input" and "negative" in err["message"]
 
 
+def test_huge_decimal_exponent_exit_1(tmp_path, capsys, bent_file):
+    pts = tmp_path / "pts.json"
+    dump_json({"points": [["0/1", "0/1"], ["1/1", "1/1"]]}, pts)
+    code = run(["verify", "--input", bent_file, "--points", str(pts),
+                "--tol", "1e-999999999"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "input", "message": "decimal exponent of "
+                   "'1e-999999999' exceeds 4300 in magnitude"}
+
+
+def test_failed_verification_exit_3(bent_file, capsys, monkeypatch):
+    dispatch = pipeline._dispatch
+
+    def off_curve(curve, s_total, tol):
+        res = dispatch(curve, s_total, tol)
+        (x, y), *rest = res.points[1:]
+        return replace(res, points=(res.points[0], (x, y + Fraction(1, 97)),
+                                    *rest))
+
+    monkeypatch.setattr(pipeline, "_dispatch", off_curve)
+    code = run(["partition", "--input", bent_file, "--n", "2"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "InternalInvariantError",
+                   "message": "rearrangement identity failed"}
+
+
 class TestVerifyCommand:
     def test_round_trip(self, bent_file, tmp_path):
         out = tmp_path / "res.json"
@@ -363,6 +392,7 @@ class TestExploreAndPlot:
         '{"curves": [{"vertices": "4"}]}',  # vertices not an int
         '{"tol": "abc"}',              # tol not a number
         '{"tol": "-1"}',               # tol negative
+        '{"tol": "1e-4301"}',          # tol exponent beyond the bound
         '{"grid": "x"}',               # grid not an int
     ))
     def test_explore_malformed_config_exit_1(self, tmp_path, capsys, text):
@@ -444,6 +474,21 @@ class TestExploreAndPlot:
         code = run(["partition", "--input", str(tmp_path / "missing.json"),
                     "--n", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("content, reason", (
+        (b'{"knots": [', "Expecting value"),
+        (b'{"knots": ["\xe9"]}', "'utf-8' codec can't decode byte 0xe9"),
+        (b'{"knots": [' + b"1" * 5000 + b"]}", "Exceeds the limit (4300 digits)"),
+    ), ids=("invalid-json", "not-utf8", "overlong-integer"))
+    def test_unreadable_input_exit_1(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        code = run(["partition", "--input", str(path), "--n", "1"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "input"
+        assert err["message"].startswith(f"{path} is not valid JSON: ")
+        assert reason in err["message"]
 
 
 class TestDeterminism:

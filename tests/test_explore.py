@@ -60,6 +60,18 @@ class TestRandomCurve:
         with pytest.raises(PreconditionError):
             random_curve(0, vertices=2, curve_class="deltaInterior")
 
+    def test_unknown_class(self):
+        with pytest.raises(InputError) as err:
+            random_curve(0, vertices=4, curve_class="spiral")
+        assert str(err.value) == "unknown curve class 'spiral'"
+
+
+@pytest.mark.parametrize("size, shift", [(3, 3), (3, -1), (1, 1)])
+def test_cyclic_permutation_range(size, shift):
+    with pytest.raises(PreconditionError) as err:
+        CyclicPermutation(size=size, shift=shift)
+    assert str(err.value) == "shift must satisfy 0 <= shift < size"
+
 
 class TestConjectureSearch:
     def test_shift_one_agrees_with_brute_force(self):
@@ -136,6 +148,18 @@ class TestConjectureSearch:
                         assert all(d > 0 for d in dx + dy)
                         assert _shift_residual(dx, dy, shift) <= float(tol)
         assert found >= 450
+
+    def test_identity_shift_spreads_over_diagonal_contacts(self):
+        # contacts with y = x: the two ends and the segment (3/5) .. (4/5)
+        c = PLCurve([0, R(1, 5), R(2, 5), R(3, 5), R(4, 5), 1],
+                    [(0, 0), (R(1, 2), R(1, 4)), (R(3, 5), R(3, 5)),
+                     (R(4, 5), R(4, 5)), (R(9, 10), R(1, 2)), (1, 1)])
+        rec = conjecture_search(c, 2, CyclicPermutation(size=3, shift=0))
+        assert rec.outcome == "found"
+        # candidates 0, the segment cut in thirds, 1; four picks spread
+        # over those six
+        picks = [R(0), R(2, 3), R(11, 15), R(1)]
+        assert rec.points == tuple((float(v), float(v)) for v in picks)
 
     def test_theta_size_must_match(self):
         with pytest.raises(PreconditionError):

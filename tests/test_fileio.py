@@ -4,6 +4,8 @@ from curvepart import InputError, PLCurve, PLFunction
 from curvepart.fileio import (
     curve_from_obj,
     curve_to_obj,
+    density_from_obj,
+    dump_json,
     function_from_obj,
     function_to_obj,
     read_number,
@@ -57,3 +59,35 @@ def test_result_serialization_schema():
     assert obj["rearrangement"] == {"shift": 1}
     assert obj["residual"] == "0/1"
     assert obj["trace"]["branch"] == "below"
+
+
+@pytest.mark.parametrize("value", [True, None, [1], {"p": 1}, 0.5])
+def test_non_numbers_rejected(value):
+    with pytest.raises(InputError) as err:
+        read_number(value)
+    assert str(err.value) == f"not a number: {value!r}"
+
+
+@pytest.mark.parametrize("reader, obj, message", (
+    (curve_from_obj, {"knots": [0, 1]}, "bad curve object: 'points'"),
+    (curve_from_obj, {"knots": [0, 1], "points": [[0, 0], 1]},
+     "bad curve object: cannot unpack non-iterable int object"),
+    (function_from_obj, {}, "bad function object: 'breakpoints'"),
+    (function_from_obj, {"breakpoints": [[0, 0, 0]]},
+     "bad function object: too many values to unpack (expected 2)"),
+    (density_from_obj, {"kind": "step", "knots": [0, 1]},
+     "bad step density: 'values'"),
+    (density_from_obj, {"kind": "step", "knots": [0, 1], "values": [1, 1]},
+     "step density needs one more knot than values"),
+), ids=("curve-no-points", "curve-bad-pair", "function-no-breakpoints",
+        "function-bad-pair", "step-no-values", "step-lengths"))
+def test_bad_objects_rejected(reader, obj, message):
+    with pytest.raises(InputError) as err:
+        reader(obj)
+    assert str(err.value) == message
+
+
+def test_unwritable_output_rejected(tmp_path):
+    with pytest.raises(InputError) as err:
+        dump_json({}, tmp_path)
+    assert str(err.value).startswith(f"cannot write {tmp_path}: ")

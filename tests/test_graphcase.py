@@ -4,11 +4,14 @@ import random
 import pytest
 
 from curvepart import (
+    PLCurve,
     PLFunction,
     PreconditionError,
     identity,
+    partition_curve,
     pl_eval,
     solve_graph,
+    verify,
 )
 from curvepart.graphcase import chain_functions, graph_increments
 from curvepart.scalar import rat
@@ -138,6 +141,28 @@ class TestSolveGraph:
             assert lo is not None
             root = bisect_root_oracle(gf, lo, hi)
             assert abs(root - float(sol.roots[-1])) < 1e-9
+
+
+    def test_rejects_order_below_one(self):
+        with pytest.raises(PreconditionError) as err:
+            solve_graph(identity(), 0)
+        assert str(err.value) == "n must be a positive integer"
+
+
+class TestAgainstPartitionCurve:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_both_exact_solvers_verify(self, n):
+        # the graph of f <= id is a curve below the diagonal; both solvers
+        # must place S = n + 1 increments on it that verify at tol 0
+        for seed in range(4):
+            f = below_identity_profile(random.Random(1000 * n + seed))
+            curve = PLCurve(f.knots, f.breakpoints)
+            graph_pts = [(x, pl_eval(f, x))
+                         for x in solve_graph(f, n).abscissae]
+            pipe_pts = partition_curve(curve, n).points
+            for pts in (graph_pts, pipe_pts):
+                assert len(pts) == n + 2
+                assert verify(curve, pts, tol=0).ok
 
 
 class TestChainFunctions:

@@ -4,6 +4,7 @@ import pytest
 
 from curvepart import (
     PLCurve,
+    PreconditionError,
     brute_force,
     closure_shot,
     diagonal_curve,
@@ -124,6 +125,19 @@ class TestClosureResidual:
         assert not shot.feasible
         assert shot.residual is None
         assert shot.side == 1
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+class TestNegativeOrderRefused:
+    def test_brute_force(self, n):
+        with pytest.raises(PreconditionError) as err:
+            brute_force(BENT, n, grid=200)
+        assert str(err.value) == "n must be nonnegative"
+
+    def test_closure_shot(self, n):
+        with pytest.raises(PreconditionError) as err:
+            closure_shot(BENT, n, R(1, 3))
+        assert str(err.value) == "n must be nonnegative"
 
 
 class TestBruteForce:

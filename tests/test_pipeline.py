@@ -567,6 +567,27 @@ def _random_lower_triangle_curve(rng, interior_vertices):
     return PLCurve(knots, pts)
 
 
+class TestPreconditions:
+    @pytest.mark.parametrize("call, message", (
+        (lambda: partition_curve(BENT, 0), "n must be a positive integer"),
+        (lambda: partition_below_diagonal(BENT, -1), "n must be nonnegative"),
+        (lambda: build_partitioning_functions(BENT, 0),
+         "n must be a positive integer"),
+        (lambda: step_cumulative([R(0), R(1)], [R(1), R(0)]),
+         "step density needs one more knot than values"),
+        (lambda: step_cumulative([R(0), R(1, 2), R(1)], [R(3), R(-1)]),
+         "density values must be nonnegative"),
+        (lambda: pl_density_cumulative(
+            PLFunction([(0, 2), (R(1, 2), R(-1, 2)), (1, 2)])),
+         "density must be nonnegative"),
+    ), ids=("partition-n0", "below-n-1", "build-n0", "step-lengths",
+            "step-negative", "pl-negative"))
+    def test_refused(self, call, message):
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert str(err.value) == message
+
+
 class TestPartitionDensities:
     def test_uniform_densities_uniform_split(self):
         dens = ("step", [R(0), R(1)], [R(1)])
@@ -610,8 +631,17 @@ class TestPartitionDensities:
     def test_leading_zero_mass_rejected(self):
         bad = ("step", [R(0), R(1, 2), R(1)], [R(0), R(2)])
         good = ("step", [R(0), R(1)], [R(1)])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as err:
             partition_densities(bad, good, 1)
+        assert str(err.value) == "density f has no mass on [0, 1/2]"
+
+    def test_trailing_zero_mass_rejected(self):
+        bad = ("step", [R(0), R(1, 2), R(1)], [R(2), R(0)])
+        good = ("step", [R(0), R(1)], [R(1)])
+        with pytest.raises(PreconditionError) as err:
+            partition_densities(good, bad, 1)
+        assert str(err.value) == "density g has no mass on [1/2, 1]"
+        assert err.value.witness == R(1, 2)
 
     def test_step_cumulative_values(self):
         cum = step_cumulative([R(0), R(1, 2), R(1)], [R(3, 2), R(1, 2)])

@@ -17,6 +17,7 @@ from curvepart.plcurve import (
     is_unit_interior,
     point_curve_distance_sq,
     point_on_curve,
+    require_endpoints,
     swap_curve,
 )
 from curvepart.plfun import PLFunction
@@ -167,6 +168,19 @@ class TestRegions:
         assert not is_lower_triangle_interior(diagonal_curve())
         above = C([0, R(1, 2), 1], [(0, 0), (R(1, 5), R(4, 5)), (1, 1)])
         assert not is_lower_triangle_interior(above)
+
+
+class TestEndpoints:
+    def test_unit_endpoints_accepted(self):
+        require_endpoints(BENT)
+
+    def test_other_endpoints_refused(self):
+        short = C([0, 1], [(0, 0), (1, R(1, 2))])
+        with pytest.raises(PreconditionError) as err:
+            require_endpoints(short)
+        assert str(err.value) == (
+            f"curve endpoints {(R(0), R(0))} .. {(R(1), R(1, 2))} differ "
+            f"from required {(R(0), R(0))} .. {(R(1), R(1))}")
 
 
 class TestNormalizeTail:

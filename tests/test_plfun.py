@@ -24,6 +24,7 @@ from curvepart.scalar import rat
 from util import (
     critical_levels,
     eval_grid_equal,
+    insert_flats,
     naive_level_solutions,
     rand_profile,
 )
@@ -141,13 +142,15 @@ class TestLevelSet:
         assert level_set(ZIGZAG, 2) == []
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.integers(0, 10**6), st.integers(0, 6),
+    @given(st.integers(0, 10**6), st.integers(0, 6), st.integers(0, 3),
            st.integers(0, 32))
-    def test_complete_against_naive_oracle(self, seed, folds, cnum):
+    def test_complete_against_naive_oracle(self, seed, folds, flats, cnum):
+        # flats put shelves at breakpoint values; those levels are tested
+        # beside a grid level
         rng = random.Random(seed)
-        f = rand_profile(rng, folds)
-        c = R(cnum, 32)
-        assert level_set(f, c) == naive_level_solutions(f, c)
+        f = insert_flats(rng, rand_profile(rng, folds), flats)
+        for c in (R(cnum, 32), rng.choice(f.values)):
+            assert level_set(f, c) == naive_level_solutions(f, c)
 
 
 class TestHelpers:

@@ -1,6 +1,7 @@
 import pytest
 
 from curvepart import InputError, format_rational, parse_rational, rat
+from curvepart.scalar import MAX_DECIMAL_EXPONENT, parse_tolerance
 
 
 def test_lowest_terms_positive_denominator():
@@ -30,6 +31,27 @@ def test_parse_rejects_junk():
         parse_rational("one half")
     with pytest.raises(InputError):
         parse_rational("1/0")
+
+
+def test_exponent_at_the_bound_parses():
+    assert MAX_DECIMAL_EXPONENT == 4300
+    assert parse_rational("1e-4300") == rat(1, 10**4300)
+    assert parse_rational("2.5E+4300") == rat(25 * 10**4299)
+
+
+@pytest.mark.parametrize("text", ["1e-4301", "1E4301", "1e-999999999",
+                                  "1.5e-1_000_000"])
+def test_exponent_beyond_the_bound_refused(text):
+    # refused before Fraction builds 10**|exponent|
+    with pytest.raises(InputError) as err:
+        parse_tolerance(text)
+    assert str(err.value) == (
+        f"decimal exponent of {text!r} exceeds 4300 in magnitude")
+
+
+def test_overlong_exponent_digits_refused():
+    with pytest.raises(InputError, match="not a rational number"):
+        parse_rational("1e" + "9" * 5000)
 
 
 def test_format_always_has_denominator():
