@@ -35,7 +35,6 @@ from .pipeline import (
 )
 from .plcurve import (
     Intersection,
-    Overlap,
     PLCurve,
     curve_from_functions,
     curve_intersections,
@@ -66,7 +65,7 @@ __all__ = [
     "PipelineTrace", "Rearrangement", "build_partitioning_functions",
     "extract_points", "partition_below_diagonal", "partition_curve",
     "partition_densities",
-    "Intersection", "Overlap", "PLCurve", "curve_from_functions",
+    "Intersection", "PLCurve", "curve_from_functions",
     "curve_intersections", "diagonal_curve", "normalize_tail",
     "PLFunction", "compose", "identity", "level_set",
     "pl_eval",

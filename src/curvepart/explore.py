@@ -337,7 +337,10 @@ def batch(config, log_path):
     grid = config.get("grid", 400)
     if not _is_int(grid) or grid < 1:
         raise InputError("grid must be a positive integer")
-    tol = parse_tolerance(config.get("tol", "1/1000000"))
+    tol = config.get("tol", "1/1000000")
+    if isinstance(tol, tuple) and len(tol) == 2 and tol[0] == "decimal":
+        tol = tol[1]  # a JSON decimal's text, as fileio.load_json reads it
+    tol = parse_tolerance(tol)
 
     done = set()
     try:

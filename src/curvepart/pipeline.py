@@ -29,7 +29,6 @@ from .errors import (
     PreconditionError,
 )
 from .plcurve import (
-    Intersection,
     PLCurve,
     curve_from_functions,
     curve_intersections,
@@ -201,22 +200,20 @@ def extract_points(curve, pf):
     """Points from the first meeting of the closing curve with the input.
 
     The closing curve (1 - y(t), x_n(t) + y(t)) starts at (1,0) and ends
-    above the top edge, so it meets the input; the intersection with the
-    smallest closing-curve parameter is taken.  Only that parameter is
-    read, so the intersection scan stops at the first closing-curve segment
-    that meets the input, and the x_i are evaluated there (`xs_at`), never
-    composed.  The result, shift 1, is exact by construction and unchecked
+    above the top edge, so it meets the input; `curve_intersections`
+    returns the meeting with the smallest closing-curve parameter t0 (the
+    start of a collinear overlap), and only t0 is read.  The x_i are
+    evaluated there (`xs_at`), never composed.  The result, shift 1, is exact by construction and unchecked
     here.
     """
     y = pf.y
     eta = curve_from_functions(
         pl_scale_values(y, rat(-1), ONE), pl_add(pf.x, y)
     )
-    hits = curve_intersections(eta, curve, first=True)
+    hits = curve_intersections(eta, curve)
     if not hits:
         raise InternalInvariantError("closing curve missed the input curve")
-    first = hits[0]
-    t0 = first.t_a if isinstance(first, Intersection) else first.t_a[0]
+    t0 = hits[0].t_a
 
     yt = pl_eval(y, t0)
     pts = [(ZERO, ZERO)]

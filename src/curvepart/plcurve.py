@@ -21,10 +21,9 @@ exact rational operations):
 - point_curve_distance_sq(curve, q): the same O(m) membership test first,
   returning zero for a point on the curve; only a point off the curve pays
   the division-heavy distance to every segment.
-- curve_intersections(a, b): O(m k) box tests, plus an exact segment
-  intersection only for the pairs whose bounding boxes meet.  With
-  first=True it stops after the first segment of a that yields any hit, so
-  it costs O(j k) box tests when that is a's j-th segment.
+- curve_intersections(a, b): the meeting earliest on a, in O(j k) box
+  tests when it lies on a's j-th segment (O(m k) when the curves miss),
+  plus one exact segment meeting only for the pairs whose boxes meet.
 """
 
 from dataclasses import dataclass
@@ -115,21 +114,11 @@ def _cross(o, a, b):
 
 @dataclass(frozen=True)
 class Intersection:
-    """A single crossing: curve parameters and the common point."""
+    """A meeting of two curves: its parameter on each and the common point."""
 
     t_a: object
     t_b: object
     point: tuple
-
-
-@dataclass(frozen=True)
-class Overlap:
-    """Collinear overlap reported as parameter intervals on both curves."""
-
-    t_a: tuple
-    t_b: tuple
-    p0: tuple
-    p1: tuple
 
 
 def _segment_point_param(p0, p1, q):
@@ -143,41 +132,36 @@ def _segment_point_param(p0, p1, q):
     return s if 0 <= s <= 1 else None
 
 
-def _intersect_segments(p0, p1, q0, q1):
-    """All intersections of two closed segments: list of ('point', s, u, pt)
-    or ('overlap', (s0, s1), (u0, u1), pt0, pt1), parameters in [0,1]."""
+def _earliest_meeting(p0, p1, q0, q1):
+    """(s, u, point) of the meeting of the closed segments p0..p1 and q0..q1
+    with the smallest s, then the smallest u (both in [0,1]), or None.  A
+    collinear overlap meets first at its start on p0..p1."""
     d = _cross((ZERO, ZERO), (p1[0] - p0[0], p1[1] - p0[1]), (q1[0] - q0[0], q1[1] - q0[1]))
     if d != 0:
         r = (q0[0] - p0[0], q0[1] - p0[1])
         s = _cross((ZERO, ZERO), r, (q1[0] - q0[0], q1[1] - q0[1])) / d
         u = _cross((ZERO, ZERO), r, (p1[0] - p0[0], p1[1] - p0[1])) / d
         if 0 <= s <= 1 and 0 <= u <= 1:
-            pt = (p0[0] + s * (p1[0] - p0[0]), p0[1] + s * (p1[1] - p0[1]))
-            return [("point", s, u, pt)]
-        return []
-    # parallel; handle degenerate (zero-length) segments via point placement
+            return s, u, (p0[0] + s * (p1[0] - p0[0]), p0[1] + s * (p1[1] - p0[1]))
+        return None
+    # parallel; a zero-length segment meets at its first parameter
     if p0 == p1:
         u = _segment_point_param(q0, q1, p0)
-        return [("point", ZERO, u, p0)] if u is not None else []
+        return None if u is None else (ZERO, u, p0)
     if q0 == q1:
         s = _segment_point_param(p0, p1, q0)
-        return [("point", s, ZERO, q0)] if s is not None else []
+        return None if s is None else (s, ZERO, q0)
     if _cross(p0, p1, q0) != 0:
-        return []
-    # collinear: project q-endpoints onto p's parameter
+        return None
+    # collinear: project q's endpoints onto p's parameter
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]
     den = dx * dx + dy * dy
     s_q0 = ((q0[0] - p0[0]) * dx + (q0[1] - p0[1]) * dy) / den
     s_q1 = ((q1[0] - p0[0]) * dx + (q1[1] - p0[1]) * dy) / den
-    lo_s, hi_s = min(s_q0, s_q1), max(s_q0, s_q1)
-    lo, hi = max(lo_s, ZERO), min(hi_s, ONE)
-    if lo > hi:
-        return []
-    p_at = lambda s: (p0[0] + s * dx, p0[1] + s * dy)
-    u_of = lambda s: (s - s_q0) / (s_q1 - s_q0)
-    if lo == hi:
-        return [("point", lo, u_of(lo), p_at(lo))]
-    return [("overlap", (lo, hi), (u_of(lo), u_of(hi)), p_at(lo), p_at(hi))]
+    lo = max(min(s_q0, s_q1), ZERO)
+    if lo > min(max(s_q0, s_q1), ONE):
+        return None
+    return lo, (lo - s_q0) / (s_q1 - s_q0), (p0[0] + lo * dx, p0[1] + lo * dy)
 
 
 def _box(p0, p1):
@@ -187,17 +171,16 @@ def _box(p0, p1):
     return x0, x1, y0, y1
 
 
-def curve_intersections(a, b, first=False):
-    """All intersections of two polylines, ordered by parameter on `a`.
+def curve_intersections(a, b):
+    """The meeting of two polylines with the smallest parameter on `a`, as a
+    list of at most one Intersection.
 
-    Transversal crossings come back as Intersection, collinear overlaps as
-    Overlap with parameter intervals on both curves.  With first=True only
-    the hits on the first segment of `a` that meets `b` are returned; hits
-    on later segments of `a` lie no earlier on `a`, so the leading item's
-    parameter on `a` is the same as with first=False.
+    A collinear overlap meets at its start, and a tie on `a` keeps the
+    smallest parameter on `b`.  Meetings on later segments of `a` lie no
+    earlier on `a`, so the scan stops after the first segment of `a` that
+    meets `b`.
     """
-    points = {}
-    overlaps = []
+    best = None
     b_segs = [(seg, _box(seg[2], seg[3])) for seg in b.segments()]
     for ta0, ta1, pa0, pa1 in a.segments():
         ax0, ax1, ay0, ay1 = _box(pa0, pa1)
@@ -205,37 +188,15 @@ def curve_intersections(a, b, first=False):
             # closed segments with disjoint bounding boxes cannot meet
             if bx1 < ax0 or ax1 < bx0 or by1 < ay0 or ay1 < by0:
                 continue
-            for hit in _intersect_segments(pa0, pa1, pb0, pb1):
-                if hit[0] == "point":
-                    _, s, u, pt = hit
-                    ta = ta0 + s * (ta1 - ta0)
-                    tb = tb0 + u * (tb1 - tb0)
-                    points.setdefault((ta, tb), pt)
-                else:
-                    _, (s0, s1), (u0, u1), pt0, pt1 = hit
-                    ta = (ta0 + s0 * (ta1 - ta0), ta0 + s1 * (ta1 - ta0))
-                    ub = (tb0 + u0 * (tb1 - tb0), tb0 + u1 * (tb1 - tb0))
-                    overlaps.append(Overlap(ta, ub, pt0, pt1))
-        if first and (points or overlaps):
-            break
-
-    # each overlap comes from its own segment pair, and intervals of
-    # positive length on both curves name that pair: none are equal
-    merged = sorted(overlaps, key=lambda ov: (ov.t_a[0], ov.t_a[1], min(ov.t_b)))
-
-    def swallowed(ta, tb):
-        # point hits inside a collinear overlap are reported by the overlap
-        for ov in merged:
-            lo, hi = ov.t_a
-            if lo <= ta <= hi and min(ov.t_b) <= tb <= max(ov.t_b):
-                return True
-        return False
-
-    out = [Intersection(ta, tb, pt) for (ta, tb), pt in points.items()
-           if not swallowed(ta, tb)]
-    items = sorted(out, key=lambda it: (it.t_a, it.t_b)) + merged
-    items.sort(key=lambda it: it.t_a if isinstance(it, Intersection) else it.t_a[0])
-    return items
+            hit = _earliest_meeting(pa0, pa1, pb0, pb1)
+            if hit is not None:
+                s, u, pt = hit
+                ts = (ta0 + s * (ta1 - ta0), tb0 + u * (tb1 - tb0))
+                if best is None or ts < best[0]:
+                    best = (ts, pt)
+        if best is not None:
+            return [Intersection(*best[0], best[1])]
+    return []
 
 
 def _segment_nearest(q, p0, p1):

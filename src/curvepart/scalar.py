@@ -7,6 +7,7 @@ Backed by gmpy2.mpq when available (much faster), stdlib Fraction otherwise.
 
 import re
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import InputError
 
@@ -43,8 +44,12 @@ def parse_rational(text):
     """Parse "p/q", integer, or decimal/scientific text into an exact rational.
 
     Decimal text is read literally ("0.1" -> 1/10), never through a float.
-    An exponent beyond MAX_DECIMAL_EXPONENT in magnitude is refused.
+    An exponent beyond MAX_DECIMAL_EXPONENT in magnitude is refused.  An
+    int or other rational (not a bool) converts exactly, never through
+    text, so int's digit cap does not apply to it.
     """
+    if isinstance(text, Rational) and not isinstance(text, bool):
+        return rat(text)
     try:
         text = str(text).strip()
         exp = _EXPONENT.search(text)
@@ -60,7 +65,9 @@ def parse_tolerance(text):
     """parse_rational for a tolerance, which must not be negative."""
     tol = parse_rational(text)
     if tol < 0:
-        raise InputError(f"tolerance must not be negative: {text!r}")
+        # a rational may have too many digits to print
+        shown = "" if isinstance(text, Rational) else f": {text!r}"
+        raise InputError(f"tolerance must not be negative{shown}")
     return tol
 
 

@@ -392,6 +392,7 @@ class TestExploreAndPlot:
         '{"curves": [{"vertices": "4"}]}',  # vertices not an int
         '{"tol": "abc"}',              # tol not a number
         '{"tol": "-1"}',               # tol negative
+        '{"tol": -0.5}',               # decimal tol negative
         '{"tol": "1e-4301"}',          # tol exponent beyond the bound
         '{"grid": "x"}',               # grid not an int
     ))
@@ -403,6 +404,38 @@ class TestExploreAndPlot:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
         assert not log.exists()
+
+    def test_explore_missing_config_is_input_error(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        code = run(["explore", "--config", str(tmp_path / "missing.json"),
+                    "--log", str(log)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
+        assert not log.exists()
+
+    def test_explore_config_read_as_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes('{"seeds": [0], "note": "\u00e9"}'.encode("latin-1"))
+        log = tmp_path / "log.jsonl"
+        code = run(["explore", "--config", str(cfg), "--log", str(log)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "input" and "not valid JSON" in err["message"]
+        assert not log.exists()
+
+    def test_explore_numeric_tol(self, tmp_path):
+        logs = []
+        for tol in ("1/1000000", 0.000001, 1e-6, 0):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seeds": [0], "n": [1], "grid": 300,
+                                       "tol": tol}))
+            log = tmp_path / f"log{len(logs)}.jsonl"
+            code = run(["explore", "--config", str(cfg), "--log", str(log)])
+            assert code == 0
+            rec = json.loads(log.read_text())
+            logs.append((rec["outcome"], rec["residual"]))
+        # a decimal tol reads as its literal fraction: 1e-6 is 1/1000000
+        assert logs[0] == logs[1] == logs[2]
 
     @pytest.mark.parametrize("doc", MALFORMED_POINTS)
     def test_plot_malformed_points_exit_1(self, tmp_path, capsys, doc):

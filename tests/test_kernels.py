@@ -15,6 +15,7 @@ does not re-check.
 
 import random
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,6 @@ from curvepart import (
 from curvepart import climb, oracle, pipeline, plcurve, plfun
 from curvepart.plcurve import (
     Intersection,
-    _intersect_segments,
     curve_from_functions,
     curve_intersections,
     point_curve_distance_sq,
@@ -126,12 +126,73 @@ def ref_curve_call(curve, t):
     return (ref_pl_eval(fx, t), ref_pl_eval(fy, t))
 
 
+@dataclass(frozen=True)
+class RefOverlap:
+    """Collinear overlap as parameter intervals on both curves."""
+
+    t_a: tuple
+    t_b: tuple
+    p0: tuple
+    p1: tuple
+
+
+def _ref_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _ref_segment_point_param(p0, p1, q):
+    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+    if dx == 0 and dy == 0:
+        return ZERO if q == p0 else None
+    if _ref_cross(p0, p1, q) != 0:
+        return None
+    s = ((q[0] - p0[0]) * dx + (q[1] - p0[1]) * dy) / (dx * dx + dy * dy)
+    return s if 0 <= s <= 1 else None
+
+
+def ref_intersect_segments(p0, p1, q0, q1):
+    """All intersections of two closed segments: list of ('point', s, u, pt)
+    or ('overlap', (s0, s1), (u0, u1), pt0, pt1), parameters in [0,1]."""
+    o = (ZERO, ZERO)
+    d = _ref_cross(o, (p1[0] - p0[0], p1[1] - p0[1]), (q1[0] - q0[0], q1[1] - q0[1]))
+    if d != 0:
+        r = (q0[0] - p0[0], q0[1] - p0[1])
+        s = _ref_cross(o, r, (q1[0] - q0[0], q1[1] - q0[1])) / d
+        u = _ref_cross(o, r, (p1[0] - p0[0], p1[1] - p0[1])) / d
+        if 0 <= s <= 1 and 0 <= u <= 1:
+            pt = (p0[0] + s * (p1[0] - p0[0]), p0[1] + s * (p1[1] - p0[1]))
+            return [("point", s, u, pt)]
+        return []
+    if p0 == p1:
+        u = _ref_segment_point_param(q0, q1, p0)
+        return [("point", ZERO, u, p0)] if u is not None else []
+    if q0 == q1:
+        s = _ref_segment_point_param(p0, p1, q0)
+        return [("point", s, ZERO, q0)] if s is not None else []
+    if _ref_cross(p0, p1, q0) != 0:
+        return []
+    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+    den = dx * dx + dy * dy
+    s_q0 = ((q0[0] - p0[0]) * dx + (q0[1] - p0[1]) * dy) / den
+    s_q1 = ((q1[0] - p0[0]) * dx + (q1[1] - p0[1]) * dy) / den
+    lo, hi = max(min(s_q0, s_q1), ZERO), min(max(s_q0, s_q1), ONE)
+    if lo > hi:
+        return []
+    p_at = lambda s: (p0[0] + s * dx, p0[1] + s * dy)
+    u_of = lambda s: (s - s_q0) / (s_q1 - s_q0)
+    if lo == hi:
+        return [("point", lo, u_of(lo), p_at(lo))]
+    return [("overlap", (lo, hi), (u_of(lo), u_of(hi)), p_at(lo), p_at(hi))]
+
+
 def ref_curve_intersections(a, b):
+    """Every crossing (Intersection) and collinear overlap (RefOverlap) of
+    two polylines over all segment pairs, ordered by parameter on `a`."""
     points = {}
     overlaps = []
     for ta0, ta1, pa0, pa1 in a.segments():
         for tb0, tb1, pb0, pb1 in b.segments():
-            for hit in _intersect_segments(pa0, pa1, pb0, pb1):
+            for hit in ref_intersect_segments(pa0, pa1, pb0, pb1):
                 if hit[0] == "point":
                     _, s, u, pt = hit
                     ta = ta0 + s * (ta1 - ta0)
@@ -141,7 +202,7 @@ def ref_curve_intersections(a, b):
                     _, (s0, s1), (u0, u1), pt0, pt1 = hit
                     ta = (ta0 + s0 * (ta1 - ta0), ta0 + s1 * (ta1 - ta0))
                     ub = (tb0 + u0 * (tb1 - tb0), tb0 + u1 * (tb1 - tb0))
-                    overlaps.append(plcurve.Overlap(ta, ub, pt0, pt1))
+                    overlaps.append(RefOverlap(ta, ub, pt0, pt1))
 
     merged = sorted(overlaps, key=lambda ov: (ov.t_a[0], ov.t_a[1], min(ov.t_b)))
 
@@ -157,6 +218,25 @@ def ref_curve_intersections(a, b):
     items = sorted(out, key=lambda it: (it.t_a, it.t_b)) + merged
     items.sort(key=lambda it: it.t_a if isinstance(it, Intersection) else it.t_a[0])
     return items
+
+
+def ref_start(item):
+    """(t_a, t_b, point) where a reference item starts on `a`."""
+    if isinstance(item, RefOverlap):
+        return item.t_a[0], item.t_b[0], item.p0
+    return item.t_a, item.t_b, item.point
+
+
+def ref_earliest_meeting(a, b):
+    """[Intersection] of the reference item starting first on `a`, ties on
+    `a` broken by the smallest parameter on `b`; [] when the curves miss."""
+    items = ref_curve_intersections(a, b)
+    if not items:
+        return []
+    t_a = ref_start(items[0])[0]
+    t_b, point = min((tb, pt) for ta, tb, pt in map(ref_start, items)
+                     if ta == t_a)
+    return [Intersection(t_a, t_b, point)]
 
 
 def ref_point_curve_distance_sq(curve, q):
@@ -534,43 +614,26 @@ def test_canonical_does_no_rational_arithmetic():
         Opaque(1, 3) < Opaque(1, 5)
 
 
-def test_curve_intersections_matches_reference():
-    rng = random.Random(15)
-    overlaps = points = stalls = 0
-    for _ in range(150):
-        a = rand_curve(rng, rng.randint(1, 7))
-        b = rand_curve(rng, rng.randint(1, 7))
-        got = curve_intersections(a, b)
-        assert got == ref_curve_intersections(a, b)
-        overlaps += sum(1 for it in got if isinstance(it, plcurve.Overlap))
-        points += sum(1 for it in got if isinstance(it, Intersection))
-        stalls += sum(1 for _, _, p, q in a.segments() + b.segments() if p == q)
-    assert overlaps and points and stalls
-
-
-def _leading_t_a(item):
-    return item.t_a if isinstance(item, Intersection) else item.t_a[0]
-
-
 def test_curve_intersections_first_matches_reference():
+    """The kernel's one meeting is the full reference's earliest, on both
+    curves at once."""
     rng = random.Random(15)
-    shorter = overlap_first = 0
+    overlap_first = point_first = stalls = 0
     for _ in range(150):
         a = rand_curve(rng, rng.randint(1, 7))
         b = rand_curve(rng, rng.randint(1, 7))
         full = ref_curve_intersections(a, b)
-        got = curve_intersections(a, b, first=True)
-        assert bool(got) == bool(full)
-        if not full:
+        got = curve_intersections(a, b)
+        assert got == ref_earliest_meeting(a, b), (a, b)
+        stalls += sum(1 for _, _, p, q in a.segments() + b.segments() if p == q)
+        if not got:
             continue
-        assert _leading_t_a(got[0]) == _leading_t_a(full[0])
-        spans = [(it.t_a, it.t_a) if isinstance(it, Intersection) else it.t_a
-                 for it in got]
-        assert any(all(t0 <= lo and hi <= t1 for lo, hi in spans)
-                   for t0, t1 in zip(a.knots, a.knots[1:])), (a, b, got)
-        shorter += len(got) < len(full)
-        overlap_first += isinstance(got[0], plcurve.Overlap)
-    assert shorter and overlap_first
+        hit, = got
+        assert hit.t_a == ref_start(full[0])[0]
+        assert hit.point == a(hit.t_a) == b(hit.t_b)
+        overlap_first += isinstance(full[0], RefOverlap)
+        point_first += isinstance(full[0], Intersection)
+    assert overlap_first and point_first and stalls
 
 
 def _membership_cases():

@@ -29,7 +29,6 @@ from curvepart.pipeline import (
     step_cumulative,
 )
 from curvepart.plcurve import (
-    Intersection,
     curve_from_functions,
     curve_intersections,
     point_on_curve,
@@ -37,6 +36,7 @@ from curvepart.plcurve import (
 from curvepart.plfun import level_set, pl_add, pl_scale_values, pl_window
 from curvepart.scalar import rat
 
+from test_kernels import ref_earliest_meeting
 from util import degenerate_lower_curve, fold_levels, functions_on_curve
 
 R = rat
@@ -128,8 +128,7 @@ def ref_extract_points(curve, y, xs):
     """Points read off the fully composed y and x_1..x_n."""
     eta = curve_from_functions(pl_scale_values(y, R(-1), R(1)),
                                pl_add(xs[-1], y))
-    first = curve_intersections(eta, curve, first=True)[0]
-    t0 = first.t_a if isinstance(first, Intersection) else first.t_a[0]
+    t0 = ref_earliest_meeting(eta, curve)[0].t_a
     yt = pl_eval(y, t0)
     vals = [pl_eval(x, t0) for x in xs]
     lows = [R(0)] + vals[:-1]
@@ -546,11 +545,7 @@ class TestWideClosingCurves:
         # the closing curve, built as extract_points builds it
         eta = curve_from_functions(pl_scale_values(pf.y, R(-1), R(1)),
                                    pl_add(pf.xs[-1], pf.y))
-        full = curve_intersections(eta, c)
-        first = curve_intersections(eta, c, first=True)
-        lead = [it.t_a if isinstance(it, Intersection) else it.t_a[0]
-                for it in (full[0], first[0])]
-        assert lead[0] == lead[1]
+        assert curve_intersections(eta, c) == ref_earliest_meeting(eta, c)
         res = partition_below_diagonal(c, n)
         assert res.exact
         assert verify(c, res.points, tol=0).ok

@@ -4,7 +4,6 @@ import pytest
 
 from curvepart import (
     Intersection,
-    Overlap,
     PLCurve,
     PreconditionError,
     curve_intersections,
@@ -103,36 +102,51 @@ class TestIntersections:
         assert curve_intersections(a, b) == []
 
     def test_bent_curve_vs_diagonal(self):
-        hits = curve_intersections(diagonal_curve(), BENT)
-        pts = {h.point for h in hits if isinstance(h, Intersection)}
-        assert (R(0), R(0)) in pts and (R(1), R(1)) in pts
-        # all-pairs float oracle agrees on the hit set
-        oracle = segment_pairs_hits(diagonal_curve(), BENT)
-        assert {(round(float(x), 9), round(float(y), 9)) for x, y in pts} == oracle
+        # the two meet at both ends: the one earliest on `a` comes back
+        hit, = curve_intersections(diagonal_curve(), BENT)
+        assert (hit.t_a, hit.t_b, hit.point) == (0, 0, (0, 0))
+        backward = C([0, 1], [(1, 1), (0, 0)])
+        hit, = curve_intersections(backward, BENT)
+        assert (hit.t_a, hit.t_b, hit.point) == (0, 1, (1, 1))
+        # the all-pairs float oracle finds these two points and no other
+        assert segment_pairs_hits(diagonal_curve(), BENT) == {(0.0, 0.0),
+                                                             (1.0, 1.0)}
 
-    def test_collinear_overlap_reported_as_interval(self):
+    def test_collinear_overlap_meets_at_its_start(self):
         a = diagonal_curve()
         b = C([0, R(1, 2), 1],
               [(R(1, 4), R(1, 4)), (R(3, 4), R(3, 4)), (1, 0)])
-        hits = curve_intersections(a, b)
-        ovs = [h for h in hits if isinstance(h, Overlap)]
-        assert len(ovs) == 1
-        assert ovs[0].t_a == (R(1, 4), R(3, 4))
-        assert ovs[0].p0 == (R(1, 4), R(1, 4))
-        assert ovs[0].p1 == (R(3, 4), R(3, 4))
+        start = (R(1, 4), R(1, 4))
+        assert curve_intersections(a, b) == [Intersection(R(1, 4), 0, start)]
+        # b reaches the overlap's start twice: the tie on `a` keeps the
+        # smaller parameter on b, whether that is the overlap's or a crossing's
+        after = C([0, R(1, 3), R(2, 3), 1],
+                  [start, (R(3, 4), R(3, 4)), (R(1, 4), 1), start])
+        before = C([0, R(1, 4), R(1, 2), 1],
+                   [start, (0, 1), start, (R(3, 4), R(3, 4))])
+        for b in (after, before):
+            assert curve_intersections(a, b) == [
+                Intersection(R(1, 4), 0, start)]
+        assert curve_intersections(before, a) == [
+            Intersection(0, R(1, 4), start)]
 
     def test_symmetry(self):
+        # each direction's earliest meeting is also a meeting of the other
+        # direction, so it lies no earlier on that direction's first curve
+        met = 0
         for seed in range(5):
             rng = random.Random(seed)
             a = _rand_curve(rng)
             b = _rand_curve(rng)
             fwd = curve_intersections(a, b)
             rev = curve_intersections(b, a)
-            fw_pts = sorted(
-                (h.t_a, h.t_b) for h in fwd if isinstance(h, Intersection))
-            rv_pts = sorted(
-                (h.t_b, h.t_a) for h in rev if isinstance(h, Intersection))
-            assert fw_pts == rv_pts
+            assert len(fwd) == len(rev) <= 1
+            for f, r in zip(fwd, rev):
+                assert f.point == a(f.t_a) == b(f.t_b)
+                assert r.point == b(r.t_a) == a(r.t_b)
+                assert f.t_a <= r.t_b and r.t_a <= f.t_b
+                met += 1
+        assert met
 
 
 def _rand_curve(rng, nv=5):

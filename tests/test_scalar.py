@@ -54,6 +54,20 @@ def test_overlong_exponent_digits_refused():
         parse_rational("1e" + "9" * 5000)
 
 
+def test_int_past_the_digit_cap_converts_exactly():
+    # int(str(x)) would refuse these; the digit cap guards text only
+    big = 10**5000 + 1
+    assert parse_rational(big) == rat(big)
+    assert parse_rational(-big) == rat(-big)
+    assert parse_rational(rat(1, big)) == rat(1, big)
+    assert parse_tolerance(big) == rat(big)
+    with pytest.raises(InputError) as err:
+        parse_tolerance(-big)
+    assert str(err.value) == "tolerance must not be negative"
+    with pytest.raises(InputError, match="not a rational number"):
+        parse_rational(True)
+
+
 def test_format_always_has_denominator():
     assert format_rational(rat(1, 2)) == "1/2"
     assert format_rational(rat(3)) == "3/1"
