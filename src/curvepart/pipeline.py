@@ -1,13 +1,13 @@
 """Equal-increment partitions of curves from (0,0) to (1,1).
 
 The paper's construction partitions one curve below the diagonal: it
-builds partitioning functions by induction (each step solves one climb,
-and `climb.solve` checks every climb identity exactly) and extracts the
-points from an auxiliary-curve intersection.  Every climb is exact, so a
-curve below the diagonal always solves exactly.  Everything else
-`partition_curve` does maps that one solve back to the input: the tail
-after the last diagonal touch is normalized, mirrored when it rides above
-the diagonal, and `_assemble` undoes both in one step.  The one inexact
+builds partitioning functions by induction (each step walks one climb,
+unchecked: `climb.walk`) and extracts the points from an auxiliary-curve
+intersection.  Every climb is exact, so a curve below the diagonal always
+solves exactly.  Everything else `partition_curve` does maps that one
+solve back to the input: the tail after the last diagonal touch is
+normalized, mirrored when it rides above the diagonal, and `_assemble`
+undoes both in one step.  The one inexact
 route is boundary joining, for a normalized tail that leaves the lower
 triangle: over a fixed budget of JOIN_CUTS cuts it joins the cut tail to
 the origin, projects the points back onto the tail and accepts the first
@@ -161,14 +161,17 @@ def build_partitioning_functions(curve, n):
     onto [0,1], solves one climb against the height, composes y with the
     climb's inner map and builds x_{n+1} = width o g1.  The older x_i are
     not composed: each level stores the x it replaces and its inner map
-    (`PartitioningFunctions`), so a level makes two compositions here and
-    two in the climb's check, whatever n.
+    (`PartitioningFunctions`), so a level makes two compositions, whatever
+    n, and the climb (`climb.walk`) makes none: it is not checked here.
 
     By associativity of exact composition, x_i = width o tau_i and y =
     height o tau_1 for the products tau_i of the maps.  The rest (height o
     tau_i == x_{i-1} + y, the start at 0, the close at (1, 1)) follows
-    exactly from the climb identities, which `climb.solve` checks; nothing
-    is re-checked here.
+    exactly from the climb identities.  No climb identity is checked here:
+    `partition_curve`'s `_final_verify` checks every point exactly on the
+    curve, positive increments and the rearrangement, so a wrong climb
+    either raises there or leaves points that pass it, a correct
+    partition.
 
     The curve must run from (0,0) to (1,1) through the open unit square.
     Every climb is exact, whatever the profiles' folds and flats.
@@ -186,7 +189,7 @@ def build_partitioning_functions(curve, n):
     for _ in range(1, n):
         w, t_stop = _closing_sum(x, y)
         f2 = pl_window(w, ZERO, t_stop)
-        sol = climb.solve(height, f2)
+        sol = climb.walk(height, f2)
         inner = pl_scale_values(sol.g2, t_stop)
         y = compose(y, inner)
         bases.append(x)

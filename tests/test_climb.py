@@ -317,3 +317,20 @@ class TestSolve:
                 lo1, hi1 = sol.g1.range_bounds()
                 lo2, hi2 = sol.g2.range_bounds()
                 assert lo1 >= 0 and hi1 <= 1 and lo2 >= 0 and hi2 <= 1
+
+    def test_walk_is_solve_without_the_check(self):
+        # the induction's unchecked climb returns what the checked one does
+        for seed in range(25):
+            pair = climb_pair(seed)
+            for f1, f2 in (pair, pair[::-1]):
+                assert climb.walk(f1, f2) == solve(f1, f2), seed
+
+    def test_walk_returns_a_wrong_collapse_unchecked(self, monkeypatch):
+        # the lift of test_wrong_collapse_rejected: only solve raises
+        real = climb._lift
+        monkeypatch.setattr(climb, "_lift", lambda *args: [
+            (s * s, t) for s, t in real(*args)])
+        f2 = F((0, 0), (R(1, 5), R(1, 2)), (R(2, 5), R(1, 2)),
+               (R(3, 5), R(1, 4)), (1, 1))
+        sol = climb.walk(ZIGZAG, f2)
+        assert compose(ZIGZAG, sol.g1) != compose(f2, sol.g2)
