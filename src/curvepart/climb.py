@@ -4,32 +4,51 @@ Given height profiles f1, f2 on [0,1] with f(0)=0, f(1)=1, find continuous
 g1, g2 with the same boundary values such that f1(g1(t)) = f2(g2(t)) for
 all t, exactly.  The engine walks the one-dimensional solution complex of
 f1(s) = f2(t) inside the parameter square.  Each maximal flat (constancy
-interval) of either profile is first contracted to a point; the walk runs
+interval) of either profile is first contracted to a knot; the walk runs
 on the flat-free quotients and is lifted back, one climber crossing a
 plateau while the other waits.  This solves every piecewise-monotone
 profile, plateaus included (Huneke, "Mountain climbing", Trans. AMS 1969;
-Keleti, "The mountain climbers' problem", Proc. AMS 1993).  `walk` is the
-one climb; the flats are read off each profile's canonical breakpoints.
-`solve` is `walk` plus an exact check of the climb identity f1∘g1 = f2∘g2,
-for callers whose result nothing else checks (the library entry and
-`curvepart climb`).  The induction in `pipeline` calls `walk`: its
-output meets `partition_curve`'s exact final check of the whole theorem,
-so a wrong climb either raises there or leaves a correct partition.
+Keleti, "The mountain climbers' problem", Proc. AMS 1993).
 
-Kernel costs of the walk, for flat-free f1 with m pieces, f2 with k pieces
-and e edges in the complex (Goodman, Pach and Yap, "Mountain climbing,
-ladder moving, and the ring-width of a polygon", Amer. Math. Monthly 1989):
+The complex is fixed by the order of the breakpoint levels alone
+(Goodman, Pach and Yap, "Mountain climbing, ladder moving, and the
+ring-width of a polygon", Amer. Math. Monthly 1989), so the walk compares
+levels and computes no coordinate.  A vertex is keyed by one integer
+position per profile, 2i at knot i and 2i + 1 strictly inside piece i;
+at least one of the two is a knot, and that knot's value is the vertex's
+level.  `walk` is the one climb and returns this level path on the
+profiles' own breakpoints, unchecked.  `path_points` turns it into
+parameters, and `solve` is `walk`, the maps g1, g2 read off its points and
+an exact check of f1∘g1 = f2∘g2, for callers whose result nothing else
+checks (the library entry and `curvepart climb`).  The induction in
+`pipeline` reads the level path itself, through `Companion`: its output
+meets `partition_curve`'s exact final check of the whole theorem, so a
+wrong climb either raises there or leaves a correct partition.
 
-- level_complex_path(f1, f2): O(m + k) exact rational operations of setup
-  (each piece's value range, direction and inverse slope, once per call),
-  then O(m k) cells.  A cell whose value ranges do not overlap costs two
-  comparisons; one that overlaps costs O(1) rational operations, since an
-  edge end at a range end takes that coordinate from the knot.  Vertices
-  are keyed by their integer numerators and denominators, so no rational
-  is hashed.  The walk itself is O(e) steps.
+Kernel costs of the walk, for f1 with m pieces, f2 with k pieces and e
+edges in the complex:
+
+- level_complex_path(f1, f2): O((m + k) log m) level comparisons to rank
+  every knot value of f2 among f1's sorted values, then O(m k) cells, each
+  two integer comparisons of ranks, and O(1) more for a cell with an edge.
+  No rational is built, hashed or added.  The walk itself is O(e) steps
+  over integer vertex keys, and at each vertex the step's sign pattern
+  picks the edge.
+- _contract and _lift: O(m + k + e) steps on integer positions; only a
+  profile with flats pays O(k) rational operations, for its quotient's
+  parameters.
+- path_points: O(e) exact rational operations, one interpolation per
+  coordinate inside a piece.
+- Companion(rows, knots): O(rows) to find the profile's knots among the
+  rows.  Then compose and each read are O(1) exact rational operations
+  per vertex inside a piece, and none at a knot or for a step that
+  crosses no inner row; a piece split by inner rows adds one level
+  comparison per row passed.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import InternalInvariantError, PreconditionError
 from .plfun import (
@@ -57,200 +76,195 @@ def _check_profile(f, name):
         raise PreconditionError(f"{name} range [{lo}, {hi}] escapes [0,1]")
 
 
-def _flat_runs(f):
-    """The pieces of f with equal end values; canonical form has merged
-    neighbouring flats, so each is maximal."""
-    pts = f.breakpoints
-    return [(t0, t1) for (t0, v0), (t1, v1) in zip(pts, pts[1:]) if v0 == v1]
+def _ranks(f1, f2):
+    """Integer ranks of both profiles' knot values that order any value of
+    f1 against any value of f2 as the values themselves are ordered.
+
+    f1's value gets 2r, r its index among f1's sorted distinct values; f2's
+    gets 2r when it equals the r-th of them and 2r - 1 when it lies between
+    the (r-1)-th and the r-th.  Two values of one profile may share an odd
+    rank, so only ranks of different profiles are compared.
+    """
+    ordered = sorted(v for _, v in f1.breakpoints)
+    levels = [ordered[0]]
+    levels += [v for u, v in zip(ordered, ordered[1:]) if v != u]
+    r1 = [2 * bisect_left(levels, v) for _, v in f1.breakpoints]
+    r2 = []
+    for _, v in f2.breakpoints:
+        r = bisect_left(levels, v)
+        r2.append(2 * r if r < len(levels) and levels[r] == v else 2 * r - 1)
+    return r1, r2
 
 
-def _pieces(f, name):
-    """Each piece of a flat-free f as (lo, hi, knot at lo, knot at hi,
-    parameter per unit of value, rising), set up once per walk."""
+def _pieces(f, ranks, name):
+    """Each piece i of a flat-free f as (rank at lo, rank at hi, position at
+    lo, position at hi, value at lo, value at hi, rising)."""
     pts = f.breakpoints
     out = []
-    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+    for i, ((_, v0), (_, v1)) in enumerate(zip(pts, pts[1:])):
         if v0 == v1:
             raise PreconditionError(f"{name} must be locally non-constant")
-        per = (t1 - t0) / (v1 - v0)
-        out.append((v0, v1, t0, t1, per, True) if v0 < v1
-                   else (v1, v0, t1, t0, per, False))
+        if v0 < v1:
+            out.append((ranks[i], ranks[i + 1], 2 * i, 2 * i + 2, v0, v1,
+                        True))
+        else:
+            out.append((ranks[i + 1], ranks[i], 2 * i + 2, 2 * i, v1, v0,
+                        False))
     return out
 
 
 def _complex_edges(f1, f2):
     """The edges of {f1(s) = f2(t)}, at most one per breakpoint rectangle,
-    in row-major order (f1's pieces outer), each as (from, to) with t
-    increasing.
+    in row-major order (f1's pieces outer), each as (from, to, same): two
+    vertices (s, t, level) with t increasing from `from` to `to`, and
+    whether s increases too.
 
     Both restrictions to a rectangle are linear with nonzero slope, so the
     solution set there is a segment from level max(lo1, lo2) to level
     min(hi1, hi2), of positive length exactly when lo2 < hi1 and lo1 < hi2.
     At an end level that closes one piece's range the coordinate is that
-    piece's knot, and only the other one is computed.  t runs along the
-    segment in the direction of f2's piece.
+    piece's knot, and the other lies strictly inside its piece.  s rises
+    with the level when f1's piece rises, t when f2's does.
     """
-    rows = _pieces(f1, "f1")
-    cols = _pieces(f2, "f2")
-    for lo1, hi1, slo, shi, ds, _ in rows:
-        for lo2, hi2, tlo, thi, dt, rising in cols:
+    r1, r2 = _ranks(f1, f2)
+    rows = _pieces(f1, r1, "f1")
+    cols = _pieces(f2, r2, "f2")
+    for i, (lo1, hi1, slo, shi, vlo1, vhi1, up1) in enumerate(rows):
+        s_in = 2 * i + 1
+        for j, col in enumerate(cols):
+            lo2, hi2 = col[0], col[1]
             if lo2 >= hi1 or lo1 >= hi2:
                 continue
-            if lo1 < lo2:
-                a = (slo + (lo2 - lo1) * ds, tlo)
-            elif lo2 < lo1:
-                a = (slo, tlo + (lo1 - lo2) * dt)
+            _, _, tlo, thi, vlo2, vhi2, up2 = col
+            t_in = 2 * j + 1
+            if lo1 > lo2:
+                a = (slo, t_in, vlo1)
+            elif lo2 > lo1:
+                a = (s_in, tlo, vlo2)
             else:
-                a = (slo, tlo)
+                a = (slo, tlo, vlo1)
             if hi2 < hi1:
-                b = (slo + (hi2 - lo1) * ds, thi)
+                b = (s_in, thi, vhi2)
             elif hi1 < hi2:
-                b = (shi, tlo + (hi1 - lo2) * dt)
+                b = (shi, t_in, vhi1)
             else:
-                b = (shi, thi)
-            yield (a, b) if rising else (b, a)
-
-
-def _key(p):
-    """Integer dict key of a vertex: hashing a Fraction costs a modular
-    inverse, hashing its numerator and denominator does not."""
-    s, t = p
-    return (s.numerator, s.denominator, t.numerator, t.denominator)
-
-
-def _edge_sort_key(frm, to):
-    ds = to[0] - frm[0]
-    dt = to[1] - frm[1]
-    return (0 if ds > 0 else 1, 0 if dt > 0 else 1, -ds, -dt)
+                b = (shi, thi, vhi1)
+            yield (a, b, up1 == up2) if up2 else (b, a, up1 == up2)
 
 
 def level_complex_path(f1, f2):
     """Walk the solution complex of f1(s) = f2(t) from (0,0) to (1,1).
 
-    Both inputs must be flat-free.  Every vertex of the complex away from
-    the two corners has even degree, so a trail that never reuses an edge
-    can only stop at (1,1).  Ties at higher-degree vertices prefer edges
-    increasing s, then increasing t.
+    Both inputs must be flat-free.  Returns the walk's vertices as
+    (s, t, level): s and t are positions on f1's and f2's breakpoints (2i
+    at knot i, 2i + 1 strictly inside piece i), and level = f1(s) = f2(t).
+    Every vertex of the complex away from the two corners has even degree,
+    so a trail that never reuses an edge can only stop at (1,1).  Around a
+    vertex each quadrant meets one breakpoint rectangle, and so at most one
+    edge: ties at higher-degree vertices take the edge increasing s, then
+    the one increasing t, and the sign pattern of the step alone decides.
     """
     adj = {}
-    for eid, (frm, to) in enumerate(_complex_edges(f1, f2)):
-        kf, kt = _key(frm), _key(to)
-        adj.setdefault(kf, []).append((eid, to, kt))
-        adj.setdefault(kt, []).append((eid, frm, kf))
+    for eid, (a, b, same) in enumerate(_complex_edges(f1, f2)):
+        # quadrant rank of the step: 2 (s falls) + 1 (t falls)
+        adj.setdefault(a[:2], []).append((0 if same else 2, eid, b))
+        adj.setdefault(b[:2], []).append((3 if same else 1, eid, a))
 
-    cur = (ZERO, ZERO)
-    key, goal = _key(cur), _key((ONE, ONE))
+    key = (0, 0)
+    goal = (2 * len(f1.breakpoints) - 2, 2 * len(f2.breakpoints) - 2)
     if key not in adj:
         raise InternalInvariantError("no traversal edge leaves (0,0)")
     used = set()
-    path = [cur]
-    while True:
-        options = [o for o in adj.get(key, ()) if o[0] not in used]
+    path = [(0, 0, f1.breakpoints[0][1])]
+    while key != goal:
+        options = [o for o in adj[key] if o[1] not in used]
         if not options:
-            break
-        if len(options) > 1:
-            options.sort(key=lambda o: _edge_sort_key(cur, o[1]))
-        eid, cur, key = options[0]
+            raise InternalInvariantError(
+                f"traversal stuck at vertex {path[-1]}")
+        _, eid, vertex = min(options)
         used.add(eid)
-        path.append(cur)
-        if key == goal:
-            break
-    if key != goal:
-        raise InternalInvariantError(f"traversal stuck at vertex {cur}")
+        path.append(vertex)
+        key = vertex[:2]
     return path
 
 
-def _path_to_functions(path):
-    m = len(path) - 1
-    g1 = PLFunction([(rat(k, m), p[0]) for k, p in enumerate(path)])
-    g2 = PLFunction([(rat(k, m), p[1]) for k, p in enumerate(path)])
-    return g1, g2
-
-
 def _contract(f):
-    """Contract each maximal flat of f to a point.
+    """Contract each maximal flat of f to a knot.
 
-    Returns the flat-free quotient q and a dict sending each contracted
-    point u of q to its flat (lo, hi) of f.  Parameter t of f maps to
+    Returns the flat-free quotient q and spans: q's knot k stands for f's
+    knots spans[k][0] .. spans[k][1] (one knot, or the two ends of a flat),
+    and q's piece k for f's piece spans[k][1].  Parameter t of f maps to
     u = (t - flat length below t) / (1 - total flat length), and q(u) =
-    f(t).  A flat-free f is its own quotient.
+    f(t).  q has only `breakpoints`, ((u, v), ...), as the walk reads them:
+    unlike a PLFunction it is not canonical, so a contracted knot stays
+    even where it is collinear with its neighbours, and the walk has a
+    vertex wherever a climber must cross a plateau.  A flat-free f is its
+    own quotient, with spans None.
     """
-    runs = _flat_runs(f)
-    if not runs:
-        return f, {}
-    keep = ONE - sum(hi - lo for lo, hi in runs)
+    pts = f.breakpoints
+    spans = [[0, 0]]
+    for k in range(1, len(pts)):
+        if pts[k][1] == pts[k - 1][1]:
+            spans[-1][1] = k
+        else:
+            spans.append([k, k])
+    if len(spans) == len(pts):
+        return f, None
+    keep = ONE - sum(pts[hi][0] - pts[lo][0] for lo, hi in spans)
+    below = ZERO
+    out = []
+    for lo, hi in spans:
+        out.append(((pts[lo][0] - below) / keep, pts[lo][1]))
+        below += pts[hi][0] - pts[lo][0]
+    return SimpleNamespace(breakpoints=tuple(out)), [tuple(s) for s in spans]
 
-    def quotient(t):
-        below = sum(min(max(t - lo, ZERO), hi - lo) for lo, hi in runs)
-        return (t - below) / keep
 
-    pts = []
-    for t, v in f.breakpoints:
-        u = quotient(t)
-        if not pts or pts[-1][0] != u:
-            pts.append((u, v))
-    return PLFunction(pts), {quotient(lo): (lo, hi) for lo, hi in runs}
+def _lift_position(pos, before, after, spans):
+    """Positions on f for quotient position pos, in walking order.
 
-
-def _lift_vertex(u, before, after, flats):
-    """Parameters of f at quotient coordinate u, in walking order.
-
-    Off the contracted points this is the one parameter that maps to u.
-    On one, the climber enters its plateau from the side of `before` and
-    leaves toward `after` (None at the start and end of the walk, which
-    count as coming from the left and leaving to the right); leaving on
-    the other side means crossing the plateau, so both ends are returned.
+    A piece and an uncontracted knot have one.  On a contracted knot the
+    climber enters its plateau from the side of `before` and leaves toward
+    `after` (None at the start and end of the walk, which count as coming
+    from the left and leaving to the right); leaving on the other side
+    means crossing the plateau, so both ends are returned.
     """
-    if u not in flats:
-        keep = ONE - sum(hi - lo for lo, hi in flats.values())
-        return [u * keep + sum(hi - lo for w, (lo, hi) in flats.items()
-                               if w < u)]
-    lo, hi = flats[u]
-    enter = lo if before is None or before < u else hi
-    leave = hi if after is None or after > u else lo
-    return [enter] if enter == leave else [enter, leave]
+    if spans is None:
+        return (pos,)
+    k, inside = divmod(pos, 2)
+    lo, hi = spans[k]
+    if inside:
+        return (2 * hi + 1,)
+    enter = 2 * lo if before is None or before < pos else 2 * hi
+    leave = 2 * hi if after is None or after > pos else 2 * lo
+    return (enter,) if enter == leave else (enter, leave)
 
 
-def _lift(path, flats1, flats2):
+def _lift(path, spans1, spans2):
     """Lift a walk of the contracted quotients back to the profiles.
 
-    Every edge of the walk changes both coordinates strictly.  An edge
-    that passes a contracted point strictly inside itself is split there
-    first: the quotient's canonical form may have dropped that knot.  At
-    a vertex on a contracted point the climber who crosses the plateau
-    takes an inserted step while the other waits, f1's climber first.
+    Every contracted knot is a knot of its quotient, so the walk has a
+    vertex wherever it meets one.  There the climber who crosses the
+    plateau takes an inserted step at the vertex's level while the other
+    waits, f1's climber first.
     """
-    split = [path[0]]
-    for (s0, t0), (s1, t1) in zip(path, path[1:]):
-        cuts = {}
-        for u in flats1:
-            if min(s0, s1) < u < max(s0, s1):
-                lam = (u - s0) / (s1 - s0)
-                cuts[lam] = (u, t0 + lam * (t1 - t0))
-        for u in flats2:
-            if min(t0, t1) < u < max(t0, t1):
-                lam = (u - t0) / (t1 - t0)
-                cuts[lam] = (s0 + lam * (s1 - s0), u)
-        split.extend(cuts[lam] for lam in sorted(cuts))
-        split.append((s1, t1))
-
-    ends = (None, None)
     lifted = []
-    for k, (s, t) in enumerate(split):
-        before = split[k - 1] if k > 0 else ends
-        after = split[k + 1] if k + 1 < len(split) else ends
-        ss = _lift_vertex(s, before[0], after[0], flats1)
-        ts = _lift_vertex(t, before[1], after[1], flats2)
+    last = len(path) - 1
+    for k, (s, t, level) in enumerate(path):
+        before = path[k - 1] if k > 0 else (None, None)
+        after = path[k + 1] if k < last else (None, None)
+        ss = _lift_position(s, before[0], after[0], spans1)
+        ts = _lift_position(t, before[1], after[1], spans2)
         for p in ((ss[0], ts[0]), (ss[-1], ts[0]), (ss[-1], ts[-1])):
-            if not lifted or lifted[-1] != p:
-                lifted.append(p)
+            if not lifted or lifted[-1][:2] != p:
+                lifted.append(p + (level,))
     return lifted
 
 
 def walk(f1, f2):
     """Climb: contract the flats of both profiles, walk the solution
-    complex of the flat-free quotients, lift the walk back.  The result
-    is not checked; `solve` checks it.
+    complex of the flat-free quotients, lift the walk back.  Returns the
+    level path on f1's and f2's breakpoints, as `level_complex_path` gives
+    it; the result is not checked (`solve` checks it).
 
     Requires boundary values 0 -> 0, 1 -> 1 and range [0, 1] on both
     sides, and nothing else.  Fold levels of f1 and f2 may coincide:
@@ -261,19 +275,145 @@ def walk(f1, f2):
     """
     _check_profile(f1, "f1")
     _check_profile(f2, "f2")
-    q1, flats1 = _contract(f1)
-    q2, flats2 = _contract(f2)
+    q1, spans1 = _contract(f1)
+    q2, spans2 = _contract(f2)
     path = level_complex_path(q1, q2)
-    if flats1 or flats2:
-        path = _lift(path, flats1, flats2)
-    g1, g2 = _path_to_functions(path)
-    return ClimbSolution(g1=g1, g2=g2)
+    if spans1 or spans2:
+        path = _lift(path, spans1, spans2)
+    return path
+
+
+def _parameter(f, pos, level):
+    """The parameter of f at position pos (2i: knot i; 2i + 1: inside piece
+    i, where f takes `level`)."""
+    pts = f.breakpoints
+    k, inside = divmod(pos, 2)
+    if not inside:
+        return pts[k][0]
+    (t0, v0), (t1, v1) = pts[k], pts[k + 1]
+    return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
+
+
+def path_points(f1, f2, path):
+    """The (s, t) parameters of a level path's vertices."""
+    return [(_parameter(f1, s, v), _parameter(f2, t, v)) for s, t, v in path]
+
+
+def solution(f1, f2, path):
+    """g1 and g2 of a level path: vertex k at parameter k/m, linear between."""
+    m = len(path) - 1
+    us = [rat(k, m) for k in range(m + 1)]
+    pts = path_points(f1, f2, path)
+    return ClimbSolution(g1=PLFunction(zip(us, (s for s, _ in pts))),
+                         g2=PLFunction(zip(us, (t for _, t in pts))))
+
+
+class Companion:
+    """A function q read along a profile p at the positions and levels of a
+    level path: the parameter and q where p takes a vertex's level, and
+    q composed with the path's map on p's side.
+
+    rows are (t, p(t), q(t)) with t increasing, at least at every knot of
+    p and of q; `knots`, the times of p's breakpoints, are among them.
+    Rows strictly inside a piece of p (a knot of q, or a bend that cancels
+    in p's canonical form) split it, so q is linear between consecutive
+    rows.  A position inside a piece is read by interpolating at the
+    level on its row segment; each segment's slopes are computed once.
+    """
+
+    def __init__(self, rows, knots):
+        self.rows = rows
+        self.index = []  # the row of each knot of p
+        r = 0
+        for t in knots:
+            while rows[r][0] is not t and rows[r][0] != t:
+                r += 1
+            self.index.append(r)
+        self.slopes = {}
+
+    def _segment(self, pos, level):
+        """The row that starts the segment of piece pos // 2 (pos odd)
+        where p takes `level`."""
+        rows, k = self.rows, pos // 2
+        a, b = self.index[k], self.index[k + 1]
+        if b > a + 1:
+            rising = rows[a][1] < rows[b][1]
+            while a + 1 < b and (rows[a + 1][1] < level) == rising:
+                a += 1
+        return a
+
+    def _slopes(self, a):
+        if a not in self.slopes:
+            (t0, p0, q0), (t1, p1, q1) = self.rows[a], self.rows[a + 1]
+            dp = p1 - p0
+            self.slopes[a] = ((t1 - t0) / dp, (q1 - q0) / dp)
+        return self.slopes[a]
+
+    def _value(self, pos, level):
+        """q at position pos of p, where p takes `level`."""
+        if pos % 2 == 0:
+            return self.rows[self.index[pos // 2]][2]
+        a = self._segment(pos, level)
+        _, p0, q0 = self.rows[a]
+        return q0 + (level - p0) * self._slopes(a)[1]
+
+    def parameter(self, pos, level):
+        """The rows' parameter t at position pos of p, where p takes
+        `level`."""
+        if pos % 2 == 0:
+            return self.rows[self.index[pos // 2]][0]
+        a = self._segment(pos, level)
+        t0, p0, _ = self.rows[a]
+        return t0 + (level - p0) * self._slopes(a)[0]
+
+    def compose(self, path, side, params):
+        """Breakpoints of q∘g, g the map of one side of a level path (0
+        for f1's positions, 1 for f2's) with vertex k at params[k]: q at
+        every vertex, and at every row a step crosses, where `plfun.compose`
+        would break."""
+        out = []
+        prev = None
+        for u, vertex in zip(params, path):
+            pos, level = vertex[side], vertex[2]
+            if prev is not None:
+                u0, pos0, level0 = prev
+                out += [(u0 + lam * (u - u0), q) for lam, q
+                        in self._crossings(pos0, pos, level0, level)]
+            out.append((u, self._value(pos, level)))
+            prev = u, pos, level
+        return out
+
+    def _crossings(self, pos0, pos1, level0, level1):
+        """[(lam, q), ...]: the rows strictly inside one step of a level
+        path, from pos0 at level0 to pos1 at level1, at their fraction lam
+        of the step, in walking order.
+
+        A step moves along one piece of p, or waits on one point of it.
+        On a flat piece the step crosses it from knot to knot, and its
+        rows are placed by parameter; elsewhere by level.
+        """
+        if pos0 == pos1 and (pos0 % 2 == 0 or level0 == level1):
+            return []
+        rows, k = self.rows, min(pos0, pos1) // 2
+        a, b = self.index[k], self.index[k + 1]
+        if b == a + 1:
+            return []
+        inside = rows[a + 1:b]
+        if rows[a][1] == rows[b][1]:
+            t0 = rows[self.index[pos0 // 2]][0]
+            t1 = rows[self.index[pos1 // 2]][0]
+            out = [((t - t0) / (t1 - t0), q) for t, _, q in inside]
+        else:
+            lo, hi = min(level0, level1), max(level0, level1)
+            out = [((p - level0) / (level1 - level0), q)
+                   for _, p, q in inside if lo < p < hi]
+        return sorted(out, key=lambda item: item[0])
 
 
 def solve(f1, f2):
-    """`walk`, then an exact check of its endpoints and of f1∘g1 = f2∘g2;
-    raises InternalInvariantError when either fails."""
-    sol = walk(f1, f2)
+    """`walk`, its g1 and g2, then an exact check of their endpoints and of
+    f1∘g1 = f2∘g2; raises InternalInvariantError when either fails."""
+    sol = solution(f1, f2, walk(f1, f2))
     _assert_solution(f1, f2, sol)
     return sol
 

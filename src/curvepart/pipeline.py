@@ -2,9 +2,10 @@
 
 The paper's construction partitions one curve below the diagonal: it
 builds partitioning functions by induction (each step walks one climb,
-unchecked: `climb.walk`) and extracts the points from an auxiliary-curve
-intersection.  Every climb is exact, so a curve below the diagonal always
-solves exactly.  Everything else `partition_curve` does maps that one
+unchecked, and reads the new functions off its level path: `climb.walk`)
+and extracts the points from an auxiliary-curve intersection.  Every
+climb is exact, so a curve below the diagonal always solves exactly.
+Everything else `partition_curve` does maps that one
 solve back to the input: the tail after the last diagonal touch is
 normalized, mirrored when it rides above the diagonal, and `_assemble`
 undoes both in one step.  The one inexact
@@ -17,7 +18,7 @@ budget raises ConvergenceError.  The stages return results unchecked;
 `_final_verify` with every point exactly on the curve.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,6 +50,7 @@ from .plfun import (
     pl_scale_values,
     pl_sub,
     pl_window,
+    union_knot_values,
 )
 from .scalar import ONE, ZERO, rat
 
@@ -158,11 +160,17 @@ def _shift_residual(dx, dy, k):
 def build_partitioning_functions(curve, n):
     """Induction on n carrying y, x_1..x_n, as in the paper: y = height and
     x_1 = width to start; each level compresses the closing sum x_n + y
-    onto [0,1], solves one climb against the height, composes y with the
-    climb's inner map and builds x_{n+1} = width o g1.  The older x_i are
-    not composed: each level stores the x it replaces and its inner map
-    (`PartitioningFunctions`), so a level makes two compositions, whatever
-    n, and the climb (`climb.walk`) makes none: it is not checked here.
+    onto [0,1], walks one climb against the height (`climb.walk`), and
+    reads the new y = y o tau, x_{n+1} = width o g1 and the inner map tau
+    (the climb's g2, in the closing sum's own parameter) off the walk's
+    level path.  Nothing is composed: at each vertex of the path, y and
+    tau come from one interpolation on the closing sum's piece and x from
+    one on the height's piece, at the vertex's level (`climb.Companion`).
+    Where a path edge crosses a knot of y or of the width that the
+    profile's canonical form lacks, the new function gets a breakpoint,
+    where `compose` would add one, so each function is the composition
+    itself.  The older x_i are kept as their level built them, with the
+    inner maps after them (`PartitioningFunctions`).
 
     By associativity of exact composition, x_i = width o tau_i and y =
     height o tau_1 for the products tau_i of the maps.  The rest (height o
@@ -184,17 +192,26 @@ def build_partitioning_functions(curve, n):
 
     height = curve.y_function()
     width = curve.x_function()
+    # the curve's knots are the union knots of its two coordinates
+    along_height = climb.Companion(
+        [(t, p[1], p[0]) for t, p in zip(curve.knots, curve.vertices)],
+        height.knots)
     y, x = height, width
     bases, inners = [], []
     for _ in range(1, n):
-        w, t_stop = _closing_sum(x, y)
+        rows, w, t_stop = _closing_sum(x, y)
         f2 = pl_window(w, ZERO, t_stop)
-        sol = climb.walk(height, f2)
-        inner = pl_scale_values(sol.g2, t_stop)
-        y = compose(y, inner)
+        path = climb.walk(height, f2)
+        # the window keeps w's knots below t_stop and ends at t_stop
+        along_sum = climb.Companion(rows, w.knots[:len(f2.knots) - 1]
+                                    + (t_stop,))
+        m = len(path) - 1
+        us = [rat(k, m) for k in range(m + 1)]
         bases.append(x)
-        inners.append(inner)
-        x = compose(width, sol.g1)
+        inners.append(PLFunction(
+            zip(us, (along_sum.parameter(t, v) for _, t, v in path))))
+        y = PLFunction(along_sum.compose(path, 1, us))
+        x = PLFunction(along_height.compose(path, 0, us))
     return PartitioningFunctions(y=y, x=x, bases=tuple(bases),
                                  inners=tuple(inners))
 
@@ -231,12 +248,23 @@ def extract_points(curve, pf):
 
 
 def _closing_sum(x, y):
-    """The closing sum w = x + y and the first t with w(t) = 1."""
-    w = pl_add(x, y)
+    """The closing sum w = x + y, the first t_stop with w(t_stop) = 1, and
+    the rows (t, w(t), y(t)) up to it: at the union knots of x and y below
+    t_stop, and at t_stop."""
+    rows = [(t, a + b, b) for t, a, b in union_knot_values(x, y)]
+    w = PLFunction([(t, v) for t, v, _ in rows])
     hits = level_set(w, ONE)
     if not hits:
         raise InternalInvariantError("closing sum never reaches 1")
-    return w, hits[0][0]
+    t_stop = hits[0][0]
+    i = bisect_left(rows, (t_stop,))
+    if rows[i][0] == t_stop:
+        del rows[i + 1:]
+    else:
+        (t0, _, y0), (t1, _, y1) = rows[i - 1], rows[i]
+        y_stop = y0 + (t_stop - t0) * (y1 - y0) / (t1 - t0)
+        rows[i:] = [(t_stop, ONE, y_stop)]
+    return rows, w, t_stop
 
 
 def _below_result(points):
@@ -267,7 +295,7 @@ def partition_below_diagonal(curve, n):
         )
 
     if n == 0:
-        _, t0 = _closing_sum(curve.x_function(), curve.y_function())
+        _, _, t0 = _closing_sum(curve.x_function(), curve.y_function())
         return _below_result(((ZERO, ZERO), curve(t0), (ONE, ONE)))
 
     pf = build_partitioning_functions(curve, n)

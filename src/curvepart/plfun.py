@@ -20,8 +20,10 @@ Kernel costs, for f with m pieces, g with k pieces and r result pieces
 - level_set(f, c): O(m), one pass over the pieces in t order that emits
   the items already ordered and merged; nothing is sorted.
 - pl_window(f, lo, hi): O(m); two evaluations for the ends, and f's own
-  breakpoint values in between.  The induction's compression of the
-  closing sum and `plcurve.normalize_tail` both use it.
+  breakpoint values in between.  `plcurve.normalize_tail` uses it, and
+  the induction builds each climb's profile with it, the closing sum
+  compressed onto [0, 1]; the walk reads only that profile's values, and
+  the induction reads its inner map in the closing sum's own parameter.
 """
 
 from bisect import bisect_right

@@ -2,7 +2,8 @@
 
 All geometry runs on arbitrary-precision rationals kept in lowest terms
 with positive denominator, so equality tests in the solvers are exact.
-Backed by gmpy2.mpq when available (much faster), stdlib Fraction otherwise.
+The one backend is the standard library's `fractions.Fraction`: `Scalar`
+names it and `rat` builds it.
 """
 
 import re
@@ -11,23 +12,16 @@ from numbers import Rational
 
 from .errors import InputError
 
-try:
-    from gmpy2 import mpq as _mpq
+Scalar = Fraction
 
-    def rat(p, q=None):
-        # two-arg mpq only accepts integers; floats convert exactly one-arg
-        return _mpq(p) if q is None else _mpq(p, q)
 
-    Scalar = type(_mpq(0))
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def rat(p, q=None):
-        # Fractions are immutable: one already in lowest terms is returned
-        # as is instead of being rebuilt through Fraction.__new__.
-        if q is None:
-            return p if type(p) is Fraction else Fraction(p)
-        return Fraction(p, q)
+def rat(p, q=None):
+    # Fractions are immutable: one already in lowest terms is returned as
+    # is instead of being rebuilt through Fraction.__new__.
+    if q is None:
+        return p if type(p) is Fraction else Fraction(p)
+    return Fraction(p, q)
 
-    Scalar = Fraction
 
 ZERO = rat(0)
 ONE = rat(1)

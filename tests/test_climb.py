@@ -14,9 +14,9 @@ from curvepart import (
     solve,
 )
 from curvepart import climb
-from curvepart.climb import level_complex_path
+from curvepart.climb import level_complex_path, path_points
 from curvepart.pipeline import build_partitioning_functions
-from curvepart.scalar import Scalar, rat
+from curvepart.scalar import rat
 
 from util import climb_pair, fold_levels, march_free_space, shared_fold_pair
 
@@ -57,7 +57,7 @@ class TestTraversal:
         cells = 800
         reached, goal = march_free_space(f1, f2, cells)
         assert goal
-        path = level_complex_path(f1, f2)
+        path = path_points(f1, f2, level_complex_path(f1, f2))
         # every traversal vertex lies in a cell the flood fill reached
         for s, t in path:
             i = min(int(float(s) * cells), cells - 1)
@@ -127,8 +127,9 @@ class TestTraversal:
         # both coordinates change strictly along an edge, so its midpoint
         # lies inside the one rectangle that holds it
         cell_edge = {}
-        for edge in _complex_edges(f1, f2):
-            (sa, ta), (sb, tb) = edge
+        for a, b, same in _complex_edges(f1, f2):
+            edge = (sa, ta), (sb, tb) = path_points(f1, f2, (a, b))
+            assert ta < tb and (sa < sb) == same
             cell = (bisect_right(f1.knots, (sa + sb) / 2) - 1,
                     bisect_right(f2.knots, (ta + tb) / 2) - 1)
             assert cell not in cell_edge
@@ -154,12 +155,10 @@ class TestTraversal:
                     if scan_says_crossing and 0 not in signs:
                         assert False, (s0, t0)
 
-    @pytest.mark.skipif(Scalar is not Fraction,
-                        reason="counts Fraction hashes; the backend is not "
-                               "fractions.Fraction")
     def test_walk_hashes_no_fraction(self, monkeypatch):
         # vertices are keyed by integers: Fraction.__hash__ computes a
-        # modular inverse on every call.  The pair is the flat-free
+        # modular inverse on every call.  The walk only compares levels, so
+        # it builds no Fraction either.  The pair is the flat-free
         # quotients of the last climb of a depth-8 induction.
         seen = []
         monkeypatch.setattr(climb, "level_complex_path",
@@ -169,34 +168,43 @@ class TestTraversal:
         monkeypatch.undo()
         f1, f2 = seen[-1]
 
-        calls = []
-        real = Fraction.__hash__
+        hashed, built = [], []
+        real_hash, real_new = Fraction.__hash__, Fraction.__new__
 
-        def counting(self):
-            calls.append(self)
-            return real(self)
+        def hashing(self):
+            hashed.append(self)
+            return real_hash(self)
 
-        monkeypatch.setattr(Fraction, "__hash__", counting)
+        def building(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__hash__", hashing)
+        monkeypatch.setattr(Fraction, "__new__", building)
+        # the counters see what they should: one sum builds one Fraction
+        assert hash(f1.breakpoints[1][1] + 1) is not None
+        assert len(hashed) == 1 and len(built) == 1
+        del hashed[:], built[:]
         path = level_complex_path(f1, f2)
         monkeypatch.undo()
         assert len(path) > 50
-        assert calls == []
+        assert hashed == [] and built == []
 
 
 class TestSolve:
     def test_no_flats_reduces_to_traversal(self):
         f2 = F((0, 0), (R(1, 2), R(3, 5)), (R(7, 10), R(1, 5)), (1, 1))
         f1 = F((0, 0), (R(2, 5), R(4, 5)), (R(3, 5), R(2, 5)), (1, 1))
-        path = level_complex_path(f1, f2)
+        path = path_points(f1, f2, level_complex_path(f1, f2))
         m = len(path) - 1
         sol = solve(f1, f2)
         assert sol.g1 == F(*((R(k, m), s) for k, (s, _) in enumerate(path)))
         assert sol.g2 == F(*((R(k, m), t) for k, (_, t) in enumerate(path)))
 
     def test_identity_with_flat_partner_forced(self):
-        # the quotient of ONE_FLAT is the identity, whose canonical form
-        # drops the contracted point 1/2: the walk's one edge is split
-        # there, and f2's climber crosses [1/4, 3/4] while f1's waits
+        # the quotient of ONE_FLAT is the identity with the contracted
+        # knot 1/2 kept: the walk has a vertex there, and f2's climber
+        # crosses [1/4, 3/4] while f1's waits
         sol = solve(identity(), ONE_FLAT)
         assert sol.g1 == F((0, 0), (R(1, 3), R(1, 2)), (R(2, 3), R(1, 2)),
                            (1, 1))
@@ -207,9 +215,13 @@ class TestSolve:
             level_complex_path(identity(), ONE_FLAT)
 
     def test_contract_flat_to_point(self):
-        assert climb._contract(ONE_FLAT) == (
-            identity(), {R(1, 2): (R(1, 4), R(3, 4))})
-        assert climb._contract(ZIGZAG) == (ZIGZAG, {})
+        # the flat's two knots become one, kept although it is collinear
+        # with its neighbours; the quotient's pieces are ONE_FLAT's first
+        # and last
+        q, spans = climb._contract(ONE_FLAT)
+        assert q.breakpoints == ((0, 0), (R(1, 2), R(1, 2)), (1, 1))
+        assert spans == [(0, 0), (1, 2), (3, 3)]
+        assert climb._contract(ZIGZAG) == (ZIGZAG, None)
 
     def test_flats_on_both_sides_cross_in_turn(self):
         # both climbers meet their plateaus at level 1/2 together; f1's
@@ -295,11 +307,11 @@ class TestSolve:
             assert compose(f1, sol.g1) == compose(g, sol.g2)
 
     def test_wrong_collapse_rejected(self, monkeypatch):
-        # a lift that bends f1's coordinate keeps the endpoints but breaks
-        # f1∘g1 = f2∘g2
+        # a lift that bends the levels keeps the endpoints (levels 0 and
+        # 1) but breaks f1∘g1 = f2∘g2
         real = climb._lift
         monkeypatch.setattr(climb, "_lift", lambda *args: [
-            (s * s, t) for s, t in real(*args)])
+            (s, t, v * v) for s, t, v in real(*args)])
         f2 = F((0, 0), (R(1, 5), R(1, 2)), (R(2, 5), R(1, 2)),
                (R(3, 5), R(1, 4)), (1, 1))
         with pytest.raises(InternalInvariantError,
@@ -319,18 +331,20 @@ class TestSolve:
                 assert lo1 >= 0 and hi1 <= 1 and lo2 >= 0 and hi2 <= 1
 
     def test_walk_is_solve_without_the_check(self):
-        # the induction's unchecked climb returns what the checked one does
+        # the induction's unchecked climb returns the path of the checked
+        # one
         for seed in range(25):
             pair = climb_pair(seed)
             for f1, f2 in (pair, pair[::-1]):
-                assert climb.walk(f1, f2) == solve(f1, f2), seed
+                path = climb.walk(f1, f2)
+                assert climb.solution(f1, f2, path) == solve(f1, f2), seed
 
     def test_walk_returns_a_wrong_collapse_unchecked(self, monkeypatch):
         # the lift of test_wrong_collapse_rejected: only solve raises
         real = climb._lift
         monkeypatch.setattr(climb, "_lift", lambda *args: [
-            (s * s, t) for s, t in real(*args)])
+            (s, t, v * v) for s, t, v in real(*args)])
         f2 = F((0, 0), (R(1, 5), R(1, 2)), (R(2, 5), R(1, 2)),
                (R(3, 5), R(1, 4)), (1, 1))
-        sol = climb.walk(ZIGZAG, f2)
+        sol = climb.solution(ZIGZAG, f2, climb.walk(ZIGZAG, f2))
         assert compose(ZIGZAG, sol.g1) != compose(f2, sol.g2)

@@ -1,7 +1,7 @@
 """The package needs Python and nothing else: every module imports only
-the standard library, the package itself and the optional gmpy2 (whose
-absence scalar.py handles).  Inside the package, a module reads another
-module's underscore names only where PRIVATE_IMPORTS allows it."""
+the standard library and the package itself.  Inside the package, a module
+reads another module's underscore names only where PRIVATE_IMPORTS allows
+it."""
 
 import ast
 import sys
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import curvepart
 
-ALLOWED = set(sys.stdlib_module_names) | {"curvepart", "gmpy2"}
+ALLOWED = set(sys.stdlib_module_names) | {"curvepart"}
 
 
 def test_imports_are_stdlib_only():

@@ -281,7 +281,8 @@ def ref_edge_sort_key(frm, to):
 
 def ref_level_complex_path(f1, f2):
     for f, name in ((f1, "f1"), (f2, "f2")):
-        if climb._flat_runs(f):
+        pts = f.breakpoints
+        if any(v0 == v1 for (_, v0), (_, v1) in zip(pts, pts[1:])):
             raise PreconditionError(f"{name} must be locally non-constant")
 
     sp = f1.breakpoints
@@ -722,7 +723,8 @@ def test_level_complex_path_matches_reference(monkeypatch):
 
     shared_lo = shared_hi = falling1 = falling2 = 0
     for f1, f2 in pairs:
-        assert climb.level_complex_path(f1, f2) == ref_level_complex_path(
+        path = climb.level_complex_path(f1, f2)
+        assert climb.path_points(f1, f2, path) == ref_level_complex_path(
             f1, f2)
         for lo1, hi1, d1, lo2, hi2, d2 in _overlap_cells(f1, f2):
             shared_lo += lo1 == lo2
@@ -733,7 +735,8 @@ def test_level_complex_path_matches_reference(monkeypatch):
 
 
 def test_complex_edges_match_reference_cells():
-    # every cell the reference gives an edge, in row-major order
+    # every cell the reference gives an edge, in row-major order, and
+    # whether s rises with t along it
     for seed in range(40):
         f1, f2 = (climb._contract(f)[0] for f in climb_pair(seed))
         want = []
@@ -743,7 +746,9 @@ def test_complex_edges_match_reference_cells():
                 seg = ref_cell_edge(s0, s1, a0, a1, t0, t1, b0, b1)
                 if seg is not None:
                     want.append(seg)
-        assert list(climb._complex_edges(f1, f2)) == want
+        got = [(tuple(climb.path_points(f1, f2, (a, b))), same)
+               for a, b, same in climb._complex_edges(f1, f2)]
+        assert got == [(seg, seg[0][0] < seg[1][0]) for seg in want]
 
 
 def test_first_ordinate_hit_matches_linear_scan():

@@ -98,43 +98,49 @@ class TestBuildPartitioningFunctions:
     def test_wrong_climb_solution_rejected(self, monkeypatch):
         # the induction's climb is unchecked; `_final_verify` is the judge
         real = pipeline.climb.walk
-        bent = PLFunction([(0, 0), (R(1, 2), R(1, 4)), (1, 1)])
+        moved = []
 
-        def wrong_g1(f1, f2):
-            sol = real(f1, f2)
-            return replace(sol, g1=compose(sol.g1, bent))
+        def wrong_level(f1, f2):
+            path = real(f1, f2)
+            # the first vertex with a coordinate inside a piece, whose
+            # level the induction reads
+            k = next(k for k, (s, t, _) in enumerate(path) if (s | t) & 1)
+            s, t, v = path[k]
+            moved.append(k)
+            return path[:k] + [(s, t, v + TAMPER)] + path[k + 1:]
 
-        monkeypatch.setattr(pipeline.climb, "walk", wrong_g1)
-        # n = 3 runs one climb; the bent map carries the points off the curve
+        monkeypatch.setattr(pipeline.climb, "walk", wrong_level)
+        # n = 3 runs one climb; the moved level carries the points off the
+        # curve
         with pytest.raises(InternalInvariantError, match="off the curve"):
             partition_curve(BENT, 3)
+        assert len(moved) == 1
 
 
 TAMPER = R(1, 2**20)
 
 
 def _tampering_walk(real, rng, skip, tampered):
-    """climb.walk that moves one breakpoint value v of g1 or g2 by 2^-20,
-    with 2^-20 < v < 1 - 2^-20 so that it stays in [0, 1], on the first
-    climb after `skip` that has one; records what it moved."""
+    """climb.walk that moves the level v of one vertex of the returned
+    level path by 2^-20, on the first climb after `skip` that has a vertex
+    with 2^-20 < v < 1 - 2^-20 and a coordinate inside a piece (where the
+    induction reads the level); records which vertex it moved."""
     count = [0]
 
     def walk(f1, f2):
-        sol = real(f1, f2)
+        path = real(f1, f2)
         count[0] += 1
         if count[0] <= skip or tampered:
-            return sol
-        spots = [(name, i) for name in ("g1", "g2")
-                 for i, (_, v) in enumerate(getattr(sol, name).breakpoints)
-                 if TAMPER < v < 1 - TAMPER]
+            return path
+        spots = [k for k, (s, t, v) in enumerate(path)
+                 if (s | t) & 1 and TAMPER < v < 1 - TAMPER]
         if not spots:
-            return sol
-        name, i = rng.choice(spots)
-        pts = list(getattr(sol, name).breakpoints)
-        t, v = pts[i]
-        pts[i] = (t, v + rng.choice((TAMPER, -TAMPER)))
-        tampered.append((name, i))
-        return replace(sol, **{name: PLFunction(pts)})
+            return path
+        k = rng.choice(spots)
+        s, t, v = path[k]
+        tampered.append(k)
+        return (path[:k] + [(s, t, v + rng.choice((TAMPER, -TAMPER)))]
+                + path[k + 1:])
 
     return walk
 
@@ -192,9 +198,104 @@ def ref_extract_points(curve, y, xs):
             + ((1 - yt, vals[-1] + yt), (1, 1)))
 
 
+# the first level's closing sum x + y is flat on [1/4, 5/8], where y bends
+# at 1/2 and x bends back
+FLAT_SUM_BEND = PLCurve([0, R(1, 4), R(1, 2), R(5, 8), 1],
+                        [(0, 0), (R(1, 2), R(3, 10)), (R(3, 5), R(1, 5)),
+                         (R(7, 10), R(1, 10)), (1, 1)])
+# x + y rises linearly on [1/5, 3/5] through a bend of y at 2/5, and the
+# height's knot value 4/5 lies on that piece beyond the bend
+SLOPED_SUM_BEND = PLCurve([R(k, 5) for k in range(6)],
+                          [(0, 0), (R(2, 5), R(1, 10)), (R(1, 2), R(1, 5)),
+                           (R(4, 5), R(1, 10)), (R(19, 20), R(4, 5)),
+                           (1, 1)])
+# curves for the special cases the seeded sets miss; seed 88 puts a
+# vertex inside a height piece beyond a knot of the width
+EXTRA_CHAIN_CURVES = (FLAT_SUM_BEND, SLOPED_SUM_BEND,
+                      degenerate_lower_curve(88))
+
+SPECIAL_CASES = (
+    "height flat",
+    "closing-sum flat",
+    "bend cancelled in the closing sum",
+    "width knot inside a height piece",
+    "edge across a width knot, sloped",
+    "edge across a width knot, flat",
+    "edge across a cancelled bend, sloped",
+    "edge across a cancelled bend, flat",
+    "vertex beyond a width knot in its piece",
+    "vertex beyond a cancelled bend in its piece",
+)
+
+
+def _has_flat(f):
+    pts = f.breakpoints
+    return any(v0 == v1 for (_, v0), (_, v1) in zip(pts, pts[1:]))
+
+
+def _special_cases(curve, n):
+    """The special cases of the induction's level reading that one solve
+    meets (SPECIAL_CASES): flats of the height or of a compressed closing
+    sum, a bend of y that the closing sum's canonical form drops (x bends
+    back there), a knot of the width strictly inside a height piece, a
+    path edge across either kind of knot, on a sloped or a flat piece, and
+    a path vertex inside a piece beyond either kind of knot.  The edges
+    and vertices are read off each climb's path as parameters."""
+    walks, sums = [], []
+    real_walk, real_sum = climb.walk, pipeline._closing_sum
+
+    def walk(f1, f2):
+        walks.append((f1, f2, real_walk(f1, f2)))
+        return walks[-1][2]
+
+    def closing_sum(x, y):
+        sums.append((y, real_sum(x, y)))
+        return sums[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(climb, "walk", walk)
+        mp.setattr(pipeline, "_closing_sum", closing_sum)
+        build_partitioning_functions(curve, n)
+    height, width = curve.y_function(), curve.x_function()
+    inside = [t for t in width.knots if t not in height.knots]
+    found = set()
+    if _has_flat(height):
+        found.add("height flat")
+    if inside:
+        found.add("width knot inside a height piece")
+    for (f1, f2, path), (y, (_, w, t_stop)) in zip(walks, sums):
+        if _has_flat(f2):
+            found.add("closing-sum flat")
+        # in the window's parameter, as the path's t
+        cancelled = [t / t_stop for t in y.knots
+                     if t < t_stop and t not in w.knots]
+        if cancelled:
+            found.add("bend cancelled in the closing sum")
+        pts = climb.path_points(f1, f2, path)
+        for (s, t, _), (sp, tp) in zip(path, pts):
+            if s % 2 and any(f1.knots[s // 2] < u < sp for u in inside):
+                found.add("vertex beyond a width knot in its piece")
+            if t % 2 and any(f2.knots[t // 2] < u < tp for u in cancelled):
+                found.add("vertex beyond a cancelled bend in its piece")
+        for k, ((s0, t0), (s1, t1)) in enumerate(zip(pts, pts[1:])):
+            piece = "flat" if path[k][2] == path[k + 1][2] else "sloped"
+            if any(min(s0, s1) < u < max(s0, s1) for u in inside):
+                found.add(f"edge across a width knot, {piece}")
+            if any(min(t0, t1) < u < max(t0, t1) for u in cancelled):
+                found.add(f"edge across a cancelled bend, {piece}")
+    return found
+
+
+def _random_chain_inputs():
+    rng = random.Random(18)
+    return [(random_curve(seed, vertices=rng.randint(3, 10)),
+             rng.randint(1, 10)) for seed in range(16)]
+
+
 class TestCompositionChain:
     """The induction stores the older x_i as built with the inner maps
-    after them, and composes only y and the newest x per level."""
+    after them, and reads y, the newest x and the inner map off each
+    climb's level path: they equal the full composition."""
 
     @pytest.mark.parametrize("n", (2, 4, 8))
     def test_fixed_compositions_per_level(self, monkeypatch, n):
@@ -206,10 +307,10 @@ class TestCompositionChain:
 
         monkeypatch.setattr(pipeline, "compose", counting)
         monkeypatch.setattr(climb, "compose", counting)
-        build_partitioning_functions(random_curve(n, vertices=6), n)
-        # y o inner and width o g1 here; the induction's climb is not
-        # checked, so it composes nothing
-        assert len(calls) == 2 * (n - 1)
+        pf = build_partitioning_functions(random_curve(n, vertices=6), n)
+        # y, x and the inner map are read off each climb's level path, and
+        # the climb is not checked: nothing is composed
+        assert calls == [] and len(pf.inners) == n - 1
 
     def _assert_matches_reference(self, c, n):
         pf = build_partitioning_functions(c, n)
@@ -218,15 +319,30 @@ class TestCompositionChain:
         assert pf.y == y and pf.xs == xs
 
     def test_random_curves_match_full_composition(self):
-        rng = random.Random(18)
-        for seed in range(16):
-            c = random_curve(seed, vertices=rng.randint(3, 10))
-            self._assert_matches_reference(c, rng.randint(1, 10))
+        for c, n in _random_chain_inputs():
+            self._assert_matches_reference(c, n)
 
     @pytest.mark.parametrize("n", (2, 3, 4))
     def test_degenerate_curves_match_full_composition(self, n):
         for seed in range(60):
             self._assert_matches_reference(degenerate_lower_curve(seed), n)
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_extra_curves_match_full_composition(self, n):
+        for c in EXTRA_CHAIN_CURVES:
+            self._assert_matches_reference(c, n)
+
+    def test_curve_sets_meet_every_special_case(self):
+        # the three sets above, together, meet every special case of the
+        # level reading; random_curve alone meets none
+        inputs = (_random_chain_inputs()
+                  + [(degenerate_lower_curve(seed), n)
+                     for n in (2, 3, 4) for seed in range(60)]
+                  + [(c, n) for n in (2, 3, 4) for c in EXTRA_CHAIN_CURVES])
+        found = set()
+        for c, n in inputs:
+            found |= _special_cases(c, n)
+        assert found == set(SPECIAL_CASES)
 
 
 class TestExtractPoints:
