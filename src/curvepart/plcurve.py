@@ -16,17 +16,24 @@ exact rational operations):
   merge-walk; the functions are stored as given, with no canonical pass.
 - swap_curve(curve): O(m), swapping the functions; normalize_tail: O(m),
   a `pl_window` and an affine map of each.
-- point_on_curve(curve, q): O(m) box tests; it stops at the first segment
-  whose box holds q and whose line passes through q, without a division.
+- point_on_curve(curve, q): O(m) side tests against the curve's segment
+  lines, built once per curve on first use; it stops at the first segment
+  whose line passes through q and whose box holds q.
 - point_curve_distance_sq(curve, q): the same O(m) membership test first,
   returning zero for a point on the curve; only a point off the curve pays
   the division-heavy distance to every segment.
-- curve_intersections(a, b): the meeting earliest on a, in O(j k) box
+- curve_intersections(a, b): the meeting earliest on a, in O(j k) side
   tests when it lies on a's j-th segment (O(m k) when the curves miss),
-  plus one exact segment meeting only for the pairs whose boxes meet.
+  plus the exact segment meeting only for the pairs where neither segment
+  lies strictly on one side of the other's line.
+
+A side test builds no Fraction: the point (a/b, c/d) is the integers
+(a d, c b, b d), a line is the cross product of two such points, and the
+sign of a point's dot product with a line is its side.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PreconditionError
 from .plfun import (
@@ -44,7 +51,9 @@ class PLCurve:
     """The curve t -> (x(t), y(t)) of two PL functions on [0, 1], built once
     and returned by x_function() and y_function().  knots are where either
     one bends, and vertices the input's own points there.  Only knots and
-    vertices are fields, so they alone take part in ==, hash and repr."""
+    vertices are fields, so they alone take part in ==, hash and repr; the
+    side tests' segment lines are built on first use and die with the
+    curve."""
 
     knots: tuple
     vertices: tuple
@@ -95,6 +104,13 @@ class PLCurve:
         ks, vs = self.knots, self.vertices
         return tuple(zip(ks, ks[1:], vs, vs[1:]))
 
+    @cached_property
+    def _lines(self):
+        """Each segment's line as integers (A, B, C); a zero-length
+        segment's is (0, 0, 0), on which every point lies."""
+        ps = [_homogeneous(p) for p in self.vertices]
+        return tuple(map(_line, ps, ps[1:]))
+
 
 def curve_from_functions(fx, fy):
     """The curve (fx, fy); both are canonical, so every union knot is a
@@ -112,6 +128,28 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _homogeneous(p):
+    """The rational point (a/b, c/d) as the integers (a d, c b, b d)."""
+    x, y = p
+    b, d = x.denominator, y.denominator
+    return x.numerator * d, y.numerator * b, b * d
+
+
+def _line(p, q):
+    """The line through the homogeneous points p and q: their cross
+    product, whose dot product with r has the sign of _cross(p, q, r)."""
+    x0, y0, w0 = p
+    x1, y1, w1 = q
+    return y0 * w1 - w0 * y1, w0 * x1 - x0 * w1, x0 * y1 - y0 * x1
+
+
+def _sides(u, vs):
+    """The sign, -1, 0 or 1, of the dot product of u with each of vs: one
+    point's side of each line, or each point's side of one line."""
+    a, b, c = u
+    return [(d > 0) - (d < 0) for d in (a * x + b * y + c * w for x, y, w in vs)]
+
+
 @dataclass(frozen=True)
 class Intersection:
     """A meeting of two curves: its parameter on each and the common point."""
@@ -125,7 +163,7 @@ def _segment_point_param(p0, p1, q):
     """Parameter in [0,1] placing q on segment p0..p1, or None."""
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]
     if dx == 0 and dy == 0:
-        return rat(0) if q == p0 else None
+        return ZERO if q == p0 else None
     if _cross(p0, p1, q) != 0:
         return None
     s = ((q[0] - p0[0]) * dx + (q[1] - p0[1]) * dy) / (dx * dx + dy * dy)
@@ -164,13 +202,6 @@ def _earliest_meeting(p0, p1, q0, q1):
     return lo, (lo - s_q0) / (s_q1 - s_q0), (p0[0] + lo * dx, p0[1] + lo * dy)
 
 
-def _box(p0, p1):
-    """(x_lo, x_hi, y_lo, y_hi) of the segment p0..p1."""
-    x0, x1 = (p0[0], p1[0]) if p0[0] <= p1[0] else (p1[0], p0[0])
-    y0, y1 = (p0[1], p1[1]) if p0[1] <= p1[1] else (p1[1], p0[1])
-    return x0, x1, y0, y1
-
-
 def curve_intersections(a, b):
     """The meeting of two polylines with the smallest parameter on `a`, as a
     list of at most one Intersection.
@@ -178,15 +209,24 @@ def curve_intersections(a, b):
     A collinear overlap meets at its start, and a tie on `a` keeps the
     smallest parameter on `b`.  Meetings on later segments of `a` lie no
     earlier on `a`, so the scan stops after the first segment of `a` that
-    meets `b`.
+    meets `b`.  A pair of segments is skipped when the ends of one lie
+    strictly on one side of the other's line; each vertex of `a` is tested
+    against b's lines once, for both segments it ends.
     """
     best = None
-    b_segs = [(seg, _box(seg[2], seg[3])) for seg in b.segments()]
+    b_segs, b_lines = b.segments(), b._lines
+    p = _homogeneous(a.vertices[0])
+    p_sides = _sides(p, b_lines)
     for ta0, ta1, pa0, pa1 in a.segments():
-        ax0, ax1, ay0, ay1 = _box(pa0, pa1)
-        for (tb0, tb1, pb0, pb1), (bx0, bx1, by0, by1) in b_segs:
-            # closed segments with disjoint bounding boxes cannot meet
-            if bx1 < ax0 or ax1 < bx0 or by1 < ay0 or ay1 < by0:
+        q = _homogeneous(pa1)
+        q_sides = _sides(q, b_lines)
+        line = _line(p, q)
+        for j, (sp, sq) in enumerate(zip(p_sides, q_sides)):
+            if sp == sq != 0:
+                continue
+            tb0, tb1, pb0, pb1 = b_segs[j]
+            s0, s1 = _sides(line, (_homogeneous(pb0), _homogeneous(pb1)))
+            if s0 == s1 != 0:
                 continue
             hit = _earliest_meeting(pa0, pa1, pb0, pb1)
             if hit is not None:
@@ -196,6 +236,7 @@ def curve_intersections(a, b):
                     best = (ts, pt)
         if best is not None:
             return [Intersection(*best[0], best[1])]
+        p, p_sides = q, q_sides
     return []
 
 
@@ -215,7 +256,7 @@ def _segment_nearest(q, p0, p1):
 
 
 def point_curve_distance_sq(curve, q):
-    if _on_polyline(curve.vertices, q):
+    if _on_polyline(curve, q):
         return ZERO
     return min(
         _segment_nearest(q, p0, p1)[0] for _, _, p0, p1 in curve.segments()
@@ -233,17 +274,19 @@ def nearest_point_on_curve(curve, q):
 
 
 def point_on_curve(curve, q):
-    """Exact membership: q lies in some segment's bounding box and on its
-    line (a zero-length segment's box is its one point)."""
-    return _on_polyline(curve.vertices, q)
+    """Exact membership: q lies on some segment's line and in its bounding
+    box (a zero-length segment's line holds every point, its box one)."""
+    return _on_polyline(curve, q)
 
 
-def _on_polyline(vs, q):
+def _on_polyline(curve, q):
     qx, qy = q
-    for p0, p1 in zip(vs, vs[1:]):
-        if ((p0[0] <= qx <= p1[0] or p1[0] <= qx <= p0[0])
-                and (p0[1] <= qy <= p1[1] or p1[1] <= qy <= p0[1])
-                and _cross(p0, p1, q) == 0):
+    x, y, w = _homogeneous(q)
+    vs = curve.vertices
+    for (a, b, c), p0, p1 in zip(curve._lines, vs, vs[1:]):
+        if (a * x + b * y + c * w == 0
+                and (p0[0] <= qx <= p1[0] or p1[0] <= qx <= p0[0])
+                and (p0[1] <= qy <= p1[1] or p1[1] <= qy <= p0[1])):
             return True
     return False
 

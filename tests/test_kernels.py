@@ -615,14 +615,15 @@ def test_canonical_does_no_rational_arithmetic():
         Opaque(1, 3) < Opaque(1, 5)
 
 
-def test_curve_intersections_first_matches_reference():
-    """The kernel's one meeting is the full reference's earliest, on both
-    curves at once."""
+def _intersection_pairs():
     rng = random.Random(15)
-    overlap_first = point_first = stalls = 0
     for _ in range(150):
-        a = rand_curve(rng, rng.randint(1, 7))
-        b = rand_curve(rng, rng.randint(1, 7))
+        yield rand_curve(rng, rng.randint(1, 7)), rand_curve(rng, rng.randint(1, 7))
+
+
+def _assert_first_meetings_match_reference(pairs):
+    overlap_first = point_first = stalls = 0
+    for a, b in pairs:
         full = ref_curve_intersections(a, b)
         got = curve_intersections(a, b)
         assert got == ref_earliest_meeting(a, b), (a, b)
@@ -635,6 +636,52 @@ def test_curve_intersections_first_matches_reference():
         overlap_first += isinstance(full[0], RefOverlap)
         point_first += isinstance(full[0], Intersection)
     assert overlap_first and point_first and stalls
+
+
+def test_curve_intersections_first_matches_reference():
+    """The kernel's one meeting is the full reference's earliest, on both
+    curves at once."""
+    _assert_first_meetings_match_reference(_intersection_pairs())
+
+
+def big_affine(rng):
+    """A random invertible affine map of the plane.  Each output coordinate
+    is (a x + b y + c) / q with q in BIG_DENS and integers a, b, c below q
+    in magnitude, so grid points map to coordinates of 200 to 300 bits."""
+    while True:
+        rows = []
+        for _ in range(2):
+            q = rng.choice(BIG_DENS)
+            rows.append([rat(rng.randrange(1 - q, q), q) for _ in range(3)])
+        (a, b, _), (c, d, _) = rows
+        if a * d != b * c:
+            break
+    return lambda p: tuple(r[0] * p[0] + r[1] * p[1] + r[2] for r in rows)
+
+
+def affine_image(curve, f):
+    """The curve f(curve) on the same knots.  An invertible affine map keeps
+    every bend, touch, collinear overlap and stall, and each point's
+    parameter on every segment."""
+    return PLCurve(curve.knots, [f(p) for p in curve.vertices])
+
+
+def test_curve_intersections_first_matches_reference_big_denominators():
+    """The same pairs under affine maps with BIG_DENS coefficients: the
+    meeting keeps its parameters and moves with the map, and it is still
+    the reference's earliest."""
+    rng = random.Random(19)
+    images = []
+    for a, b in _intersection_pairs():
+        f = big_affine(rng)
+        fa, fb = affine_image(a, f), affine_image(b, f)
+        assert fa.knots == a.knots and fb.knots == b.knots
+        assert min(v.denominator.bit_length()
+                   for p in fa.vertices + fb.vertices for v in p) >= 190
+        assert curve_intersections(fa, fb) == [
+            Intersection(h.t_a, h.t_b, f(h.point)) for h in curve_intersections(a, b)]
+        images.append((fa, fb))
+    _assert_first_meetings_match_reference(images)
 
 
 def _membership_cases():
@@ -650,6 +697,16 @@ def _membership_cases():
         yield c, queries
 
 
+def _big_membership_cases():
+    """The membership cases under affine maps with BIG_DENS coefficients,
+    each query with whether it lies on the original curve."""
+    rng = random.Random(20)
+    for c, queries in _membership_cases():
+        f = big_affine(rng)
+        yield (affine_image(c, f),
+               [(f(q), point_on_curve(c, q)) for q in queries])
+
+
 def test_point_on_curve_matches_reference():
     stalls = 0
     for c, queries in _membership_cases():
@@ -657,6 +714,17 @@ def test_point_on_curve_matches_reference():
         for q in queries:
             assert point_on_curve(c, q) == ref_point_on_curve(c, q), (c, q)
     assert stalls
+
+
+def test_point_on_curve_matches_reference_big_denominators():
+    """Membership is kept by the map, and still matches the reference."""
+    on = off = 0
+    for c, queries in _big_membership_cases():
+        for q, was_on in queries:
+            assert point_on_curve(c, q) == was_on == ref_point_on_curve(c, q), (c, q)
+            on += was_on
+            off += not was_on
+    assert on and off
 
 
 def test_point_curve_distance_sq_matches_reference():
@@ -668,6 +736,14 @@ def test_point_curve_distance_sq_matches_reference():
             on += d2 == 0
             off += d2 != 0
     assert on and off
+
+
+def test_point_curve_distance_sq_matches_reference_big_denominators():
+    for c, queries in _big_membership_cases():
+        for q, was_on in queries:
+            d2 = point_curve_distance_sq(c, q)
+            assert d2 == ref_point_curve_distance_sq(c, q), (c, q)
+            assert (d2 == 0) == was_on
 
 
 def test_curve_call_matches_reference():
@@ -689,6 +765,32 @@ def test_cached_knots_stay_out_of_eq_hash_repr():
     object.__setattr__(g, "knots", ())
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
     assert repr(f) == f"PLFunction(breakpoints={bps!r})"
+
+
+def test_cached_lines_stay_out_of_eq_hash_repr():
+    """A curve's integer segment lines are built on first use and kept in
+    the instance: they take no part in ==, hash or repr, and a curve built
+    from another by swap_curve or _of builds its own."""
+    knots = (rat(0), rat(1, 2), rat(1))
+    verts = ((rat(0), rat(0)), (rat(3, 5), rat(1, 7)), (rat(1), rat(1)))
+    c, d = PLCurve(knots, verts), PLCurve(knots, verts)
+    assert point_on_curve(c, verts[1])
+    assert "_lines" in vars(c) and "_lines" not in vars(d)
+    assert c == d and hash(c) == hash(d) and repr(c) == repr(d)
+    vars(d)["_lines"] = ((0, 0, 0), (0, 0, 0))
+    assert c == d and hash(c) == hash(d) and repr(c) == repr(d)
+    assert repr(c) == f"PLCurve(knots={knots!r}, vertices={verts!r})"
+
+    s = plcurve.swap_curve(c)
+    o = PLCurve._of(c.x_function(), c.y_function(), c.knots, c.vertices)
+    for built in (s, o):
+        assert "_lines" not in vars(built)
+    p = verts[1]
+    assert point_on_curve(s, (p[1], p[0])) and not point_on_curve(s, p)
+    ps = [plcurve._homogeneous(v) for v in s.vertices]
+    assert s._lines == tuple(map(plcurve._line, ps, ps[1:]))
+    assert s._lines != c._lines
+    assert o._lines == c._lines and o._lines is not c._lines
 
 
 def _overlap_cells(f1, f2):

@@ -705,6 +705,12 @@ class TestRetryBudgets:
         assert err.history == list(res.trace.residual_history[:len(err.history)])
 
 
+def _closing_curve(pf):
+    """The closing curve, built as extract_points builds it."""
+    return curve_from_functions(pl_scale_values(pf.y, R(-1), R(1)),
+                                pl_add(pf.xs[-1], pf.y))
+
+
 class TestWideClosingCurves:
     """Curves of 32-64 vertices at n 2-3, whose closing curves have tens to
     hundreds of segments and meet the input many times."""
@@ -715,13 +721,24 @@ class TestWideClosingCurves:
         c = _random_lower_triangle_curve(rng, rng.randint(30, 62))
         n = rng.randint(2, 3)
         pf = build_partitioning_functions(c, n)
-        # the closing curve, built as extract_points builds it
-        eta = curve_from_functions(pl_scale_values(pf.y, R(-1), R(1)),
-                                   pl_add(pf.xs[-1], pf.y))
+        eta = _closing_curve(pf)
         assert curve_intersections(eta, c) == ref_earliest_meeting(eta, c)
         res = partition_below_diagonal(c, n)
         assert res.exact
         assert verify(c, res.points, tol=0).ok
+
+
+class TestDeepClosingCurves:
+    """Solves at n 8, 10 and 12, whose closing curves have 55 to 128
+    segments and denominators of 274 to 432 bits."""
+
+    @pytest.mark.parametrize("n", (8, 10, 12))
+    def test_first_hit_scan_matches_full_scan(self, n):
+        c = random_curve(n, vertices=8)
+        eta = _closing_curve(build_partitioning_functions(c, n))
+        assert max(v.denominator.bit_length()
+                   for p in eta.vertices for v in p) >= 190
+        assert curve_intersections(eta, c) == ref_earliest_meeting(eta, c)
 
 
 def _random_lower_triangle_curve(rng, interior_vertices):
