@@ -17,13 +17,15 @@ levels and computes no coordinate.  A vertex is keyed by one integer
 position per profile, 2i at knot i and 2i + 1 strictly inside piece i;
 at least one of the two is a knot, and that knot's value is the vertex's
 level.  `walk` is the one climb and returns this level path on the
-profiles' own breakpoints, unchecked.  `path_points` turns it into
-parameters, and `solve` is `walk`, the maps g1, g2 read off its points and
-an exact check of f1∘g1 = f2∘g2, for callers whose result nothing else
-checks (the library entry and `curvepart climb`).  The induction in
-`pipeline` reads the level path itself, through `Companion`: its output
-meets `partition_curve`'s exact final check of the whole theorem, so a
-wrong climb either raises there or leaves a correct partition.
+profiles' own breakpoints, unchecked.  It reads a profile's values only,
+through `breakpoints`, so any increasing parameters give the same path.
+`path_points` turns it into parameters, and `solve` is `walk`, the maps
+g1, g2 read off its points and an exact check of f1∘g1 = f2∘g2, for
+callers whose result nothing else checks (the library entry and
+`curvepart climb`).  The induction in `pipeline` reads the level path
+itself, through `Companion`: its output meets `partition_curve`'s exact
+final check of the whole theorem, so a wrong climb either raises there or
+leaves a correct partition.
 
 Kernel costs of the walk, for f1 with m pieces, f2 with k pieces and e
 edges in the complex:
@@ -34,9 +36,8 @@ edges in the complex:
   No rational is built, hashed or added.  The walk itself is O(e) steps
   over integer vertex keys, and at each vertex the step's sign pattern
   picks the edge.
-- _contract and _lift: O(m + k + e) steps on integer positions; only a
-  profile with flats pays O(k) rational operations, for its quotient's
-  parameters.
+- _contract and _lift: O(m + k + e) steps on integer positions, and no
+  rational operation: a quotient keeps its profile's own breakpoints.
 - path_points: O(e) exact rational operations, one interpolation per
   coordinate inside a piece.
 - Companion(rows, knots): O(rows) to find the profile's knots among the
@@ -68,7 +69,7 @@ class ClimbSolution:
 
 
 def _check_profile(f, name):
-    vs = f.values
+    vs = [v for _, v in f.breakpoints]
     if vs[0] != 0 or vs[-1] != 1:
         raise PreconditionError(f"{name} must map 0 to 0 and 1 to 1")
     lo, hi = min(vs), max(vs)
@@ -191,15 +192,15 @@ def level_complex_path(f1, f2):
 def _contract(f):
     """Contract each maximal flat of f to a knot.
 
-    Returns the flat-free quotient q and spans: q's knot k stands for f's
-    knots spans[k][0] .. spans[k][1] (one knot, or the two ends of a flat),
-    and q's piece k for f's piece spans[k][1].  Parameter t of f maps to
-    u = (t - flat length below t) / (1 - total flat length), and q(u) =
-    f(t).  q has only `breakpoints`, ((u, v), ...), as the walk reads them:
-    unlike a PLFunction it is not canonical, so a contracted knot stays
-    even where it is collinear with its neighbours, and the walk has a
-    vertex wherever a climber must cross a plateau.  A flat-free f is its
-    own quotient, with spans None.
+    Returns the flat-free quotient q and spans: q's knot k is f's knot
+    spans[k][0] and stands for f's knots spans[k][0] .. spans[k][1] (one
+    knot, or the two ends of a flat), and q's piece k runs over the levels
+    of f's piece spans[k][1].  q has only `breakpoints`, f's own at the
+    first knot of each span, as the walk reads them: unlike a PLFunction
+    it is not canonical, so a contracted knot stays even where it is
+    collinear with its neighbours, and the walk has a vertex wherever a
+    climber must cross a plateau.  A flat-free f is its own quotient, with
+    spans None.
     """
     pts = f.breakpoints
     spans = [[0, 0]]
@@ -210,13 +211,8 @@ def _contract(f):
             spans.append([k, k])
     if len(spans) == len(pts):
         return f, None
-    keep = ONE - sum(pts[hi][0] - pts[lo][0] for lo, hi in spans)
-    below = ZERO
-    out = []
-    for lo, hi in spans:
-        out.append(((pts[lo][0] - below) / keep, pts[lo][1]))
-        below += pts[hi][0] - pts[lo][0]
-    return SimpleNamespace(breakpoints=tuple(out)), [tuple(s) for s in spans]
+    return (SimpleNamespace(breakpoints=tuple(pts[lo] for lo, _ in spans)),
+            [tuple(s) for s in spans])
 
 
 def _lift_position(pos, before, after, spans):
@@ -266,12 +262,15 @@ def walk(f1, f2):
     level path on f1's and f2's breakpoints, as `level_complex_path` gives
     it; the result is not checked (`solve` checks it).
 
-    Requires boundary values 0 -> 0, 1 -> 1 and range [0, 1] on both
-    sides, and nothing else.  Fold levels of f1 and f2 may coincide:
-    a same-level meeting only creates even-degree vertices (4 for two
-    maxima or two minima, 0 for a maximum and a minimum), so the trail
-    argument still lands at (1,1).  Flat-free profiles skip the
-    contraction, and their path is the walk itself.
+    Requires first value 0, last value 1 and range [0, 1] on both sides,
+    and nothing else.  The walk reads each profile's `breakpoints` values
+    only, so any increasing parameters serve: a PLFunction on [0, 1], or
+    the induction's closing sum in its own parameter up to t_stop.  Fold
+    levels of f1 and f2 may coincide: a same-level meeting only creates
+    even-degree vertices (4 for two maxima or two minima, 0 for a maximum
+    and a minimum), so the trail argument still lands at (1,1).
+    Flat-free profiles skip the contraction, and their path is the walk
+    itself.
     """
     _check_profile(f1, "f1")
     _check_profile(f2, "f2")

@@ -21,7 +21,10 @@ from .pipeline import _shift_residual, increments
 from .plcurve import PLCurve
 from .scalar import ONE, ZERO, as_float, parse_tolerance, rat
 
-CURVE_CLASSES = ("deltaInterior", "interior", "planar")
+# the fewest polyline vertices of each curve class: deltaInterior needs an
+# interior vertex, as the bare diagonal lies on the boundary
+MIN_VERTICES = {"deltaInterior": 3, "interior": 2, "planar": 2}
+CURVE_CLASSES = tuple(MIN_VERTICES)
 _DENOM = 2**20
 # Newton polish for shifts >= 2: iterates per start (the start included),
 # starts from the best coarse combos, halvings of a step that lands on an
@@ -66,20 +69,17 @@ def _rand_rat(rng, lo=0, hi=1):
 def random_curve(seed, vertices=4, curve_class="deltaInterior"):
     """Deterministic random polyline from (0,0) to (1,1).
 
-    vertices counts all polyline vertices including the endpoints.
+    vertices counts all polyline vertices including the endpoints, at
+    least MIN_VERTICES of the class.
     deltaInterior keeps every interior vertex strictly below the diagonal
     (the region is convex, so the whole curve follows); interior keeps
     them in the open unit square; planar is unconstrained.
     """
-    if vertices < 2:
-        raise PreconditionError("a curve needs at least 2 vertices")
     if curve_class not in CURVE_CLASSES:
         raise InputError(f"unknown curve class {curve_class!r}")
-    if curve_class == "deltaInterior" and vertices < 3:
-        raise PreconditionError(
-            "deltaInterior needs at least one interior vertex: the bare "
-            "diagonal lies on the boundary"
-        )
+    if vertices < MIN_VERTICES[curve_class]:
+        raise PreconditionError(f"a {curve_class} curve needs at least "
+                                f"{MIN_VERTICES[curve_class]} vertices")
     rng = random.Random(seed)
     inner = vertices - 2
     pts = [(ZERO, ZERO)]
@@ -327,13 +327,18 @@ def batch(config, log_path):
     _require_ints(seeds, "seeds")
     curve_specs = config.get("curves", [{"vertices": 4, "class": "deltaInterior"}])
     if not isinstance(curve_specs, list) or not all(
-            isinstance(spec, dict) and _is_int(spec.get("vertices", 4))
-            and spec.get("class", "deltaInterior") in CURVE_CLASSES
-            for spec in curve_specs):
-        raise InputError("curves must be a list of objects with an integer "
-                         f"'vertices' and a 'class' in {CURVE_CLASSES}")
+            isinstance(spec, dict) for spec in curve_specs):
+        raise InputError("curves must be a list of objects")
+    kinds = [(spec.get("vertices", 4), spec.get("class", "deltaInterior"))
+             for spec in curve_specs]
+    if not all(c in CURVE_CLASSES and _is_int(v) and v >= MIN_VERTICES[c]
+               for v, c in kinds):
+        raise InputError(f"each curve needs a 'class' in {CURVE_CLASSES} and "
+                         f"an integer 'vertices', at least {MIN_VERTICES}")
     ns = _require_ints(config.get("n", [1]), "n")
     shifts = _require_ints(config.get("shifts", [1]), "shifts")
+    if any(v < 0 for v in ns + shifts):
+        raise InputError("n and shifts must be nonnegative")
     grid = config.get("grid", 400)
     if not _is_int(grid) or grid < 1:
         raise InputError("grid must be a positive integer")
@@ -365,7 +370,7 @@ def batch(config, log_path):
     counts = {"found": 0, "notFound": 0, "error": 0, "skipped": 0}
     with open(log_path, "a") as fh:
         for seed in seeds:
-            for spec in curve_specs:
+            for spec, (vertices, curve_class) in zip(curve_specs, kinds):
                 for n in ns:
                     for shift in shifts:
                         if shift > n:
@@ -374,11 +379,8 @@ def batch(config, log_path):
                         if key in done:
                             counts["skipped"] += 1
                             continue
-                        curve = random_curve(
-                            seed,
-                            vertices=spec.get("vertices", 4),
-                            curve_class=spec.get("class", "deltaInterior"),
-                        )
+                        curve = random_curve(seed, vertices=vertices,
+                                             curve_class=curve_class)
                         theta = CyclicPermutation(size=n + 1, shift=shift)
                         try:
                             rec = conjecture_search(

@@ -21,6 +21,7 @@ budget raises ConvergenceError.  The stages return results unchecked;
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 
 from . import climb
 from .errors import (
@@ -49,7 +50,6 @@ from .plfun import (
     pl_eval,
     pl_scale_values,
     pl_sub,
-    pl_window,
     union_knot_values,
 )
 from .scalar import ONE, ZERO, rat
@@ -159,13 +159,14 @@ def _shift_residual(dx, dy, k):
 
 def build_partitioning_functions(curve, n):
     """Induction on n carrying y, x_1..x_n, as in the paper: y = height and
-    x_1 = width to start; each level compresses the closing sum x_n + y
-    onto [0,1], walks one climb against the height (`climb.walk`), and
+    x_1 = width to start; each level walks one climb of the height
+    against the closing sum x_n + y up to its first t_stop at 1, in the
+    closing sum's own parameter (`climb.walk` reads levels only), and
     reads the new y = y o tau, x_{n+1} = width o g1 and the inner map tau
-    (the climb's g2, in the closing sum's own parameter) off the walk's
-    level path.  Nothing is composed: at each vertex of the path, y and
-    tau come from one interpolation on the closing sum's piece and x from
-    one on the height's piece, at the vertex's level (`climb.Companion`).
+    (the climb's g2) off the walk's level path.  Nothing is composed: at
+    each vertex of the path, y and tau come from one interpolation on the
+    closing sum's piece and x from one on the height's piece, at the
+    vertex's level (`climb.Companion`).
     Where a path edge crosses a knot of y or of the width that the
     profile's canonical form lacks, the new function gets a breakpoint,
     where `compose` would add one, so each function is the composition
@@ -199,12 +200,9 @@ def build_partitioning_functions(curve, n):
     y, x = height, width
     bases, inners = [], []
     for _ in range(1, n):
-        rows, w, t_stop = _closing_sum(x, y)
-        f2 = pl_window(w, ZERO, t_stop)
+        rows, f2 = _closing_sum(x, y)
         path = climb.walk(height, f2)
-        # the window keeps w's knots below t_stop and ends at t_stop
-        along_sum = climb.Companion(rows, w.knots[:len(f2.knots) - 1]
-                                    + (t_stop,))
+        along_sum = climb.Companion(rows, [t for t, _ in f2.breakpoints])
         m = len(path) - 1
         us = [rat(k, m) for k in range(m + 1)]
         bases.append(x)
@@ -223,8 +221,8 @@ def extract_points(curve, pf):
     above the top edge, so it meets the input; `curve_intersections`
     returns the meeting with the smallest closing-curve parameter t0 (the
     start of a collinear overlap), and only t0 is read.  The x_i are
-    evaluated there (`xs_at`), never composed.  The result, shift 1, is exact by construction and unchecked
-    here.
+    evaluated there (`xs_at`), never composed.  The result, shift 1, is
+    exact by construction and unchecked here.
     """
     y = pf.y
     eta = curve_from_functions(
@@ -248,9 +246,11 @@ def extract_points(curve, pf):
 
 
 def _closing_sum(x, y):
-    """The closing sum w = x + y, the first t_stop with w(t_stop) = 1, and
-    the rows (t, w(t), y(t)) up to it: at the union knots of x and y below
-    t_stop, and at t_stop."""
+    """The closing sum w = x + y up to the first t_stop with w(t_stop) = 1:
+    the rows (t, w(t), y(t)) at the union knots of x and y below t_stop
+    and at t_stop, and the climb's profile, w's canonical breakpoints
+    below t_stop and then (t_stop, 1), in w's own parameter.  The profile
+    has only `breakpoints`, as `climb.walk` reads them."""
     rows = [(t, a + b, b) for t, a, b in union_knot_values(x, y)]
     w = PLFunction([(t, v) for t, v, _ in rows])
     hits = level_set(w, ONE)
@@ -258,13 +258,11 @@ def _closing_sum(x, y):
         raise InternalInvariantError("closing sum never reaches 1")
     t_stop = hits[0][0]
     i = bisect_left(rows, (t_stop,))
-    if rows[i][0] == t_stop:
-        del rows[i + 1:]
-    else:
-        (t0, _, y0), (t1, _, y1) = rows[i - 1], rows[i]
-        y_stop = y0 + (t_stop - t0) * (y1 - y0) / (t1 - t0)
-        rows[i:] = [(t_stop, ONE, y_stop)]
-    return rows, w, t_stop
+    if rows[i][0] != t_stop:
+        rows[i] = (t_stop, ONE, pl_eval(y, t_stop))
+    del rows[i + 1:]
+    below = w.breakpoints[:bisect_left(w.knots, t_stop)]
+    return rows, SimpleNamespace(breakpoints=below + ((t_stop, ONE),))
 
 
 def _below_result(points):
@@ -295,8 +293,8 @@ def partition_below_diagonal(curve, n):
         )
 
     if n == 0:
-        _, _, t0 = _closing_sum(curve.x_function(), curve.y_function())
-        return _below_result(((ZERO, ZERO), curve(t0), (ONE, ONE)))
+        rows, _ = _closing_sum(curve.x_function(), curve.y_function())
+        return _below_result(((ZERO, ZERO), curve(rows[-1][0]), (ONE, ONE)))
 
     pf = build_partitioning_functions(curve, n)
     return extract_points(curve, pf)

@@ -20,10 +20,9 @@ Kernel costs, for f with m pieces, g with k pieces and r result pieces
 - level_set(f, c): O(m), one pass over the pieces in t order that emits
   the items already ordered and merged; nothing is sorted.
 - pl_window(f, lo, hi): O(m); two evaluations for the ends, and f's own
-  breakpoint values in between.  `plcurve.normalize_tail` uses it, and
-  the induction builds each climb's profile with it, the closing sum
-  compressed onto [0, 1]; the walk reads only that profile's values, and
-  the induction reads its inner map in the closing sum's own parameter.
+  breakpoint values in between.  Its one caller is
+  `plcurve.normalize_tail`; the induction walks each closing sum in its
+  own parameter, with no window.
 """
 
 from bisect import bisect_right

@@ -390,6 +390,11 @@ class TestExploreAndPlot:
         '{"n": ["a"]}',                # n entry not an int
         '{"shifts": ["1"]}',           # shift entry not an int
         '{"curves": [{"vertices": "4"}]}',  # vertices not an int
+        '{"curves": [{"vertices": 2}]}',    # deltaInterior needs 3
+        '{"curves": [{"vertices": 1, "class": "planar"}]}',  # needs 2
+        '{"curves": [{"class": ["planar"]}]}',  # class not a name
+        '{"n": [-1]}',                 # n entry negative
+        '{"n": [2], "shifts": [-1]}',  # shift entry negative
         '{"tol": "abc"}',              # tol not a number
         '{"tol": "-1"}',               # tol negative
         '{"tol": -0.5}',               # decimal tol negative

@@ -1,5 +1,7 @@
 
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +31,13 @@ def F(*bps):
 
 ZIGZAG = F((0, 0), (R(1, 3), R(2, 3)), (R(2, 3), R(1, 3)), (1, 1))
 ONE_FLAT = F((0, 0), (R(1, 4), R(1, 2)), (R(3, 4), R(1, 2)), (1, 1))
+
+
+def _retimed(f, rng):
+    """f's values at other increasing times, anywhere on the line."""
+    ts = sorted(rng.sample(range(-10**6, 10**6), len(f.breakpoints)))
+    return SimpleNamespace(breakpoints=tuple(
+        (R(t, 997), v) for t, (_, v) in zip(ts, f.breakpoints)))
 
 
 class TestTraversal:
@@ -215,11 +224,12 @@ class TestSolve:
             level_complex_path(identity(), ONE_FLAT)
 
     def test_contract_flat_to_point(self):
-        # the flat's two knots become one, kept although it is collinear
-        # with its neighbours; the quotient's pieces are ONE_FLAT's first
-        # and last
+        # the flat's two knots become one, ONE_FLAT's own breakpoint at the
+        # flat's first knot, kept although it is collinear with its
+        # neighbours; the quotient's pieces are ONE_FLAT's first and last
         q, spans = climb._contract(ONE_FLAT)
-        assert q.breakpoints == ((0, 0), (R(1, 2), R(1, 2)), (1, 1))
+        assert q.breakpoints == ((0, 0), (R(1, 4), R(1, 2)), (1, 1))
+        assert q.breakpoints[1] is ONE_FLAT.breakpoints[1]
         assert spans == [(0, 0), (1, 2), (3, 3)]
         assert climb._contract(ZIGZAG) == (ZIGZAG, None)
 
@@ -348,3 +358,39 @@ class TestSolve:
                (R(3, 5), R(1, 4)), (1, 1))
         sol = climb.solution(ZIGZAG, f2, climb.walk(ZIGZAG, f2))
         assert compose(ZIGZAG, sol.g1) != compose(f2, sol.g2)
+
+    def test_walk_reads_levels_only(self):
+        # the walk reads each profile's values and none of its times: the
+        # same values at any other increasing times, which need not span
+        # [0, 1], give the same level path.  The seeded pairs carry flats
+        # on either side and shared fold levels.
+        rng = random.Random(24)
+        flats = shared = 0
+        for seed in range(40):
+            f1, f2 = climb_pair(seed)
+            g1, g2, c = shared_fold_pair(seed, seed % 2 == 1)
+            shared += c in fold_levels(g2)
+            for a, b in ((f1, f2), (f2, f1), (g1, g2), (g2, g1)):
+                flats += climb._contract(a)[1] is not None
+                path = climb.walk(a, b)
+                for ra, rb in ((_retimed(a, rng), b), (a, _retimed(b, rng)),
+                               (_retimed(a, rng), _retimed(b, rng))):
+                    assert climb.walk(ra, rb) == path, seed
+        assert flats >= 40 and shared >= 10, (flats, shared)
+
+    def test_walk_builds_no_fraction(self, monkeypatch):
+        # a quotient keeps its profile's own breakpoints, so a walk over
+        # flats builds no Fraction, from the profile check to the lift
+        pairs = [climb_pair(seed) for seed in range(12)]
+        assert all(climb._contract(f2)[1] for _, f2 in pairs)
+        built = []
+        real_new = Fraction.__new__
+
+        def building(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", building)
+        paths = [climb.walk(f1, f2) for f1, f2 in pairs]
+        monkeypatch.undo()
+        assert built == [] and all(len(path) > 2 for path in paths)

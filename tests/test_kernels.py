@@ -17,6 +17,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -804,6 +805,14 @@ def _overlap_cells(f1, f2):
             if c[0] < r[1] and r[0] < c[1]]
 
 
+def _onto_unit(f):
+    """f's breakpoints with their times mapped affinely onto [0, 1]."""
+    pts = f.breakpoints
+    t0, span = pts[0][0], pts[-1][0] - pts[0][0]
+    return SimpleNamespace(
+        breakpoints=tuple(((t - t0) / span, v) for t, v in pts))
+
+
 def test_level_complex_path_matches_reference(monkeypatch):
     pairs = []
     for seed in range(60):
@@ -813,7 +822,8 @@ def test_level_complex_path_matches_reference(monkeypatch):
         pairs.append((f1, f2))
     pairs = [(climb._contract(a)[0], climb._contract(b)[0])
              for f1, f2 in pairs for a, b in ((f1, f2), (f2, f1))]
-    # the compressed closing sums of an induction, against the height
+    # the closing sums of an induction up to t_stop, in their own
+    # parameter, against the height
     real = climb.level_complex_path
     monkeypatch.setattr(climb, "level_complex_path",
                         lambda f1, f2: pairs.append((f1, f2)) or real(f1, f2))
@@ -826,8 +836,10 @@ def test_level_complex_path_matches_reference(monkeypatch):
     shared_lo = shared_hi = falling1 = falling2 = 0
     for f1, f2 in pairs:
         path = climb.level_complex_path(f1, f2)
-        assert climb.path_points(f1, f2, path) == ref_level_complex_path(
-            f1, f2)
+        # the reference walks from (0, 0) to (1, 1)
+        u1, u2 = _onto_unit(f1), _onto_unit(f2)
+        assert climb.path_points(u1, u2, path) == ref_level_complex_path(
+            u1, u2)
         for lo1, hi1, d1, lo2, hi2, d2 in _overlap_cells(f1, f2):
             shared_lo += lo1 == lo2
             shared_hi += hi1 == hi2

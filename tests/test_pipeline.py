@@ -235,9 +235,9 @@ def _has_flat(f):
 
 def _special_cases(curve, n):
     """The special cases of the induction's level reading that one solve
-    meets (SPECIAL_CASES): flats of the height or of a compressed closing
-    sum, a bend of y that the closing sum's canonical form drops (x bends
-    back there), a knot of the width strictly inside a height piece, a
+    meets (SPECIAL_CASES): flats of the height or of a closing sum, a
+    bend of y that the closing sum's canonical form drops (x bends back
+    there), a knot of the width strictly inside a height piece, a
     path edge across either kind of knot, on a sloped or a flat piece, and
     a path vertex inside a piece beyond either kind of knot.  The edges
     and vertices are read off each climb's path as parameters."""
@@ -263,19 +263,20 @@ def _special_cases(curve, n):
         found.add("height flat")
     if inside:
         found.add("width knot inside a height piece")
-    for (f1, f2, path), (y, (_, w, t_stop)) in zip(walks, sums):
+    for (f1, f2, path), (y, (_, profile)) in zip(walks, sums):
+        assert f2 is profile
         if _has_flat(f2):
             found.add("closing-sum flat")
-        # in the window's parameter, as the path's t
-        cancelled = [t / t_stop for t in y.knots
-                     if t < t_stop and t not in w.knots]
+        # in the closing sum's own parameter, as the path's t
+        knots = [t for t, _ in f2.breakpoints]
+        cancelled = [t for t in y.knots if t < knots[-1] and t not in knots]
         if cancelled:
             found.add("bend cancelled in the closing sum")
         pts = climb.path_points(f1, f2, path)
         for (s, t, _), (sp, tp) in zip(path, pts):
             if s % 2 and any(f1.knots[s // 2] < u < sp for u in inside):
                 found.add("vertex beyond a width knot in its piece")
-            if t % 2 and any(f2.knots[t // 2] < u < tp for u in cancelled):
+            if t % 2 and any(knots[t // 2] < u < tp for u in cancelled):
                 found.add("vertex beyond a cancelled bend in its piece")
         for k, ((s0, t0), (s1, t1)) in enumerate(zip(pts, pts[1:])):
             piece = "flat" if path[k][2] == path[k + 1][2] else "sloped"
