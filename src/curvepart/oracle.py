@@ -8,14 +8,23 @@ compared through the verifier, never by point equality.
 
 `_chase` is the one chase loop: it places k free points and chases the
 rest of a shift-k relation system.  closure_shot runs it at k = 1, and
-the explorer at every shift.  `_float_residual` is the same chase
-reduced to its residual, the hot path of the grid sweep.
+the explorer at every shift.  `_float_chase` is the same chase reduced to
+its residual, the hot path of the grid sweep.
 
 brute_force converts the curve to floats once per call and streams its
-grid: each grid point costs one float chase and O(1) memory, since only
-the previous point's residual is kept.  Bisection of a sign change chases
-on the same float copy; a full shot, with its point sequence and its own
-copy of the curve, is built only for the root it returns.
+grid in O(1) memory.  On a polyline the chase is affine in the free
+parameter t for as long as every chased point stays on its segment and
+every comparison of the ordinate scan keeps its side: that set of t is
+the point's cell, an interval.  The sweep chases every SWEEP_STRIDE-th
+grid point in full and records its cell; when two such points share a
+cell, feasibility and residual sign, and both lie farther than twice the
+chase's forward-error bound from every side change, no grid point
+between them can change sign, in exact arithmetic or in float, and the
+sweep skips them.  Any other gap is swept point by point, so the sign
+changes it yields are those of the full grid, bit for bit.  Bisection of
+a sign change chases on the same float copy; a full shot, with its point
+sequence and its own copy of the curve, is built only for the root it
+returns.
 """
 
 from bisect import bisect_left, bisect_right
@@ -29,6 +38,9 @@ from .scalar import ZERO, as_float, rat
 
 # bisection steps per sign change in brute_force
 BISECT_STEPS = 80
+
+# brute_force's sweep chases every SWEEP_STRIDE-th grid point in full
+SWEEP_STRIDE = 32
 
 
 @dataclass(frozen=True)
@@ -129,12 +141,15 @@ class _Chaser:
         w = (t - t0) / (t1 - t0)
         return x0 + w * (x1 - x0), y0 + w * (y1 - y0)
 
-    def first_ordinate_hit(self, target, start, skip=0):
+    def first_ordinate_hit(self, target, start, skip=0, cell=None):
         """The (skip+1)-th parameter >= start where y equals target, None
         when fewer occurrences exist.
 
         The scan starts at the last segment that begins before start:
         every earlier one ends before start, so none of them can hit.
+        With cell a list, each segment i the scan compares appends
+        (i, ylo - target, y1 - target): the signs are the sides of its
+        comparisons, and their sizes how far each is from flipping.
         """
         ks, vs = self.knots, self.verts
         for i in range(max(bisect_left(ks, start) - 1, 0), len(ks) - 1):
@@ -145,6 +160,8 @@ class _Chaser:
             lo = start if start > t0 else t0
             w = (lo - t0) / (t1 - t0)
             ylo = y0 + w * (y1 - y0)
+            if cell is not None:
+                cell.append((i, ylo - target, y1 - target))
             hit = None
             if ylo == target:
                 hit = lo
@@ -232,46 +249,144 @@ def _branch_vectors(curve, n, cap=128):
 
 def _float_residual(ch, n, t, branches):
     """closure_shot(curve, n, t, float_mode=True, branches).residual from a
-    float _Chaser of the curve, with the same float operations but without
-    the point sequence: only the last two chased points are kept."""
+    float _Chaser of the curve: _float_chase without a record."""
+    return _float_chase(ch, n, t, branches)
+
+
+def _float_chase(ch, n, t, branches, cell=None):
+    """The residual of closure_shot with the same float operations, but
+    without the point sequence: only the last two chased points are kept.
+
+    With cell a list, the chase also records its cell there: the scan's
+    comparisons (first_ordinate_hit), and each chased point on segment k,
+    t first, as (~k, distance to the segment's start, distance to its end).
+    """
     px = 0.0
     x, y = ch.at(t)
     cursor = t
+    if cell is not None:
+        ks = ch.knots
+        k = bisect_right(ks, t, 1, len(ks) - 1) - 1
+        cell.append((~k, t - ks[k], ks[k + 1] - t))
     for i in range(n):
         skip = branches[i] if i < len(branches) else 0
-        cursor = ch.first_ordinate_hit(y + (x - px), cursor, skip)
+        cursor = ch.first_ordinate_hit(y + (x - px), cursor, skip, cell)
         if cursor is None:
             return None
+        if cell is not None:
+            k = cell[-1][0]
+            cell.append((~k, cursor - ks[k], ks[k + 1] - cursor))
         px = x
         x, y = ch.at(cursor)
     return 1.0 - y - (x - px)
 
 
+def _error_factors(ch):
+    """(base, at, hit): the forward-error bound of a float chase on ch is
+    base * at[k0] * hit[k1] * ... * hit[kn] for t on segment k0 and chased
+    points on segments k1..kn.
+
+    With u = 2^-53 and S = max(1, |coordinate|), each float operation adds
+    at most u S of error to a chased quantity.  A point placed on a segment
+    (dt, dx, dy) by `at` carries the error of its parameter into x and y
+    amplified by a_at = 1 + (|dx| + |dy|) / dt; a hit on that segment
+    carries the error of its target into the parameter and x amplified by
+    a_hit = 1 + (dt + |dx|) / |dy|.  Adding up the rounding of each step
+    gives the bound 64 u S * 4 a_at(k0) * prod 4 a_hit(kj) 4 a_at(kj), with
+    ample slack, on the residual, every chased parameter and coordinate and
+    every difference the scan compares.  A flat or zero-length segment's
+    factor is infinite: no cell with a chased point on it is certified."""
+    ks, vs = ch.knots, ch.verts
+    inf = float("inf")
+    at, hit = [], []
+    for t0, t1, (x0, y0), (x1, y1) in zip(ks, ks[1:], vs, vs[1:]):
+        dt, dx, dy = t1 - t0, abs(x1 - x0), abs(y1 - y0)
+        a = 4 * (1 + (dx + dy) / dt) if dt > 0 else inf
+        at.append(a)
+        hit.append(4 * (1 + (dt + dx) / dy) * a if dy > 0 else inf)
+    scale = max(1.0, max(abs(c) for p in vs for c in p))
+    return 64 * 2.0 ** -53 * scale, at, hit
+
+
+def _sweep_point(ch, n, t, branches, factors):
+    """(residual, cell, margin, bound) of one recorded float chase at t.
+
+    cell is the residual's side (or None when infeasible) followed by the
+    segment and the sides of every recorded comparison; margin is the
+    smallest |difference| among them and |residual|; bound is the chase's
+    forward-error bound (_error_factors)."""
+    rec = []
+    r = _float_chase(ch, n, t, branches, rec)
+    base, at, hit = factors
+    cell = [None if r is None else r < 0]
+    margin = abs(r) if r is not None else float("inf")
+    bound = base * at[~rec[0][0]]
+    for j, (i, a, b) in enumerate(rec):
+        cell.append((i, a > 0, b > 0))
+        margin = min(margin, abs(a), abs(b))
+        if i < 0 and j:
+            bound *= hit[~i]
+    return r, cell, margin, bound
+
+
+def _swept_points(ch, n, grid, branches, factors):
+    """(t, residual) at t = g / grid for g = 1..grid-1 in order, except the
+    grid points inside certified gaps.
+
+    The points g = 1, 1 + SWEEP_STRIDE, ... and grid - 1 are chased with
+    their cells.  A gap between two of them is certified when both have
+    the same cell, hence the same feasibility and residual sign, and both
+    margins exceed twice the bound.  Then every exact quantity the chase
+    compares, affine in t on the cell, is farther than the bound from zero
+    at both ends and so all along the gap, and every float chase inside
+    the gap takes the same sides: the skipped points share the ends'
+    feasibility and sign.  Every other gap is chased point by point."""
+    prev = None
+    coarse = list(range(1, grid, SWEEP_STRIDE))
+    if coarse and coarse[-1] != grid - 1:
+        coarse.append(grid - 1)
+    for g in coarse:
+        t = g / grid
+        r, cell, margin, bound = _sweep_point(ch, n, t, branches, factors)
+        if prev is not None:
+            g0, cell0, margin0 = prev
+            if not (cell == cell0 and min(margin, margin0) > 2 * bound):
+                for h in range(g0 + 1, g):
+                    th = h / grid
+                    yield th, _float_chase(ch, n, th, branches)
+        yield t, r
+        prev = g, cell, margin
+
+
 def _sign_changes(ch, n, grid, vectors):
-    """Sweep t = g / grid (0 < g < grid) along each branch vector in turn,
-    keeping only the previous grid point, and yield (branches, t0, t1, r0)
-    wherever two neighbouring feasible residuals differ in sign.  The sweep
-    stops after a vector with a nonzero entry on which no grid point is
-    feasible."""
+    """Sweep t = g / grid (0 < g < grid) along each branch vector in turn
+    and yield (branches, t0, t1, r0) wherever two neighbouring feasible
+    residuals differ in sign: those of every grid point, though only the
+    points _swept_points returns are chased.  At n = 1 the sweep stops
+    after the first vector with a nonzero entry on which no grid point is
+    feasible, since a larger skip at the one step finds fewer hits; at
+    n >= 2 the (sum, lex) order is not monotone, and every vector is
+    swept."""
+    factors = _error_factors(ch)
     for branches in vectors:
         any_feasible = False
         t0 = r0 = None
-        for g in range(1, grid):
-            t = g / grid
-            r = _float_residual(ch, n, t, branches)
+        for t, r in _swept_points(ch, n, grid, branches, factors):
             if r is not None:
                 any_feasible = True
                 if r0 is not None and (r0 < 0) != (r < 0):
                     yield branches, t0, t, r0
             t0, r0 = t, r
-        if not any_feasible and branches and max(branches) > 0:
+        if n == 1 and not any_feasible and any(branches):
             return
 
 
 def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6)):
     """Sweep the free parameter over every chase branch, bisect sign
-    changes, and return all verified partitions.  Runs in float mode; an
-    empty list is a valid outcome, not an error."""
+    changes, and return all verified partitions.  Every branch vector of
+    _branch_vectors is swept, except that at n = 1 the sweep stops after
+    the first skip on which no grid point is feasible (_sign_changes).
+    Runs in float mode; an empty list is a valid outcome, not an error."""
     if n < 0:
         raise PreconditionError("n must be nonnegative")
     tol_f = as_float(tol)

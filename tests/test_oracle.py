@@ -1,3 +1,6 @@
+import random
+from bisect import bisect_right
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -14,11 +17,15 @@ from curvepart import (
 )
 from curvepart import oracle
 from curvepart.oracle import (
+    SWEEP_STRIDE,
     _bisect_shot,
     _branch_vectors,
     _Chaser,
+    _error_factors,
+    _float_chase,
     _float_residual,
     _sign_changes,
+    _sweep_point,
 )
 from curvepart.pipeline import (
     PartitionResult,
@@ -179,6 +186,23 @@ class TestBruteForce:
             rep = verify(c, pts_float, tol=R(1, 10**9))
             assert rep.ok
 
+    def test_every_branch_vector_swept_at_higher_order(self):
+        # at n = 2 the vectors in (sum, lex) order are not monotone in
+        # feasibility: no grid point of (1, 1) is feasible, and (2, 0),
+        # swept after it, holds the partition at x_1 = 0.3177
+        c = random_curve(0, vertices=5, curve_class="deltaInterior")
+        ch = _Chaser(c, float_mode=True)
+        vectors = _branch_vectors(c, 2)
+        assert vectors.index((1, 1)) < vectors.index((2, 0))
+        assert all(_float_residual(ch, 2, g / 400, (1, 1)) is None
+                   for g in range(1, 400))
+        assert any(b == (2, 0) for b, *_ in _sign_changes(ch, 2, 400, vectors))
+        found = brute_force(c, 2, grid=400)
+        assert len(found) == 5
+        for res in found:
+            assert verify(c, res.points, tol=R(1, 10**6)).ok
+        assert any(abs(res.points[1][0] - 0.31771) < 1e-5 for res in found)
+
 
 class TestShotConsistency:
     def test_bisection_converges_between_signs(self):
@@ -249,7 +273,9 @@ SWEEP_CURVES = [
 
 def ref_brute_force(curve, n, grid=10_000, tol=rat(1, 10**6)):
     """The per-shot sweep brute_force ran before it streamed the grid: one
-    closure_shot, with its own float copy of the curve, per grid point."""
+    closure_shot, with its own float copy of the curve, per grid point.
+    It stops after a wholly infeasible vector only at n = 1, where a larger
+    skip finds fewer hits; at n >= 2 it sweeps every vector."""
     tol_f = as_float(tol)
     ch = _Chaser(curve, float_mode=True)
     results = []
@@ -276,7 +302,7 @@ def ref_brute_force(curve, n, grid=10_000, tol=rat(1, 10**6)):
                     if root is not None:
                         results.append(root)
             prev = cur
-        if not any_feasible and branches and max(branches) > 0:
+        if n == 1 and not any_feasible and any(branches):
             break
 
     out = []
@@ -328,11 +354,14 @@ class TestStreamedSweep:
         assert feasible and infeasible and skipped_feasible
 
     def test_brute_force_matches_per_shot_reference(self):
+        # n >= 2 sweeps up to 128 vectors per curve: a coarser grid there
+        # keeps the per-shot reference cheap
         found = 0
         for curve in SWEEP_CURVES:
             for n in range(4):
-                got = brute_force(curve, n, grid=1000)
-                assert got == ref_brute_force(curve, n, grid=1000), (curve, n)
+                grid = 1000 if n < 2 else 100
+                got = brute_force(curve, n, grid=grid)
+                assert got == ref_brute_force(curve, n, grid=grid), (curve, n)
                 found += len(got)
         assert found
 
@@ -358,6 +387,227 @@ class TestStreamedSweep:
         # built once per bisected root, makes its own
         assert shots
         assert len(built) == 1 + len(shots)
+
+
+def ref_sign_changes(ch, n, grid, vectors):
+    """The point-by-point sweep: _float_residual at every grid point of
+    every vector, stopping after a wholly infeasible vector at n = 1 only."""
+    for branches in vectors:
+        any_feasible = False
+        t0 = r0 = None
+        for g in range(1, grid):
+            t = g / grid
+            r = _float_residual(ch, n, t, branches)
+            if r is not None:
+                any_feasible = True
+                if r0 is not None and (r0 < 0) != (r < 0):
+                    yield branches, t0, t, r0
+            t0, r0 = t, r
+        if n == 1 and not any_feasible and any(branches):
+            return
+
+
+CELL_FEATURES = ("flat", "free", "vertical", "stall", "free", "nearflat",
+                 "free")
+
+
+def _cell_curve(seed):
+    """A seeded curve with 3-9 vertices whose knots are mostly j/m for m in
+    (4, 8, 10, 16, 20), so many land on grid points, and whose pieces cycle
+    through CELL_FEATURES: flats, vertical pieces, stalls (a repeated
+    vertex) and near-flat pieces with |dy| = 2^-12, 2^-20 or 2^-30, with
+    dyadic coordinates that floats hold exactly."""
+    rng = random.Random(seed)
+    v = rng.randint(3, 9)
+    m = rng.choice((4, 8, 10, 16, 20))
+    knots = [R(0)]
+    for j in sorted(rng.sample(range(1, m), min(v - 2, m - 1))):
+        off = 0 if rng.random() < 0.7 else R(rng.randrange(1, 1 << 10), m << 12)
+        knots.append(R(j, m) + off)
+    knots.append(R(1))
+    pts = [(R(0), R(0))]
+    for i in range(len(knots) - 2):
+        x, y = pts[-1]
+        rx, ry = (R(rng.randrange(1 << 10), 1 << 10) for _ in range(2))
+        kind = CELL_FEATURES[(seed + i) % len(CELL_FEATURES)]
+        if kind == "flat":
+            pts.append((rx, y))
+        elif kind == "vertical":
+            pts.append((x, ry))
+        elif kind == "stall":
+            pts.append((x, y))
+        elif kind == "nearflat":
+            dy = R(rng.choice((-1, 1)), 1 << rng.choice((12, 20, 30)))
+            pts.append((rx, y + dy))
+        else:
+            pts.append((rx, ry))
+    pts.append((R(1), R(1)))
+    return PLCurve(knots, pts)
+
+
+# on its middle piece x + y = 1, so the n = 0 residual is 0 in exact
+# arithmetic and float rounding alone decides its sign: the full grid
+# brackets hundreds of float sign changes there
+ANTIDIAGONAL = PLCurve([0, R(1, 10), R(9, 10), 1],
+                       [(0, 0), (R(3, 4), R(1, 4)), (R(1, 4), R(3, 4)),
+                        (1, 1)])
+
+
+# the second piece runs along x + y = 3/5, and the fourth is near-flat
+# around y = 3/5
+NEARFLAT_HIT = PLCurve(
+    [0, R(1, 5), R(2, 5), R(3, 5), R(4, 5), 1],
+    [(0, 0), (R(1, 2), R(1, 10)), (R(1, 10), R(1, 2)),
+     (R(1, 4), R(3, 5) - R(1, 2**31)), (R(3, 4), R(3, 5) + R(1, 2**31)),
+     (1, 1)])
+
+
+def _chase_error(curve, n, branches, t):
+    """(err, bound): the largest distance between a recorded float chase's
+    values and the same chase's in exact arithmetic, and its stated bound;
+    err is 0 where the exact chase takes another path."""
+    ch = _Chaser(curve, float_mode=True)
+    rec, exact = [], []
+    r = _float_chase(ch, n, t, branches, rec)
+    bound = _sweep_point(ch, n, t, branches, _error_factors(ch))[3]
+    r_ex = _exact_chase(ch, n, t, branches, exact)
+    if [e[0] for e in rec] != [e[0] for e in exact]:
+        return 0, bound
+    diffs = [abs(Fraction(a) - b) for fl, ex in zip(rec, exact)
+             for a, b in zip(fl[1:], ex[1:])]
+    if r is not None:
+        diffs.append(abs(Fraction(r) - r_ex))
+    return float(max(diffs)), bound
+
+
+def _exact_chase(ch, n, t, branches, rec):
+    """_float_chase(ch, n, t, branches, rec) in exact arithmetic on the
+    float copy's own values."""
+    ex = _Chaser.__new__(_Chaser)
+    ex.conv = Fraction
+    ex.knots = [Fraction(k) for k in ch.knots]
+    ex.verts = [(Fraction(x), Fraction(y)) for x, y in ch.verts]
+    ks, t = ex.knots, Fraction(t)
+    px = Fraction(0)
+    x, y = ex.at(t)
+    cursor = t
+    k = bisect_right(ks, t, 1, len(ks) - 1) - 1
+    rec.append((~k, t - ks[k], ks[k + 1] - t))
+    for i in range(n):
+        skip = branches[i] if i < len(branches) else 0
+        cursor = ex.first_ordinate_hit(y + (x - px), cursor, skip, rec)
+        if cursor is None:
+            return None
+        k = rec[-1][0]
+        rec.append((~k, cursor - ks[k], ks[k + 1] - cursor))
+        px = x
+        x, y = ex.at(cursor)
+    return 1 - y - (x - px)
+
+
+class TestCellSweep:
+    GRIDS = (1, 2, 3, SWEEP_STRIDE - 1, SWEEP_STRIDE, SWEEP_STRIDE + 1)
+    # finer grids where fewer vectors make them cheap
+    FINE = {0: (100, 1000), 1: (100, 1000), 2: (100,), 3: ()}
+
+    def test_matches_point_by_point_sweep(self, monkeypatch):
+        # both paths run: some gaps are skipped (fewer chases than the
+        # reference's) and some swept point by point (chases without a
+        # record)
+        recorded = []
+        monkeypatch.setattr(
+            oracle, "_float_chase",
+            lambda *a: recorded.append(len(a) == 5) or _float_chase(*a))
+        skipped = swept = 0
+        curves = ([_cell_curve(seed) for seed in range(16)]
+                  + [ANTIDIAGONAL, NEARFLAT_HIT])
+        for curve in curves:
+            ch = _Chaser(curve, float_mode=True)
+            for n in range(4):
+                vectors = _branch_vectors(curve, n)
+                for grid in self.GRIDS + self.FINE[n]:
+                    recorded.clear()
+                    got = list(_sign_changes(ch, n, grid, vectors))
+                    chases, plain = len(recorded), recorded.count(False)
+                    recorded.clear()
+                    ref = list(ref_sign_changes(ch, n, grid, vectors))
+                    assert got == ref, (curve, n, grid)
+                    skipped += chases < len(recorded)
+                    swept += plain > 0
+        assert skipped and swept
+
+    def test_matches_point_by_point_sweep_on_random_curves(self):
+        # 9-vertex interior curves, swept at n = 1 with every skip: a target
+        # can pass over a whole segment between two chased points that
+        # share their segments, and only the sides of the scan's
+        # comparisons tell the two apart
+        for seed in range(20):
+            curve = random_curve(seed, vertices=9, curve_class="interior")
+            ch = _Chaser(curve, float_mode=True)
+            for n in (0, 1):
+                vectors = _branch_vectors(curve, n)
+                assert (list(_sign_changes(ch, n, 1000, vectors))
+                        == list(ref_sign_changes(ch, n, 1000, vectors))), seed
+
+    def test_curves_cover_the_cases(self):
+        curves = [_cell_curve(seed) for seed in range(16)]
+        knots = {t for c in curves for t in c.knots[1:-1]}
+        steps = [(b[0] - a[0], b[1] - a[1]) for c in curves
+                 for a, b in zip(c.vertices, c.vertices[1:])]
+        assert any(t * g == int(t * g) for t in knots
+                   for g in self.GRIDS[3:] + self.FINE[0])
+        assert any(dx and not dy for dx, dy in steps)
+        assert any(dy and not dx for dx, dy in steps)
+        assert any(not dx and not dy for dx, dy in steps)
+        assert {abs(dy) for _, dy in steps} >= {R(1, 2**12), R(1, 2**20),
+                                                R(1, 2**30)}
+
+    def test_matches_point_by_point_sweep_at_full_grid(self):
+        curve = _cell_curve(3)
+        ch = _Chaser(curve, float_mode=True)
+        vectors = _branch_vectors(curve, 1)
+        got = list(_sign_changes(ch, 1, 10_000, vectors))
+        assert got
+        assert got == list(ref_sign_changes(ch, 1, 10_000, vectors))
+
+    def test_error_bound_covers_float_chase(self):
+        # every value a recorded chase compares, and its residual, lies
+        # within the stated bound of the same chase in exact arithmetic
+        rng = random.Random(7)
+        checked = 0
+        for seed in range(24):
+            curve = _cell_curve(seed)
+            for n in range(4):
+                for branches in _branch_vectors(curve, n)[:6]:
+                    for _ in range(4):
+                        t = rng.randrange(1, 1000) / 1000
+                        err, bound = _chase_error(curve, n, branches, t)
+                        assert err <= bound, (curve, n, branches, t)
+                        checked += bound < float("inf")
+        assert checked > 500
+
+    def test_error_bound_covers_near_flat_hit(self):
+        # for t on the second piece the n = 1 target is y + x = 3/5, which
+        # only the near-flat piece of height 3/5 +- 2^-31 reaches: the hit
+        # amplifies the target's rounding by about 2^30
+        worst = 0.0
+        for g in range(101, 200):
+            err, bound = _chase_error(NEARFLAT_HIT, 1, (0,), g / 500)
+            assert err <= bound, g
+            worst = max(worst, err)
+        assert worst > 1e-10
+
+    def test_work_count(self, monkeypatch):
+        # the full grid chases grid - 1 points per swept vector; the cell
+        # sweep, bisection included, at most an eighth of that
+        for curve in SWEEP_CURVES:
+            chased = []
+            monkeypatch.setattr(
+                oracle, "_float_chase",
+                lambda *a: chased.append(a[3]) or _float_chase(*a))
+            assert brute_force(curve, 1, grid=10_000)
+            monkeypatch.undo()
+            assert len(chased) <= 9_999 * len(set(chased)) / 8, curve
 
 
 def _curve_of_width(width):
