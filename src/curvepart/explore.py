@@ -2,10 +2,11 @@
 
 Searches for point sequences whose increment sequences match under an
 arbitrary cyclic shift (not just shift-by-one), and for partitions of
-curves that leave the unit square.  Everything here is float-mode and
-exploratory: notFound at a finite grid proves nothing, and the records
-say so.  It needs no optional dependency (shifts >= 2 are polished by
-Newton's method written here), so a batch log is the same on every install.
+curves that leave the unit square.  Shift 1 takes the oracle's first exact
+root on the nearest chase branch; shifts >= 2 are float-mode and
+exploratory: notFound at a finite grid proves nothing, and the records say
+so.  It needs no optional dependency (shifts >= 2 are polished by Newton's
+method written here), so a batch log is the same on every install.
 """
 
 import json
@@ -16,7 +17,7 @@ from itertools import combinations
 
 from .errors import InputError, PreconditionError
 from .fileio import FLOAT, curve_to_obj
-from .oracle import _bisect_shot, _chase, _Chaser, _sign_changes
+from .oracle import _chase, _Chaser, _shift_one_roots
 from .pipeline import _shift_residual, increments
 from .plcurve import PLCurve
 from .scalar import ONE, ZERO, as_float, parse_tolerance, rat
@@ -152,7 +153,8 @@ def _search_shift_zero(curve, s):
 def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
     """Sweep for points matching the theta-shifted increment relation.
 
-    shift 1 is exactly the wrap-chase of the brute-force oracle; shift 0
+    shift 1 takes the brute-force oracle's first exact root on the nearest
+    chase branch (grid is not read); shift 0
     looks for level crossings of y - x; shifts >= 2 sweep a coarse grid
     over the free points and polish the best few with Newton's method.
     Outcomes are recorded honestly: notFound is evidence, never disproof.
@@ -171,13 +173,9 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
         if pts is not None:
             found_pts, residual = pts, 0.0
     elif k == 1:
-        ch = _Chaser(curve, float_mode=True)
-        for _, lo, hi, r0 in _sign_changes(ch, s - 2, grid, [()]):
-            root = _bisect_shot(curve, ch, s - 2, lo, hi, r0)
-            best = root[1] if root else None
-            if best and abs(best.residual) <= tol_f:
-                found_pts, residual = best.points, abs(best.residual)
-                break
+        for _, shot in _shift_one_roots(curve, s - 2, [()]):
+            found_pts, residual = shot.points, shot.residual
+            break
     else:
         found_pts, residual = _search_high_shift(curve, s, k, grid, tol_f)
 

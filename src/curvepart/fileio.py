@@ -11,6 +11,7 @@ with decimals=True (the CLI passes it in float mode or with
 import json
 
 from .errors import InputError
+from .pipeline import increments
 from .plcurve import PLCurve
 from .plfun import PLFunction
 from .scalar import as_float, format_rational, parse_rational
@@ -155,8 +156,7 @@ def result_increments_from_obj(obj, points, decimals=False):
     file has neither list.  Given lists must both be lists with one entry
     per increment of `points`."""
     if "dx" not in obj and "dy" not in obj:
-        return ([b[0] - a[0] for a, b in zip(points, points[1:])],
-                [b[1] - a[1] for a, b in zip(points, points[1:])])
+        return increments(points)
     count = len(points) - 1
     lists = []
     for key in ("dx", "dy"):

@@ -3,28 +3,24 @@
 verify() never throws: it measures and reports.  The shooting oracle
 scalarizes the wrap condition: from one free point it chases the forced
 ordinate targets along the curve and returns the mismatch at the final
-wrap; zeros of that residual are partitions.  Solutions are always
-compared through the verifier, never by point equality.
+wrap; zeros of that residual are partitions.  Every partition
+brute_force returns passes the verifier at tol 0.
 
 `_chase` is the one chase loop: it places k free points and chases the
-rest of a shift-k relation system.  closure_shot runs it at k = 1, and
-the explorer at every shift.  `_float_chase` is the same chase reduced to
-its residual, the hot path of the grid sweep.
+rest of a shift-k relation system.  closure_shot runs it at k = 1, the
+explorer at every shift, and brute_force on `_Affine` numbers.
 
-brute_force converts the curve to floats once per call and streams its
-grid in O(1) memory.  On a polyline the chase is affine in the free
-parameter t for as long as every chased point stays on its segment and
-every comparison of the ordinate scan keeps its side: that set of t is
-the point's cell, an interval.  The sweep chases every SWEEP_STRIDE-th
-grid point in full and records its cell; when two such points share a
-cell, feasibility and residual sign, and both lie farther than twice the
-chase's forward-error bound from every side change, no grid point
-between them can change sign, in exact arithmetic or in float, and the
-sweep skips them.  Any other gap is swept point by point, so the sign
-changes it yields are those of the full grid, bit for bit.  Bisection of
-a sign change chases on the same float copy; a full shot, with its point
-sequence and its own copy of the curve, is built only for the root it
-returns.
+On a polyline the chase is affine in the free parameter t for as long as
+every chased point stays on its segment and every comparison the chase
+makes keeps its side: that set of t is a cell, an interval with rational
+ends.  brute_force walks the cells of each branch vector in t order.  One
+chase per cell, on the affine quantity t = t_lo + s just right of the
+cell's start t_lo, gives every chased quantity as an exact affine
+function of s; each comparison records its difference, and the first
+positive root among them ends the cell.  The residual is affine on the
+cell, so its root there is exact, and one exact closure_shot confirms it.
+No float and no grid enters: no root inside a cell of a walked branch
+vector, or reached at a cell's end, is missed.
 """
 
 from bisect import bisect_left, bisect_right
@@ -34,13 +30,10 @@ from itertools import islice
 from .errors import PreconditionError
 from .pipeline import PartitionResult, PipelineTrace, Rearrangement, increments
 from .plcurve import point_curve_distance_sq
-from .scalar import ZERO, as_float, rat
+from .scalar import ONE, ZERO, as_float, rat
 
-# bisection steps per sign change in brute_force
-BISECT_STEPS = 80
-
-# brute_force's sweep chases every SWEEP_STRIDE-th grid point in full
-SWEEP_STRIDE = 32
+# brute_force walks the first BRANCH_VECTORS chase-branch choices
+BRANCH_VECTORS = 128
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ def verify(curve, points, tol=ZERO):
 
 class _Chaser:
     """Ordinate-target chasing over one polyline; works for exact
-    rationals and for plain floats alike."""
+    rationals, plain floats and `_Affine` parameters alike."""
 
     def __init__(self, curve, float_mode=False):
         self.conv = conv = as_float if float_mode else rat
@@ -141,15 +134,12 @@ class _Chaser:
         w = (t - t0) / (t1 - t0)
         return x0 + w * (x1 - x0), y0 + w * (y1 - y0)
 
-    def first_ordinate_hit(self, target, start, skip=0, cell=None):
+    def first_ordinate_hit(self, target, start, skip=0):
         """The (skip+1)-th parameter >= start where y equals target, None
         when fewer occurrences exist.
 
         The scan starts at the last segment that begins before start:
         every earlier one ends before start, so none of them can hit.
-        With cell a list, each segment i the scan compares appends
-        (i, ylo - target, y1 - target): the signs are the sides of its
-        comparisons, and their sizes how far each is from flipping.
         """
         ks, vs = self.knots, self.verts
         for i in range(max(bisect_left(ks, start) - 1, 0), len(ks) - 1):
@@ -160,8 +150,6 @@ class _Chaser:
             lo = start if start > t0 else t0
             w = (lo - t0) / (t1 - t0)
             ylo = y0 + w * (y1 - y0)
-            if cell is not None:
-                cell.append((i, ylo - target, y1 - target))
             hit = None
             if ylo == target:
                 hit = lo
@@ -235,180 +223,159 @@ def _vectors_with_sum(total, n, width):
             yield (first,) + rest
 
 
-def _branch_vectors(curve, n, cap=128):
+def _branch_vectors(curve, n):
     """Deterministic enumeration of chase-branch choices, nearest first:
-    the first `cap` tuples of product(range(width), repeat=n) in (sum, lex)
-    order, generated lazily so the work is O(cap * n) for any width."""
+    the first BRANCH_VECTORS tuples of product(range(width), repeat=n) in
+    (sum, lex) order, generated lazily so the work is O(BRANCH_VECTORS * n)
+    for any width."""
     if n <= 0:
         return [()]
     width = max(2, len(curve.knots) - 1)
     ordered = (v for total in range(n * (width - 1) + 1)
                for v in _vectors_with_sum(total, n, width))
-    return list(islice(ordered, cap))
+    return list(islice(ordered, BRANCH_VECTORS))
 
 
-def _float_residual(ch, n, t, branches):
-    """closure_shot(curve, n, t, float_mode=True, branches).residual from a
-    float _Chaser of the curve: _float_chase without a record."""
-    return _float_chase(ch, n, t, branches)
+class _Affine:
+    """The quantity a + b*s at t = t_lo + s, read just right of t_lo.
+
+    The chase adds and subtracts these with rationals and with each other
+    and scales them by rationals; it never multiplies two of them.  A
+    comparison reads the sign of the difference just right of t_lo, the
+    lex order of (a, b), and appends the difference to the shared list
+    rec: the comparison keeps its side up to that difference's first
+    positive root."""
+
+    __slots__ = ("a", "b", "rec")
+
+    def __init__(self, a, b, rec):
+        self.a, self.b, self.rec = a, b, rec
+
+    def __add__(self, o):
+        if isinstance(o, _Affine):
+            return _Affine(self.a + o.a, self.b + o.b, self.rec)
+        return _Affine(self.a + o, self.b, self.rec)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, _Affine):
+            return _Affine(self.a - o.a, self.b - o.b, self.rec)
+        return _Affine(self.a - o, self.b, self.rec)
+
+    def __rsub__(self, o):
+        return _Affine(o - self.a, -self.b, self.rec)
+
+    def __mul__(self, c):
+        return _Affine(self.a * c, self.b * c, self.rec)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return _Affine(self.a / c, self.b / c, self.rec)
+
+    def _sign(self, o):
+        """A number with the sign of self - o just right of t_lo; records
+        the difference."""
+        d = self - o
+        self.rec.append(d)
+        return (d.a or d.b).numerator
+
+    def __lt__(self, o):
+        return self._sign(o) < 0
+
+    def __le__(self, o):
+        return self._sign(o) <= 0
+
+    def __gt__(self, o):
+        return self._sign(o) > 0
+
+    def __ge__(self, o):
+        return self._sign(o) >= 0
+
+    def __eq__(self, o):
+        return self._sign(o) == 0
 
 
-def _float_chase(ch, n, t, branches, cell=None):
-    """The residual of closure_shot with the same float operations, but
-    without the point sequence: only the last two chased points are kept.
+def _cell_roots(ch, n, branches):
+    """(candidates, feasible): the parameters where the shift-1 residual of
+    the exact chaser ch on one branch vector may vanish, in increasing
+    order, and whether any cell of the vector is feasible.
 
-    With cell a list, the chase also records its cell there: the scan's
-    comparisons (first_ordinate_hit), and each chased point on segment k,
-    t first, as (~k, distance to the segment's start, distance to its end).
-    """
-    px = 0.0
-    x, y = ch.at(t)
-    cursor = t
-    if cell is not None:
-        ks = ch.knots
-        k = bisect_right(ks, t, 1, len(ks) - 1) - 1
-        cell.append((~k, t - ks[k], ks[k + 1] - t))
-    for i in range(n):
-        skip = branches[i] if i < len(branches) else 0
-        cursor = ch.first_ordinate_hit(y + (x - px), cursor, skip, cell)
-        if cursor is None:
-            return None
-        if cell is not None:
-            k = cell[-1][0]
-            cell.append((~k, cursor - ks[k], ks[k + 1] - cursor))
-        px = x
-        x, y = ch.at(cursor)
-    return 1.0 - y - (x - px)
-
-
-def _error_factors(ch):
-    """(base, at, hit): the forward-error bound of a float chase on ch is
-    base * at[k0] * hit[k1] * ... * hit[kn] for t on segment k0 and chased
-    points on segments k1..kn.
-
-    With u = 2^-53 and S = max(1, |coordinate|), each float operation adds
-    at most u S of error to a chased quantity.  A point placed on a segment
-    (dt, dx, dy) by `at` carries the error of its parameter into x and y
-    amplified by a_at = 1 + (|dx| + |dy|) / dt; a hit on that segment
-    carries the error of its target into the parameter and x amplified by
-    a_hit = 1 + (dt + |dx|) / |dy|.  Adding up the rounding of each step
-    gives the bound 64 u S * 4 a_at(k0) * prod 4 a_hit(kj) 4 a_at(kj), with
-    ample slack, on the residual, every chased parameter and coordinate and
-    every difference the scan compares.  A flat or zero-length segment's
-    factor is infinite: no cell with a chased point on it is certified."""
-    ks, vs = ch.knots, ch.verts
-    inf = float("inf")
-    at, hit = [], []
-    for t0, t1, (x0, y0), (x1, y1) in zip(ks, ks[1:], vs, vs[1:]):
-        dt, dx, dy = t1 - t0, abs(x1 - x0), abs(y1 - y0)
-        a = 4 * (1 + (dx + dy) / dt) if dt > 0 else inf
-        at.append(a)
-        hit.append(4 * (1 + (dt + dx) / dy) * a if dy > 0 else inf)
-    scale = max(1.0, max(abs(c) for p in vs for c in p))
-    return 64 * 2.0 ** -53 * scale, at, hit
+    The walk chases on _Affine(t_lo, 1) from t_lo = 0; the cell ends at
+    the first positive root of a recorded difference, or at 1.  On a
+    feasible cell the residual is affine in s (a plain rational when no
+    chased point moves with t, lifted to slope 0).  Its candidates are its
+    root inside the cell or at the cell's end, a zero at t_lo and, when it
+    is zero on the whole cell, the cell's midpoint as the one
+    representative of that stretch."""
+    out = []
+    feasible = False
+    t_lo = ZERO
+    while t_lo < 1:
+        rec = []
+        pts, missed = _chase(ch, (_Affine(t_lo, ONE, rec),), 1, n + 2,
+                             branches)
+        width = 1 - t_lo
+        for d in rec:
+            if d.a.numerator * d.b.numerator < 0:  # a root at s > 0
+                width = min(width, -d.a / d.b)
+        if missed is None:
+            feasible = True
+            r = pts[-1][1] - pts[-2][1] - (pts[-2][0] - pts[-3][0])
+            a, b = (r.a, r.b) if isinstance(r, _Affine) else (r, ZERO)
+            if a == 0:
+                if not out or out[-1] != t_lo:
+                    out.append(t_lo)
+                if b == 0:
+                    out.append(t_lo + width / 2)
+            elif b and 0 < -a / b <= width:
+                out.append(t_lo - a / b)
+        t_lo += width
+    return out, feasible
 
 
-def _sweep_point(ch, n, t, branches, factors):
-    """(residual, cell, margin, bound) of one recorded float chase at t.
-
-    cell is the residual's side (or None when infeasible) followed by the
-    segment and the sides of every recorded comparison; margin is the
-    smallest |difference| among them and |residual|; bound is the chase's
-    forward-error bound (_error_factors)."""
-    rec = []
-    r = _float_chase(ch, n, t, branches, rec)
-    base, at, hit = factors
-    cell = [None if r is None else r < 0]
-    margin = abs(r) if r is not None else float("inf")
-    bound = base * at[~rec[0][0]]
-    for j, (i, a, b) in enumerate(rec):
-        cell.append((i, a > 0, b > 0))
-        margin = min(margin, abs(a), abs(b))
-        if i < 0 and j:
-            bound *= hit[~i]
-    return r, cell, margin, bound
-
-
-def _swept_points(ch, n, grid, branches, factors):
-    """(t, residual) at t = g / grid for g = 1..grid-1 in order, except the
-    grid points inside certified gaps.
-
-    The points g = 1, 1 + SWEEP_STRIDE, ... and grid - 1 are chased with
-    their cells.  A gap between two of them is certified when both have
-    the same cell, hence the same feasibility and residual sign, and both
-    margins exceed twice the bound.  Then every exact quantity the chase
-    compares, affine in t on the cell, is farther than the bound from zero
-    at both ends and so all along the gap, and every float chase inside
-    the gap takes the same sides: the skipped points share the ends'
-    feasibility and sign.  Every other gap is chased point by point."""
-    prev = None
-    coarse = list(range(1, grid, SWEEP_STRIDE))
-    if coarse and coarse[-1] != grid - 1:
-        coarse.append(grid - 1)
-    for g in coarse:
-        t = g / grid
-        r, cell, margin, bound = _sweep_point(ch, n, t, branches, factors)
-        if prev is not None:
-            g0, cell0, margin0 = prev
-            if not (cell == cell0 and min(margin, margin0) > 2 * bound):
-                for h in range(g0 + 1, g):
-                    th = h / grid
-                    yield th, _float_chase(ch, n, th, branches)
-        yield t, r
-        prev = g, cell, margin
-
-
-def _sign_changes(ch, n, grid, vectors):
-    """Sweep t = g / grid (0 < g < grid) along each branch vector in turn
-    and yield (branches, t0, t1, r0) wherever two neighbouring feasible
-    residuals differ in sign: those of every grid point, though only the
-    points _swept_points returns are chased.  At n = 1 the sweep stops
-    after the first vector with a nonzero entry on which no grid point is
-    feasible, since a larger skip at the one step finds fewer hits; at
-    n >= 2 the (sum, lex) order is not monotone, and every vector is
-    swept."""
-    factors = _error_factors(ch)
+def _shift_one_roots(curve, n, vectors):
+    """(t, shot) for each root of the shift-1 residual the cell walk finds,
+    vector by vector: one exact closure_shot per candidate, kept when its
+    residual is 0.  At n = 1 the walk stops after the first vector with a
+    nonzero entry on which no cell is feasible, since a larger skip at the
+    one step finds fewer hits; at n >= 2 the (sum, lex) order is not
+    monotone, and every vector is walked."""
+    ch = _Chaser(curve)
     for branches in vectors:
-        any_feasible = False
-        t0 = r0 = None
-        for t, r in _swept_points(ch, n, grid, branches, factors):
-            if r is not None:
-                any_feasible = True
-                if r0 is not None and (r0 < 0) != (r < 0):
-                    yield branches, t0, t, r0
-            t0, r0 = t, r
-        if n == 1 and not any_feasible and any(branches):
+        ts, feasible = _cell_roots(ch, n, branches)
+        for t in ts:
+            shot = closure_shot(curve, n, t, branches=branches)
+            if shot.residual == 0:
+                yield t, shot
+        if n == 1 and not feasible and any(branches):
             return
 
 
-def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6)):
-    """Sweep the free parameter over every chase branch, bisect sign
-    changes, and return all verified partitions.  Every branch vector of
-    _branch_vectors is swept, except that at n = 1 the sweep stops after
-    the first skip on which no grid point is feasible (_sign_changes).
-    Runs in float mode; an empty list is a valid outcome, not an error."""
+def brute_force(curve, n, grid=None):
+    """Every shift-1 partition on the walked branch vectors, exact and
+    verified at tol 0, sorted by the free parameter; repeated point
+    sequences are dropped.
+
+    "Every" holds within _branch_vectors' BRANCH_VECTORS vectors and the
+    n = 1 stop rule of _shift_one_roots, for the roots inside a cell and
+    at a cell end the residual reaches from one side: an empty list proves
+    that none lies there, and is a valid outcome, not an error.  A root at
+    a single cell end whose chase matches neither neighbouring cell is not
+    looked for.  `grid` is accepted for callers of the earlier grid sweep
+    and is not read."""
     if n < 0:
         raise PreconditionError("n must be nonnegative")
-    tol_f = as_float(tol)
-    ch = _Chaser(curve, float_mode=True)
-    results = []
-    for branches, t0, t1, r0 in _sign_changes(ch, n, grid,
-                                              _branch_vectors(curve, n)):
-        root = _bisect_shot(curve, ch, n, t0, t1, r0, branches)
-        if root is not None:
-            results.append(root)
-
+    roots = sorted(_shift_one_roots(curve, n, _branch_vectors(curve, n)),
+                   key=lambda root: root[0])
     out = []
-    seen = []
-    for t_root, shot in sorted(results, key=lambda r: r[0]):
-        if shot.residual is None or abs(shot.residual) > tol_f:
+    seen = set()
+    for _, shot in roots:
+        rep = verify(curve, shot.points)
+        if not rep.ok or shot.points in seen:
             continue
-        rep = verify(curve, shot.points, tol)
-        if not rep.ok:
-            continue
-        if any(abs(t_root - t_old) < 1.0 / grid / 4 for t_old in seen):
-            continue
-        seen.append(t_root)
+        seen.add(shot.points)
         out.append(
             PartitionResult(
                 points=shot.points,
@@ -417,38 +384,9 @@ def brute_force(curve, n, grid=10_000, tol=rat(1, 10**6)):
                     if rep.detected_shift is not None
                     else Rearrangement(perm=rep.detected_permutation)
                 ),
-                exact=False,
-                residual=abs(shot.residual),
+                exact=True,
+                residual=ZERO,
                 trace=PipelineTrace(branch="shooting"),
             )
         )
     return out
-
-
-def _bisect_shot(curve, ch, n, lo, hi, f_lo, branches=()):
-    """(t, shot) at the last feasible midpoint of a bisection of [lo, hi],
-    or None.  The bisection reads `_float_residual` of ch, the caller's
-    float copy of the curve; the full closure_shot is built only for the
-    returned t.  It stops once the midpoint no longer moves, within about
-    55 halvings of a bracket of width 1/grid, well inside BISECT_STEPS."""
-    best = mid = None
-    for _ in range(BISECT_STEPS):
-        prev, mid = mid, (lo + hi) / 2
-        if mid == prev:  # float resolution: lo, hi and best stay fixed
-            break
-        r = _float_residual(ch, n, as_float(mid), branches)
-        if r is None:
-            # shrink toward the known-feasible side
-            hi = mid
-            continue
-        best = mid
-        if r == 0:
-            break
-        if (r < 0) == (f_lo < 0):
-            lo = mid
-        else:
-            hi = mid
-    if best is None:
-        return None
-    return best, closure_shot(curve, n, best, float_mode=True,
-                              branches=branches)

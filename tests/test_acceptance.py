@@ -134,26 +134,21 @@ def produce_climb_exactness():
 
 def produce_oracle_agreement():
     results = []
-    tol9 = R(1, 10**9)
     for seed in range(20):
         c = random_curve(seed, vertices=4 + seed % 4,
                          curve_class="deltaInterior")
         for s in (2, 3):
-            found = brute_force(c, s - 2, grid=10_000, tol=R(1, 10**6))
+            found = brute_force(c, s - 2)
             if not found:
                 return False, f"seed {seed} S={s}: oracle found nothing", b""
-            if min(r.residual for r in found) >= R(1, 10**6):
-                return False, f"seed {seed} S={s}: residual too large", b""
             res = partition_curve(c, s - 1)
-            pts_float = [(float(x), float(y)) for x, y in res.points]
-            rep = verify(c, pts_float, tol=tol9)
-            if not rep.ok:
-                return False, f"seed {seed} S={s}: projection rejected", b""
+            if res.points not in [r.points for r in found]:
+                return False, f"seed {seed} S={s}: not an oracle root", b""
             results.append({
                 "seed": seed, "S": s, "oracleSolutions": len(found),
                 "pipeline": result_to_obj(res, "exact"),
             })
-    return True, "20 curves x S=2,3: oracle hits and pipeline verifies",\
+    return True, "20 curves x S=2,3: the pipeline's partition is an oracle root",\
         _canonical_bytes(results)
 
 

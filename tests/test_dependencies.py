@@ -32,10 +32,9 @@ def test_imports_are_stdlib_only():
 # (importing module, defining module, name): the explorer reuses the
 # oracle's chase and the pipeline's shift residual
 PRIVATE_IMPORTS = {
-    ("explore", "oracle", "_bisect_shot"),
     ("explore", "oracle", "_chase"),
     ("explore", "oracle", "_Chaser"),
-    ("explore", "oracle", "_sign_changes"),
+    ("explore", "oracle", "_shift_one_roots"),
     ("explore", "pipeline", "_shift_residual"),
 }
 

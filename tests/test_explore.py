@@ -81,7 +81,7 @@ class TestConjectureSearch:
                 theta = CyclicPermutation(size=n + 1, shift=1)
                 rec = conjecture_search(c, n, theta, grid=2000,
                                         tol=R(1, 10**6))
-                brute = brute_force(c, n - 1, grid=2000, tol=R(1, 10**6))
+                brute = brute_force(c, n - 1)
                 assert (rec.outcome == "found") == bool(brute), (seed, n)
 
     def test_identity_shift_on_diagonal(self):
@@ -331,7 +331,7 @@ class TestExplorerGolden:
     """Golden bytes of the explorer: the digest of a batch log, wallTime
     dropped, over both bounded curve classes, n 1-3 and shifts 0-3.  It
     reaches every search: the diagonal level set (shift 0), the oracle's
-    chase and bisection (shift 1), and the coarse grid and its polish
+    exact cell walk (shift 1), and the coarse grid and its polish
     (shifts 2 and 3), with found and notFound outcomes."""
 
     CONFIG = {
@@ -343,7 +343,7 @@ class TestExplorerGolden:
         "grid": 200,
         "tol": "1/1000000",
     }
-    SHA256 = "cb7316b70781a5b6d52f46dd435d8269292c4472c4f7d4ff6eb23d33eda1fa7e"
+    SHA256 = "dec7218c3c128be4c75011969c2617655a66d9e35da6b782c43a2e6d3325636a"
 
     def test_batch_bytes(self, tmp_path):
         self.check_digest(tmp_path)

@@ -1,6 +1,4 @@
 import random
-from bisect import bisect_right
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -15,24 +13,16 @@ from curvepart import (
     random_curve,
     verify,
 )
-from curvepart import oracle
+from curvepart import oracle, partition_curve
 from curvepart.oracle import (
-    SWEEP_STRIDE,
-    _bisect_shot,
+    _Affine,
     _branch_vectors,
+    _cell_roots,
+    _chase,
     _Chaser,
-    _error_factors,
-    _float_chase,
-    _float_residual,
-    _sign_changes,
-    _sweep_point,
+    _shift_one_roots,
 )
-from curvepart.pipeline import (
-    PartitionResult,
-    PipelineTrace,
-    Rearrangement,
-)
-from curvepart.scalar import as_float, rat
+from curvepart.scalar import rat
 
 R = rat
 
@@ -149,37 +139,37 @@ class TestNegativeOrderRefused:
 
 class TestBruteForce:
     def test_finds_worked_example(self):
-        found = brute_force(BENT, 1, grid=1000)
+        found = brute_force(BENT, 1)
         assert len(found) == 1
         res = found[0]
-        assert res.residual < R(1, 10**6)
-        assert abs(res.points[1][0] - R(4, 9)) < R(1, 10**4)
-        rep = verify(BENT, res.points, tol=R(1, 10**6))
+        assert res.exact and res.residual == 0
+        assert res.points[1] == (R(4, 9), R(1, 9))
+        rep = verify(BENT, res.points, tol=0)
         assert rep.ok and rep.detected_shift == 1
 
     def test_diagonal_curve_solution(self):
-        found = brute_force(diagonal_curve(), 1, grid=500)
+        found = brute_force(diagonal_curve(), 1)
         assert found
         for res in found:
-            assert verify(diagonal_curve(), res.points, tol=R(1, 10**6)).ok
+            assert verify(diagonal_curve(), res.points, tol=0).ok
 
     def test_counterexample_curve_empty(self):
         for n in range(1, 5):
-            assert brute_force(SECTION5, n, grid=500) == []
+            assert brute_force(SECTION5, n) == []
 
     def test_all_solutions_verify(self):
         for seed in (0, 3, 5):
             c = random_curve(seed, vertices=6, curve_class="deltaInterior")
             for n in (0, 1):
-                for res in brute_force(c, n, grid=2000):
-                    rep = verify(c, res.points, tol=R(1, 10**6))
+                for res in brute_force(c, n):
+                    rep = verify(c, res.points, tol=0)
                     assert rep.ok
 
     def test_agreement_with_pipeline(self):
         # agreement is by verifier pass, never by point equality
         for seed in (1, 2, 4):
             c = random_curve(seed, vertices=6, curve_class="deltaInterior")
-            found = brute_force(c, 1, grid=4000)
+            found = brute_force(c, 1)
             assert found, seed
             exact = partition_below_diagonal(c, 1)
             pts_float = [(float(x), float(y)) for x, y in exact.points]
@@ -188,211 +178,87 @@ class TestBruteForce:
 
     def test_every_branch_vector_swept_at_higher_order(self):
         # at n = 2 the vectors in (sum, lex) order are not monotone in
-        # feasibility: no grid point of (1, 1) is feasible, and (2, 0),
-        # swept after it, holds the partition at x_1 = 0.3177
+        # feasibility: no cell of (1, 1) is feasible, and (2, 0), walked
+        # after it, holds the partition at x_1 = 0.3177
         c = random_curve(0, vertices=5, curve_class="deltaInterior")
-        ch = _Chaser(c, float_mode=True)
+        ch = _Chaser(c)
         vectors = _branch_vectors(c, 2)
         assert vectors.index((1, 1)) < vectors.index((2, 0))
-        assert all(_float_residual(ch, 2, g / 400, (1, 1)) is None
-                   for g in range(1, 400))
-        assert any(b == (2, 0) for b, *_ in _sign_changes(ch, 2, 400, vectors))
-        found = brute_force(c, 2, grid=400)
+        assert _cell_roots(ch, 2, (1, 1)) == ([], False)
+        assert any(abs(shot.points[1][0] - 0.31771) < 1e-5
+                   for _, shot in _shift_one_roots(c, 2, [(2, 0)]))
+        found = brute_force(c, 2)
         assert len(found) == 5
         for res in found:
-            assert verify(c, res.points, tol=R(1, 10**6)).ok
+            assert verify(c, res.points, tol=0).ok
         assert any(abs(res.points[1][0] - 0.31771) < 1e-5 for res in found)
 
-
-class TestShotConsistency:
-    def test_bisection_converges_between_signs(self):
-        grid = 64
-        prev = None
-        crossings = 0
-        bracket = None
-        for g in range(1, grid):
-            t = R(g, grid)
-            r = closure_shot(BENT, 1, t).residual
-            if prev is not None and r is not None and (prev[1] > 0) != (r > 0):
-                crossings += 1
-                bracket = bracket or (prev[0], t, prev[1])
-            prev = (t, r) if r is not None else None
-        assert crossings >= 1
-        lo, hi, r_lo = bracket
-        ch = _Chaser(BENT, float_mode=True)
-        t_root, shot = _bisect_shot(BENT, ch, 1, lo, hi, r_lo)
-        # the exact residual vanishes at 5/18 (test_zero_at_known_solution)
-        assert abs(t_root - R(5, 18)) < 1e-12
-        assert shot.feasible
-
-
-    def test_infeasible_midpoints_shrink_toward_the_feasible_end(self):
-        # on BENT at n = 1 the chase is feasible for t <= 1/2 only
-        ch = _Chaser(BENT, float_mode=True)
-        lo, hi = 0.45, 0.9
-        assert _float_residual(ch, 1, (lo + hi) / 2, ()) is None
-        t, shot = _bisect_shot(BENT, ch, 1, lo, hi,
-                               _float_residual(ch, 1, lo, ()))
-        assert lo < t <= 0.5 and shot.feasible
-
-    def test_bracket_without_a_feasible_midpoint_is_none(self):
-        ch = _Chaser(BENT, float_mode=True)
-        assert _bisect_shot(BENT, ch, 1, 0.6, 0.9, 1.0) is None
+    def test_grid_is_not_read(self):
+        for seed in (1, 2):
+            c = random_curve(seed, vertices=6, curve_class="interior")
+            for n in (0, 1):
+                assert brute_force(c, n, grid=10_000) == brute_force(c, n)
+        assert brute_force(BENT, 1, grid=3) == brute_force(BENT, 1)
 
 
 class TestDuplicateRoots:
     # x + y exceeds 1 after t = 1/5 and comes back to exactly 1 at the
     # vertex (5/8, 3/8), t = 1/2: the n = 0 residual 1 - x - y touches
-    # zero from below at a grid point, so both neighbouring brackets
-    # bisect to it
+    # zero from below at a cell end, the root of the cell before it and
+    # the zero at the start of the cell after it
     TOUCH = PLCurve([0, R(1, 4), R(1, 2), 1],
                     [(0, 0), (R(3, 4), R(1, 2)), (R(5, 8), R(3, 8)), (1, 1)])
 
     def test_touching_root_is_reported_once(self):
-        ch = _Chaser(self.TOUCH, float_mode=True)
-        brackets = list(_sign_changes(ch, 0, 100, [()]))
-        assert [b[1:3] for b in brackets] == [(0.19, 0.2), (0.49, 0.5),
-                                              (0.5, 0.51)]
-        roots = [_bisect_shot(self.TOUCH, ch, 0, t0, t1, r0)[0]
-                 for _, t0, t1, r0 in brackets]
-        assert abs(roots[1] - roots[2]) < 1 / 100 / 4
-        found = brute_force(self.TOUCH, 0, grid=100)
-        assert [c for r in found for c in r.points[1]] == pytest.approx(
-            [0.6, 0.4, 0.625, 0.375])
+        assert _cell_roots(_Chaser(self.TOUCH), 0, ()) == (
+            [R(1, 5), R(1, 2)], True)
+        found = brute_force(self.TOUCH, 0)
+        assert [r.points[1] for r in found] == [(R(3, 5), R(2, 5)),
+                                                (R(5, 8), R(3, 8))]
 
 
-# ------------------------------------------------------------- streamed sweep
+# --------------------------------------------------------------- cell walk
 
-# both curve classes, 4-9 vertices between them
-SWEEP_CURVES = [
-    random_curve(seed, vertices=v, curve_class=cls)
-    for seed, v, cls in ((4, 4, "deltaInterior"), (6, 6, "deltaInterior"),
-                         (5, 5, "interior"), (3, 9, "interior"))
-]
+def _walk(curve, n, branches):
+    """The cells _cell_roots walks on one branch vector, captured from its
+    chases: (t_lo, t_hi, rec, pts, missed) per cell, in order."""
+    chases = []
+
+    def spy(ch, frees, k, s, br):
+        pts, missed = _chase(ch, frees, k, s, br)
+        chases.append((frees[0], pts, missed))
+        return pts, missed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_chase", spy)
+        _cell_roots(_Chaser(curve), n, branches)
+    ends = [f.a for f, _, _ in chases[1:]] + [R(1)]
+    return [(f.a, t_hi, f.rec, pts, missed)
+            for (f, pts, missed), t_hi in zip(chases, ends)]
 
 
-def ref_brute_force(curve, n, grid=10_000, tol=rat(1, 10**6)):
-    """The per-shot sweep brute_force ran before it streamed the grid: one
-    closure_shot, with its own float copy of the curve, per grid point.
-    It stops after a wholly infeasible vector only at n = 1, where a larger
-    skip finds fewer hits; at n >= 2 it sweeps every vector."""
-    tol_f = as_float(tol)
+def _at(q, s):
+    """The value of an _Affine, or of a rational, at offset s."""
+    return q.a + q.b * s if isinstance(q, _Affine) else q
+
+
+def _float_residual(ch, n, t, branches):
+    """The shift-1 residual of a float chase at t, or None when infeasible."""
+    pts, missed = _chase(ch, (t,), 1, n + 2, branches)
+    if missed is not None:
+        return None
+    return pts[-1][1] - pts[-2][1] - (pts[-2][0] - pts[-3][0])
+
+
+def ref_float_roots(curve, n, grid):
+    """The point-by-point float reference: every sign change of the float
+    residual between neighbouring grid points of each branch vector,
+    bisected to float resolution, kept when its residual is within 1e-6
+    and its points verify within 1e-6.  At n = 1 it stops after the first
+    vector with a nonzero entry and no feasible grid point.  Yields
+    (branches, t, points)."""
     ch = _Chaser(curve, float_mode=True)
-    results = []
     for branches in _branch_vectors(curve, n):
-        prev = None
-        any_feasible = False
-        for g in range(1, grid):
-            t = g / grid
-            shot = closure_shot(curve, n, t, float_mode=True,
-                                branches=branches)
-            any_feasible = any_feasible or shot.feasible
-            cur = (t, shot)
-            if prev is not None:
-                t0, s0 = prev
-                if (
-                    s0.feasible
-                    and shot.feasible
-                    and s0.residual is not None
-                    and shot.residual is not None
-                    and (s0.residual < 0) != (shot.residual < 0)
-                ):
-                    root = _bisect_shot(curve, ch, n, t0, t, s0.residual,
-                                        branches)
-                    if root is not None:
-                        results.append(root)
-            prev = cur
-        if n == 1 and not any_feasible and any(branches):
-            break
-
-    out = []
-    seen = []
-    for t_root, shot in sorted(results, key=lambda r: r[0]):
-        if shot.residual is None or abs(shot.residual) > tol_f:
-            continue
-        rep = verify(curve, shot.points, tol)
-        if not rep.ok:
-            continue
-        if any(abs(t_root - t_old) < 1.0 / grid / 4 for t_old in seen):
-            continue
-        seen.append(t_root)
-        out.append(
-            PartitionResult(
-                points=shot.points,
-                rearrangement=(
-                    Rearrangement(shift=rep.detected_shift)
-                    if rep.detected_shift is not None
-                    else Rearrangement(perm=rep.detected_permutation)
-                ),
-                exact=False,
-                residual=abs(shot.residual),
-                trace=PipelineTrace(branch="shooting"),
-            )
-        )
-    return out
-
-
-class TestStreamedSweep:
-    def test_residual_matches_closure_shot(self):
-        grid = 257
-        feasible = infeasible = skipped_feasible = 0
-        for curve in SWEEP_CURVES:
-            ch = _Chaser(curve, float_mode=True)
-            for n in range(4):
-                for branches in _branch_vectors(curve, n):
-                    for g in range(1, grid):
-                        t = g / grid
-                        fast = _float_residual(ch, n, t, branches)
-                        ref = closure_shot(curve, n, t, float_mode=True,
-                                           branches=branches).residual
-                        assert fast == ref, (curve, n, branches, t)
-                        if ref is None:
-                            infeasible += 1
-                        else:
-                            feasible += 1
-                            skipped_feasible += any(branches)
-        assert feasible and infeasible and skipped_feasible
-
-    def test_brute_force_matches_per_shot_reference(self):
-        # n >= 2 sweeps up to 128 vectors per curve: a coarser grid there
-        # keeps the per-shot reference cheap
-        found = 0
-        for curve in SWEEP_CURVES:
-            for n in range(4):
-                grid = 1000 if n < 2 else 100
-                got = brute_force(curve, n, grid=grid)
-                assert got == ref_brute_force(curve, n, grid=grid), (curve, n)
-                found += len(got)
-        assert found
-
-    def test_one_float_copy_per_call(self, monkeypatch):
-        built = []
-
-        class CountingChaser(_Chaser):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        shots = []
-        closure_shot = oracle.closure_shot
-
-        def counting_shot(*args, **kwargs):
-            shots.append(args)
-            return closure_shot(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "_Chaser", CountingChaser)
-        monkeypatch.setattr(oracle, "closure_shot", counting_shot)
-        assert brute_force(BENT, 1, grid=2000)
-        # the sweep and every bisection share one copy; each closure_shot,
-        # built once per bisected root, makes its own
-        assert shots
-        assert len(built) == 1 + len(shots)
-
-
-def ref_sign_changes(ch, n, grid, vectors):
-    """The point-by-point sweep: _float_residual at every grid point of
-    every vector, stopping after a wholly infeasible vector at n = 1 only."""
-    for branches in vectors:
         any_feasible = False
         t0 = r0 = None
         for g in range(1, grid):
@@ -401,10 +267,38 @@ def ref_sign_changes(ch, n, grid, vectors):
             if r is not None:
                 any_feasible = True
                 if r0 is not None and (r0 < 0) != (r < 0):
-                    yield branches, t0, t, r0
+                    root = _bisect(curve, ch, n, t0, t, r0, branches)
+                    if root is not None:
+                        yield branches, root[0], root[1]
             t0, r0 = t, r
         if n == 1 and not any_feasible and any(branches):
             return
+
+
+def _bisect(curve, ch, n, lo, hi, r_lo, branches):
+    """(t, points) of the last feasible midpoint of a bisection of [lo, hi]
+    to float resolution, when its residual is within 1e-6 and its points
+    verify within 1e-6; otherwise None."""
+    best = None
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
+        r = _float_residual(ch, n, mid, branches)
+        if r is None:
+            hi = mid
+            continue
+        best = mid
+        if r == 0:
+            break
+        if (r < 0) == (r_lo < 0):
+            lo = mid
+        else:
+            hi = mid
+    if best is None or abs(_float_residual(ch, n, best, branches)) > 1e-6:
+        return None
+    pts = _chase(ch, (best,), 1, n + 2, branches)[0]
+    return (best, pts) if verify(curve, pts, R(1, 10**6)).ok else None
 
 
 CELL_FEATURES = ("flat", "free", "vertical", "stall", "free", "nearflat",
@@ -413,10 +307,10 @@ CELL_FEATURES = ("flat", "free", "vertical", "stall", "free", "nearflat",
 
 def _cell_curve(seed):
     """A seeded curve with 3-9 vertices whose knots are mostly j/m for m in
-    (4, 8, 10, 16, 20), so many land on grid points, and whose pieces cycle
-    through CELL_FEATURES: flats, vertical pieces, stalls (a repeated
-    vertex) and near-flat pieces with |dy| = 2^-12, 2^-20 or 2^-30, with
-    dyadic coordinates that floats hold exactly."""
+    (4, 8, 10, 16, 20), and whose pieces cycle through CELL_FEATURES:
+    flats, vertical pieces, stalls (a repeated vertex) and near-flat pieces
+    with |dy| = 2^-12, 2^-20 or 2^-30, with dyadic coordinates that floats
+    hold exactly."""
     rng = random.Random(seed)
     v = rng.randint(3, 9)
     m = rng.choice((4, 8, 10, 16, 20))
@@ -445,9 +339,9 @@ def _cell_curve(seed):
     return PLCurve(knots, pts)
 
 
-# on its middle piece x + y = 1, so the n = 0 residual is 0 in exact
-# arithmetic and float rounding alone decides its sign: the full grid
-# brackets hundreds of float sign changes there
+# on its middle piece x + y = 1, so the n = 0 residual is 0 on a whole
+# stretch, where float rounding alone decides its sign: a float sweep
+# brackets hundreds of sign changes there
 ANTIDIAGONAL = PLCurve([0, R(1, 10), R(9, 10), 1],
                        [(0, 0), (R(3, 4), R(1, 4)), (R(1, 4), R(3, 4)),
                         (1, 1)])
@@ -461,153 +355,199 @@ NEARFLAT_HIT = PLCurve(
      (R(1, 4), R(3, 5) - R(1, 2**31)), (R(3, 4), R(3, 5) + R(1, 2**31)),
      (1, 1)])
 
-
-def _chase_error(curve, n, branches, t):
-    """(err, bound): the largest distance between a recorded float chase's
-    values and the same chase's in exact arithmetic, and its stated bound;
-    err is 0 where the exact chase takes another path."""
-    ch = _Chaser(curve, float_mode=True)
-    rec, exact = [], []
-    r = _float_chase(ch, n, t, branches, rec)
-    bound = _sweep_point(ch, n, t, branches, _error_factors(ch))[3]
-    r_ex = _exact_chase(ch, n, t, branches, exact)
-    if [e[0] for e in rec] != [e[0] for e in exact]:
-        return 0, bound
-    diffs = [abs(Fraction(a) - b) for fl, ex in zip(rec, exact)
-             for a, b in zip(fl[1:], ex[1:])]
-    if r is not None:
-        diffs.append(abs(Fraction(r) - r_ex))
-    return float(max(diffs)), bound
+WALK_CURVES = ([_cell_curve(seed) for seed in range(16)]
+               + [BENT, TestDuplicateRoots.TOUCH, NEARFLAT_HIT, SECTION5,
+                  ANTIDIAGONAL])
 
 
-def _exact_chase(ch, n, t, branches, rec):
-    """_float_chase(ch, n, t, branches, rec) in exact arithmetic on the
-    float copy's own values."""
-    ex = _Chaser.__new__(_Chaser)
-    ex.conv = Fraction
-    ex.knots = [Fraction(k) for k in ch.knots]
-    ex.verts = [(Fraction(x), Fraction(y)) for x, y in ch.verts]
-    ks, t = ex.knots, Fraction(t)
-    px = Fraction(0)
-    x, y = ex.at(t)
-    cursor = t
-    k = bisect_right(ks, t, 1, len(ks) - 1) - 1
-    rec.append((~k, t - ks[k], ks[k + 1] - t))
-    for i in range(n):
-        skip = branches[i] if i < len(branches) else 0
-        cursor = ex.first_ordinate_hit(y + (x - px), cursor, skip, rec)
-        if cursor is None:
-            return None
-        k = rec[-1][0]
-        rec.append((~k, cursor - ks[k], ks[k + 1] - cursor))
-        px = x
-        x, y = ex.at(cursor)
-    return 1 - y - (x - px)
+def _cover(curve, n, branches, t, pts, found):
+    """How a float root (t, pts) on branches is among the exact results
+    `found`: "points" when some result's points lie within 1e-6 of pts,
+    "stretch" when t lies in a cell where the residual is zero throughout
+    and the walk's representative of that cell is among the results, and
+    None otherwise."""
+    for res in found:
+        if max(abs(float(a) - b) for p, q in zip(res.points, pts)
+               for a, b in zip(p, q)) <= 1e-6:
+            return "points"
+    for t_lo, t_hi, _, cell_pts, missed in _walk(curve, n, branches):
+        if missed is None and t_lo <= t <= t_hi:
+            r = cell_pts[-1][1] - cell_pts[-2][1] - (cell_pts[-2][0]
+                                                     - cell_pts[-3][0])
+            if _at(r, 0) == 0 and _at(r, 1) == 0:
+                mid = closure_shot(curve, n, (t_lo + t_hi) / 2,
+                                   branches=branches)
+                if mid.points in [res.points for res in found]:
+                    return "stretch"
+    return None
 
 
-class TestCellSweep:
-    GRIDS = (1, 2, 3, SWEEP_STRIDE - 1, SWEEP_STRIDE, SWEEP_STRIDE + 1)
-    # finer grids where fewer vectors make them cheap
-    FINE = {0: (100, 1000), 1: (100, 1000), 2: (100,), 3: ()}
-
-    def test_matches_point_by_point_sweep(self, monkeypatch):
-        # both paths run: some gaps are skipped (fewer chases than the
-        # reference's) and some swept point by point (chases without a
-        # record)
-        recorded = []
-        monkeypatch.setattr(
-            oracle, "_float_chase",
-            lambda *a: recorded.append(len(a) == 5) or _float_chase(*a))
-        skipped = swept = 0
-        curves = ([_cell_curve(seed) for seed in range(16)]
-                  + [ANTIDIAGONAL, NEARFLAT_HIT])
+class TestCellWalk:
+    def test_finds_every_float_root(self):
+        # every partition the float reference finds within 1e-6 is among
+        # the walk's exact results, or in a zero stretch it represents
+        covers = []
+        curves = WALK_CURVES + [random_curve(seed, vertices=9,
+                                             curve_class="interior")
+                                for seed in range(20)]
         for curve in curves:
-            ch = _Chaser(curve, float_mode=True)
-            for n in range(4):
-                vectors = _branch_vectors(curve, n)
-                for grid in self.GRIDS + self.FINE[n]:
-                    recorded.clear()
-                    got = list(_sign_changes(ch, n, grid, vectors))
-                    chases, plain = len(recorded), recorded.count(False)
-                    recorded.clear()
-                    ref = list(ref_sign_changes(ch, n, grid, vectors))
-                    assert got == ref, (curve, n, grid)
-                    skipped += chases < len(recorded)
-                    swept += plain > 0
-        assert skipped and swept
-
-    def test_matches_point_by_point_sweep_on_random_curves(self):
-        # 9-vertex interior curves, swept at n = 1 with every skip: a target
-        # can pass over a whole segment between two chased points that
-        # share their segments, and only the sides of the scan's
-        # comparisons tell the two apart
-        for seed in range(20):
-            curve = random_curve(seed, vertices=9, curve_class="interior")
-            ch = _Chaser(curve, float_mode=True)
             for n in (0, 1):
-                vectors = _branch_vectors(curve, n)
-                assert (list(_sign_changes(ch, n, 1000, vectors))
-                        == list(ref_sign_changes(ch, n, 1000, vectors))), seed
+                found = brute_force(curve, n)
+                for branches, t, pts in ref_float_roots(curve, n, 1000):
+                    covers.append(_cover(curve, n, branches, t, pts, found))
+                    assert covers[-1], (curve, n, branches, t)
+        # ANTIDIAGONAL's float roots lie in its zero stretch
+        assert len(covers) > 400 and "stretch" in covers
+
+    def test_zero_stretch_has_one_representative(self):
+        # the residual 1 - x - y falls to 0 at the end of the first cell,
+        # t = 1/10, is 0 on the whole second, represented by its midpoint,
+        # and is 0 at the start of the third, t = 9/10, only: from there it
+        # falls with slope -10
+        assert _cell_roots(_Chaser(ANTIDIAGONAL), 0, ()) == (
+            [R(1, 10), R(1, 2), R(9, 10)], True)
+        found = brute_force(ANTIDIAGONAL, 0)
+        assert [r.points[1] for r in found] == [
+            (R(3, 4), R(1, 4)), (R(1, 2), R(1, 2)), (R(1, 4), R(3, 4))]
+
+    def test_bent_root_and_feasibility_edge(self):
+        # at n = 1 BENT's chase is feasible for t <= 1/2 only, and its one
+        # root is t = 5/18, A_1 = (4/9, 1/9): both come out exact
+        cells = _walk(BENT, 1, (0,))
+        feasible = [(t_lo, t_hi) for t_lo, t_hi, _, _, missed in cells
+                    if missed is None]
+        assert feasible[-1][1] == R(1, 2)
+        assert all(missed is not None for t_lo, *_, missed in cells
+                   if t_lo >= R(1, 2))
+        assert _cell_roots(_Chaser(BENT), 1, (0,)) == ([R(5, 18)], True)
+
+    def test_results_are_exact(self):
+        count = 0
+        for curve in WALK_CURVES:
+            for n in range(3):
+                for res in brute_force(curve, n):
+                    assert res.exact and res.residual == 0
+                    assert verify(curve, res.points, tol=0).ok
+                    count += 1
+        assert count > 50
+
+    def test_constant_residual_is_lifted(self):
+        # a hit at a segment's start knot leaves no chased point moving with
+        # t: the residual is a plain rational on the whole cell
+        constant = 0
+        for seed in (2, 3, 9, 10):
+            curve = _cell_curve(seed)
+            for branches in _branch_vectors(curve, 2):
+                for *_, pts, missed in _walk(curve, 2, branches):
+                    if missed is None:
+                        constant += not any(isinstance(c, _Affine)
+                                            for p in pts[-3:] for c in p)
+            found = brute_force(curve, 2)
+            assert found, seed
+            for res in found:
+                assert verify(curve, res.points, tol=0).ok
+        assert constant
+
+    def test_cells_tile_the_parameter_range(self):
+        # each cell starts where the last ended, from 0 to 1; on the open
+        # cell no recorded difference changes sign, and the exact chase at
+        # points inside it equals the affine one
+        rng = random.Random(5)
+        checked = 0
+        for curve in WALK_CURVES:
+            for n in range(3):
+                for branches in _branch_vectors(curve, n)[:4]:
+                    cells = _walk(curve, n, branches)
+                    assert cells[0][0] == 0 and cells[-1][1] == 1
+                    for (t_lo, t_hi, rec, pts, missed), nxt in zip(
+                            cells, cells[1:] + [None]):
+                        assert t_lo < t_hi
+                        assert nxt is None or nxt[0] == t_hi
+                        w = t_hi - t_lo
+                        for d in rec:
+                            signs = {(d.a + d.b * s > 0) - (d.a + d.b * s < 0)
+                                     for s in (w / 3, w / 2, w)}
+                            assert len(signs - {0}) <= 1
+                        s = w * R(rng.randrange(1, 1000), 1000)
+                        shot = closure_shot(curve, n, t_lo + s,
+                                            branches=branches)
+                        assert shot.feasible == (missed is None)
+                        if missed is None:
+                            assert shot.points == tuple(
+                                (_at(x, s), _at(y, s)) for x, y in pts)
+                            checked += 1
+        assert checked > 200
+
+    def test_one_exact_shot_per_candidate(self, monkeypatch):
+        shots = []
+        real = oracle.closure_shot
+        monkeypatch.setattr(oracle, "closure_shot",
+                            lambda *a, **k: shots.append(a[2]) or real(*a, **k))
+        for curve in WALK_CURVES:
+            for n, branches in ((0, ()), (1, (0,)), (1, (1,))):
+                shots.clear()
+                roots = [t for t, _ in _shift_one_roots(curve, n, [branches])]
+                candidates = _cell_roots(_Chaser(curve), n, branches)[0]
+                assert shots == candidates == sorted(set(candidates))
+                assert set(roots) <= set(candidates)
 
     def test_curves_cover_the_cases(self):
         curves = [_cell_curve(seed) for seed in range(16)]
         knots = {t for c in curves for t in c.knots[1:-1]}
         steps = [(b[0] - a[0], b[1] - a[1]) for c in curves
                  for a, b in zip(c.vertices, c.vertices[1:])]
-        assert any(t * g == int(t * g) for t in knots
-                   for g in self.GRIDS[3:] + self.FINE[0])
+        assert any(t * 1000 == int(t * 1000) for t in knots)
         assert any(dx and not dy for dx, dy in steps)
         assert any(dy and not dx for dx, dy in steps)
         assert any(not dx and not dy for dx, dy in steps)
         assert {abs(dy) for _, dy in steps} >= {R(1, 2**12), R(1, 2**20),
                                                 R(1, 2**30)}
 
-    def test_matches_point_by_point_sweep_at_full_grid(self):
-        curve = _cell_curve(3)
-        ch = _Chaser(curve, float_mode=True)
-        vectors = _branch_vectors(curve, 1)
-        got = list(_sign_changes(ch, 1, 10_000, vectors))
-        assert got
-        assert got == list(ref_sign_changes(ch, 1, 10_000, vectors))
 
-    def test_error_bound_covers_float_chase(self):
-        # every value a recorded chase compares, and its residual, lies
-        # within the stated bound of the same chase in exact arithmetic
-        rng = random.Random(7)
-        checked = 0
-        for seed in range(24):
-            curve = _cell_curve(seed)
-            for n in range(4):
-                for branches in _branch_vectors(curve, n)[:6]:
-                    for _ in range(4):
-                        t = rng.randrange(1, 1000) / 1000
-                        err, bound = _chase_error(curve, n, branches, t)
-                        assert err <= bound, (curve, n, branches, t)
-                        checked += bound < float("inf")
-        assert checked > 500
+class TestAffine:
+    def test_each_comparison_records_its_difference(self):
+        rec = []
+        t = _Affine(R(1, 3), R(1), rec)
+        assert t < R(1, 2)
+        assert R(1, 3) < t  # reflected: equal at t_lo, then above
+        assert not t == R(1, 3)
+        assert t - t == 0
+        assert t * 2 + 1 > t
+        assert [(d.a, d.b) for d in rec] == [
+            (R(-1, 6), 1), (0, 1), (0, 1), (0, 0), (1 + R(1, 3), 1)]
 
-    def test_error_bound_covers_near_flat_hit(self):
-        # for t on the second piece the n = 1 target is y + x = 3/5, which
-        # only the near-flat piece of height 3/5 +- 2^-31 reaches: the hit
-        # amplifies the target's rounding by about 2^30
-        worst = 0.0
-        for g in range(101, 200):
-            err, bound = _chase_error(NEARFLAT_HIT, 1, (0,), g / 500)
-            assert err <= bound, g
-            worst = max(worst, err)
-        assert worst > 1e-10
+    def test_arithmetic(self):
+        rec = []
+        t = _Affine(R(1, 4), R(1), rec)
+        q = (1 - t) / 2 * 3 + t - R(1, 8)
+        assert (q.a, q.b) == (R(9, 8) + R(1, 4) - R(1, 8), R(-1, 2))
+        assert q.rec is rec and rec == []
 
-    def test_work_count(self, monkeypatch):
-        # the full grid chases grid - 1 points per swept vector; the cell
-        # sweep, bisection included, at most an eighth of that
-        for curve in SWEEP_CURVES:
-            chased = []
-            monkeypatch.setattr(
-                oracle, "_float_chase",
-                lambda *a: chased.append(a[3]) or _float_chase(*a))
-            assert brute_force(curve, 1, grid=10_000)
-            monkeypatch.undo()
-            assert len(chased) <= 9_999 * len(set(chased)) / 8, curve
+
+class TestPipelineCrossCheck:
+    # the shift-1 partition partition_curve returns is one of the oracle's,
+    # point for point
+    MISSES = [(15, 4, 3), (15, 6, 3), (15, 7, 3), (15, 9, 3), (70, 9, 3),
+              (81, 4, 4)]
+
+    @staticmethod
+    def check(seed, v, S):
+        c = random_curve(seed, vertices=v, curve_class="deltaInterior")
+        res = partition_curve(c, S - 1)
+        assert res.rearrangement.shift == 1
+        assert res.points in [r.points for r in brute_force(c, S - 2)], (
+            seed, v, S)
+
+    def test_documented_float_sweep_misses(self):
+        # roots inside one grid gap of the float sweep
+        for seed, v, S in self.MISSES:
+            self.check(seed, v, S)
+
+    def test_slice(self):
+        for seed in range(20):
+            for v in (4, 6):
+                for S in (2, 3):
+                    self.check(seed, v, S)
 
 
 def _curve_of_width(width):
@@ -617,14 +557,15 @@ def _curve_of_width(width):
 
 
 class TestBranchVectors:
-    def test_matches_sorted_product_prefix(self):
+    def test_matches_sorted_product_prefix(self, monkeypatch):
         for width in range(2, 7):
             curve = _curve_of_width(width)
             for n in range(5):
                 full = sorted(product(range(width), repeat=n),
                               key=lambda v: (sum(v), v))
                 for cap in (1, 5, 128):
-                    assert _branch_vectors(curve, n, cap) == full[:cap], (width, n, cap)
+                    monkeypatch.setattr(oracle, "BRANCH_VECTORS", cap)
+                    assert _branch_vectors(curve, n) == full[:cap], (width, n, cap)
 
     def test_wide_curve_stays_bounded(self):
         # product(range(63), repeat=4) has about 15.8M tuples; the first 128
