@@ -267,18 +267,19 @@ def ref_float_roots(curve, n, grid):
             if r is not None:
                 any_feasible = True
                 if r0 is not None and (r0 < 0) != (r < 0):
-                    root = _bisect(curve, ch, n, t0, t, r0, branches)
-                    if root is not None:
-                        yield branches, root[0], root[1]
+                    root = _bisect(ch, n, t0, t, r0, branches)
+                    if root is not None and abs(root[1]) <= 1e-6:
+                        pts = _chase(ch, (root[0],), 1, n + 2, branches)[0]
+                        if verify(curve, pts, R(1, 10**6)).ok:
+                            yield branches, root[0], pts
             t0, r0 = t, r
         if n == 1 and not any_feasible and any(branches):
             return
 
 
-def _bisect(curve, ch, n, lo, hi, r_lo, branches):
-    """(t, points) of the last feasible midpoint of a bisection of [lo, hi]
-    to float resolution, when its residual is within 1e-6 and its points
-    verify within 1e-6; otherwise None."""
+def _bisect(ch, n, lo, hi, r_lo, branches):
+    """(t, residual) at the last feasible midpoint of a bisection of
+    [lo, hi] to float resolution, or None when no midpoint is feasible."""
     best = None
     while True:
         mid = (lo + hi) / 2
@@ -288,17 +289,14 @@ def _bisect(curve, ch, n, lo, hi, r_lo, branches):
         if r is None:
             hi = mid
             continue
-        best = mid
+        best = (mid, r)
         if r == 0:
             break
         if (r < 0) == (r_lo < 0):
             lo = mid
         else:
             hi = mid
-    if best is None or abs(_float_residual(ch, n, best, branches)) > 1e-6:
-        return None
-    pts = _chase(ch, (best,), 1, n + 2, branches)[0]
-    return (best, pts) if verify(curve, pts, R(1, 10**6)).ok else None
+    return best
 
 
 CELL_FEATURES = ("flat", "free", "vertical", "stall", "free", "nearflat",
@@ -382,23 +380,132 @@ def _cover(curve, n, branches, t, pts, found):
     return None
 
 
-class TestCellWalk:
-    def test_finds_every_float_root(self):
-        # every partition the float reference finds within 1e-6 is among
-        # the walk's exact results, or in a zero stretch it represents
-        covers = []
-        curves = WALK_CURVES + [random_curve(seed, vertices=9,
-                                             curve_class="interior")
-                                for seed in range(20)]
-        for curve in curves:
-            for n in (0, 1):
-                found = brute_force(curve, n)
-                for branches, t, pts in ref_float_roots(curve, n, 1000):
-                    covers.append(_cover(curve, n, branches, t, pts, found))
-                    assert covers[-1], (curve, n, branches, t)
-        # ANTIDIAGONAL's float roots lie in its zero stretch
-        assert len(covers) > 400 and "stretch" in covers
+def _covers(curves, ns):
+    """How each float root of the reference on curves at each n in ns is
+    among brute_force's results (see _cover); fails on the first that is
+    not."""
+    covers = []
+    for curve in curves:
+        for n in ns:
+            found = brute_force(curve, n)
+            for branches, t, pts in ref_float_roots(curve, n, 1000):
+                covers.append(_cover(curve, n, branches, t, pts, found))
+                assert covers[-1], (curve, n, branches, t)
+    return covers
 
+
+# every partition the point-by-point float reference finds within 1e-6 is
+# among the walk's exact results, or in a zero stretch it represents
+class TestCellSweep:
+    def test_matches_point_by_point_sweep(self):
+        covers = _covers([_cell_curve(seed) for seed in range(16)]
+                         + [ANTIDIAGONAL, NEARFLAT_HIT], (0, 1))
+        # ANTIDIAGONAL's float roots lie in its zero stretch
+        assert len(covers) > 250 and set(covers) == {"points", "stretch"}
+
+    def test_matches_point_by_point_sweep_on_random_curves(self):
+        covers = _covers([random_curve(seed, vertices=9,
+                                       curve_class="interior")
+                          for seed in range(20)], (0, 1))
+        assert len(covers) > 150 and set(covers) == {"points"}
+
+    def test_curves_cover_the_cases(self):
+        curves = [_cell_curve(seed) for seed in range(16)]
+        knots = {t for c in curves for t in c.knots[1:-1]}
+        steps = [(b[0] - a[0], b[1] - a[1]) for c in curves
+                 for a, b in zip(c.vertices, c.vertices[1:])]
+        assert any(t * 1000 == int(t * 1000) for t in knots)
+        assert any(dx and not dy for dx, dy in steps)
+        assert any(dy and not dx for dx, dy in steps)
+        assert any(not dx and not dy for dx, dy in steps)
+        assert {abs(dy) for _, dy in steps} >= {R(1, 2**12), R(1, 2**20),
+                                                R(1, 2**30)}
+
+
+# both curve classes, 4-9 vertices between them
+SWEEP_CURVES = [
+    random_curve(seed, vertices=v, curve_class=cls)
+    for seed, v, cls in ((4, 4, "deltaInterior"), (6, 6, "deltaInterior"),
+                         (5, 5, "interior"), (3, 9, "interior"))
+]
+
+
+class TestStreamedSweep:
+    def test_residual_matches_closure_shot(self):
+        # the reference's float residual is closure_shot's in float mode
+        grid = 257
+        feasible = infeasible = skipped_feasible = 0
+        for curve in SWEEP_CURVES:
+            ch = _Chaser(curve, float_mode=True)
+            for n in range(4):
+                for branches in _branch_vectors(curve, n):
+                    for g in range(1, grid):
+                        t = g / grid
+                        ref = closure_shot(curve, n, t, float_mode=True,
+                                           branches=branches).residual
+                        assert (_float_residual(ch, n, t, branches)
+                                == ref), (curve, n, branches, t)
+                        if ref is None:
+                            infeasible += 1
+                        else:
+                            feasible += 1
+                            skipped_feasible += any(branches)
+        assert feasible and infeasible and skipped_feasible
+
+    def test_brute_force_matches_per_shot_reference(self):
+        curves = [BENT, TestDuplicateRoots.TOUCH, SECTION5] + SWEEP_CURVES
+        covers = _covers(curves, (0, 1))
+        assert len(covers) > 20 and set(covers) == {"points"}
+
+
+class TestShotConsistency:
+    # on BENT at n = 1 the chase is feasible for t <= 1/2 only, and its one
+    # root is t = 5/18, A_1 = (4/9, 1/9): the reference's bisection and the
+    # walk agree on both
+
+    def test_bisection_converges_between_signs(self):
+        grid = 64
+        prev = None
+        crossings = 0
+        bracket = None
+        for g in range(1, grid):
+            t = R(g, grid)
+            r = closure_shot(BENT, 1, t).residual
+            if prev is not None and r is not None and (prev[1] > 0) != (r > 0):
+                crossings += 1
+                bracket = bracket or (prev[0], t, prev[1])
+            prev = (t, r) if r is not None else None
+        assert crossings >= 1
+        lo, hi, r_lo = bracket
+        ch = _Chaser(BENT, float_mode=True)
+        t_root, r = _bisect(ch, 1, float(lo), float(hi), float(r_lo), (0,))
+        # the exact residual vanishes at 5/18 (test_zero_at_known_solution)
+        assert abs(t_root - R(5, 18)) < 1e-12 and abs(r) < 1e-12
+        assert _cell_roots(_Chaser(BENT), 1, (0,)) == ([R(5, 18)], True)
+
+    def test_infeasible_midpoints_shrink_toward_the_feasible_end(self):
+        ch = _Chaser(BENT, float_mode=True)
+        lo, hi = 0.45, 0.9
+        assert _float_residual(ch, 1, (lo + hi) / 2, (0,)) is None
+        t, _ = _bisect(ch, 1, lo, hi, _float_residual(ch, 1, lo, (0,)), (0,))
+        assert lo < t <= 0.5
+        # the walk's last feasible cell ends at 1/2 exactly
+        feasible = [(t_lo, t_hi) for t_lo, t_hi, _, _, missed
+                    in _walk(BENT, 1, (0,)) if missed is None]
+        assert feasible[-1][1] == R(1, 2)
+
+    def test_bracket_without_a_feasible_midpoint_is_none(self):
+        ch = _Chaser(BENT, float_mode=True)
+        assert _bisect(ch, 1, 0.6, 0.9, 1.0, (0,)) is None
+        # no cell beyond 1/2 is feasible, so none yields a candidate
+        cells = _walk(BENT, 1, (0,))
+        assert any(t_lo >= R(1, 2) for t_lo, *_ in cells)
+        assert all(missed is not None for t_lo, *_, missed in cells
+                   if t_lo >= R(1, 2))
+        assert all(t < R(1, 2) for t in _cell_roots(_Chaser(BENT), 1, (0,))[0])
+
+
+class TestCellWalk:
     def test_zero_stretch_has_one_representative(self):
         # the residual 1 - x - y falls to 0 at the end of the first cell,
         # t = 1/10, is 0 on the whole second, represented by its midpoint,
@@ -490,18 +597,6 @@ class TestCellWalk:
                 candidates = _cell_roots(_Chaser(curve), n, branches)[0]
                 assert shots == candidates == sorted(set(candidates))
                 assert set(roots) <= set(candidates)
-
-    def test_curves_cover_the_cases(self):
-        curves = [_cell_curve(seed) for seed in range(16)]
-        knots = {t for c in curves for t in c.knots[1:-1]}
-        steps = [(b[0] - a[0], b[1] - a[1]) for c in curves
-                 for a, b in zip(c.vertices, c.vertices[1:])]
-        assert any(t * 1000 == int(t * 1000) for t in knots)
-        assert any(dx and not dy for dx, dy in steps)
-        assert any(dy and not dx for dx, dy in steps)
-        assert any(not dx and not dy for dx, dy in steps)
-        assert {abs(dy) for _, dy in steps} >= {R(1, 2**12), R(1, 2**20),
-                                                R(1, 2**30)}
 
 
 class TestAffine:
