@@ -3,8 +3,12 @@
 The paper's construction partitions one curve below the diagonal: it
 builds partitioning functions by induction (each step walks one climb,
 unchecked, and reads the new functions off its level path: `climb.walk`)
-and extracts the points from an auxiliary-curve intersection.  Every
-climb is exact, so a curve below the diagonal always solves exactly.
+and extracts the points from an auxiliary-curve intersection.  Each level
+of the induction is one row table (t, x(t), y(t)) with a row where x or y
+bends; the climb and the closing curve read the closing sum x + y only up
+to its first t_stop at 1, so the table is cut there before any canonical
+pass or intersection.  Every climb is exact, so a curve below the
+diagonal always solves exactly.
 Everything else `partition_curve` does maps that one
 solve back to the input: the tail after the last diagonal touch is
 normalized, mirrored when it rides above the diagonal, and `_assemble`
@@ -18,7 +22,7 @@ budget raises ConvergenceError.  The stages return results unchecked;
 `_final_verify` with every point exactly on the curve.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
@@ -44,11 +48,10 @@ from .plcurve import (
 )
 from .plfun import (
     PLFunction,
+    canonical,
     compose,
     level_set,
-    pl_add,
     pl_eval,
-    pl_scale_values,
     pl_sub,
     union_knot_values,
 )
@@ -66,17 +69,21 @@ class PartitioningFunctions:
     """Functions y, x_1..x_n with (x_i(t), x_{i-1}(t) + y(t)) on the curve,
     x_0 = 0; n is len(bases) + 1.
 
-    y and the newest x_n are stored as functions.  Each older x_i is stored
-    as its level built it, bases[i-1] (the width for i = 1, width o g1 of
-    level i-1 after that), with the inner maps of the levels after it:
-    x_i = bases[i-1] o inners[i-1] o ... o inners[-1].  `xs_at` evaluates
-    every x_i through that chain; `xs` composes it in full on first read.
+    rows is the last level's row table (t, x_n(t), y(t)), a row exactly
+    where x_n or y bends; y and x_n are its columns as functions.  Each
+    older x_i is kept as its level built it, bases[i-1] (the width for
+    i = 1, width o g1 of level i-1 after that), with the inner maps of the
+    levels after it: x_i = bases[i-1] o inners[i-1] o ... o inners[-1].
+    Bases and inner maps are breakpoint tables, with no canonical pass,
+    that `pl_eval` and `compose` read.  `xs_at` evaluates every x_i
+    through that chain; `xs` composes it in full on first read.
     """
 
     y: PLFunction
     x: PLFunction
     bases: tuple
     inners: tuple
+    rows: tuple
 
     @cached_property
     def xs(self):
@@ -173,6 +180,15 @@ def build_partitioning_functions(curve, n):
     itself.  The older x_i are kept as their level built them, with the
     inner maps after them (`PartitioningFunctions`).
 
+    Each level is carried as one row table (t, x(t), y(t)) in joint
+    canonical form (`plfun.canonical`), a row exactly where x or y bends:
+    the curve's own knots and vertices to start, then the two readings of
+    the path merged and passed once.  The climb reads the closing sum's
+    rows (t, x + y, y) only up to t_stop (`_closing_rows`), so its
+    profile's canonical pass runs on those rows alone.  y and x_n become
+    `PLFunction`s once, after the last level; for n = 1 they are the
+    curve's height and width.
+
     By associativity of exact composition, x_i = width o tau_i and y =
     height o tau_1 for the products tau_i of the maps.  The rest (height o
     tau_i == x_{i-1} + y, the start at 0, the close at (1, 1)) follows
@@ -192,48 +208,96 @@ def build_partitioning_functions(curve, n):
         raise NonInteriorCurveError("curve leaves the open unit square")
 
     height = curve.y_function()
-    width = curve.x_function()
-    # the curve's knots are the union knots of its two coordinates
-    along_height = climb.Companion(
-        [(t, p[1], p[0]) for t, p in zip(curve.knots, curve.vertices)],
-        height.knots)
-    y, x = height, width
+    rows = _curve_rows(curve)
+    along_height = climb.Companion([(t, y, x) for t, x, y in rows],
+                                   height.knots)
     bases, inners = [], []
     for _ in range(1, n):
-        rows, f2 = _closing_sum(x, y)
-        path = climb.walk(height, f2)
-        along_sum = climb.Companion(rows, [t for t, _ in f2.breakpoints])
+        closing = _closing_rows(rows)
+        profile = SimpleNamespace(
+            breakpoints=canonical([(t, w) for t, w, _ in closing]))
+        path = climb.walk(height, profile)
+        along_sum = climb.Companion(
+            closing, [t for t, _ in profile.breakpoints])
         m = len(path) - 1
         us = [rat(k, m) for k in range(m + 1)]
-        bases.append(x)
-        inners.append(PLFunction(
+        bases.append(_table((t, x) for t, x, _ in rows))
+        inners.append(_table(
             zip(us, (along_sum.parameter(t, v) for _, t, v in path))))
-        y = PLFunction(along_sum.compose(path, 1, us))
-        x = PLFunction(along_height.compose(path, 0, us))
+        rows = canonical(union_knot_values(
+            _table(along_height.compose(path, 0, us)),
+            _table(along_sum.compose(path, 1, us))))
+    if n == 1:
+        y, x = height, curve.x_function()
+    else:
+        y = PLFunction((t, v) for t, _, v in rows)
+        x = PLFunction((t, v) for t, v, _ in rows)
     return PartitioningFunctions(y=y, x=x, bases=tuple(bases),
-                                 inners=tuple(inners))
+                                 inners=tuple(inners), rows=tuple(rows))
+
+
+def _curve_rows(curve):
+    """The curve's row table (t, x(t), y(t)): its knots are where either
+    coordinate bends, so the table is in joint canonical form."""
+    return [(t, x, y) for t, (x, y) in zip(curve.knots, curve.vertices)]
+
+
+def _table(points):
+    """A breakpoint table: the points (t, v) as given, with no canonical
+    pass, and their times, as `pl_eval`, `compose` and
+    `curve_from_functions` read a function."""
+    bps = tuple(points)
+    return SimpleNamespace(breakpoints=bps, knots=tuple(t for t, _ in bps))
+
+
+def _closing_rows(rows):
+    """The closing sum's rows (t, x + y, y) of a row table (t, x, y) up to
+    the first t_stop with x + y = 1, the last row at t_stop.
+
+    The sum is 0 at t = 0, so t_stop is the first row where it reaches 1,
+    or lies inside the row segment before the first row where it passes
+    1; x and y are linear on a row segment, so that row is interpolated.
+    No row after t_stop is read or summed.
+    """
+    out = []
+    for t, x, y in rows:
+        w = x + y
+        if w >= 1:
+            if w > 1:
+                t0, w0, y0 = out[-1]
+                lam = (ONE - w0) / (w - w0)
+                t, y = t0 + lam * (t - t0), y0 + lam * (y - y0)
+            out.append((t, ONE, y))
+            return out
+        out.append((t, w, y))
+    raise InternalInvariantError("closing sum never reaches 1")
 
 
 def extract_points(curve, pf):
     """Points from the first meeting of the closing curve with the input.
 
-    The closing curve (1 - y(t), x_n(t) + y(t)) starts at (1,0) and ends
-    above the top edge, so it meets the input; `curve_intersections`
-    returns the meeting with the smallest closing-curve parameter t0 (the
-    start of a collinear overlap), and only t0 is read.  The x_i are
-    evaluated there (`xs_at`), never composed.  The result, shift 1, is
-    exact by construction and unchecked here.
+    The closing curve (1 - y(t), x_n(t) + y(t)) is built from the last
+    level's closing-sum rows up to t_stop (`_closing_rows`), in the rows'
+    own parameter; the rows are jointly canonical, so the curve has a
+    vertex exactly where one coordinate bends.  On [0, t_stop] it runs
+    inside the square from (1, 0), below the input, to the top edge,
+    above it (the input reaches y = 1 only at (1, 1)), so it meets the
+    input, and the first meeting on the whole closing curve lies at or
+    before t_stop.  `curve_intersections` returns the meeting with the
+    smallest closing-curve parameter t0 (the start of a collinear
+    overlap), and only t0 is read.  The x_i are evaluated there (`xs_at`),
+    never composed.  The result, shift 1, is exact by construction and
+    unchecked here.
     """
-    y = pf.y
-    eta = curve_from_functions(
-        pl_scale_values(y, rat(-1), ONE), pl_add(pf.x, y)
-    )
+    closing = _closing_rows(pf.rows)
+    eta = curve_from_functions(_table((t, ONE - y) for t, _, y in closing),
+                               _table((t, w) for t, w, _ in closing))
     hits = curve_intersections(eta, curve)
     if not hits:
         raise InternalInvariantError("closing curve missed the input curve")
     t0 = hits[0].t_a
 
-    yt = pl_eval(y, t0)
+    yt = pl_eval(pf.y, t0)
     pts = [(ZERO, ZERO)]
     prev = ZERO
     for xi in pf.xs_at(t0):
@@ -243,26 +307,6 @@ def extract_points(curve, pf):
     pts.append((ONE, ONE))
 
     return _below_result(pts)
-
-
-def _closing_sum(x, y):
-    """The closing sum w = x + y up to the first t_stop with w(t_stop) = 1:
-    the rows (t, w(t), y(t)) at the union knots of x and y below t_stop
-    and at t_stop, and the climb's profile, w's canonical breakpoints
-    below t_stop and then (t_stop, 1), in w's own parameter.  The profile
-    has only `breakpoints`, as `climb.walk` reads them."""
-    rows = [(t, a + b, b) for t, a, b in union_knot_values(x, y)]
-    w = PLFunction([(t, v) for t, v, _ in rows])
-    hits = level_set(w, ONE)
-    if not hits:
-        raise InternalInvariantError("closing sum never reaches 1")
-    t_stop = hits[0][0]
-    i = bisect_left(rows, (t_stop,))
-    if rows[i][0] != t_stop:
-        rows[i] = (t_stop, ONE, pl_eval(y, t_stop))
-    del rows[i + 1:]
-    below = w.breakpoints[:bisect_left(w.knots, t_stop)]
-    return rows, SimpleNamespace(breakpoints=below + ((t_stop, ONE),))
 
 
 def _below_result(points):
@@ -293,8 +337,8 @@ def partition_below_diagonal(curve, n):
         )
 
     if n == 0:
-        rows, _ = _closing_sum(curve.x_function(), curve.y_function())
-        return _below_result(((ZERO, ZERO), curve(rows[-1][0]), (ONE, ONE)))
+        _, _, y = _closing_rows(_curve_rows(curve))[-1]
+        return _below_result(((ZERO, ZERO), (ONE - y, y), (ONE, ONE)))
 
     pf = build_partitioning_functions(curve, n)
     return extract_points(curve, pf)

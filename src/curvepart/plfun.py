@@ -7,18 +7,23 @@ constructor so piece counts stay minimal through long composition chains.
 Kernel costs, for f with m pieces, g with k pieces and r result pieces
 (each step is O(1) exact rational operations):
 
-- PLFunction(...): O(m); canonicalization reads each point's numerators and
-  denominators once, checks that the times increase and tests collinearity
-  with integer cross-products (`_collinear`), building no Fraction and
-  taking no gcd; the knot tuple is built once.
+- canonical(rows): O(r k) for r rows of k value columns; it reads each
+  row's numerators and denominators once, checks that the times increase
+  and tests collinearity with integer cross-products, building no
+  Fraction and taking no gcd.  The induction passes each level's rows
+  (t, x, y) once, and each climb profile's rows up to t_stop once.
+- PLFunction(...): O(m), `canonical` with one value column; the knot
+  tuple is built once.
 - pl_eval(f, t): O(log m), a bisection of the cached knots.
 - compose(outer, inner): O(k log m + r); each inner knot bisects the outer
   knots once, and each inner piece emits the outer knots it crosses in
-  t-order, taking their values from the outer breakpoints.
+  t-order, taking their values from the outer breakpoints.  No solve
+  composes; `PartitioningFunctions.xs` does.
 - pl_combine(f, g, op) and union_knot_values(f, g): O(m + k), one
   merge-walk over the two sorted breakpoint lists.
 - level_set(f, c): O(m), one pass over the pieces in t order that emits
-  the items already ordered and merged; nothing is sorted.
+  the items already ordered and merged; nothing is sorted.  The induction
+  does not call it: it finds each t_stop on its row table.
 - pl_window(f, lo, hi): O(m); two evaluations for the ends, and f's own
   breakpoint values in between.  Its one caller is
   `plcurve.normalize_tail`; the induction walks each closing sum in its
@@ -32,50 +37,55 @@ from .errors import DomainError, PreconditionError
 from .scalar import ONE, ZERO, rat
 
 
-def _parts(x):
-    return x.numerator, x.denominator
+def canonical(rows):
+    """Drop the interior rows (t, v_1, ..., v_k) at which no column bends:
+    a row goes when every column is collinear with both neighbours.
 
+    The rows of one function, (t, v), give its canonical form; the rows
+    of several functions on shared times, (t, f(t), g(t)), keep exactly
+    the union of their canonical forms' knots, the rows
+    `union_knot_values` builds from those forms.  Raises
+    PreconditionError unless the times strictly increase.  The kept rows
+    are the input's own tuples.
 
-def _collinear(t0, t1, t2, v0, v1, v2):
-    """Whether (t0, v0), (t1, v1), (t2, v2) lie on one line.
-
-    Each argument is a rational as its (numerator, denominator) pair,
-    t_i = a_i / b_i and v_i = c_i / d_i with b_i, d_i > 0.  The equation
-    (t1 - t0)(v2 - v0) == (t2 - t0)(v1 - v0) is tested with both sides
-    multiplied by the positive integer b0 b1 b2 d0 d1 d2, so only integer
-    products are formed: no Fraction is built and no gcd is taken.
-    """
-    (a0, b0), (a1, b1), (a2, b2) = t0, t1, t2
-    (c0, d0), (c1, d1), (c2, d2) = v0, v1, v2
-    return ((a1 * b0 - a0 * b1) * (c2 * d0 - c0 * d2) * b2 * d1
-            == (a2 * b0 - a0 * b2) * (c1 * d0 - c0 * d1) * b1 * d2)
-
-
-def _canonical(points):
-    """Drop interior breakpoints collinear with both neighbors.
-
-    Raises PreconditionError unless the times strictly increase, compared
-    as a0 b1 < a1 b0 on their integer parts.  The kept points are the
-    input's own (t, v) tuples.
+    Each rational is read as its (numerator, denominator) pair, t_i =
+    a_i / b_i and v_i = c_i / d_i with b_i, d_i > 0.  Times are compared
+    as a0 b1 < a1 b0, and a column's collinearity (t1 - t0)(v2 - v0) ==
+    (t2 - t0)(v1 - v0) is tested with both sides multiplied by the
+    positive integer b0 b1 b2 d0 d1 d2, so only integer products are
+    formed: no Fraction is built and no gcd is taken.  The time factors
+    are formed once per test, for every column.
     """
     out = []
-    parts = []  # parts[i] = (t, v) of out[i] as (numerator, denominator) pairs
-    for p in points:
-        q = (_parts(p[0]), _parts(p[1]))
-        if parts:
-            # parts[-1] is the previous input point: a point is popped only
+    parts = []  # parts[i] = out[i] as (numerator, denominator) pairs
+    for row in rows:
+        q = [(v.numerator, v.denominator) for v in row]
+        a2, b2 = q[0]
+        if not parts:
+            columns = range(1, len(q))
+        else:
+            # parts[-1] is the previous input row: a row is popped only
             # after the next one is read
-            (a0, b0), (a1, b1) = parts[-1][0], q[0]
-            if a0 * b1 >= a1 * b0:
+            a1, b1 = parts[-1][0]
+            if a1 * b2 >= a2 * b1:
                 raise PreconditionError(
-                    f"breakpoint times not strictly increasing at t={p[0]}")
+                    f"breakpoint times not strictly increasing at t={row[0]}")
         while len(out) >= 2:
-            (t0, v0), (t1, v1) = parts[-2], parts[-1]
-            if not _collinear(t0, t1, q[0], v0, v1, q[1]):
-                break
-            out.pop()
-            parts.pop()
-        out.append(p)
+            r0, r1 = parts[-2], parts[-1]
+            (a0, b0), (a1, b1) = r0[0], r1[0]
+            dt1 = (a1 * b0 - a0 * b1) * b2
+            dt2 = (a2 * b0 - a0 * b2) * b1
+            for c in columns:
+                (c0, d0), (c1, d1), (c2, d2) = r0[c], r1[c], q[c]
+                if (dt1 * (c2 * d0 - c0 * d2) * d1
+                        != dt2 * (c1 * d0 - c0 * d1) * d2):
+                    break
+            else:
+                out.pop()
+                parts.pop()
+                continue
+            break
+        out.append(row)
         parts.append(q)
     return out
 
@@ -96,7 +106,7 @@ class PLFunction:
             raise PreconditionError("a PL function needs at least two breakpoints")
         if pts[0][0] != 0 or pts[-1][0] != 1:
             raise PreconditionError("breakpoints must span t = 0 .. 1")
-        pts = tuple(_canonical(pts))
+        pts = tuple(canonical(pts))
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "knots", tuple(t for t, _ in pts))
 
@@ -117,7 +127,8 @@ def identity():
 
 
 def pl_eval(f, t):
-    """Exact value of f at t; t must lie in [0, 1]."""
+    """Exact value of f at t; t must lie in [0, 1].  f may be any
+    breakpoint table with `breakpoints` and their times, `knots`."""
     t = rat(t)
     if t < 0 or t > 1:
         raise DomainError(f"argument {t} outside [0,1]", witness=t)
@@ -163,9 +174,12 @@ def level_set(f, c):
 def compose(outer, inner):
     """Exact composition outer(inner(t)) as a canonical PL function.
 
-    The range of inner must stay inside [0,1], the domain of outer.
+    The range of inner must stay inside [0,1], the domain of outer.  Only
+    `breakpoints` (and outer's `knots`) are read, so either may be a
+    breakpoint table that no canonical pass has seen.
     """
-    lo, hi = inner.range_bounds()
+    vs = [v for _, v in inner.breakpoints]
+    lo, hi = min(vs), max(vs)
     if lo < 0 or hi > 1:
         raise DomainError(f"inner range [{lo}, {hi}] escapes [0,1]")
     # The result breaks at every inner knot and wherever an inner piece
@@ -217,7 +231,9 @@ def union_knot_values(f, g):
     """[(t, f(t), g(t)), ...] over the sorted union of both knot sets.
 
     One merge-walk: a knot of one function that the other lacks lies inside
-    the other's current piece, which is interpolated there.
+    the other's current piece, which is interpolated there.  Only
+    `breakpoints` are read, so either may be a breakpoint table; a time
+    both share as one object is matched by identity, with no comparison.
     """
     fp, gp = f.breakpoints, g.breakpoints
     out = []
@@ -225,7 +241,7 @@ def union_knot_values(f, g):
     while i < len(fp):
         tf, vf = fp[i]
         tg, vg = gp[j]
-        if tf == tg:
+        if tf is tg or tf == tg:
             out.append((tf, vf, vg))
             i += 1
             j += 1

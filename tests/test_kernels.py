@@ -540,7 +540,7 @@ def test_canonical_matches_reference():
         for _ in range(m):
             vs.append(vs[-1] + rat(rng.randint(-1, 1), 4))
         pts = list(zip(ts, vs))
-        out = plfun._canonical(pts)
+        out = plfun.canonical(pts)
         assert out == ref_fun_canonical(pts)
         dropped_fun += len(pts) - len(out)
         ws = vs if rng.random() < 0.5 else [rat(rng.randint(0, 2), 2) for _ in vs]
@@ -557,7 +557,7 @@ def test_canonical_matches_reference():
         ts = big_knots(rng, rng.randint(2, 60))
         vs = run_values(rng, ts)
         pts = list(zip(ts, vs))
-        out = plfun._canonical(pts)
+        out = plfun.canonical(pts)
         assert out == ref_fun_canonical(pts)
         dropped_fun += len(pts) - len(out)
         # y runs break elsewhere, so a knot goes only where both agree
@@ -597,7 +597,7 @@ def test_canonical_does_no_rational_arithmetic():
         index = {t: i for i, t in enumerate(ts)}
         keep = [index[t] for t, _ in ref]
         pts = [(Opaque(t), Opaque(v)) for t, v in zip(ts, vs)]
-        out = plfun._canonical(pts)
+        out = plfun.canonical(pts)
         assert len(out) == len(keep)
         assert all(p is pts[i] for p, i in zip(out, keep))
 
@@ -605,7 +605,7 @@ def test_canonical_does_no_rational_arithmetic():
         # keeps, with the input's own knot and coordinate objects
         qts = [(Opaque(t), Opaque(w)) for t, w in zip(ts, ws)]
         at = {id(q): i for i, q in enumerate(qts)}
-        kept = set(keep) | {at[id(q)] for q in plfun._canonical(qts)}
+        kept = set(keep) | {at[id(q)] for q in plfun.canonical(qts)}
         curve = PLCurve(ts, list(zip(vs, ws)))
         assert [index[t] for t in curve.knots] == sorted(kept)
         assert all(t is ts[index[t]] and x is vs[index[t]] and y is ws[index[t]]

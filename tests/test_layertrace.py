@@ -73,6 +73,26 @@ def test_traced_solve_records_every_solve_target(layertrace):
     assert tracer.stats["scalar.pf_den_bits_max"] > 0
 
 
+def test_traced_wide_pair_records_every_solve_target(layertrace):
+    # wide-curve's shape: below the diagonal, 40 vertices; n = 2 solves
+    # with no climb and n = 3 with one, and the pair reaches every target
+    curve = random_curve(5, vertices=40)
+    tracer = layertrace.Tracer("curvepart")
+    tracer.install()
+    try:
+        for op_id, n in enumerate((2, 3)):
+            tracer.run_op(op_id, _solve_and_verify, curve, n,
+                          pipeline.DEFAULT_TOL)
+    finally:
+        tracer.uninstall()
+    tracer.check_bindings("wide-curve")
+    totals = tracer.totals()
+    # the induction finds t_stop on its row table: only the dispatch's
+    # diagonal-touch search calls level_set, once per op
+    assert totals["plfun.level_set"][0] == 2
+    assert totals["climb.solve_either_orientation"][0] == 1
+
+
 def test_traced_join_records_every_join_target(layertrace):
     # the tail's join accepts its fifth cut; the rejected ones snap points
     # onto the tail, and every cut's solve climbs

@@ -28,16 +28,17 @@ from curvepart.pipeline import (
     pl_density_cumulative,
     step_cumulative,
 )
-from curvepart.plcurve import (
-    curve_from_functions,
-    curve_intersections,
-    point_on_curve,
-)
+from curvepart.plcurve import curve_intersections, point_on_curve
 from curvepart.plfun import level_set, pl_add, pl_scale_values, pl_window
 from curvepart.scalar import rat
 
 from test_kernels import ref_earliest_meeting
-from util import degenerate_lower_curve, fold_levels, functions_on_curve
+from util import (
+    degenerate_lower_curve,
+    fold_levels,
+    full_closing_curve,
+    functions_on_curve,
+)
 
 R = rat
 
@@ -188,9 +189,7 @@ def ref_partitioning_functions(curve, n):
 
 def ref_extract_points(curve, y, xs):
     """Points read off the fully composed y and x_1..x_n."""
-    eta = curve_from_functions(pl_scale_values(y, R(-1), R(1)),
-                               pl_add(xs[-1], y))
-    t0 = ref_earliest_meeting(eta, curve)[0].t_a
+    t0 = ref_earliest_meeting(full_closing_curve(xs[-1], y), curve)[0].t_a
     yt = pl_eval(y, t0)
     vals = [pl_eval(x, t0) for x in xs]
     lows = [R(0)] + vals[:-1]
@@ -242,19 +241,21 @@ def _special_cases(curve, n):
     a path vertex inside a piece beyond either kind of knot.  The edges
     and vertices are read off each climb's path as parameters."""
     walks, sums = [], []
-    real_walk, real_sum = climb.walk, pipeline._closing_sum
+    real_walk, real_rows = climb.walk, pipeline._closing_rows
 
     def walk(f1, f2):
         walks.append((f1, f2, real_walk(f1, f2)))
         return walks[-1][2]
 
-    def closing_sum(x, y):
-        sums.append((y, real_sum(x, y)))
+    def closing_rows(rows):
+        # each level's table (t, x, y) has a row wherever y bends
+        y = PLFunction([(t, v) for t, _, v in rows])
+        sums.append((y, real_rows(rows)))
         return sums[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(climb, "walk", walk)
-        mp.setattr(pipeline, "_closing_sum", closing_sum)
+        mp.setattr(pipeline, "_closing_rows", closing_rows)
         build_partitioning_functions(curve, n)
     height, width = curve.y_function(), curve.x_function()
     inside = [t for t in width.knots if t not in height.knots]
@@ -263,8 +264,9 @@ def _special_cases(curve, n):
         found.add("height flat")
     if inside:
         found.add("width knot inside a height piece")
-    for (f1, f2, path), (y, (_, profile)) in zip(walks, sums):
-        assert f2 is profile
+    for (f1, f2, path), (y, closing) in zip(walks, sums):
+        # the climb's profile ends at the closing rows' t_stop
+        assert f2.breakpoints[-1][0] is closing[-1][0]
         if _has_flat(f2):
             found.add("closing-sum flat")
         # in the closing sum's own parameter, as the path's t
@@ -314,9 +316,22 @@ class TestCompositionChain:
         assert calls == [] and len(pf.inners) == n - 1
 
     def _assert_matches_reference(self, c, n):
+        # extract_points builds the closing curve from the last level's
+        # rows up to t_stop only: its first meeting t0 lies there, and the
+        # points are those of the full closing curve
+        meetings = []
+
+        def recording(a, b):
+            hits = curve_intersections(a, b)
+            meetings.append(hits[0].t_a)
+            return hits
+
         pf = build_partitioning_functions(c, n)
         y, xs = ref_partitioning_functions(c, n)
-        assert extract_points(c, pf).points == ref_extract_points(c, y, xs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "curve_intersections", recording)
+            assert extract_points(c, pf).points == ref_extract_points(c, y, xs)
+        assert meetings[0] <= level_set(pl_add(xs[-1], y), 1)[0][0]
         assert pf.y == y and pf.xs == xs
 
     def test_random_curves_match_full_composition(self):
@@ -706,12 +721,6 @@ class TestRetryBudgets:
         assert err.history == list(res.trace.residual_history[:len(err.history)])
 
 
-def _closing_curve(pf):
-    """The closing curve, built as extract_points builds it."""
-    return curve_from_functions(pl_scale_values(pf.y, R(-1), R(1)),
-                                pl_add(pf.xs[-1], pf.y))
-
-
 class TestWideClosingCurves:
     """Curves of 32-64 vertices at n 2-3, whose closing curves have tens to
     hundreds of segments and meet the input many times."""
@@ -722,7 +731,7 @@ class TestWideClosingCurves:
         c = _random_lower_triangle_curve(rng, rng.randint(30, 62))
         n = rng.randint(2, 3)
         pf = build_partitioning_functions(c, n)
-        eta = _closing_curve(pf)
+        eta = full_closing_curve(pf.x, pf.y)
         assert curve_intersections(eta, c) == ref_earliest_meeting(eta, c)
         res = partition_below_diagonal(c, n)
         assert res.exact
@@ -736,7 +745,8 @@ class TestDeepClosingCurves:
     @pytest.mark.parametrize("n", (8, 10, 12))
     def test_first_hit_scan_matches_full_scan(self, n):
         c = random_curve(n, vertices=8)
-        eta = _closing_curve(build_partitioning_functions(c, n))
+        pf = build_partitioning_functions(c, n)
+        eta = full_closing_curve(pf.x, pf.y)
         assert max(v.denominator.bit_length()
                    for p in eta.vertices for v in p) >= 190
         assert curve_intersections(eta, c) == ref_earliest_meeting(eta, c)

@@ -13,11 +13,13 @@ from curvepart import (
     pl_eval,
 )
 from curvepart.plfun import (
+    canonical,
     clamp_to_unit,
     pl_add,
     pl_scale_values,
     pl_sub,
     pl_window,
+    union_knot_values,
 )
 from curvepart.scalar import rat
 
@@ -85,6 +87,54 @@ class TestCanonicalForm:
         with pytest.raises(PreconditionError,
                            match=f"^breakpoint times not strictly increasing at t={at}$"):
             F(*((t, t) for t in ts))
+
+
+@st.composite
+def joint_rows(draw):
+    """Rows (t, a(t), b(t)) of two PL functions on shared times.  Slopes
+    come from a small set, so collinear runs are common; on each piece b
+    runs with a, stays flat (a flat shared with a flat of a), mirrors a
+    about a fixed sum slope (a + b stays straight where a and b bend), or
+    takes a slope of its own."""
+    gaps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=14))
+    total = sum(gaps)
+    sum_slope = draw(st.sampled_from((0, 1, 2)))
+    ts, a, b = [R(0)], [R(draw(st.integers(0, 4)), 4)], [R(0)]
+    for gap in gaps:
+        sa = draw(st.sampled_from((-1, 0, 1, 2)))
+        sb = draw(st.sampled_from(("with", "flat", "mirror", "own")))
+        sb = {"with": sa, "flat": 0, "mirror": sum_slope - sa}.get(
+            sb, draw(st.sampled_from((-1, 0, 1))))
+        dt = R(gap, total)
+        ts.append(ts[-1] + dt)
+        a.append(a[-1] + sa * dt)
+        b.append(b[-1] + sb * dt)
+    return list(zip(ts, a, b))
+
+
+class TestJointCanonicalForm:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(joint_rows())
+    def test_keeps_the_union_of_both_canonical_forms(self, rows):
+        fa = PLFunction([(t, v) for t, v, _ in rows])
+        fb = PLFunction([(t, v) for t, _, v in rows])
+        out = canonical(rows)
+        # row for row, with exact values, and the input's own tuples
+        assert out == union_knot_values(fa, fb)
+        assert all(any(r is q for q in rows) for r in out)
+
+    def test_bend_that_cancels_in_the_sum_stays(self):
+        # a bends up and b down at 1/2, so a + b is straight there
+        rows = [(R(0), R(0), R(0)), (R(1, 2), R(1, 2), R(0)),
+                (R(1), R(1, 2), R(1, 2))]
+        assert canonical(rows) == rows
+        assert canonical([(t, a + b) for t, a, b in rows]) == [
+            (R(0), R(0)), (R(1), R(1))]
+
+    def test_shared_collinear_row_goes(self):
+        rows = [(R(0), R(0), R(1)), (R(1, 3), R(1, 3), R(1)),
+                (R(1), R(1), R(1))]
+        assert canonical(rows) == [rows[0], rows[2]]
 
 
 class TestCompose:

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 from curvepart import PLCurve, PLFunction, pl_eval
+from curvepart.plcurve import curve_from_functions
+from curvepart.plfun import pl_add, pl_scale_values
 from curvepart.scalar import rat
 
 DENOM = 2**16
@@ -152,6 +154,13 @@ def degenerate_lower_curve(seed, den=16):
 
 
 # ---------------------------------------------------------------- oracles
+
+def full_closing_curve(x, y):
+    """The closing curve (1 - y(t), x(t) + y(t)) over all of [0, 1], built
+    from the two functions: the reference for the pipeline's closing
+    curve, which it builds from its row table only up to t_stop."""
+    return curve_from_functions(pl_scale_values(y, -1, 1), pl_add(x, y))
+
 
 def eval_grid_equal(f, g, steps=97):
     """Pointwise-evaluation oracle: exact equality on a dense rational grid."""
