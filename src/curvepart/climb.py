@@ -22,29 +22,41 @@ through `breakpoints`, so any increasing parameters give the same path.
 `path_points` turns it into parameters, and `solve` is `walk`, the maps
 g1, g2 read off its points and an exact check of f1∘g1 = f2∘g2, for
 callers whose result nothing else checks (the library entry and
-`curvepart climb`).  The induction in `pipeline` reads the level path
-itself, through `Companion`: its output meets `partition_curve`'s exact
-final check of the whole theorem, so a wrong climb either raises there or
-leaves a correct partition.
+`curvepart climb`).  The induction in `pipeline` climbs every level
+against one height `Prepared` once per solve, and reads each level path
+itself in one pass (`read_path`, on two `Companion`s): its output meets
+`partition_curve`'s exact final check of the whole theorem, so a wrong
+climb either raises there or leaves a correct partition.
 
 Kernel costs of the walk, for f1 with m pieces, f2 with k pieces and e
 edges in the complex:
 
-- level_complex_path(f1, f2): O((m + k) log m) level comparisons to rank
-  every knot value of f2 among f1's sorted values, then O(m k) cells, each
-  two integer comparisons of ranks, and O(1) more for a cell with an edge.
-  No rational is built, hashed or added.  The walk itself is O(e) steps
-  over integer vertex keys, and at each vertex the step's sign pattern
-  picks the edge.
+- Prepared(f1): once for all climbs against f1, the check and the
+  contraction, then O(m log m) level comparisons to sort f1's values and
+  rank its knots, and O(m) integer comparisons of ranks for its pieces.
+- level_complex_path(f1, f2): O(k log m) integer comparisons to rank every
+  knot value of f2 among f1's sorted values (cross-products of their
+  numerators and denominators), O(k) for f2's pieces, comparing two
+  values only where a piece's ends share a rank, then O(m k) cells, each
+  two integer comparisons of ranks, and O(1) more for a cell with an
+  edge.  No rational is built, hashed or added.  An f1 that is not
+  `Prepared` is ranked first, as `Prepared` ranks it.  The walk itself is
+  O(e) steps over integer vertex keys, and at each vertex the step's sign
+  pattern picks the edge.
 - _contract and _lift: O(m + k + e) steps on integer positions, and no
   rational operation: a quotient keeps its profile's own breakpoints.
 - path_points: O(e) exact rational operations, one interpolation per
   coordinate inside a piece.
 - Companion(rows, knots): O(rows) to find the profile's knots among the
-  rows.  Then compose and each read are O(1) exact rational operations
-  per vertex inside a piece, and none at a knot or for a step that
-  crosses no inner row; a piece split by inner rows adds one level
-  comparison per row passed.
+  rows.
+- read_path(path, along1, along2): one pass over the path's vertices.  A value read inside a piece is one Fraction, built from
+  integer products of its row segment's numerators and denominators and
+  normalised once (`_offset`, `_lerp`); f2's side reads q2 and g2 with
+  one fraction of the segment; a value at a knot is read as it is.  A
+  step that crosses no inner row adds no rational operation; a crossed
+  row adds one Fraction for its parameter and one per value read on the
+  other side, and a piece split by inner rows one level comparison per
+  row passed.
 """
 
 from bisect import bisect_left
@@ -57,7 +69,7 @@ from .plfun import (
     compose,
     pl_eval,
 )
-from .scalar import ONE, ZERO, rat
+from .scalar import ONE, ZERO, Scalar, rat
 
 
 @dataclass(frozen=True)
@@ -77,40 +89,70 @@ def _check_profile(f, name):
         raise PreconditionError(f"{name} range [{lo}, {hi}] escapes [0,1]")
 
 
-def _ranks(f1, f2):
-    """Integer ranks of both profiles' knot values that order any value of
-    f1 against any value of f2 as the values themselves are ordered.
+def _ranked(f):
+    """The sorted distinct values of a flat-free first profile f, as
+    integer pairs, and its pieces (`_pieces`) with its knots' ranks.
 
-    f1's value gets 2r, r its index among f1's sorted distinct values; f2's
-    gets 2r when it equals the r-th of them and 2r - 1 when it lies between
-    the (r-1)-th and the r-th.  Two values of one profile may share an odd
-    rank, so only ranks of different profiles are compared.
+    A knot whose value is the r-th of the sorted distinct values gets rank
+    2r.  Any value v of another profile gets 2r when it equals the r-th
+    value and 2r - 1 when it lies between the (r-1)-th and the r-th
+    (`_ranks_against`), so integer ranks order values of f against values
+    of the other profile as the values themselves are ordered.  Two values
+    of the other profile may share an odd rank, so only ranks of different
+    profiles are compared.
     """
-    ordered = sorted(v for _, v in f1.breakpoints)
+    ordered = sorted(v for _, v in f.breakpoints)
     levels = [ordered[0]]
     levels += [v for u, v in zip(ordered, ordered[1:]) if v != u]
-    r1 = [2 * bisect_left(levels, v) for _, v in f1.breakpoints]
-    r2 = []
-    for _, v in f2.breakpoints:
-        r = bisect_left(levels, v)
-        r2.append(2 * r if r < len(levels) and levels[r] == v else 2 * r - 1)
-    return r1, r2
+    ranks = [2 * bisect_left(levels, v) for _, v in f.breakpoints]
+    levels = [(v.numerator, v.denominator) for v in levels]
+    return levels, _pieces(f, ranks, "f1")
+
+
+def _ranks_against(levels, f):
+    """The ranks of f's knot values among another profile's sorted
+    distinct values, `levels` as (numerator, denominator) pairs: a binary
+    search by integer cross-products, as both denominators are positive.
+    A value equal to a level has that level's own pair, as both are in
+    lowest terms."""
+    out = []
+    for _, v in f.breakpoints:
+        c, d = v.numerator, v.denominator
+        lo, hi = 0, len(levels)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            a, b = levels[mid]
+            if a * d < c * b:
+                lo = mid + 1
+            else:
+                hi = mid
+        hit = lo < len(levels) and levels[lo] == (c, d)
+        out.append(2 * lo if hit else 2 * lo - 1)
+    return out
 
 
 def _pieces(f, ranks, name):
     """Each piece i of a flat-free f as (rank at lo, rank at hi, position at
-    lo, position at hi, value at lo, value at hi, rising)."""
+    lo, position at hi, value at lo, value at hi, rising).
+
+    Different ranks order a piece's ends; values are compared only when
+    both ends share an odd rank, strictly between two levels of the other
+    profile.  Equal even ranks are equal values, a flat.
+    """
     pts = f.breakpoints
     out = []
     for i, ((_, v0), (_, v1)) in enumerate(zip(pts, pts[1:])):
-        if v0 == v1:
-            raise PreconditionError(f"{name} must be locally non-constant")
-        if v0 < v1:
-            out.append((ranks[i], ranks[i + 1], 2 * i, 2 * i + 2, v0, v1,
-                        True))
+        r0, r1 = ranks[i], ranks[i + 1]
+        if r0 != r1:
+            rising = r0 < r1
+        elif r0 % 2 and v0 != v1:
+            rising = v0 < v1
         else:
-            out.append((ranks[i + 1], ranks[i], 2 * i + 2, 2 * i, v1, v0,
-                        False))
+            raise PreconditionError(f"{name} must be locally non-constant")
+        if rising:
+            out.append((r0, r1, 2 * i, 2 * i + 2, v0, v1, True))
+        else:
+            out.append((r1, r0, 2 * i + 2, 2 * i, v1, v0, False))
     return out
 
 
@@ -118,7 +160,8 @@ def _complex_edges(f1, f2):
     """The edges of {f1(s) = f2(t)}, at most one per breakpoint rectangle,
     in row-major order (f1's pieces outer), each as (from, to, same): two
     vertices (s, t, level) with t increasing from `from` to `to`, and
-    whether s increases too.
+    whether s increases too.  f1 may be `Prepared`, whose ranked pieces
+    are read as they are.
 
     Both restrictions to a rectangle are linear with nonzero slope, so the
     solution set there is a segment from level max(lo1, lo2) to level
@@ -127,9 +170,11 @@ def _complex_edges(f1, f2):
     piece's knot, and the other lies strictly inside its piece.  s rises
     with the level when f1's piece rises, t when f2's does.
     """
-    r1, r2 = _ranks(f1, f2)
-    rows = _pieces(f1, r1, "f1")
-    cols = _pieces(f2, r2, "f2")
+    if isinstance(f1, Prepared):
+        levels, rows = f1.levels, f1.pieces
+    else:
+        levels, rows = _ranked(f1)
+    cols = _pieces(f2, _ranks_against(levels, f2), "f2")
     for i, (lo1, hi1, slo, shi, vlo1, vhi1, up1) in enumerate(rows):
         s_in = 2 * i + 1
         for j, col in enumerate(cols):
@@ -156,7 +201,8 @@ def _complex_edges(f1, f2):
 def level_complex_path(f1, f2):
     """Walk the solution complex of f1(s) = f2(t) from (0,0) to (1,1).
 
-    Both inputs must be flat-free.  Returns the walk's vertices as
+    Both inputs must be flat-free; f1 may be `Prepared`, whose quotient
+    is walked with its ranks as they are.  Returns the walk's vertices as
     (s, t, level): s and t are positions on f1's and f2's breakpoints (2i
     at knot i, 2i + 1 strictly inside piece i), and level = f1(s) = f2(t).
     Every vertex of the complex away from the two corners has even degree,
@@ -256,6 +302,24 @@ def _lift(path, spans1, spans2):
     return lifted
 
 
+class Prepared:
+    """A first profile checked, contracted and ranked once, for every climb
+    against it: `walk` takes it in place of the profile itself.
+
+    `profile` is the profile, on whose breakpoints the walk's positions
+    lie; `breakpoints` and `spans` are its flat-free quotient's
+    (`_contract`), and `levels` and `pieces` the quotient's (`_ranked`).  It is an ordinary value: whoever prepares it keeps it
+    as long as they climb against it, and nothing else holds it.
+    """
+
+    def __init__(self, f):
+        _check_profile(f, "f1")
+        q, self.spans = _contract(f)
+        self.profile = f
+        self.breakpoints = q.breakpoints
+        self.levels, self.pieces = _ranked(q)
+
+
 def walk(f1, f2):
     """Climb: contract the flats of both profiles, walk the solution
     complex of the flat-free quotients, lift the walk back.  Returns the
@@ -263,22 +327,23 @@ def walk(f1, f2):
     it; the result is not checked (`solve` checks it).
 
     Requires first value 0, last value 1 and range [0, 1] on both sides,
-    and nothing else.  The walk reads each profile's `breakpoints` values
-    only, so any increasing parameters serve: a PLFunction on [0, 1], or
-    the induction's closing sum in its own parameter up to t_stop.  Fold
+    and nothing else.  f1 may be `Prepared` once for several climbs: its
+    check, contraction and ranks are then not repeated.  The walk reads
+    each profile's `breakpoints` values only, so any increasing
+    parameters serve: a PLFunction on [0, 1], or the induction's closing
+    sum in its own parameter up to t_stop.  Fold
     levels of f1 and f2 may coincide: a same-level meeting only creates
     even-degree vertices (4 for two maxima or two minima, 0 for a maximum
     and a minimum), so the trail argument still lands at (1,1).
     Flat-free profiles skip the contraction, and their path is the walk
     itself.
     """
-    _check_profile(f1, "f1")
+    h = f1 if isinstance(f1, Prepared) else Prepared(f1)
     _check_profile(f2, "f2")
-    q1, spans1 = _contract(f1)
     q2, spans2 = _contract(f2)
-    path = level_complex_path(q1, q2)
-    if spans1 or spans2:
-        path = _lift(path, spans1, spans2)
+    path = level_complex_path(h, q2)
+    if h.spans or spans2:
+        path = _lift(path, h.spans, spans2)
     return path
 
 
@@ -307,17 +372,36 @@ def solution(f1, f2, path):
                          g2=PLFunction(zip(us, (t for _, t in pts))))
 
 
+def _offset(level, p0, p1):
+    """(level - p0) / (p1 - p0), p0 != p1, as an integer pair (num, den):
+    a fraction of a row segment, from integer products of the three
+    values' numerators and denominators.  No Fraction is built and no gcd
+    taken; den may be negative."""
+    a, b = level.numerator, level.denominator
+    c, d = p0.numerator, p0.denominator
+    e, f = p1.numerator, p1.denominator
+    return (a * d - c * b) * f, (e * d - c * f) * b
+
+
+def _lerp(lam, q0, q1):
+    """q0 + lam (q1 - q0) for a fraction lam = (num, den) from `_offset`,
+    as one Fraction built from integer products and normalised once, to
+    lowest terms with a positive denominator."""
+    num, den = lam
+    g, h = q0.numerator, q0.denominator
+    i, j = q1.numerator, q1.denominator
+    return Scalar(g * den * j + num * (i * h - g * j), den * j * h)
+
+
 class Companion:
     """A function q read along a profile p at the positions and levels of a
-    level path: the parameter and q where p takes a vertex's level, and
-    q composed with the path's map on p's side.
+    level path.
 
     rows are (t, p(t), q(t)) with t increasing, at least at every knot of
     p and of q; `knots`, the times of p's breakpoints, are among them.
     Rows strictly inside a piece of p (a knot of q, or a bend that cancels
     in p's canonical form) split it, so q is linear between consecutive
-    rows.  A position inside a piece is read by interpolating at the
-    level on its row segment; each segment's slopes are computed once.
+    rows.
     """
 
     def __init__(self, rows, knots):
@@ -328,85 +412,114 @@ class Companion:
             while rows[r][0] is not t and rows[r][0] != t:
                 r += 1
             self.index.append(r)
-        self.slopes = {}
 
-    def _segment(self, pos, level):
-        """The row that starts the segment of piece pos // 2 (pos odd)
-        where p takes `level`."""
+    def knot(self, pos):
+        """The row of p's knot at position pos (even)."""
+        return self.rows[self.index[pos // 2]]
+
+    def segment(self, pos, level):
+        """The rows (r0, r1) that bound the segment of piece pos // 2 where
+        p takes `level`."""
         rows, k = self.rows, pos // 2
         a, b = self.index[k], self.index[k + 1]
         if b > a + 1:
             rising = rows[a][1] < rows[b][1]
             while a + 1 < b and (rows[a + 1][1] < level) == rising:
                 a += 1
-        return a
+        return rows[a], rows[a + 1]
 
-    def _slopes(self, a):
-        if a not in self.slopes:
-            (t0, p0, q0), (t1, p1, q1) = self.rows[a], self.rows[a + 1]
-            dp = p1 - p0
-            self.slopes[a] = ((t1 - t0) / dp, (q1 - q0) / dp)
-        return self.slopes[a]
-
-    def _value(self, pos, level):
+    def at(self, pos, level):
         """q at position pos of p, where p takes `level`."""
         if pos % 2 == 0:
-            return self.rows[self.index[pos // 2]][2]
-        a = self._segment(pos, level)
-        _, p0, q0 = self.rows[a]
-        return q0 + (level - p0) * self._slopes(a)[1]
+            return self.knot(pos)[2]
+        r0, r1 = self.segment(pos, level)
+        return _lerp(_offset(level, r0[1], r1[1]), r0[2], r1[2])
 
-    def parameter(self, pos, level):
-        """The rows' parameter t at position pos of p, where p takes
-        `level`."""
-        if pos % 2 == 0:
-            return self.rows[self.index[pos // 2]][0]
-        a = self._segment(pos, level)
-        t0, p0, _ = self.rows[a]
-        return t0 + (level - p0) * self._slopes(a)[0]
-
-    def compose(self, path, side, params):
-        """Breakpoints of q∘g, g the map of one side of a level path (0
-        for f1's positions, 1 for f2's) with vertex k at params[k]: q at
-        every vertex, and at every row a step crosses, where `plfun.compose`
-        would break."""
-        out = []
-        prev = None
-        for u, vertex in zip(params, path):
-            pos, level = vertex[side], vertex[2]
-            if prev is not None:
-                u0, pos0, level0 = prev
-                out += [(u0 + lam * (u - u0), q) for lam, q
-                        in self._crossings(pos0, pos, level0, level)]
-            out.append((u, self._value(pos, level)))
-            prev = u, pos, level
-        return out
-
-    def _crossings(self, pos0, pos1, level0, level1):
-        """[(lam, q), ...]: the rows strictly inside one step of a level
-        path, from pos0 at level0 to pos1 at level1, at their fraction lam
-        of the step, in walking order.
+    def inside(self, pos0, pos1, level0, level1):
+        """The rows strictly inside one step of a level path, from pos0 at
+        level0 to pos1 at level1, in t order.
 
         A step moves along one piece of p, or waits on one point of it.
-        On a flat piece the step crosses it from knot to knot, and its
-        rows are placed by parameter; elsewhere by level.
+        A step at one level crosses a flat piece from knot to knot, and
+        every row inside the piece lies on it; a sloped step crosses the
+        rows of its piece strictly between its two levels.
         """
         if pos0 == pos1 and (pos0 % 2 == 0 or level0 == level1):
-            return []
-        rows, k = self.rows, min(pos0, pos1) // 2
-        a, b = self.index[k], self.index[k + 1]
-        if b == a + 1:
-            return []
-        inside = rows[a + 1:b]
-        if rows[a][1] == rows[b][1]:
-            t0 = rows[self.index[pos0 // 2]][0]
-            t1 = rows[self.index[pos1 // 2]][0]
-            out = [((t - t0) / (t1 - t0), q) for t, _, q in inside]
+            return ()
+        k = min(pos0, pos1) // 2
+        inner = self.rows[self.index[k] + 1:self.index[k + 1]]
+        if level0 == level1 or not inner:
+            return inner
+        lo, hi = sorted((level0, level1))
+        return [r for r in inner if lo < r[1] < hi]
+
+
+def read_path(path, along1, along2):
+    """q1 o g1 and q2 o g2, for g1 and g2 the maps of a level path (vertex
+    k at parameter u = k/m, linear between) and q1, q2 read along its two
+    profiles (`Companion`), in one pass over the path; and g2 itself.
+
+    Returns rows (u, q1(g1(u)), q2(g2(u))) at every vertex and at every
+    row of either companion that a step crosses, where `plfun.compose`
+    would break either function, and g2's points (u, g2(u)) at the
+    vertices.  Each value inside a piece is one interpolation on one row
+    segment (`_lerp`); on f2's side q2 and g2 share its fraction.  The
+    rows a step crosses on either side are merged into one u order
+    (`_crossed`).
+    """
+    m = len(path) - 1
+    rows, params = [], []
+    prev = None
+    for k, (s, t, v) in enumerate(path):
+        u = rat(k, m)
+        q1 = along1.at(s, v)
+        if t % 2:
+            r0, r1 = along2.segment(t, v)
+            lam = _offset(v, r0[1], r1[1])
+            q2, g2 = _lerp(lam, r0[2], r1[2]), _lerp(lam, r0[0], r1[0])
         else:
-            lo, hi = min(level0, level1), max(level0, level1)
-            out = [((p - level0) / (level1 - level0), q)
-                   for _, p, q in inside if lo < p < hi]
-        return sorted(out, key=lambda item: item[0])
+            g2, _, q2 = along2.knot(t)
+        if prev is not None:
+            rows += _crossed(prev, (u, s, t, v), along1, along2)
+        rows.append((u, q1, q2))
+        params.append((u, g2))
+        prev = u, s, t, v, q1, q2
+    return rows, params
+
+
+def _crossed(prev, vertex, along1, along2):
+    """The rows (u, q1, q2) strictly inside the step from `prev` (u, s, t,
+    level, q1, q2) to `vertex` (u, s, t, level), in u order."""
+    u0, s0, t0, v0, w1, w2 = prev
+    u1, s1, t1, v1 = vertex
+    c1 = along1.inside(s0, s1, v0, v1)
+    c2 = along2.inside(t0, t1, v0, v1)
+    if not (c1 or c2):
+        return ()
+    if v0 == v1:
+        # one climber crosses a flat, its rows placed by parameter, while
+        # the other waits with its value
+        if c1:
+            ta, tb = along1.knot(s0)[0], along1.knot(s1)[0]
+            out = [(_lerp(_offset(r[0], ta, tb), u0, u1), r[2], w2)
+                   for r in c1]
+        else:
+            ta, tb = along2.knot(t0)[0], along2.knot(t1)[0]
+            out = [(_lerp(_offset(r[0], ta, tb), u0, u1), w1, r[2])
+                   for r in c2]
+    else:
+        # both sides share the level at every point of a sloped step: a row
+        # is placed by its level and read on the other side's piece there,
+        # and a row of each side at one level is one row
+        s, t = min(s0, s1) | 1, min(t0, t1) | 1
+        by_level = {r[1]: [r[2], None] for r in c1}
+        for r in c2:
+            by_level.setdefault(r[1], [None, None])[1] = r[2]
+        out = [(_lerp(_offset(p, v0, v1), u0, u1),
+                along1.at(s, p) if q1 is None else q1,
+                along2.at(t, p) if q2 is None else q2)
+               for p, (q1, q2) in by_level.items()]
+    return sorted(out)  # by u: the rows' parameters differ
 
 
 def solve(f1, f2):

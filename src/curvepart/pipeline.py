@@ -1,14 +1,15 @@
 """Equal-increment partitions of curves from (0,0) to (1,1).
 
 The paper's construction partitions one curve below the diagonal: it
-builds partitioning functions by induction (each step walks one climb,
-unchecked, and reads the new functions off its level path: `climb.walk`)
-and extracts the points from an auxiliary-curve intersection.  Each level
-of the induction is one row table (t, x(t), y(t)) with a row where x or y
-bends; the climb and the closing curve read the closing sum x + y only up
-to its first t_stop at 1, so the table is cut there before any canonical
-pass or intersection.  Every climb is exact, so a curve below the
-diagonal always solves exactly.
+builds partitioning functions by induction (each step walks one climb
+against the height, prepared once per solve, unchecked, and reads the new
+functions off its level path in one pass: `climb.walk`,
+`climb.read_path`) and extracts the points from an auxiliary-curve
+intersection.  Each level of the induction is one row table (t, x(t),
+y(t)) with a row where x or y bends; the climb and the closing curve read
+the closing sum x + y only up to its first t_stop at 1, so the table is
+cut there before any canonical pass or intersection.  Every climb is
+exact, so a curve below the diagonal always solves exactly.
 Everything else `partition_curve` does maps that one
 solve back to the input: the tail after the last diagonal touch is
 normalized, mirrored when it rides above the diagonal, and `_assemble`
@@ -53,7 +54,6 @@ from .plfun import (
     level_set,
     pl_eval,
     pl_sub,
-    union_knot_values,
 )
 from .scalar import ONE, ZERO, rat
 
@@ -170,20 +170,23 @@ def build_partitioning_functions(curve, n):
     against the closing sum x_n + y up to its first t_stop at 1, in the
     closing sum's own parameter (`climb.walk` reads levels only), and
     reads the new y = y o tau, x_{n+1} = width o g1 and the inner map tau
-    (the climb's g2) off the walk's level path.  Nothing is composed: at
-    each vertex of the path, y and tau come from one interpolation on the
-    closing sum's piece and x from one on the height's piece, at the
-    vertex's level (`climb.Companion`).
-    Where a path edge crosses a knot of y or of the width that the
-    profile's canonical form lacks, the new function gets a breakpoint,
-    where `compose` would add one, so each function is the composition
-    itself.  The older x_i are kept as their level built them, with the
-    inner maps after them (`PartitioningFunctions`).
+    (the climb's g2) off the walk's level path.  Every climb runs against
+    the height prepared once per solve (`climb.Prepared`: checked,
+    contracted and ranked).  Nothing is composed: in one pass over the
+    path (`climb.read_path`), at each vertex, y and tau come from one
+    interpolation on the closing sum's row segment, sharing its fraction,
+    and x from one on the height's, at the vertex's level, each one
+    Fraction built from integer products.  Where a path edge crosses a
+    knot of y or of the width that the profile's canonical form lacks,
+    the pass emits a row, where `compose` would break either function,
+    so each function is the composition itself.  The older x_i are kept
+    as their level built them, with the inner maps after them
+    (`PartitioningFunctions`).
 
     Each level is carried as one row table (t, x(t), y(t)) in joint
     canonical form (`plfun.canonical`), a row exactly where x or y bends:
-    the curve's own knots and vertices to start, then the two readings of
-    the path merged and passed once.  The climb reads the closing sum's
+    the curve's own knots and vertices to start, then each level's rows
+    from the one pass, passed once.  The climb reads the closing sum's
     rows (t, x + y, y) only up to t_stop (`_closing_rows`), so its
     profile's canonical pass runs on those rows alone.  y and x_n become
     `PLFunction`s once, after the last level; for n = 1 they are the
@@ -211,22 +214,20 @@ def build_partitioning_functions(curve, n):
     rows = _curve_rows(curve)
     along_height = climb.Companion([(t, y, x) for t, x, y in rows],
                                    height.knots)
+    # the height is prepared once for the n - 1 climbs against it
+    prepared = climb.Prepared(height) if n > 1 else None
     bases, inners = [], []
     for _ in range(1, n):
         closing = _closing_rows(rows)
         profile = SimpleNamespace(
             breakpoints=canonical([(t, w) for t, w, _ in closing]))
-        path = climb.walk(height, profile)
+        path = climb.walk(prepared, profile)
         along_sum = climb.Companion(
             closing, [t for t, _ in profile.breakpoints])
-        m = len(path) - 1
-        us = [rat(k, m) for k in range(m + 1)]
         bases.append(_table((t, x) for t, x, _ in rows))
-        inners.append(_table(
-            zip(us, (along_sum.parameter(t, v) for _, t, v in path))))
-        rows = canonical(union_knot_values(
-            _table(along_height.compose(path, 0, us)),
-            _table(along_sum.compose(path, 1, us))))
+        rows, tau = climb.read_path(path, along_height, along_sum)
+        inners.append(_table(tau))
+        rows = canonical(rows)
     if n == 1:
         y, x = height, curve.x_function()
     else:

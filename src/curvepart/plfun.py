@@ -117,10 +117,6 @@ class PLFunction:
     def __call__(self, t):
         return pl_eval(self, t)
 
-    def range_bounds(self):
-        vs = self.values
-        return min(vs), max(vs)
-
 
 def identity():
     return PLFunction(((ZERO, ZERO), (ONE, ONE)))

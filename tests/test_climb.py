@@ -1,9 +1,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from curvepart import (
     InternalInvariantError,
@@ -267,7 +269,7 @@ class TestSolve:
                 sol = solve(f1, f2)
                 assert compose(f1, sol.g1) == compose(f2, sol.g2)
                 for g in (sol.g1, sol.g2):
-                    lo, hi = g.range_bounds()
+                    lo, hi = min(g.values), max(g.values)
                     assert pl_eval(g, 0) == 0 and pl_eval(g, 1) == 1
                     assert lo >= 0 and hi <= 1
 
@@ -336,8 +338,8 @@ class TestSolve:
                 assert compose(f1, sol.g1) == compose(f2, sol.g2), seed
                 assert pl_eval(sol.g1, 0) == 0 and pl_eval(sol.g1, 1) == 1
                 assert pl_eval(sol.g2, 0) == 0 and pl_eval(sol.g2, 1) == 1
-                lo1, hi1 = sol.g1.range_bounds()
-                lo2, hi2 = sol.g2.range_bounds()
+                lo1, hi1 = min(sol.g1.values), max(sol.g1.values)
+                lo2, hi2 = min(sol.g2.values), max(sol.g2.values)
                 assert lo1 >= 0 and hi1 <= 1 and lo2 >= 0 and hi2 <= 1
 
     def test_walk_is_solve_without_the_check(self):
@@ -394,3 +396,40 @@ class TestSolve:
         paths = [climb.walk(f1, f2) for f1, f2 in pairs]
         monkeypatch.undo()
         assert built == [] and all(len(path) > 2 for path in paths)
+
+    def test_prepared_height_walks_as_the_height(self):
+        # a height prepared once gives every climb against it the walk of
+        # the height itself
+        for seed in range(30):
+            f1, f2 = climb_pair(seed)
+            g1, g2, _ = shared_fold_pair(seed, seed % 2 == 1)
+            for a, b in ((f1, f2), (f2, f1), (g1, g2), (g2, g1)):
+                prepared = climb.Prepared(a)
+                assert prepared.profile is a
+                assert climb.walk(prepared, b) == climb.walk(a, b), seed
+                assert climb.walk(prepared, a) == climb.walk(a, a), seed
+
+
+RATIONALS = st.fractions(max_denominator=10**30)
+
+
+class TestIntegerInterpolation:
+    """`_lerp(_offset(level, p0, p1), q0, q1)` is one Fraction built from
+    integer products, the value the Fraction arithmetic gives."""
+
+    @pytest.mark.parametrize("rising", (True, False))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(RATIONALS, RATIONALS, RATIONALS, RATIONALS, RATIONALS)
+    def test_matches_fraction_arithmetic(self, rising, p0, p1, q0, q1, level):
+        assume(p0 != p1)
+        if (p0 < p1) != rising:
+            p0, p1 = p1, p0
+        got = climb._lerp(climb._offset(level, p0, p1), q0, q1)
+        assert got == q0 + (level - p0) * (q1 - q0) / (p1 - p0)
+        assert type(got) is Fraction
+        # lowest terms with a positive denominator, as a normalised
+        # Fraction is and one built with _normalize=False need not be
+        assert got.denominator > 0
+        assert gcd(got.numerator, got.denominator) == 1
+        assert climb._lerp(climb._offset(p0, p0, p1), q0, q1) == q0
+        assert climb._lerp(climb._offset(p1, p0, p1), q0, q1) == q1

@@ -45,7 +45,7 @@ from curvepart.plfun import (
 )
 from curvepart.scalar import ONE, ZERO, rat
 
-from util import climb_pair, shared_fold_pair
+from util import climb_pair, degenerate_lower_curve, shared_fold_pair
 
 # ------------------------------------------------------------- references
 
@@ -894,3 +894,136 @@ def test_first_ordinate_hit_matches_linear_scan():
                         hits += got is not None
                         skipped += skip > 0 and got is not None
     assert on_knot and stalls and repeats and skipped and hits
+
+
+# ------------------------------------------------- induction level reading
+
+def _table(points):
+    bps = tuple(points)
+    return SimpleNamespace(breakpoints=bps, knots=tuple(t for t, _ in bps))
+
+
+def _induction_levels(curve, n):
+    """Each level of `build_partitioning_functions(curve, n)` as (the rows
+    it starts from, its climb's profile, its level path), and the result."""
+    levels = []
+    real_walk, real_rows = climb.walk, pipeline._closing_rows
+
+    def walk(f1, f2):
+        path = real_walk(f1, f2)
+        levels[-1] += (f2, path)
+        return path
+
+    def closing_rows(rows):
+        levels.append((list(rows),))
+        return real_rows(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(climb, "walk", walk)
+        mp.setattr(pipeline, "_closing_rows", closing_rows)
+        pf = pipeline.build_partitioning_functions(curve, n)
+    # extract_points is not run, so every closing-rows call is a level's
+    return levels, pf
+
+
+def ref_level(rows, height, width, profile, path):
+    """One induction level as it was built before the one-pass reading:
+    g1 and tau read off the path as parameters, x = width o g1 and
+    y = y o tau composed, merged by `union_knot_values`, then one canonical
+    pass.  Returns the rows, tau's points and the two compositions."""
+    m = len(path) - 1
+    us = [rat(k, m) for k in range(m + 1)]
+    pts = climb.path_points(height, profile, path)
+    x = compose(width, _table(zip(us, (s for s, _ in pts))))
+    tau = tuple(zip(us, (t for _, t in pts)))
+    y = compose(_table((t, v) for t, _, v in rows), _table(tau))
+    return plfun.canonical(plfun.union_knot_values(x, y)), tau, x, y
+
+
+def _step_crossings(path, x, y):
+    """Which kinds of step of a level path cross a breakpoint of x or y
+    strictly inside: on a flat of one side (the other waits), or on a
+    sloped step, rows of one side, of both, or of both at one level."""
+    m = len(path) - 1
+    found = set()
+    for k in range(1, m + 1):
+        u0, u1 = rat(k - 1, m), rat(k, m)
+        ux = {u for u in x.knots if u0 < u < u1}
+        uy = {u for u in y.knots if u0 < u < u1}
+        if path[k - 1][2] == path[k][2]:
+            found |= {"flat, height side"} if ux else set()
+            found |= {"flat, closing side"} if uy else set()
+            continue
+        found |= {"height side"} if ux - uy else set()
+        found |= {"closing side"} if uy - ux else set()
+        found |= {"both sides"} if ux and uy else set()
+        found |= {"both at one level"} if ux & uy else set()
+    return found
+
+
+def _assert_levels_match_reference(curve, n):
+    levels, pf = _induction_levels(curve, n)
+    height, width = curve.y_function(), curve.x_function()
+    found = set()
+    for i, (rows, profile, path) in enumerate(levels):
+        want, tau, x, y = ref_level(rows, height, width, profile, path)
+        got = levels[i + 1][0] if i + 1 < len(levels) else list(pf.rows)
+        assert got == want, (i, n)
+        assert pf.inners[i].breakpoints == tau, (i, n)
+        found |= _step_crossings(path, x, y)
+    return found
+
+
+STEP_CROSSINGS = ("flat, height side", "flat, closing side", "height side",
+                  "closing side", "both sides", "both at one level")
+
+
+def _grid_curve(den, pts):
+    m = len(pts) + 1
+    verts = [(0, 0)] + [(rat(a, den), rat(b, den)) for a, b in pts] + [(1, 1)]
+    return PLCurve([rat(k, m) for k in range(m + 1)], verts)
+
+
+# a width knot inside a height piece and a bend of y that cancels in the
+# closing sum, crossed by one step at one level
+ONE_LEVEL_CROSSINGS = _grid_curve(32, [(12, 4), (22, 10), (31, 16), (24, 22),
+                                       (31, 14)])
+# ... and by one step at two levels
+TWO_LEVEL_CROSSINGS = _grid_curve(32, [(5, 1), (9, 2), (15, 1), (3, 2),
+                                       (28, 23), (17, 16), (18, 10), (5, 4)])
+# the closing sum is flat where y and x bend against each other
+FLAT_SUM_CROSSING = _grid_curve(32, [(19, 4), (12, 11), (21, 2), (28, 25),
+                                     (27, 19)])
+
+
+def _has_flat_height(curve):
+    vs = curve.y_function().values
+    return any(a == b for a, b in zip(vs, vs[1:]))
+
+
+def test_level_reading_matches_composition():
+    # each level's rows and inner map, read in one pass over its level
+    # path, equal the compositions they stand for, merged and passed once
+    # one kind of crossing per branch of `climb._crossed`
+    curves = [degenerate_lower_curve(seed) for seed in range(30)]
+    curves += [random_curve(seed, vertices=8) for seed in range(10)]
+    curves += [ONE_LEVEL_CROSSINGS, TWO_LEVEL_CROSSINGS, FLAT_SUM_CROSSING]
+    assert any(_has_flat_height(c) for c in curves)
+    found = set()
+    for c in curves:
+        for n in (2, 3, 4):
+            found |= _assert_levels_match_reference(c, n)
+    assert found == set(STEP_CROSSINGS)
+
+
+@pytest.mark.slow
+def test_level_reading_matches_composition_at_scale():
+    # scale range: up to 32 vertices and n = 12, so up to 11 levels whose
+    # pieces and denominators grow with every level
+    rng = random.Random(28)
+    for seed in range(24):
+        v = rng.choice((8, 16, 32))
+        n = rng.randint(2, 12)
+        curve = (degenerate_lower_curve(seed, den=64) if seed % 3 == 0
+                 else random_curve(seed, vertices=v))
+        _assert_levels_match_reference(curve, n)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -244,7 +246,8 @@ def _special_cases(curve, n):
     real_walk, real_rows = climb.walk, pipeline._closing_rows
 
     def walk(f1, f2):
-        walks.append((f1, f2, real_walk(f1, f2)))
+        # the induction prepares the height once and climbs against it
+        walks.append((f1.profile, f2, real_walk(f1, f2)))
         return walks[-1][2]
 
     def closing_rows(rows):
@@ -435,7 +438,7 @@ class TestPartitionBelowDiagonal:
     def test_climbs_run_the_height_first(self, monkeypatch):
         # the height has a flat and the compressed closing sum rises
         # throughout; the climb still takes the height as f1, as at every
-        # level of the induction
+        # level of the induction, prepared once per solve
         real = pipeline.climb.walk
         calls = []
 
@@ -445,7 +448,28 @@ class TestPartitionBelowDiagonal:
 
         monkeypatch.setattr(pipeline.climb, "walk", recording)
         partition_below_diagonal(FLAT_HEIGHT, 2)
-        assert calls == [FLAT_HEIGHT.y_function()]
+        assert [f.profile for f in calls] == [FLAT_HEIGHT.y_function()]
+        assert all(isinstance(f, climb.Prepared) for f in calls)
+
+    def test_prepared_heights_are_not_kept(self, monkeypatch):
+        # each solve prepares its height once and drops it with the solve:
+        # no cache outlives it, so none grows with the curves solved
+        real = pipeline.climb.walk
+        refs = []
+
+        def recording(f1, f2):
+            refs.append(weakref.ref(f1))
+            return real(f1, f2)
+
+        monkeypatch.setattr(pipeline.climb, "walk", recording)
+        for seed in range(6):
+            res = partition_below_diagonal(random_curve(seed, vertices=6), 3)
+            assert res.exact
+        gc.collect()
+        # n = 3 climbs twice per solve, against one prepared height: a live
+        # object has one weakref, so there is one per solve
+        assert len(refs) == 12 and len(set(map(id, refs))) == 6
+        assert all(r() is None for r in refs)
 
     def test_exact_when_neither_orientation_is_class_u(self):
         # the height has a max and a min at level 2/5, and the width a
