@@ -31,9 +31,11 @@ climb either raises there or leaves a correct partition.
 Kernel costs of the walk, for f1 with m pieces, f2 with k pieces and e
 edges in the complex:
 
-- Prepared(f1): once for all climbs against f1, the check and the
-  contraction, then O(m log m) level comparisons to sort f1's values and
-  rank its knots, and O(m) integer comparisons of ranks for its pieces.
+- Prepared(f1): once for all climbs against f1, the check (two integer
+  comparisons per value for the [0, 1] range, `scalar.check_unit_range`)
+  and the contraction, then O(m log m) level comparisons to sort f1's
+  values and rank its knots, and O(m) integer comparisons of ranks for
+  its pieces.
 - level_complex_path(f1, f2): O(k log m) integer comparisons to rank every
   knot value of f2 among f1's sorted values (cross-products of their
   numerators and denominators), O(k) for f2's pieces, comparing two
@@ -48,15 +50,16 @@ edges in the complex:
 - path_points: O(e) exact rational operations, one interpolation per
   coordinate inside a piece.
 - Companion(rows, knots): O(rows) to find the profile's knots among the
-  rows.
-- read_path(path, along1, along2): one pass over the path's vertices.  A value read inside a piece is one Fraction, built from
-  integer products of its row segment's numerators and denominators and
-  normalised once (`_offset`, `_lerp`); f2's side reads q2 and g2 with
-  one fraction of the segment; a value at a knot is read as it is.  A
-  step that crosses no inner row adds no rational operation; a crossed
-  row adds one Fraction for its parameter and one per value read on the
-  other side, and a piece split by inner rows one level comparison per
-  row passed.
+  rows, and one flag per piece, whether an inner row splits it.
+- read_path(path, along1, along2): one pass over the path's vertices.  A
+  value read inside a piece is one Fraction, built from integer products
+  of its row segment's numerators and denominators and normalised once
+  (`scalar.offset`, `scalar.lerp`); f2's side reads q2 and g2 with one
+  fraction of the segment; a value at a knot is read as it is.  A step
+  along pieces that no inner row splits costs two list reads of the
+  split flags, and no call or rational operation; a crossed row adds one
+  Fraction for its parameter and one per value read on the other side,
+  and a piece split by inner rows one level comparison per row passed.
 """
 
 from bisect import bisect_left
@@ -69,7 +72,7 @@ from .plfun import (
     compose,
     pl_eval,
 )
-from .scalar import ONE, ZERO, Scalar, rat
+from .scalar import ONE, ZERO, check_unit_range, lerp, offset, rat
 
 
 @dataclass(frozen=True)
@@ -84,9 +87,7 @@ def _check_profile(f, name):
     vs = [v for _, v in f.breakpoints]
     if vs[0] != 0 or vs[-1] != 1:
         raise PreconditionError(f"{name} must map 0 to 0 and 1 to 1")
-    lo, hi = min(vs), max(vs)
-    if lo < 0 or hi > 1:
-        raise PreconditionError(f"{name} range [{lo}, {hi}] escapes [0,1]")
+    check_unit_range(vs, name, PreconditionError)
 
 
 def _ranked(f):
@@ -372,27 +373,6 @@ def solution(f1, f2, path):
                          g2=PLFunction(zip(us, (t for _, t in pts))))
 
 
-def _offset(level, p0, p1):
-    """(level - p0) / (p1 - p0), p0 != p1, as an integer pair (num, den):
-    a fraction of a row segment, from integer products of the three
-    values' numerators and denominators.  No Fraction is built and no gcd
-    taken; den may be negative."""
-    a, b = level.numerator, level.denominator
-    c, d = p0.numerator, p0.denominator
-    e, f = p1.numerator, p1.denominator
-    return (a * d - c * b) * f, (e * d - c * f) * b
-
-
-def _lerp(lam, q0, q1):
-    """q0 + lam (q1 - q0) for a fraction lam = (num, den) from `_offset`,
-    as one Fraction built from integer products and normalised once, to
-    lowest terms with a positive denominator."""
-    num, den = lam
-    g, h = q0.numerator, q0.denominator
-    i, j = q1.numerator, q1.denominator
-    return Scalar(g * den * j + num * (i * h - g * j), den * j * h)
-
-
 class Companion:
     """A function q read along a profile p at the positions and levels of a
     level path.
@@ -401,7 +381,9 @@ class Companion:
     p and of q; `knots`, the times of p's breakpoints, are among them.
     Rows strictly inside a piece of p (a knot of q, or a bend that cancels
     in p's canonical form) split it, so q is linear between consecutive
-    rows.
+    rows.  `split[k]` records whether any row splits piece k; one more
+    entry, False, stands for p's last knot, where no piece starts, so a
+    step's piece min(pos0, pos1) // 2 always has a flag.
     """
 
     def __init__(self, rows, knots):
@@ -412,6 +394,8 @@ class Companion:
             while rows[r][0] is not t and rows[r][0] != t:
                 r += 1
             self.index.append(r)
+        index = self.index
+        self.split = [b > a + 1 for a, b in zip(index, index[1:])] + [False]
 
     def knot(self, pos):
         """The row of p's knot at position pos (even)."""
@@ -433,7 +417,7 @@ class Companion:
         if pos % 2 == 0:
             return self.knot(pos)[2]
         r0, r1 = self.segment(pos, level)
-        return _lerp(_offset(level, r0[1], r1[1]), r0[2], r1[2])
+        return lerp(offset(level, r0[1], r1[1]), r0[2], r1[2])
 
     def inside(self, pos0, pos1, level0, level1):
         """The rows strictly inside one step of a level path, from pos0 at
@@ -463,23 +447,26 @@ def read_path(path, along1, along2):
     row of either companion that a step crosses, where `plfun.compose`
     would break either function, and g2's points (u, g2(u)) at the
     vertices.  Each value inside a piece is one interpolation on one row
-    segment (`_lerp`); on f2's side q2 and g2 share its fraction.  The
-    rows a step crosses on either side are merged into one u order
-    (`_crossed`).
+    segment (`scalar.lerp`); on f2's side q2 and g2 share its fraction.
+    The rows a step crosses on either side are merged into one u order
+    (`_crossed`), which is called only when the step's piece is split on
+    one side or the other (`Companion.split`): elsewhere it finds no row.
     """
     m = len(path) - 1
     rows, params = [], []
+    split1, split2 = along1.split, along2.split
     prev = None
     for k, (s, t, v) in enumerate(path):
         u = rat(k, m)
         q1 = along1.at(s, v)
         if t % 2:
             r0, r1 = along2.segment(t, v)
-            lam = _offset(v, r0[1], r1[1])
-            q2, g2 = _lerp(lam, r0[2], r1[2]), _lerp(lam, r0[0], r1[0])
+            lam = offset(v, r0[1], r1[1])
+            q2, g2 = lerp(lam, r0[2], r1[2]), lerp(lam, r0[0], r1[0])
         else:
             g2, _, q2 = along2.knot(t)
-        if prev is not None:
+        if prev is not None and (split1[min(prev[1], s) // 2]
+                                 or split2[min(prev[2], t) // 2]):
             rows += _crossed(prev, (u, s, t, v), along1, along2)
         rows.append((u, q1, q2))
         params.append((u, g2))
@@ -501,11 +488,11 @@ def _crossed(prev, vertex, along1, along2):
         # the other waits with its value
         if c1:
             ta, tb = along1.knot(s0)[0], along1.knot(s1)[0]
-            out = [(_lerp(_offset(r[0], ta, tb), u0, u1), r[2], w2)
+            out = [(lerp(offset(r[0], ta, tb), u0, u1), r[2], w2)
                    for r in c1]
         else:
             ta, tb = along2.knot(t0)[0], along2.knot(t1)[0]
-            out = [(_lerp(_offset(r[0], ta, tb), u0, u1), w1, r[2])
+            out = [(lerp(offset(r[0], ta, tb), u0, u1), w1, r[2])
                    for r in c2]
     else:
         # both sides share the level at every point of a sloped step: a row
@@ -515,7 +502,7 @@ def _crossed(prev, vertex, along1, along2):
         by_level = {r[1]: [r[2], None] for r in c1}
         for r in c2:
             by_level.setdefault(r[1], [None, None])[1] = r[2]
-        out = [(_lerp(_offset(p, v0, v1), u0, u1),
+        out = [(lerp(offset(p, v0, v1), u0, u1),
                 along1.at(s, p) if q1 is None else q1,
                 along2.at(t, p) if q2 is None else q2)
                for p, (q1, q2) in by_level.items()]

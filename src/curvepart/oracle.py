@@ -20,7 +20,9 @@ function of s; each comparison records its difference, and the first
 positive root among them ends the cell.  The residual is affine on the
 cell, so its root there is exact, and one exact closure_shot confirms it.
 No float and no grid enters: no root inside a cell of a walked branch
-vector, or reached at a cell's end, is missed.
+vector, or reached at a cell's end, is missed.  A vector none of whose
+cells is feasible rules out the later vectors that share its branches up
+to its deepest miss (`_shift_one_roots`), which chase identically there.
 """
 
 from bisect import bisect_left, bisect_right
@@ -298,9 +300,11 @@ class _Affine:
 
 
 def _cell_roots(ch, n, branches):
-    """(candidates, feasible): the parameters where the shift-1 residual of
+    """(candidates, missed): the parameters where the shift-1 residual of
     the exact chaser ch on one branch vector may vanish, in increasing
-    order, and whether any cell of the vector is feasible.
+    order, and None when any cell of the vector is feasible; else the
+    deepest branch index at which a cell's chase missed, len(pts) - 2 of
+    the missed `_chase`.
 
     The walk chases on _Affine(t_lo, 1) from t_lo = 0; the cell ends at
     the first positive root of a recorded difference, or at 1.  On a
@@ -311,6 +315,7 @@ def _cell_roots(ch, n, branches):
     representative of that stretch."""
     out = []
     feasible = False
+    deepest = -1
     t_lo = ZERO
     while t_lo < 1:
         rec = []
@@ -331,8 +336,10 @@ def _cell_roots(ch, n, branches):
                     out.append(t_lo + width / 2)
             elif b and 0 < -a / b <= width:
                 out.append(t_lo - a / b)
+        else:
+            deepest = max(deepest, len(pts) - 2)
         t_lo += width
-    return out, feasible
+    return out, None if feasible else deepest
 
 
 def _shift_one_roots(curve, n, vectors):
@@ -341,16 +348,25 @@ def _shift_one_roots(curve, n, vectors):
     residual is 0.  At n = 1 the walk stops after the first vector with a
     nonzero entry on which no cell is feasible, since a larger skip at the
     one step finds fewer hits; at n >= 2 the (sum, lex) order is not
-    monotone, and every vector is walked."""
+    monotone, and every vector is walked but those a dead prefix rules
+    out.  When no cell of a vector is feasible and its chases missed at
+    branch index i at the deepest, every vector that shares its first
+    i + 1 entries chases identically up to there at every t, so it has no
+    feasible cell either and is skipped."""
     ch = _Chaser(curve)
+    dead = set()  # prefixes of vectors with no feasible cell
     for branches in vectors:
-        ts, feasible = _cell_roots(ch, n, branches)
+        if any(branches[:i] in dead for i in range(1, len(branches) + 1)):
+            continue
+        ts, missed = _cell_roots(ch, n, branches)
         for t in ts:
             shot = closure_shot(curve, n, t, branches=branches)
             if shot.residual == 0:
                 yield t, shot
-        if n == 1 and not feasible and any(branches):
-            return
+        if missed is not None:
+            if n == 1 and any(branches):
+                return
+            dead.add(branches[:missed + 1])
 
 
 def brute_force(curve, n, grid=None):
@@ -359,7 +375,8 @@ def brute_force(curve, n, grid=None):
     sequences are dropped.
 
     "Every" holds within _branch_vectors' BRANCH_VECTORS vectors and the
-    n = 1 stop rule of _shift_one_roots, for the roots inside a cell and
+    n = 1 stop rule of _shift_one_roots (its dead-prefix skip drops only
+    vectors with no feasible cell), for the roots inside a cell and
     at a cell end the residual reaches from one side: an empty list proves
     that none lies there, and is a valid outcome, not an error.  A root at
     a single cell end whose chase matches neither neighbouring cell is not

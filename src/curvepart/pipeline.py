@@ -21,6 +21,20 @@ cut with positive increments and a shift-1 residual within tol; a spent
 budget raises ConvergenceError.  The stages return results unchecked;
 `partition_curve` is the one verified boundary, where every branch passes
 `_final_verify` with every point exactly on the curve.
+
+Kernel costs of the induction, per level, for r rows in the level's
+table and a level path of e steps:
+
+- _closing_rows(rows): O(r) integer sums up to t_stop, each compared with
+  1 on its integer parts; one Fraction per row kept, and for a t_stop
+  inside a row segment one interpolation (`scalar.lerp`).
+- the profile's canonical pass (`plfun.canonical`) on those rows and two
+  `climb.Companion`s, O(r) each; the climb (`climb.walk`, against the
+  height prepared once per solve) costs what `climb` lists.
+- climb.read_path: O(e) steps plus the rows crossed, then one canonical
+  pass of the new rows.
+- extract_points, once per solve: the closing curve's first meeting with
+  the input, then 2(n - 1) + 2 `pl_eval`s for y and the x_i (`xs_at`).
 """
 
 from bisect import bisect_right
@@ -55,7 +69,7 @@ from .plfun import (
     pl_eval,
     pl_sub,
 )
-from .scalar import ONE, ZERO, rat
+from .scalar import ONE, ZERO, Scalar, lerp, offset, rat
 
 DEFAULT_TOL = rat(1, 10**9)
 # retry budget of the inexact route: boundary-join cuts for k = 1..JOIN_CUTS
@@ -258,19 +272,23 @@ def _closing_rows(rows):
     The sum is 0 at t = 0, so t_stop is the first row where it reaches 1,
     or lies inside the row segment before the first row where it passes
     1; x and y are linear on a row segment, so that row is interpolated.
-    No row after t_stop is read or summed.
+    No row after t_stop is read or summed.  Each sum a/b + c/d is formed
+    on integer parts, (ad + cb) / bd, and compared with 1 there; it
+    becomes one Fraction, normalised once, only where a row keeps it.
     """
     out = []
     for t, x, y in rows:
-        w = x + y
-        if w >= 1:
-            if w > 1:
+        a, b = x.numerator, x.denominator
+        c, d = y.numerator, y.denominator
+        num, den = a * d + c * b, b * d
+        if num >= den:
+            if num > den:
                 t0, w0, y0 = out[-1]
-                lam = (ONE - w0) / (w - w0)
-                t, y = t0 + lam * (t - t0), y0 + lam * (y - y0)
+                lam = offset(ONE, w0, Scalar(num, den))
+                t, y = lerp(lam, t0, t), lerp(lam, y0, y)
             out.append((t, ONE, y))
             return out
-        out.append((t, w, y))
+        out.append((t, Scalar(num, den), y))
     raise InternalInvariantError("closing sum never reaches 1")
 
 

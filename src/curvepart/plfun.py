@@ -14,10 +14,15 @@ Kernel costs, for f with m pieces, g with k pieces and r result pieces
   (t, x, y) once, and each climb profile's rows up to t_stop once.
 - PLFunction(...): O(m), `canonical` with one value column; the knot
   tuple is built once.
-- pl_eval(f, t): O(log m), a bisection of the cached knots.
-- compose(outer, inner): O(k log m + r); each inner knot bisects the outer
-  knots once, and each inner piece emits the outer knots it crosses in
-  t-order, taking their values from the outer breakpoints.  No solve
+- pl_eval(f, t): O(log m), a bisection of the cached knots; t's range is
+  tested on its integer parts, and the value inside a piece is one
+  Fraction from integer products, normalised once (`scalar.offset`,
+  `scalar.lerp`).  A solve makes 2(n - 1) + 2 calls, on tables whose
+  denominators grow with n (`PartitioningFunctions.xs_at`).
+- compose(outer, inner): O(k log m + r); the inner range is tested on
+  integer parts (`scalar.check_unit_range`), each inner knot bisects the
+  outer knots once, and each inner piece emits the outer knots it crosses
+  in t-order, taking their values from the outer breakpoints.  No solve
   composes; `PartitioningFunctions.xs` does.
 - pl_combine(f, g, op) and union_knot_values(f, g): O(m + k), one
   merge-walk over the two sorted breakpoint lists.
@@ -34,7 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError
-from .scalar import ONE, ZERO, rat
+from .scalar import ONE, ZERO, check_unit_range, lerp, offset, rat
 
 
 def canonical(rows):
@@ -126,7 +131,8 @@ def pl_eval(f, t):
     """Exact value of f at t; t must lie in [0, 1].  f may be any
     breakpoint table with `breakpoints` and their times, `knots`."""
     t = rat(t)
-    if t < 0 or t > 1:
+    p = t.numerator
+    if p < 0 or p > t.denominator:
         raise DomainError(f"argument {t} outside [0,1]", witness=t)
     pts = f.breakpoints
     idx = bisect_right(f.knots, t) - 1
@@ -134,9 +140,10 @@ def pl_eval(f, t):
         idx = len(pts) - 2
     t0, v0 = pts[idx]
     t1, v1 = pts[idx + 1]
-    if t == t0:
+    lam = offset(t, t0, t1)
+    if lam[0] == 0:  # t == t0
         return v0
-    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    return lerp(lam, v0, v1)
 
 
 def level_set(f, c):
@@ -174,10 +181,7 @@ def compose(outer, inner):
     `breakpoints` (and outer's `knots`) are read, so either may be a
     breakpoint table that no canonical pass has seen.
     """
-    vs = [v for _, v in inner.breakpoints]
-    lo, hi = min(vs), max(vs)
-    if lo < 0 or hi > 1:
-        raise DomainError(f"inner range [{lo}, {hi}] escapes [0,1]")
+    check_unit_range([v for _, v in inner.breakpoints], "inner", DomainError)
     # The result breaks at every inner knot and wherever an inner piece
     # crosses an outer knot; a crossing takes that outer breakpoint's value.
     # One bisection per inner knot serves both its value and the crossings.

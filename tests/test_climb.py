@@ -20,7 +20,7 @@ from curvepart import (
 from curvepart import climb
 from curvepart.climb import level_complex_path, path_points
 from curvepart.pipeline import build_partitioning_functions
-from curvepart.scalar import rat
+from curvepart.scalar import lerp, offset, rat
 
 from util import climb_pair, fold_levels, march_free_space, shared_fold_pair
 
@@ -123,6 +123,22 @@ class TestTraversal:
         high = F((0, 0), (R(1, 2), R(3, 2)), (1, 1))
         with pytest.raises(PreconditionError):
             solve(identity(), high)
+
+    @pytest.mark.parametrize("side", ("f1", "f2"))
+    @pytest.mark.parametrize("bad", (R(-1, 3), R(4, 3)))
+    def test_interior_value_outside_unit_range_rejected(self, side, bad):
+        # a value below 0 or above 1 strictly inside either profile, with
+        # the range in the message; 0 and 1 themselves are in range
+        def pair(f):
+            return (f, ZIGZAG) if side == "f1" else (ZIGZAG, f)
+
+        f = F((0, 0), (R(1, 4), 1), (R(1, 2), bad), (R(3, 4), 0), (1, 1))
+        lo, hi = min(f.values), max(f.values)
+        with pytest.raises(PreconditionError) as err:
+            climb.walk(*pair(f))
+        assert str(err.value) == f"{side} range [{lo}, {hi}] escapes [0,1]"
+        assert climb.walk(*pair(F((0, 0), (R(1, 4), 1), (R(1, 2), 0),
+                                  (1, 1))))
 
     def test_cell_edges_match_sign_scan(self):
         # per breakpoint rectangle, the computed edge agrees with a
@@ -414,8 +430,10 @@ RATIONALS = st.fractions(max_denominator=10**30)
 
 
 class TestIntegerInterpolation:
-    """`_lerp(_offset(level, p0, p1), q0, q1)` is one Fraction built from
-    integer products, the value the Fraction arithmetic gives."""
+    """`lerp(offset(level, p0, p1), q0, q1)`, the interpolation `climb`,
+    `plfun.pl_eval` and `pipeline._closing_rows` share from `scalar`, is
+    one Fraction built from integer products, the value the Fraction
+    arithmetic gives."""
 
     @pytest.mark.parametrize("rising", (True, False))
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -424,12 +442,12 @@ class TestIntegerInterpolation:
         assume(p0 != p1)
         if (p0 < p1) != rising:
             p0, p1 = p1, p0
-        got = climb._lerp(climb._offset(level, p0, p1), q0, q1)
+        got = lerp(offset(level, p0, p1), q0, q1)
         assert got == q0 + (level - p0) * (q1 - q0) / (p1 - p0)
         assert type(got) is Fraction
         # lowest terms with a positive denominator, as a normalised
         # Fraction is and one built with _normalize=False need not be
         assert got.denominator > 0
         assert gcd(got.numerator, got.denominator) == 1
-        assert climb._lerp(climb._offset(p0, p0, p1), q0, q1) == q0
-        assert climb._lerp(climb._offset(p1, p0, p1), q0, q1) == q1
+        assert lerp(offset(p0, p0, p1), q0, q1) == q0
+        assert lerp(offset(p1, p0, p1), q0, q1) == q1

@@ -17,6 +17,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -417,6 +418,66 @@ def run_values(rng, ts):
 
 
 # ------------------------------------------------------------------ tests
+
+
+def _assert_eval_matches_reference(f, t):
+    got = plfun.pl_eval(f, t)
+    assert got == ref_pl_eval(f, t), (f, t)
+    assert type(got) is Fraction
+    assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1
+
+
+def test_pl_eval_matches_reference():
+    # at every knot, at 0 and 1 (as ints too) and inside pieces, on grid
+    # functions and on collinear runs over large coprime denominators
+    rng = random.Random(29)
+    fs = [rand_fun(rng, rng.randint(1, 8)) for _ in range(100)]
+    for _ in range(40):
+        ts = big_knots(rng, rng.randint(1, 12))
+        fs.append(PLFunction(zip(ts, run_values(rng, ts))))
+    for f in fs:
+        inside = [rat(rng.randint(0, 64), 64) for _ in range(4)]
+        inside += [big_rat(rng) % 1 for _ in range(4)]
+        for t in list(f.knots) + [0, 1, ZERO, ONE] + inside:
+            _assert_eval_matches_reference(f, t)
+
+
+def test_pl_eval_matches_reference_along_the_induction(monkeypatch):
+    # the parameters `xs_at` walks back through the inner maps, and each
+    # base and inner table at its knots, up to n = 8
+    calls = []
+    real = plfun.pl_eval
+
+    def checked(f, t):
+        _assert_eval_matches_reference(f, t)
+        calls.append(f)
+        return real(f, t)
+
+    monkeypatch.setattr(pipeline, "pl_eval", checked)
+    curves = [degenerate_lower_curve(seed) for seed in range(4)]
+    curves += [random_curve(seed, vertices=8) for seed in range(4)]
+    for curve in curves:
+        for n in range(2, 9):
+            calls.clear()
+            pipeline.partition_below_diagonal(curve, n)
+            pf = pipeline.build_partitioning_functions(curve, n)
+            # extract_points reads y and x_n, and xs_at every inner map
+            # and every base, once each
+            assert len(calls) == 2 * (n - 1) + 2
+            for table in pf.bases + pf.inners:
+                for t in table.knots + (0, 1):
+                    _assert_eval_matches_reference(table, t)
+
+
+@pytest.mark.parametrize("t", (rat(-1, 3), rat(4, 3), -1, 2,
+                               rat(-1, 3**200), 1 + rat(1, 3**200)))
+def test_pl_eval_outside_unit_interval(t):
+    f = PLFunction(((0, 0), (rat(1, 2), 1), (1, 0)))
+    for evaluate in (plfun.pl_eval, ref_pl_eval):
+        with pytest.raises(DomainError) as err:
+            evaluate(f, t)
+        assert str(err.value) == f"argument {rat(t)} outside [0,1]"
+        assert err.value.witness == t
 
 
 def test_compose_matches_reference():

@@ -184,7 +184,8 @@ class TestBruteForce:
         ch = _Chaser(c)
         vectors = _branch_vectors(c, 2)
         assert vectors.index((1, 1)) < vectors.index((2, 0))
-        assert _cell_roots(ch, 2, (1, 1)) == ([], False)
+        # and its chases miss at branch index 1 at the deepest
+        assert _cell_roots(ch, 2, (1, 1)) == ([], 1)
         assert any(abs(shot.points[1][0] - 0.31771) < 1e-5
                    for _, shot in _shift_one_roots(c, 2, [(2, 0)]))
         found = brute_force(c, 2)
@@ -211,7 +212,7 @@ class TestDuplicateRoots:
 
     def test_touching_root_is_reported_once(self):
         assert _cell_roots(_Chaser(self.TOUCH), 0, ()) == (
-            [R(1, 5), R(1, 2)], True)
+            [R(1, 5), R(1, 2)], None)
         found = brute_force(self.TOUCH, 0)
         assert [r.points[1] for r in found] == [(R(3, 5), R(2, 5)),
                                                 (R(5, 8), R(3, 8))]
@@ -481,7 +482,7 @@ class TestShotConsistency:
         t_root, r = _bisect(ch, 1, float(lo), float(hi), float(r_lo), (0,))
         # the exact residual vanishes at 5/18 (test_zero_at_known_solution)
         assert abs(t_root - R(5, 18)) < 1e-12 and abs(r) < 1e-12
-        assert _cell_roots(_Chaser(BENT), 1, (0,)) == ([R(5, 18)], True)
+        assert _cell_roots(_Chaser(BENT), 1, (0,)) == ([R(5, 18)], None)
 
     def test_infeasible_midpoints_shrink_toward_the_feasible_end(self):
         ch = _Chaser(BENT, float_mode=True)
@@ -512,7 +513,7 @@ class TestCellWalk:
         # and is 0 at the start of the third, t = 9/10, only: from there it
         # falls with slope -10
         assert _cell_roots(_Chaser(ANTIDIAGONAL), 0, ()) == (
-            [R(1, 10), R(1, 2), R(9, 10)], True)
+            [R(1, 10), R(1, 2), R(9, 10)], None)
         found = brute_force(ANTIDIAGONAL, 0)
         assert [r.points[1] for r in found] == [
             (R(3, 4), R(1, 4)), (R(1, 2), R(1, 2)), (R(1, 4), R(3, 4))]
@@ -526,7 +527,7 @@ class TestCellWalk:
         assert feasible[-1][1] == R(1, 2)
         assert all(missed is not None for t_lo, *_, missed in cells
                    if t_lo >= R(1, 2))
-        assert _cell_roots(_Chaser(BENT), 1, (0,)) == ([R(5, 18)], True)
+        assert _cell_roots(_Chaser(BENT), 1, (0,)) == ([R(5, 18)], None)
 
     def test_results_are_exact(self):
         count = 0
@@ -649,6 +650,68 @@ def _curve_of_width(width):
     """A below-diagonal curve with `width` segments and no collinear knots."""
     knots = [R(i, width) for i in range(width + 1)]
     return PLCurve(knots, [(t, t * t) for t in knots])
+
+
+def _brute_force_of_every_vector(curve, n, monkeypatch):
+    """brute_force with every branch vector walked on its own, so that no
+    dead prefix skips any (n >= 2: no stop rule)."""
+    roots = [(t, shot) for branches in _branch_vectors(curve, n)
+             for t, shot in _shift_one_roots(curve, n, [branches])]
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_shift_one_roots", lambda *_: iter(roots))
+        return brute_force(curve, n)
+
+
+class TestDeadPrefixes:
+    # (seed, vertices, class, vectors skipped at n = 3)
+    CURVES = ((0, 9, "interior", 12), (1, 6, "deltaInterior", 88))
+
+    def test_skips_only_vectors_without_feasible_cells(self, monkeypatch):
+        walked = {}  # branch vector: its deepest miss, in walking order
+        real = oracle._cell_roots
+
+        def spy(ch, n, branches):
+            out = real(ch, n, branches)
+            walked[branches] = out[1]
+            return out
+
+        monkeypatch.setattr(oracle, "_cell_roots", spy)
+        for seed, v, cls, skipped in self.CURVES:
+            curve = random_curve(seed, vertices=v, curve_class=cls)
+            vectors = _branch_vectors(curve, 3)
+            walked.clear()
+            assert brute_force(curve, 3)
+            skip = [b for b in vectors if b not in walked]
+            assert len(skip) == skipped
+            assert list(walked) == [b for b in vectors if b not in skip]
+            # a skipped vector has no feasible cell and no candidate, and
+            # shares the first i + 1 entries of a vector walked before it
+            # whose cells all missed, at branch index i at the deepest
+            ch = _Chaser(curve)
+            for b in skip:
+                candidates, missed = real(ch, 3, b)
+                assert candidates == [] and missed is not None
+                assert any(vectors.index(a) < vectors.index(b)
+                           and a[:i + 1] == b[:i + 1]
+                           for a, i in walked.items() if i is not None)
+
+    def test_results_equal_the_walk_of_every_vector(self, monkeypatch):
+        curve = random_curve(1, vertices=6, curve_class="deltaInterior")
+        assert brute_force(curve, 3) == _brute_force_of_every_vector(
+            curve, 3, monkeypatch)
+
+    @pytest.mark.slow
+    def test_results_equal_the_walk_of_every_vector_at_scale(
+            self, monkeypatch):
+        # the interior curve above and TestPipelineCrossCheck's slice, at
+        # n = 2 and 3 (about 25 s)
+        curves = [(random_curve(0, vertices=9, curve_class="interior"), 3)]
+        curves += [(random_curve(seed, vertices=v,
+                                 curve_class="deltaInterior"), n)
+                   for seed in range(20) for v in (4, 6) for n in (2, 3)]
+        for curve, n in curves:
+            assert brute_force(curve, n) == _brute_force_of_every_vector(
+                curve, n, monkeypatch)
 
 
 class TestBranchVectors:

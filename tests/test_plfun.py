@@ -162,6 +162,14 @@ class TestCompose:
         with pytest.raises(DomainError):
             compose(identity(), inner)
 
+    @pytest.mark.parametrize("bad", (R(-1, 2), R(3, 2)))
+    def test_range_escape_message(self, bad):
+        inner = F((0, 0), (R(1, 4), 1), (R(1, 2), bad), (1, 1))
+        with pytest.raises(DomainError) as err:
+            compose(identity(), inner)
+        lo, hi = min(inner.values), max(inner.values)
+        assert str(err.value) == f"inner range [{lo}, {hi}] escapes [0,1]"
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(1, 5))
     def test_compose_matches_pointwise_eval(self, seed, k1, k2):
