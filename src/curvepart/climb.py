@@ -146,8 +146,15 @@ def _pieces(f, ranks, name):
         r0, r1 = ranks[i], ranks[i + 1]
         if r0 != r1:
             rising = r0 < r1
-        elif r0 % 2 and v0 != v1:
-            rising = v0 < v1
+        elif r0 % 2:
+            # both ends lie between the same two levels: their values
+            # compared by cross-products, as both denominators are positive
+            lo = v0.numerator * v1.denominator
+            hi = v1.numerator * v0.denominator
+            if lo == hi:
+                raise PreconditionError(
+                    f"{name} must be locally non-constant")
+            rising = lo < hi
         else:
             raise PreconditionError(f"{name} must be locally non-constant")
         if rising:
@@ -250,9 +257,10 @@ def _contract(f):
     spans None.
     """
     pts = f.breakpoints
+    parts = [(v.numerator, v.denominator) for _, v in pts]
     spans = [[0, 0]]
     for k in range(1, len(pts)):
-        if pts[k][1] == pts[k - 1][1]:
+        if parts[k] == parts[k - 1]:
             spans[-1][1] = k
         else:
             spans.append([k, k])
@@ -391,7 +399,10 @@ class Companion:
         self.index = []  # the row of each knot of p
         r = 0
         for t in knots:
-            while rows[r][0] is not t and rows[r][0] != t:
+            c, d = t.numerator, t.denominator
+            while (rows[r][0] is not t
+                   and (rows[r][0].numerator != c
+                        or rows[r][0].denominator != d)):
                 r += 1
             self.index.append(r)
         index = self.index

@@ -23,11 +23,26 @@ No float and no grid enters: no root inside a cell of a walked branch
 vector, or reached at a cell's end, is missed.  A vector none of whose
 cells is feasible rules out the later vectors that share its branches up
 to its deepest miss (`_shift_one_roots`), which chase identically there.
+
+Kernel costs of the walk, for a curve of m segments at order n:
+
+- one cell: one chase on `_Affine` numbers, n forced steps, each a scan
+  over at most m segments.  Every add, subtract, scale and comparison
+  on an `_Affine` is integer products on one (A, B, D) triple, with no
+  Fraction and no gcd; each step's target is reduced once (one gcd), and
+  each comparison records its difference.  A scan step still subtracts
+  the segment's own t1 - t0 and y1 - y0 as Fractions.  The cell's end,
+  the smallest positive root among the differences, is chosen by
+  integer cross-products and built as one Fraction; the residual's root
+  on the cell is read off its two coefficients, as Fractions.
+- one candidate: one exact `closure_shot` (a chaser and one chase on
+  Fractions), and `verify` at tol 0 when its residual is 0.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
+from math import gcd
 
 from .errors import PreconditionError
 from .pipeline import PartitionResult, PipelineTrace, Rearrangement, increments
@@ -171,7 +186,8 @@ def _chase(ch, frees, k, s, branches=()):
     The relations j = s-1 and j = 0..k-2 are left to the caller.  Step j
     takes the earliest ordinate hit after the previous point, skipping
     branches[j-k] earlier ones.  Returns (points, None), or the points so
-    far and the first ordinate target with no hit."""
+    far and the first ordinate target with no hit.  On `_Affine` numbers,
+    which no operation reduces, each target is reduced once (one gcd)."""
     zero = ch.conv(0)
     pts = [(zero, zero)]
     cursor = zero
@@ -180,6 +196,8 @@ def _chase(ch, frees, k, s, branches=()):
         cursor = t
     for j in range(k, s - 1):
         target = pts[-1][1] + (pts[j - k + 1][0] - pts[j - k][0])
+        if type(target) is _Affine:
+            target = target.reduced()
         skip = branches[j - k] if j - k < len(branches) else 0
         cursor = ch.first_ordinate_hit(target, cursor, skip)
         if cursor is None:
@@ -241,47 +259,89 @@ def _branch_vectors(curve, n):
 class _Affine:
     """The quantity a + b*s at t = t_lo + s, read just right of t_lo.
 
-    The chase adds and subtracts these with rationals and with each other
-    and scales them by rationals; it never multiplies two of them.  A
-    comparison reads the sign of the difference just right of t_lo, the
-    lex order of (a, b), and appends the difference to the shared list
-    rec: the comparison keeps its side up to that difference's first
-    positive root."""
+    It is held as one integer triple (A, B, D), meaning (A + B*s)/D with
+    D > 0 and not in lowest terms; `a` and `b` read it as Fractions.  The
+    chase adds and subtracts these with rationals and with each other and
+    scales them by rationals; it never multiplies two of them.  Each
+    operation reads a rational operand's numerator and denominator once
+    and forms integer products: it builds no Fraction and takes no gcd.
+    A comparison reads the sign of the difference just right of t_lo, the
+    sign of A, or of B when A is 0, and appends the difference to the
+    shared list rec: the comparison keeps its side up to that difference's
+    first positive root, -A/B.
 
-    __slots__ = ("a", "b", "rec")
+    `_Affine(a, b, rec)` takes rationals a and b; the operations pass the
+    integer triple, `_Affine(A, B, rec, D)`."""
 
-    def __init__(self, a, b, rec):
-        self.a, self.b, self.rec = a, b, rec
+    __slots__ = ("A", "B", "D", "rec")
+
+    def __init__(self, a, b, rec, d=None):
+        if d is None:
+            a, b = rat(a), rat(b)
+            d = a.denominator * b.denominator
+            a, b = a.numerator * b.denominator, b.numerator * a.denominator
+        self.A, self.B, self.D, self.rec = a, b, d, rec
+
+    @property
+    def a(self):
+        return rat(self.A, self.D)
+
+    @property
+    def b(self):
+        return rat(self.B, self.D)
 
     def __add__(self, o):
-        if isinstance(o, _Affine):
-            return _Affine(self.a + o.a, self.b + o.b, self.rec)
-        return _Affine(self.a + o, self.b, self.rec)
+        d = self.D
+        if type(o) is _Affine:
+            e = o.D
+            return _Affine(self.A * e + o.A * d, self.B * e + o.B * d,
+                           self.rec, d * e)
+        p, q = o.numerator, o.denominator
+        return _Affine(self.A * q + p * d, self.B * q, self.rec, d * q)
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        if isinstance(o, _Affine):
-            return _Affine(self.a - o.a, self.b - o.b, self.rec)
-        return _Affine(self.a - o, self.b, self.rec)
+        d = self.D
+        if type(o) is _Affine:
+            e = o.D
+            return _Affine(self.A * e - o.A * d, self.B * e - o.B * d,
+                           self.rec, d * e)
+        p, q = o.numerator, o.denominator
+        return _Affine(self.A * q - p * d, self.B * q, self.rec, d * q)
 
     def __rsub__(self, o):
-        return _Affine(o - self.a, -self.b, self.rec)
+        p, q = o.numerator, o.denominator
+        d = self.D
+        return _Affine(p * d - self.A * q, -self.B * q, self.rec, d * q)
 
     def __mul__(self, c):
-        return _Affine(self.a * c, self.b * c, self.rec)
+        p, q = c.numerator, c.denominator
+        return _Affine(self.A * p, self.B * p, self.rec, self.D * q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, c):
-        return _Affine(self.a / c, self.b / c, self.rec)
+        p, q = c.numerator, c.denominator
+        if p < 0:
+            p, q = -p, -q
+        elif not p:
+            raise ZeroDivisionError("_Affine division by zero")
+        return _Affine(self.A * q, self.B * q, self.rec, self.D * p)
+
+    def reduced(self):
+        """The same quantity with A, B and D divided by their gcd."""
+        g = gcd(self.A, self.B, self.D)
+        if g == 1:
+            return self
+        return _Affine(self.A // g, self.B // g, self.rec, self.D // g)
 
     def _sign(self, o):
         """A number with the sign of self - o just right of t_lo; records
         the difference."""
         d = self - o
         self.rec.append(d)
-        return (d.a or d.b).numerator
+        return d.A or d.B
 
     def __lt__(self, o):
         return self._sign(o) < 0
@@ -307,12 +367,15 @@ def _cell_roots(ch, n, branches):
     the missed `_chase`.
 
     The walk chases on _Affine(t_lo, 1) from t_lo = 0; the cell ends at
-    the first positive root of a recorded difference, or at 1.  On a
-    feasible cell the residual is affine in s (a plain rational when no
-    chased point moves with t, lifted to slope 0).  Its candidates are its
-    root inside the cell or at the cell's end, a zero at t_lo and, when it
-    is zero on the whole cell, the cell's midpoint as the one
-    representative of that stretch."""
+    the first positive root of a recorded difference, or at 1.  That end
+    is chosen on integers: a difference (A + B*s)/D has a root at s > 0
+    when A and B have opposite signs, at -A/B, and the smallest is kept as
+    an integer pair by cross-products, so the cell builds one Fraction for
+    its width.  On a feasible cell the residual is affine in s (a plain
+    rational when no chased point moves with t, lifted to slope 0).  Its
+    candidates are its root inside the cell or at the cell's end, a zero
+    at t_lo and, when it is zero on the whole cell, the cell's midpoint as
+    the one representative of that stretch."""
     out = []
     feasible = False
     deepest = -1
@@ -322,9 +385,15 @@ def _cell_roots(ch, n, branches):
         pts, missed = _chase(ch, (_Affine(t_lo, ONE, rec),), 1, n + 2,
                              branches)
         width = 1 - t_lo
+        p, q = width.numerator, width.denominator  # the end so far, p/q
         for d in rec:
-            if d.a.numerator * d.b.numerator < 0:  # a root at s > 0
-                width = min(width, -d.a / d.b)
+            a, b = d.A, d.B
+            if a < 0 < b or b < 0 < a:  # a root at s = -a/b > 0
+                if b < 0:
+                    a, b = -a, -b
+                if -a * q < p * b:
+                    p, q = -a, b
+        width = rat(p, q)
         if missed is None:
             feasible = True
             r = pts[-1][1] - pts[-2][1] - (pts[-2][0] - pts[-3][0])

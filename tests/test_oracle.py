@@ -1,3 +1,6 @@
+import hashlib
+import json
+import operator
 import random
 from itertools import product
 
@@ -22,6 +25,7 @@ from curvepart.oracle import (
     _Chaser,
     _shift_one_roots,
 )
+from curvepart.fileio import EXACT, result_to_obj
 from curvepart.scalar import rat
 
 R = rat
@@ -600,6 +604,61 @@ class TestCellWalk:
                 assert set(roots) <= set(candidates)
 
 
+def _rand_rational(rng):
+    return R(rng.randint(-40, 40), rng.choice((1, 3, 4, 7, 12, 1 << 20)))
+
+
+class _RefAffine:
+    """The reference for `_Affine`: a + b*s as two Fractions, each
+    operation on Fractions, the same comparisons and recorded differences."""
+
+    def __init__(self, a, b, rec):
+        self.a, self.b, self.rec = R(a), R(b), rec
+
+    def __add__(self, o):
+        if isinstance(o, _RefAffine):
+            return _RefAffine(self.a + o.a, self.b + o.b, self.rec)
+        return _RefAffine(self.a + o, self.b, self.rec)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, _RefAffine):
+            return _RefAffine(self.a - o.a, self.b - o.b, self.rec)
+        return _RefAffine(self.a - o, self.b, self.rec)
+
+    def __rsub__(self, o):
+        return _RefAffine(o - self.a, -self.b, self.rec)
+
+    def __mul__(self, c):
+        return _RefAffine(self.a * c, self.b * c, self.rec)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return _RefAffine(self.a / c, self.b / c, self.rec)
+
+    def _sign(self, o):
+        d = self - o
+        self.rec.append(d)
+        return d.a or d.b
+
+    def __lt__(self, o):
+        return self._sign(o) < 0
+
+    def __le__(self, o):
+        return self._sign(o) <= 0
+
+    def __gt__(self, o):
+        return self._sign(o) > 0
+
+    def __ge__(self, o):
+        return self._sign(o) >= 0
+
+    def __eq__(self, o):
+        return self._sign(o) == 0
+
+
 class TestAffine:
     def test_each_comparison_records_its_difference(self):
         rec = []
@@ -618,6 +677,73 @@ class TestAffine:
         q = (1 - t) / 2 * 3 + t - R(1, 8)
         assert (q.a, q.b) == (R(9, 8) + R(1, 4) - R(1, 8), R(-1, 2))
         assert q.rec is rec and rec == []
+
+    def test_integer_triple_matches_fraction_reference(self):
+        # seeded chains of the chase's operations on _Affine and on the
+        # two-Fraction reference: the same values, the same comparisons
+        # and the same recorded differences in the same order, and each
+        # value a + b*s is the chain evaluated on Fractions at t_lo + s
+        rng = random.Random(30)
+        seen = dict.fromkeys(("add", "sub", "radd", "rsub", "mul", "div",
+                              "negdiv", "cmp", "rcmp", "slope0"), 0)
+        for _ in range(60):
+            rec, ref_rec = [], []
+            a0, b0 = _rand_rational(rng), R(rng.choice((1, 1, 2, -3)))
+            # entries (the _Affine, the reference, the chain on Fractions)
+            pool = [(_Affine(a0, b0, rec), _RefAffine(a0, b0, ref_rec),
+                     lambda s, a0=a0, b0=b0: a0 + b0 * s)]
+            for _ in range(25):
+                q, r, f = rng.choice(pool)
+                q2, r2, f2 = rng.choice(pool)
+                c = (_rand_rational(rng) if rng.random() < 0.7
+                     else rng.randint(-3, 3))
+                kind = rng.choice(("add", "sub", "radd", "rsub", "mul",
+                                   "div", "cmp", "slope0"))
+                if kind in ("add", "sub") and rng.random() < 0.5:
+                    c, q2, r2, f2 = None, c, c, (lambda s, c=c: c)
+                if kind == "add":
+                    out = q + q2, r + r2, lambda s, f=f, g=f2: f(s) + g(s)
+                elif kind == "sub":
+                    out = q - q2, r - r2, lambda s, f=f, g=f2: f(s) - g(s)
+                elif kind == "radd":
+                    out = c + q, c + r, lambda s, f=f, c=c: c + f(s)
+                elif kind == "rsub":
+                    out = c - q, c - r, lambda s, f=f, c=c: c - f(s)
+                elif kind == "mul":
+                    out = ((q * c, r * c) if rng.random() < 0.5
+                           else (c * q, c * r))
+                    out += (lambda s, f=f, c=c: f(s) * c,)
+                elif kind == "div":
+                    if not c:
+                        continue
+                    kind = "negdiv" if c < 0 else "div"
+                    out = q / c, r / c, lambda s, f=f, c=c: f(s) / c
+                elif kind == "cmp":
+                    op = rng.choice((operator.lt, operator.le, operator.gt,
+                                     operator.ge, operator.eq))
+                    if rng.random() < 0.5:
+                        assert op(q, q2) == op(r, r2)
+                    elif rng.random() < 0.5:
+                        assert op(q, c) == op(r, c)
+                    else:  # a rational on the left, reflected to _Affine
+                        kind = "rcmp"
+                        assert op(R(c), q) == op(R(c), r)
+                    seen[kind] += 1
+                    continue
+                else:
+                    out = q - q, r - r, lambda s: R(0)
+                if rng.random() < 0.3:
+                    out = (out[0].reduced(),) + out[1:]
+                seen[kind] += 1
+                pool.append(out)
+            for q, r, f in pool:
+                assert q.D > 0 and q.rec is rec
+                assert (q.a, q.b) == (r.a, r.b)
+                for s in (R(0), R(1, 7), R(-2, 3), R(5)):
+                    assert q.a + q.b * s == f(s) == r.a + r.b * s
+            assert [(d.a, d.b) for d in rec] == [(d.a, d.b) for d in ref_rec]
+            seen["slope0"] += sum(1 for q, _, _ in pool[1:] if q.B == 0)
+        assert all(seen.values()), seen
 
 
 class TestPipelineCrossCheck:
@@ -643,6 +769,15 @@ class TestPipelineCrossCheck:
         for seed in range(20):
             for v in (4, 6):
                 for S in (2, 3):
+                    self.check(seed, v, S)
+
+    @pytest.mark.slow
+    def test_full_range(self):
+        # every deltaInterior curve of seeds 0-99 at v = 4, 6 and 9, at
+        # S = 2, 3 and 4: 900 cases (about 43 s of CPU)
+        for seed in range(100):
+            for v in (4, 6, 9):
+                for S in (2, 3, 4):
                     self.check(seed, v, S)
 
 
@@ -712,6 +847,51 @@ class TestDeadPrefixes:
         for curve, n in curves:
             assert brute_force(curve, n) == _brute_force_of_every_vector(
                 curve, n, monkeypatch)
+
+
+class TestPinnedResults:
+    # sha256 of the sorted-key JSON of fileio.result_to_obj(..., EXACT) of
+    # every result of brute_force, at orders the benchmark's oracle
+    # digests (n <= 1) do not reach: TestDeadPrefixes.CURVES at n = 3 and
+    # deltaInterior curves at n = 2
+    PINS = {
+        (0, 9, "interior", 3):
+            "4ee63efaaafddc5d903549cb72f3d934e6b5f2b0a7738889b03099396930ff9d",
+        (1, 6, "deltaInterior", 3):
+            "6e8b9dcbf4c7c9562198540a683801c263e7c1186d6c10942c9aa50c45cbd2c4",
+        (0, 4, "deltaInterior", 2):
+            "0221371f496257e204271a36f844559c75f943559adf02c0afc408eed6cdfe19",
+        (1, 4, "deltaInterior", 2):
+            "026a308c22b4835f49d8807be9988759ddd2756c0405c80298845dbf84710c65",
+        (2, 4, "deltaInterior", 2):
+            "9a447792e5d0426791241a66463e45f351122803c2c89d2fba6c76b686b6f4b1",
+        (3, 4, "deltaInterior", 2):
+            "dfa685e48861016e1a0760d57e09771dfad13b1c47dd3f2551cd98f243684d58",
+        (4, 4, "deltaInterior", 2):
+            "f281153d3fd3a3f4ca45aa8bf969011ef815233e7b6a96a88fe6426976a4b18a",
+        (0, 6, "deltaInterior", 2):
+            "e0570a2b96451b31276f1c0aea441cb893fdde05546e6f8a0a9c75d35eb1f45a",
+        (1, 6, "deltaInterior", 2):
+            "28dbe3d61eeb7ed51e84f9a650e6964090ec5bfb3c2736ecc0d2430067ee5b99",
+        (2, 6, "deltaInterior", 2):
+            "57046800d157e4ccf50488670b6ac6e54e8c4e6809c5503b20bf4f479fe377fc",
+        (3, 6, "deltaInterior", 2):
+            "69b5471fbced133105d628cacd70db45aa7c8fdd0c1d4be11db0256480ca4f98",
+        (4, 6, "deltaInterior", 2):
+            "c6be2f5d3a681f65a2afd606f05f1238f042cca3be8423a2b8f4dd0b869b421d",
+    }
+
+    @pytest.mark.parametrize("seed, v, cls, n", list(PINS))
+    def test_results_are_pinned(self, seed, v, cls, n):
+        found = brute_force(random_curve(seed, vertices=v, curve_class=cls), n)
+        text = json.dumps([result_to_obj(r, EXACT) for r in found],
+                          sort_keys=True)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == self.PINS[seed, v, cls, n])
+
+    def test_pins_cover_the_dead_prefix_curves(self):
+        dead = TestDeadPrefixes.CURVES
+        assert {(seed, v, cls, 3) for seed, v, cls, _ in dead} <= set(self.PINS)
 
 
 class TestBranchVectors:
