@@ -3,8 +3,8 @@
 The CLI maps these onto exit codes: precondition failures exit 2,
 convergence and verification failures (ConvergenceError,
 InternalInvariantError) exit 3, input/parse problems exit 1.  No climb
-fails for the shape of its profiles, so the one convergence failure is a
-spent boundary-join budget.
+fails for the shape of its profiles, so the convergence failures are the
+two spent budgets: boundary joining's and the shift-1 oracle's.
 """
 
 
@@ -33,8 +33,10 @@ class NonInteriorCurveError(PreconditionError):
 
 
 class ConvergenceError(CurvepartError):
-    """Boundary joining spent its cuts without reaching tolerance; carries
-    the best residual and its history."""
+    """A budget is spent.  Boundary joining spent its cuts without
+    reaching tolerance, and carries the best residual and its history; or
+    the shift-1 oracle's walk needs more than oracle.VECTOR_BUDGET branch
+    vectors, and carries neither."""
 
     def __init__(self, message, best_residual=None, history=()):
         super().__init__(message)

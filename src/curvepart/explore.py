@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .errors import InputError, PreconditionError
 from .fileio import FLOAT, curve_to_obj
-from .oracle import _chase, _Chaser, _shift_one_roots
+from .oracle import _chase, _Chaser, _vector_roots
 from .pipeline import _shift_residual, increments
 from .plcurve import PLCurve
 from .scalar import ONE, ZERO, as_float, parse_tolerance, rat
@@ -173,9 +173,10 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
         if pts is not None:
             found_pts, residual = pts, 0.0
     elif k == 1:
-        for _, shot in _shift_one_roots(curve, s - 2, [()]):
+        roots = _vector_roots(_Chaser(curve), curve, s - 2, ())[0]
+        if roots:
+            shot = roots[0][1]
             found_pts, residual = shot.points, shot.residual
-            break
     else:
         found_pts, residual = _search_high_shift(curve, s, k, grid, tol_f)
 

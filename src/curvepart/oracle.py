@@ -19,10 +19,13 @@ cell's start t_lo, gives every chased quantity as an exact affine
 function of s; each comparison records its difference, and the first
 positive root among them ends the cell.  The residual is affine on the
 cell, so its root there is exact, and one exact closure_shot confirms it.
-No float and no grid enters: no root inside a cell of a walked branch
-vector, or reached at a cell's end, is missed.  A vector none of whose
-cells is feasible rules out the later vectors that share its branches up
-to its deepest miss (`_shift_one_roots`), which chase identically there.
+No float and no grid enters: no root inside a cell, or reached at a
+cell's end, is missed.  The branch vectors are walked depth-first in lex
+order (`_shift_one_roots`): a vector none of whose cells is feasible
+rules out its later siblings at its deepest miss and all that follows
+them there, since a larger skip finds fewer hits.  The walk holds one
+vector, and past VECTOR_BUDGET vectors it raises ConvergenceError
+instead of returning part of the roots.
 
 Kernel costs of the walk, for a curve of m segments at order n:
 
@@ -37,20 +40,21 @@ Kernel costs of the walk, for a curve of m segments at order n:
   on the cell is read off its two coefficients, as Fractions.
 - one candidate: one exact `closure_shot` (a chaser and one chase on
   Fractions), and `verify` at tol 0 when its residual is 0.
+- one branch vector: its cells, then its candidates; at most
+  VECTOR_BUDGET vectors per walk.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
 from math import gcd
 
-from .errors import PreconditionError
+from .errors import ConvergenceError, PreconditionError
 from .pipeline import PartitionResult, PipelineTrace, Rearrangement, increments
 from .plcurve import point_curve_distance_sq
 from .scalar import ONE, ZERO, as_float, rat
 
-# brute_force walks the first BRANCH_VECTORS chase-branch choices
-BRANCH_VECTORS = 128
+# brute_force raises ConvergenceError past this many branch vectors
+VECTOR_BUDGET = 1024
 
 
 @dataclass(frozen=True)
@@ -230,32 +234,6 @@ def closure_shot(curve, n, t1, float_mode=False, branches=()):
     return ShotOutcome(residual=residual, feasible=True, points=tuple(pts))
 
 
-def _vectors_with_sum(total, n, width):
-    """All n-tuples over range(width) summing to total, in lex order."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    # the first entry leaves a total the other n - 1 entries can still reach
-    for first in range(max(0, total - (n - 1) * (width - 1)),
-                       min(total, width - 1) + 1):
-        for rest in _vectors_with_sum(total - first, n - 1, width):
-            yield (first,) + rest
-
-
-def _branch_vectors(curve, n):
-    """Deterministic enumeration of chase-branch choices, nearest first:
-    the first BRANCH_VECTORS tuples of product(range(width), repeat=n) in
-    (sum, lex) order, generated lazily so the work is O(BRANCH_VECTORS * n)
-    for any width."""
-    if n <= 0:
-        return [()]
-    width = max(2, len(curve.knots) - 1)
-    ordered = (v for total in range(n * (width - 1) + 1)
-               for v in _vectors_with_sum(total, n, width))
-    return list(islice(ordered, BRANCH_VECTORS))
-
-
 class _Affine:
     """The quantity a + b*s at t = t_lo + s, read just right of t_lo.
 
@@ -411,50 +389,63 @@ def _cell_roots(ch, n, branches):
     return out, None if feasible else deepest
 
 
-def _shift_one_roots(curve, n, vectors):
-    """(t, shot) for each root of the shift-1 residual the cell walk finds,
-    vector by vector: one exact closure_shot per candidate, kept when its
-    residual is 0.  At n = 1 the walk stops after the first vector with a
-    nonzero entry on which no cell is feasible, since a larger skip at the
-    one step finds fewer hits; at n >= 2 the (sum, lex) order is not
-    monotone, and every vector is walked but those a dead prefix rules
-    out.  When no cell of a vector is feasible and its chases missed at
-    branch index i at the deepest, every vector that shares its first
-    i + 1 entries chases identically up to there at every t, so it has no
-    feasible cell either and is skipped."""
+def _vector_roots(ch, curve, n, branches):
+    """(roots, missed) on one branch vector: (t, shot) for each candidate
+    of `_cell_roots` on the exact chaser ch whose one exact closure_shot
+    has residual 0, in t order, and `_cell_roots`' missed."""
+    ts, missed = _cell_roots(ch, n, branches)
+    roots = []
+    for t in ts:
+        shot = closure_shot(curve, n, t, branches=branches)
+        if shot.residual == 0:
+            roots.append((t, shot))
+    return roots, missed
+
+
+def _shift_one_roots(curve, n):
+    """(t, shot) for each root of the shift-1 residual on every branch
+    vector, walked depth-first in lex order from (0, ..., 0).
+
+    A larger skip at the same step finds fewer ordinate hits.  So when no
+    cell of a vector b is feasible and its chases missed at branch index m
+    at the deepest, no vector that keeps b's first m entries and has an
+    entry >= b[m] at index m has a feasible cell, at any t: the walk adds
+    1 at index m - 1 and sets every later entry to 0.  After a vector with
+    a feasible cell it adds 1 at index n - 1.  It ends when that index
+    falls below 0.  An entry stops growing once the chase runs out of
+    hits, so no width bound is needed.  The walk holds one vector, and
+    past VECTOR_BUDGET vectors it raises ConvergenceError."""
     ch = _Chaser(curve)
-    dead = set()  # prefixes of vectors with no feasible cell
-    for branches in vectors:
-        if any(branches[:i] in dead for i in range(1, len(branches) + 1)):
-            continue
-        ts, missed = _cell_roots(ch, n, branches)
-        for t in ts:
-            shot = closure_shot(curve, n, t, branches=branches)
-            if shot.residual == 0:
-                yield t, shot
-        if missed is not None:
-            if n == 1 and any(branches):
-                return
-            dead.add(branches[:missed + 1])
+    b = [0] * n
+    for _ in range(VECTOR_BUDGET):
+        roots, missed = _vector_roots(ch, curve, n, tuple(b))
+        yield from roots
+        i = n - 1 if missed is None else missed - 1
+        if i < 0:
+            return
+        b[i] += 1
+        b[i + 1:] = [0] * (n - 1 - i)
+    raise ConvergenceError(
+        f"the shift-1 walk at n = {n} needs more than {VECTOR_BUDGET} "
+        "branch vectors")
 
 
 def brute_force(curve, n, grid=None):
-    """Every shift-1 partition on the walked branch vectors, exact and
-    verified at tol 0, sorted by the free parameter; repeated point
-    sequences are dropped.
+    """Every shift-1 partition on every chase branch, exact and verified
+    at tol 0, sorted by the free parameter; repeated point sequences are
+    dropped.
 
-    "Every" holds within _branch_vectors' BRANCH_VECTORS vectors and the
-    n = 1 stop rule of _shift_one_roots (its dead-prefix skip drops only
-    vectors with no feasible cell), for the roots inside a cell and
-    at a cell end the residual reaches from one side: an empty list proves
-    that none lies there, and is a valid outcome, not an error.  A root at
-    a single cell end whose chase matches neither neighbouring cell is not
-    looked for.  `grid` is accepted for callers of the earlier grid sweep
-    and is not read."""
+    "Every" holds for the roots inside a cell and at a cell end the
+    residual reaches from one side: the walk of _shift_one_roots passes
+    over only vectors with no feasible cell, so an empty list proves that
+    none lies there, and is a valid outcome, not an error.  A root at a
+    single cell end whose chase matches neither neighbouring cell is not
+    looked for.  A walk that needs more than VECTOR_BUDGET branch vectors
+    raises ConvergenceError and returns no part of the list.  `grid` is
+    accepted for callers of the earlier grid sweep and is not read."""
     if n < 0:
         raise PreconditionError("n must be nonnegative")
-    roots = sorted(_shift_one_roots(curve, n, _branch_vectors(curve, n)),
-                   key=lambda root: root[0])
+    roots = sorted(_shift_one_roots(curve, n), key=lambda root: root[0])
     out = []
     seen = set()
     for _, shot in roots:

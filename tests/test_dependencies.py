@@ -34,7 +34,7 @@ def test_imports_are_stdlib_only():
 PRIVATE_IMPORTS = {
     ("explore", "oracle", "_chase"),
     ("explore", "oracle", "_Chaser"),
-    ("explore", "oracle", "_shift_one_roots"),
+    ("explore", "oracle", "_vector_roots"),
     ("explore", "pipeline", "_shift_residual"),
 }
 

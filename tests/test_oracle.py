@@ -2,11 +2,12 @@ import hashlib
 import json
 import operator
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from curvepart import (
+    ConvergenceError,
     PLCurve,
     PreconditionError,
     brute_force,
@@ -19,11 +20,10 @@ from curvepart import (
 from curvepart import oracle, partition_curve
 from curvepart.oracle import (
     _Affine,
-    _branch_vectors,
     _cell_roots,
     _chase,
     _Chaser,
-    _shift_one_roots,
+    _vector_roots,
 )
 from curvepart.fileio import EXACT, result_to_obj
 from curvepart.scalar import rat
@@ -32,6 +32,29 @@ R = rat
 
 BENT = PLCurve([0, R(1, 2), 1], [(0, 0), (R(4, 5), R(1, 5)), (1, 1)])
 SECTION5 = PLCurve([0, R(1, 2), 1], [(0, 0), (1, 0), (1, 1)])
+
+
+def _every_vector(curve, n):
+    """Every branch vector that can hold a feasible cell: a step finds at
+    most one ordinate hit per segment, so a larger skip finds none."""
+    return product(range(len(curve.knots) - 1), repeat=n)
+
+
+def _walked(curve, n, monkeypatch):
+    """{branch vector: its missed} for each vector brute_force's walk
+    reads, in walking order."""
+    walked = {}
+    real = oracle._vector_roots
+
+    def spy(ch, curve, n, branches):
+        out = real(ch, curve, n, branches)
+        walked[branches] = out[1]
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_vector_roots", spy)
+        brute_force(curve, n)
+    return walked
 
 
 class TestVerify:
@@ -180,23 +203,40 @@ class TestBruteForce:
             rep = verify(c, pts_float, tol=R(1, 10**9))
             assert rep.ok
 
-    def test_every_branch_vector_swept_at_higher_order(self):
-        # at n = 2 the vectors in (sum, lex) order are not monotone in
-        # feasibility: no cell of (1, 1) is feasible, and (2, 0), walked
-        # after it, holds the partition at x_1 = 0.3177
+    def test_every_branch_vector_swept_at_higher_order(self, monkeypatch):
+        # at n = 2 no cell of (1, 1) is feasible, and its chases miss at
+        # branch index 1 at the deepest: that rules out (1, j) for j >= 1
+        # only, and the walk goes on at (2, 0), which holds the partition
+        # at x_1 = 0.3177
         c = random_curve(0, vertices=5, curve_class="deltaInterior")
         ch = _Chaser(c)
-        vectors = _branch_vectors(c, 2)
-        assert vectors.index((1, 1)) < vectors.index((2, 0))
-        # and its chases miss at branch index 1 at the deepest
         assert _cell_roots(ch, 2, (1, 1)) == ([], 1)
+        walked = list(_walked(c, 2, monkeypatch))
+        assert walked[walked.index((1, 1)) + 1] == (2, 0)
         assert any(abs(shot.points[1][0] - 0.31771) < 1e-5
-                   for _, shot in _shift_one_roots(c, 2, [(2, 0)]))
+                   for _, shot in _vector_roots(ch, c, 2, (2, 0))[0])
         found = brute_force(c, 2)
         assert len(found) == 5
         for res in found:
             assert verify(c, res.points, tol=0).ok
         assert any(abs(res.points[1][0] - 0.31771) < 1e-5 for res in found)
+
+    def test_finds_the_root_a_capped_walk_drops(self):
+        # (6, 2, 0) comes 162nd in (sum, lex) order on this 11-segment
+        # curve, so a walk of the first 128 vectors in that order drops
+        # the partition it holds
+        c = random_curve(0, vertices=12, curve_class="interior")
+        order = sorted(_every_vector(c, 3), key=lambda v: (sum(v), v))
+        assert order.index((6, 2, 0)) == 161
+        shot = closure_shot(c, 3, R(7151633462891600750,
+                                    110947465294982991003),
+                            branches=(6, 2, 0))
+        assert shot.residual == 0
+        found = brute_force(c, 3)
+        assert len(found) == 15
+        assert shot.points in [res.points for res in found]
+        for res in found:
+            assert verify(c, res.points, tol=0).ok
 
     def test_grid_is_not_read(self):
         for seed in (1, 2):
@@ -259,18 +299,14 @@ def ref_float_roots(curve, n, grid):
     """The point-by-point float reference: every sign change of the float
     residual between neighbouring grid points of each branch vector,
     bisected to float resolution, kept when its residual is within 1e-6
-    and its points verify within 1e-6.  At n = 1 it stops after the first
-    vector with a nonzero entry and no feasible grid point.  Yields
-    (branches, t, points)."""
+    and its points verify within 1e-6.  Yields (branches, t, points)."""
     ch = _Chaser(curve, float_mode=True)
-    for branches in _branch_vectors(curve, n):
-        any_feasible = False
+    for branches in _every_vector(curve, n):
         t0 = r0 = None
         for g in range(1, grid):
             t = g / grid
             r = _float_residual(ch, n, t, branches)
             if r is not None:
-                any_feasible = True
                 if r0 is not None and (r0 < 0) != (r < 0):
                     root = _bisect(ch, n, t0, t, r0, branches)
                     if root is not None and abs(root[1]) <= 1e-6:
@@ -278,8 +314,6 @@ def ref_float_roots(curve, n, grid):
                         if verify(curve, pts, R(1, 10**6)).ok:
                             yield branches, root[0], pts
             t0, r0 = t, r
-        if n == 1 and not any_feasible and any(branches):
-            return
 
 
 def _bisect(ch, n, lo, hi, r_lo, branches):
@@ -443,7 +477,7 @@ class TestStreamedSweep:
         for curve in SWEEP_CURVES:
             ch = _Chaser(curve, float_mode=True)
             for n in range(4):
-                for branches in _branch_vectors(curve, n):
+                for branches in _every_vector(curve, n):
                     for g in range(1, grid):
                         t = g / grid
                         ref = closure_shot(curve, n, t, float_mode=True,
@@ -549,7 +583,7 @@ class TestCellWalk:
         constant = 0
         for seed in (2, 3, 9, 10):
             curve = _cell_curve(seed)
-            for branches in _branch_vectors(curve, 2):
+            for branches in _every_vector(curve, 2):
                 for *_, pts, missed in _walk(curve, 2, branches):
                     if missed is None:
                         constant += not any(isinstance(c, _Affine)
@@ -568,7 +602,7 @@ class TestCellWalk:
         checked = 0
         for curve in WALK_CURVES:
             for n in range(3):
-                for branches in _branch_vectors(curve, n)[:4]:
+                for branches in islice(_every_vector(curve, n), 4):
                     cells = _walk(curve, n, branches)
                     assert cells[0][0] == 0 and cells[-1][1] == 1
                     for (t_lo, t_hi, rec, pts, missed), nxt in zip(
@@ -598,7 +632,8 @@ class TestCellWalk:
         for curve in WALK_CURVES:
             for n, branches in ((0, ()), (1, (0,)), (1, (1,))):
                 shots.clear()
-                roots = [t for t, _ in _shift_one_roots(curve, n, [branches])]
+                roots = [t for t, _ in _vector_roots(_Chaser(curve), curve, n,
+                                                     branches)[0]]
                 candidates = _cell_roots(_Chaser(curve), n, branches)[0]
                 assert shots == candidates == sorted(set(candidates))
                 assert set(roots) <= set(candidates)
@@ -781,54 +816,39 @@ class TestPipelineCrossCheck:
                     self.check(seed, v, S)
 
 
-def _curve_of_width(width):
-    """A below-diagonal curve with `width` segments and no collinear knots."""
-    knots = [R(i, width) for i in range(width + 1)]
-    return PLCurve(knots, [(t, t * t) for t in knots])
-
-
 def _brute_force_of_every_vector(curve, n, monkeypatch):
-    """brute_force with every branch vector walked on its own, so that no
-    dead prefix skips any (n >= 2: no stop rule)."""
-    roots = [(t, shot) for branches in _branch_vectors(curve, n)
-             for t, shot in _shift_one_roots(curve, n, [branches])]
+    """brute_force on the roots of every vector of _every_vector, each
+    read on its own, so that the walk passes over none."""
+    ch = _Chaser(curve)
+    roots = [root for branches in _every_vector(curve, n)
+             for root in _vector_roots(ch, curve, n, branches)[0]]
     with monkeypatch.context() as mp:
         mp.setattr(oracle, "_shift_one_roots", lambda *_: iter(roots))
         return brute_force(curve, n)
 
 
 class TestDeadPrefixes:
-    # (seed, vertices, class, vectors skipped at n = 3)
-    CURVES = ((0, 9, "interior", 12), (1, 6, "deltaInterior", 88))
+    # (seed, vertices, class, vectors walked at n = 3)
+    CURVES = ((0, 9, "interior", 66), (1, 6, "deltaInterior", 16))
 
     def test_skips_only_vectors_without_feasible_cells(self, monkeypatch):
-        walked = {}  # branch vector: its deepest miss, in walking order
-        real = oracle._cell_roots
-
-        def spy(ch, n, branches):
-            out = real(ch, n, branches)
-            walked[branches] = out[1]
-            return out
-
-        monkeypatch.setattr(oracle, "_cell_roots", spy)
-        for seed, v, cls, skipped in self.CURVES:
+        for seed, v, cls, count in self.CURVES:
             curve = random_curve(seed, vertices=v, curve_class=cls)
-            vectors = _branch_vectors(curve, 3)
-            walked.clear()
-            assert brute_force(curve, 3)
-            skip = [b for b in vectors if b not in walked]
-            assert len(skip) == skipped
-            assert list(walked) == [b for b in vectors if b not in skip]
-            # a skipped vector has no feasible cell and no candidate, and
-            # shares the first i + 1 entries of a vector walked before it
-            # whose cells all missed, at branch index i at the deepest
+            walked = _walked(curve, 3, monkeypatch)
+            assert len(walked) == count
+            assert list(walked) == sorted(walked)
+            # a vector the walk passes over has no feasible cell and no
+            # candidate, and is ruled out by a vector a walked before it
+            # whose cells all missed, at branch index m at the deepest: it
+            # keeps a's first m entries and has an entry >= a[m] at m
             ch = _Chaser(curve)
-            for b in skip:
-                candidates, missed = real(ch, 3, b)
+            skipped = [b for b in _every_vector(curve, 3) if b not in walked]
+            assert skipped
+            for b in skipped:
+                assert any(a < b and a[:m] == b[:m] and b[m] >= a[m]
+                           for a, m in walked.items() if m is not None)
+                candidates, missed = _cell_roots(ch, 3, b)
                 assert candidates == [] and missed is not None
-                assert any(vectors.index(a) < vectors.index(b)
-                           and a[:i + 1] == b[:i + 1]
-                           for a, i in walked.items() if i is not None)
 
     def test_results_equal_the_walk_of_every_vector(self, monkeypatch):
         curve = random_curve(1, vertices=6, curve_class="deltaInterior")
@@ -839,7 +859,7 @@ class TestDeadPrefixes:
     def test_results_equal_the_walk_of_every_vector_at_scale(
             self, monkeypatch):
         # the interior curve above and TestPipelineCrossCheck's slice, at
-        # n = 2 and 3 (about 25 s)
+        # n = 2 and 3 (about 9 s)
         curves = [(random_curve(0, vertices=9, curve_class="interior"), 3)]
         curves += [(random_curve(seed, vertices=v,
                                  curve_class="deltaInterior"), n)
@@ -847,6 +867,19 @@ class TestDeadPrefixes:
         for curve, n in curves:
             assert brute_force(curve, n) == _brute_force_of_every_vector(
                 curve, n, monkeypatch)
+
+
+class TestVectorBudget:
+    def test_walk_past_the_budget_raises(self, monkeypatch):
+        # TestDeadPrefixes' deltaInterior curve walks 16 vectors at n = 3
+        curve = random_curve(1, vertices=6, curve_class="deltaInterior")
+        full = brute_force(curve, 3)
+        assert len(_walked(curve, 3, monkeypatch)) == 16
+        monkeypatch.setattr(oracle, "VECTOR_BUDGET", 16)
+        assert brute_force(curve, 3) == full
+        monkeypatch.setattr(oracle, "VECTOR_BUDGET", 15)
+        with pytest.raises(ConvergenceError, match="more than 15"):
+            brute_force(curve, 3)
 
 
 class TestPinnedResults:
@@ -892,24 +925,3 @@ class TestPinnedResults:
     def test_pins_cover_the_dead_prefix_curves(self):
         dead = TestDeadPrefixes.CURVES
         assert {(seed, v, cls, 3) for seed, v, cls, _ in dead} <= set(self.PINS)
-
-
-class TestBranchVectors:
-    def test_matches_sorted_product_prefix(self, monkeypatch):
-        for width in range(2, 7):
-            curve = _curve_of_width(width)
-            for n in range(5):
-                full = sorted(product(range(width), repeat=n),
-                              key=lambda v: (sum(v), v))
-                for cap in (1, 5, 128):
-                    monkeypatch.setattr(oracle, "BRANCH_VECTORS", cap)
-                    assert _branch_vectors(curve, n) == full[:cap], (width, n, cap)
-
-    def test_wide_curve_stays_bounded(self):
-        # product(range(63), repeat=4) has about 15.8M tuples; the first 128
-        # in (sum, lex) order are the 126 with sum <= 5, then two of sum 6
-        vectors = _branch_vectors(_curve_of_width(63), 4)
-        low = sorted((v for v in product(range(6), repeat=4) if sum(v) <= 5),
-                     key=lambda v: (sum(v), v))
-        assert len(low) == 126
-        assert vectors == low + [(0, 0, 0, 6), (0, 0, 1, 5)]
