@@ -35,8 +35,8 @@ class NonInteriorCurveError(PreconditionError):
 class ConvergenceError(CurvepartError):
     """A budget is spent.  Boundary joining spent its cuts without
     reaching tolerance, and carries the best residual and its history; or
-    the shift-1 oracle's walk needs more than oracle.VECTOR_BUDGET branch
-    vectors, and carries neither."""
+    the shift-1 oracle's walk needs more than oracle.CELL_BUDGET cells,
+    and carries neither."""
 
     def __init__(self, message, best_residual=None, history=()):
         super().__init__(message)

@@ -2,11 +2,12 @@
 
 Searches for point sequences whose increment sequences match under an
 arbitrary cyclic shift (not just shift-by-one), and for partitions of
-curves that leave the unit square.  Shift 1 takes the oracle's first exact
-root on the nearest chase branch; shifts >= 2 are float-mode and
-exploratory: notFound at a finite grid proves nothing, and the records say
-so.  It needs no optional dependency (shifts >= 2 are polished by Newton's
-method written here), so a batch log is the same on every install.
+curves that leave the unit square.  Every search is exact, and a trial is
+found only as an exact partition.  Shift 1 takes the oracle's first exact
+root on the nearest chase branch; shifts >= 2 run Newton's method on
+exact rationals from a coarse grid and are exploratory: notFound at a
+finite grid proves nothing, and the records say so.  The log writes the
+exact points as floats, the same on every install.
 """
 
 import json
@@ -17,10 +18,10 @@ from itertools import combinations
 
 from .errors import InputError, PreconditionError
 from .fileio import FLOAT, curve_to_obj
-from .oracle import _chase, _Chaser, _vector_roots
+from .oracle import _Affine, _chase, _Chaser, _vector_roots
 from .pipeline import _shift_residual, increments
 from .plcurve import PLCurve
-from .scalar import ONE, ZERO, as_float, parse_tolerance, rat
+from .scalar import ONE, ZERO, as_float, rat
 
 # the fewest polyline vertices of each curve class: deltaInterior needs an
 # interior vertex, as the bare diagonal lies on the boundary
@@ -28,12 +29,11 @@ MIN_VERTICES = {"deltaInterior": 3, "interior": 2, "planar": 2}
 CURVE_CLASSES = tuple(MIN_VERTICES)
 _DENOM = 2**20
 # Newton polish for shifts >= 2: iterates per start (the start included),
-# starts from the best coarse combos, halvings of a step that lands on an
-# infeasible iterate, and the Jacobian's difference step
+# starts from the best coarse combos, and halvings of a step that lands on
+# an infeasible iterate
 NEWTON_STEPS = 12
 NEWTON_STARTS = 8
 NEWTON_HALVINGS = 10
-_JAC_STEP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,23 +98,25 @@ def random_curve(seed, vertices=4, curve_class="deltaInterior"):
     return PLCurve(knots, pts)
 
 
+def _mismatches(pts, s, k):
+    """The wrap mismatches of the points A_0..A_s of a shift-k chase: the
+    relation j = s-1, then j = 0..k-2."""
+    dx, dy = increments(pts)
+    return [dy[j] - dx[(j - k) % s] for j in (s - 1, *range(k - 1))]
+
+
 def _theta_residuals(s, k, frees, chaser):
     """Chase the theta-relation system from the free points.
 
     frees are the parameters of A_1..A_k, nondecreasing in [0, 1].
     Relations dy_j = dx_{j-k} for j = k..s-2 force A_{k+1}..A_{s-1}; the
-    returned vector holds the wrap mismatches (relation j = s-1, then
-    j = 0..k-2)."""
-    if not all(a <= b for a, b in zip([0.0] + frees, frees + [1.0])):
+    returned vector holds the wrap mismatches (`_mismatches`)."""
+    if not all(a <= b for a, b in zip([ZERO] + frees, frees + [ONE])):
         return None, None
     pts, missed = _chase(chaser, frees, k, s)
     if missed is not None:
         return None, None
-    dx, dy = increments(pts)
-    res = [dy[s - 1] - dx[(s - 1 - k) % s]]
-    for j in range(0, k - 1):
-        res.append(dy[j] - dx[(j - k) % s])
-    return res, pts
+    return _mismatches(pts, s, k), pts
 
 
 def _search_shift_zero(curve, s):
@@ -143,20 +145,21 @@ def _search_shift_zero(curve, s):
     idx = [round(j * (len(filtered) - 1) / s) for j in range(s + 1)]
     if len(set(idx)) != s + 1:
         return None
-    pts = [tuple(map(as_float, curve(filtered[i]))) for i in idx]
+    pts = [curve(filtered[i]) for i in idx]
     dx, dy = increments(pts)
     if any(d <= 0 for d in dx + dy):
         return None
     return pts
 
 
-def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
+def conjecture_search(curve, n, theta, grid=400, seed=0):
     """Sweep for points matching the theta-shifted increment relation.
 
     shift 1 takes the brute-force oracle's first exact root on the nearest
     chase branch (grid is not read); shift 0
     looks for level crossings of y - x; shifts >= 2 sweep a coarse grid
     over the free points and polish the best few with Newton's method.
+    Found points are an exact partition (`_accepted`), with residual 0.
     Outcomes are recorded honestly: notFound is evidence, never disproof.
     """
     start = time.perf_counter()
@@ -164,45 +167,34 @@ def conjecture_search(curve, n, theta, grid=400, tol=rat(1, 10**6), seed=0):
     if theta.size != s:
         raise PreconditionError(f"theta size {theta.size} != n + 1 = {s}")
     k = theta.shift
-    tol_f = as_float(tol)
-    found_pts = None
-    residual = None
 
     if k == 0:
-        pts = _search_shift_zero(curve, s)
-        if pts is not None:
-            found_pts, residual = pts, 0.0
+        found_pts = _search_shift_zero(curve, s)
     elif k == 1:
-        roots = _vector_roots(_Chaser(curve), curve, s - 2, ())[0]
-        if roots:
-            shot = roots[0][1]
-            found_pts, residual = shot.points, shot.residual
+        roots = _vector_roots(_Chaser(curve), s - 2, ())[0]
+        found_pts = roots[0][1].points if roots else None
     else:
-        found_pts, residual = _search_high_shift(curve, s, k, grid, tol_f)
+        found_pts = _search_high_shift(curve, s, k, grid)
 
-    outcome = "notFound"
-    points = ()
-    if found_pts is not None and _accepted(found_pts, k, tol_f):
-        outcome = "found"
-        points = tuple(found_pts)
+    found = found_pts is not None and _accepted(found_pts, k)
     return TrialRecord(
         seed=seed,
         curve_spec={},
         curve=curve,
         n=n,
         theta=theta,
-        outcome=outcome,
-        residual=residual if outcome == "found" else None,
-        points=points,
+        outcome="found" if found else "notFound",
+        residual=ZERO if found else None,
+        points=tuple(found_pts) if found else (),
         wall_time=time.perf_counter() - start,
     )
 
 
-def _accepted(pts, k, tol_f):
-    """Positive increments and a shift-k residual within tol_f; float
-    differences have the signs of the exact ones."""
+def _accepted(pts, k):
+    """An exact partition: every increment positive and a shift-k
+    residual of exactly 0."""
     dx, dy = increments(pts)
-    return all(d > 0 for d in dx + dy) and _shift_residual(dx, dy, k) <= tol_f
+    return all(d > 0 for d in dx + dy) and _shift_residual(dx, dy, k) == 0
 
 
 def _solve_linear(a, b):
@@ -221,23 +213,35 @@ def _solve_linear(a, b):
     return [r[-1] / r[c] for c, r in enumerate(rows)]
 
 
-def _newton(s, k, frees, ch, tol_f):
+def _jacobian(s, k, frees, ch):
+    """The wrap mismatches' slopes in the free parameters just right of
+    frees, or None when that side is infeasible: column i is read off one
+    chase with free i an `_Affine(f_i, 1)`, in which a mismatch that free
+    i does not move stays a rational, slope 0."""
+    cols = []
+    for i, f in enumerate(frees):
+        pts, missed = _chase(ch, frees[:i] + [_Affine(f, ONE, [])]
+                             + frees[i + 1:], k, s)
+        if missed is not None:
+            return None
+        cols.append([r.b if type(r) is _Affine else ZERO
+                     for r in _mismatches(pts, s, k)])
+    return [list(row) for row in zip(*cols)]
+
+
+def _newton(s, k, frees, ch):
     """Newton's method on the wrap mismatches of _theta_residuals from the
-    free parameters frees: (points, score) of the first iterate within
-    tol_f, or None.  A step whose iterate is infeasible is halved, at most
-    NEWTON_HALVINGS times.  The chase is affine in the frees on each cell,
-    so a step that stays in its cell lands on the root."""
+    rational free parameters frees, each step an exact solve against
+    `_jacobian`: the points of the first iterate whose mismatches are all
+    0, or None.  The chase is affine in the frees on each cell, so a step
+    that stays in its cell lands on the root.  A step whose iterate is
+    infeasible is halved, at most NEWTON_HALVINGS times."""
     res, pts = _theta_residuals(s, k, frees, ch)
     for _ in range(NEWTON_STEPS - 1):
-        if max(abs(r) for r in res) <= tol_f:
-            break
-        moved = [_theta_residuals(s, k, frees[:i] + [f + _JAC_STEP]
-                                  + frees[i + 1:], ch)[0]
-                 for i, f in enumerate(frees)]
-        if None in moved:
-            return None
-        cols = [[(b - a) / _JAC_STEP for a, b in zip(res, m)] for m in moved]
-        step = _solve_linear(list(zip(*cols)), res)
+        if not any(res):
+            return pts
+        jac = _jacobian(s, k, frees, ch)
+        step = None if jac is None else _solve_linear(jac, res)
         if step is None:
             return None
         for h in range(NEWTON_HALVINGS + 1):
@@ -248,28 +252,29 @@ def _newton(s, k, frees, ch, tol_f):
         else:
             return None
         frees = nxt
-    score = max(abs(r) for r in res)
-    return (pts, score) if score <= tol_f else None
+    return None if any(res) else pts
 
 
-def _search_high_shift(curve, s, k, grid, tol_f):
-    """Score a coarse grid of the k free parameters by their largest wrap
-    mismatch, then run Newton from the best few combos in score order until
-    one converges to an accepted point sequence."""
-    ch = _Chaser(curve, float_mode=True)
+def _search_high_shift(curve, s, k, grid):
+    """Score the coarse grid g/coarse of the k free parameters by their
+    wrap mismatches, largest first, so that an exact tie of the largest
+    goes to the smaller next one; then run Newton from the best few combos
+    in score order: the points of the first root that is an exact
+    partition, or None."""
+    ch = _Chaser(curve)
     coarse = max(8, int(round(grid ** (1.0 / k))))
     scored = []
     for idx in combinations(range(1, coarse), k):
-        combo = [g / coarse for g in idx]
+        combo = [rat(g, coarse) for g in idx]
         res, _ = _theta_residuals(s, k, combo, ch)
         if res is not None:
-            scored.append((max(abs(r) for r in res), combo))
+            scored.append((sorted(map(abs, res), reverse=True), combo))
     scored.sort(key=lambda sc: sc[0])
     for _, combo in scored[:NEWTON_STARTS]:
-        hit = _newton(s, k, combo, ch, tol_f)
-        if hit is not None and _accepted(hit[0], k, tol_f):
-            return hit
-    return None, None
+        pts = _newton(s, k, combo, ch)
+        if pts is not None and _accepted(pts, k):
+            return pts
+    return None
 
 
 def _record_to_jsonable(rec):
@@ -341,10 +346,6 @@ def batch(config, log_path):
     grid = config.get("grid", 400)
     if not _is_int(grid) or grid < 1:
         raise InputError("grid must be a positive integer")
-    tol = config.get("tol", "1/1000000")
-    if isinstance(tol, tuple) and len(tol) == 2 and tol[0] == "decimal":
-        tol = tol[1]  # a JSON decimal's text, as fileio.load_json reads it
-    tol = parse_tolerance(tol)
 
     done = set()
     try:
@@ -383,7 +384,7 @@ def batch(config, log_path):
                         theta = CyclicPermutation(size=n + 1, shift=shift)
                         try:
                             rec = conjecture_search(
-                                curve, n, theta, grid=grid, tol=tol, seed=seed
+                                curve, n, theta, grid=grid, seed=seed
                             )
                         except Exception as exc:  # recorded, not raised
                             rec = TrialRecord(

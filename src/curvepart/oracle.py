@@ -7,8 +7,9 @@ wrap; zeros of that residual are partitions.  Every partition
 brute_force returns passes the verifier at tol 0.
 
 `_chase` is the one chase loop: it places k free points and chases the
-rest of a shift-k relation system.  closure_shot runs it at k = 1, the
-explorer at every shift, and brute_force on `_Affine` numbers.
+rest of a shift-k relation system.  closure_shot runs it at k = 1,
+brute_force on `_Affine` numbers, and the explorer at every shift, on
+`_Affine` numbers too for its Newton Jacobian: no float enters a chase.
 
 On a polyline the chase is affine in the free parameter t for as long as
 every chased point stays on its segment and every comparison the chase
@@ -24,8 +25,8 @@ cell's end, is missed.  The branch vectors are walked depth-first in lex
 order (`_shift_one_roots`): a vector none of whose cells is feasible
 rules out its later siblings at its deepest miss and all that follows
 them there, since a larger skip finds fewer hits.  The walk holds one
-vector, and past VECTOR_BUDGET vectors it raises ConvergenceError
-instead of returning part of the roots.
+vector and one chaser, and past CELL_BUDGET cells it raises
+ConvergenceError instead of returning part of the roots.
 
 Kernel costs of the walk, for a curve of m segments at order n:
 
@@ -38,10 +39,10 @@ Kernel costs of the walk, for a curve of m segments at order n:
   the smallest positive root among the differences, is chosen by
   integer cross-products and built as one Fraction; the residual's root
   on the cell is read off its two coefficients, as Fractions.
-- one candidate: one exact `closure_shot` (a chaser and one chase on
-  Fractions), and `verify` at tol 0 when its residual is 0.
+- one candidate: one exact `closure_shot` on the walk's chaser (one
+  chase on Fractions), and `verify` at tol 0 when its residual is 0.
 - one branch vector: its cells, then its candidates; at most
-  VECTOR_BUDGET vectors per walk.
+  CELL_BUDGET cells per walk.
 """
 
 from bisect import bisect_left, bisect_right
@@ -51,10 +52,10 @@ from math import gcd
 from .errors import ConvergenceError, PreconditionError
 from .pipeline import PartitionResult, PipelineTrace, Rearrangement, increments
 from .plcurve import point_curve_distance_sq
-from .scalar import ONE, ZERO, as_float, rat
+from .scalar import ONE, ZERO, rat
 
-# brute_force raises ConvergenceError past this many branch vectors
-VECTOR_BUDGET = 1024
+# brute_force raises ConvergenceError past this many cells, one chase each
+CELL_BUDGET = 65536
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,12 @@ def verify(curve, points, tol=ZERO):
 
 
 class _Chaser:
-    """Ordinate-target chasing over one polyline; works for exact
-    rationals, plain floats and `_Affine` parameters alike."""
+    """Ordinate-target chasing over one polyline's own rationals, at
+    rational or `_Affine` parameters."""
 
-    def __init__(self, curve, float_mode=False):
-        self.conv = conv = as_float if float_mode else rat
-        self.knots = [conv(t) for t in curve.knots]
-        self.verts = [(conv(x), conv(y)) for x, y in curve.vertices]
+    def __init__(self, curve):
+        self.knots = list(curve.knots)
+        self.verts = list(curve.vertices)
 
     def at(self, t):
         ks = self.knots
@@ -192,9 +192,8 @@ def _chase(ch, frees, k, s, branches=()):
     branches[j-k] earlier ones.  Returns (points, None), or the points so
     far and the first ordinate target with no hit.  On `_Affine` numbers,
     which no operation reduces, each target is reduced once (one gcd)."""
-    zero = ch.conv(0)
-    pts = [(zero, zero)]
-    cursor = zero
+    pts = [(ZERO, ZERO)]
+    cursor = ZERO
     for t in frees:
         pts.append(ch.at(t))
         cursor = t
@@ -207,24 +206,28 @@ def _chase(ch, frees, k, s, branches=()):
         if cursor is None:
             return pts, target
         pts.append(ch.at(cursor))
-    one = ch.conv(1)
-    pts.append((one, one))
+    pts.append((ONE, ONE))
     return pts, None
 
 
-def closure_shot(curve, n, t1, float_mode=False, branches=()):
+def closure_shot(curve, n, t1, branches=()):
     """Build the chased point sequence from the free parameter t1.
 
     Points A_1..A_{n+1} follow the shifted ordinate targets
     y_{i+1} = y_i + (x_i - x_{i-1}); the returned residual is how far the
     forced final wrap lands from closing at (1,1).  Step i takes the
     earliest ordinate hit by default; branches[i] skips that many earlier
-    occurrences, selecting a different solution branch.
+    occurrences, selecting a different solution branch.  curve may also
+    be a `_Chaser` of the curve, which takes t1 as it is: the oracle's
+    walk passes its own, so it builds one chaser per walk.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
-    ch = _Chaser(curve, float_mode)
-    pts, missed = _chase(ch, (ch.conv(t1),), 1, n + 2, branches)
+    if isinstance(curve, _Chaser):
+        ch = curve
+    else:
+        ch, t1 = _Chaser(curve), rat(t1)
+    pts, missed = _chase(ch, (t1,), 1, n + 2, branches)
     if missed is not None:
         side = 1 if missed > pts[-1][1] else -1
         return ShotOutcome(residual=None, feasible=False, side=side,
@@ -338,11 +341,11 @@ class _Affine:
 
 
 def _cell_roots(ch, n, branches):
-    """(candidates, missed): the parameters where the shift-1 residual of
-    the exact chaser ch on one branch vector may vanish, in increasing
-    order, and None when any cell of the vector is feasible; else the
-    deepest branch index at which a cell's chase missed, len(pts) - 2 of
-    the missed `_chase`.
+    """(candidates, missed, cells): the parameters where the shift-1
+    residual of the exact chaser ch on one branch vector may vanish, in
+    increasing order; None when any cell of the vector is feasible, else
+    the deepest branch index at which a cell's chase missed, len(pts) - 2
+    of the missed `_chase`; and the number of cells, one chase each.
 
     The walk chases on _Affine(t_lo, 1) from t_lo = 0; the cell ends at
     the first positive root of a recorded difference, or at 1.  That end
@@ -357,8 +360,10 @@ def _cell_roots(ch, n, branches):
     out = []
     feasible = False
     deepest = -1
+    cells = 0
     t_lo = ZERO
     while t_lo < 1:
+        cells += 1
         rec = []
         pts, missed = _chase(ch, (_Affine(t_lo, ONE, rec),), 1, n + 2,
                              branches)
@@ -386,20 +391,21 @@ def _cell_roots(ch, n, branches):
         else:
             deepest = max(deepest, len(pts) - 2)
         t_lo += width
-    return out, None if feasible else deepest
+    return out, None if feasible else deepest, cells
 
 
-def _vector_roots(ch, curve, n, branches):
-    """(roots, missed) on one branch vector: (t, shot) for each candidate
-    of `_cell_roots` on the exact chaser ch whose one exact closure_shot
-    has residual 0, in t order, and `_cell_roots`' missed."""
-    ts, missed = _cell_roots(ch, n, branches)
+def _vector_roots(ch, n, branches):
+    """(roots, missed, cells) on one branch vector: (t, shot) for each
+    candidate of `_cell_roots` on the exact chaser ch whose one exact
+    closure_shot, on ch too, has residual 0, in t order, then
+    `_cell_roots`' missed and cells."""
+    ts, missed, cells = _cell_roots(ch, n, branches)
     roots = []
     for t in ts:
-        shot = closure_shot(curve, n, t, branches=branches)
+        shot = closure_shot(ch, n, t, branches=branches)
         if shot.residual == 0:
             roots.append((t, shot))
-    return roots, missed
+    return roots, missed, cells
 
 
 def _shift_one_roots(curve, n):
@@ -413,21 +419,25 @@ def _shift_one_roots(curve, n):
     1 at index m - 1 and sets every later entry to 0.  After a vector with
     a feasible cell it adds 1 at index n - 1.  It ends when that index
     falls below 0.  An entry stops growing once the chase runs out of
-    hits, so no width bound is needed.  The walk holds one vector, and
-    past VECTOR_BUDGET vectors it raises ConvergenceError."""
+    hits, so no width bound is needed.  The walk holds one vector and one
+    chaser, and once its vectors have chased more than CELL_BUDGET cells
+    it raises ConvergenceError."""
     ch = _Chaser(curve)
     b = [0] * n
-    for _ in range(VECTOR_BUDGET):
-        roots, missed = _vector_roots(ch, curve, n, tuple(b))
+    cells = 0
+    while True:
+        roots, missed, used = _vector_roots(ch, n, tuple(b))
+        cells += used
+        if cells > CELL_BUDGET:
+            raise ConvergenceError(
+                f"the shift-1 walk at n = {n} needs more than {CELL_BUDGET} "
+                "cells")
         yield from roots
         i = n - 1 if missed is None else missed - 1
         if i < 0:
             return
         b[i] += 1
         b[i + 1:] = [0] * (n - 1 - i)
-    raise ConvergenceError(
-        f"the shift-1 walk at n = {n} needs more than {VECTOR_BUDGET} "
-        "branch vectors")
 
 
 def brute_force(curve, n, grid=None):
@@ -440,8 +450,8 @@ def brute_force(curve, n, grid=None):
     over only vectors with no feasible cell, so an empty list proves that
     none lies there, and is a valid outcome, not an error.  A root at a
     single cell end whose chase matches neither neighbouring cell is not
-    looked for.  A walk that needs more than VECTOR_BUDGET branch vectors
-    raises ConvergenceError and returns no part of the list.  `grid` is
+    looked for.  A walk that needs more than CELL_BUDGET cells raises
+    ConvergenceError and returns no part of the list.  `grid` is
     accepted for callers of the earlier grid sweep and is not read."""
     if n < 0:
         raise PreconditionError("n must be nonnegative")

@@ -364,7 +364,7 @@ class TestExploreAndPlot:
         cfg.write_text(json.dumps({
             "seeds": {"start": 0, "count": 2},
             "curves": [{"vertices": 4, "class": "deltaInterior"}],
-            "n": [1], "shifts": [1], "grid": 300, "tol": "1/1000000",
+            "n": [1], "shifts": [1], "grid": 300,
         }))
         log = tmp_path / "log.jsonl"
         code = run(["explore", "--config", str(cfg), "--log", str(log)])
@@ -395,10 +395,6 @@ class TestExploreAndPlot:
         '{"curves": [{"class": ["planar"]}]}',  # class not a name
         '{"n": [-1]}',                 # n entry negative
         '{"n": [2], "shifts": [-1]}',  # shift entry negative
-        '{"tol": "abc"}',              # tol not a number
-        '{"tol": "-1"}',               # tol negative
-        '{"tol": -0.5}',               # decimal tol negative
-        '{"tol": "1e-4301"}',          # tol exponent beyond the bound
         '{"grid": "x"}',               # grid not an int
     ))
     def test_explore_malformed_config_exit_1(self, tmp_path, capsys, text):
@@ -428,18 +424,21 @@ class TestExploreAndPlot:
         assert err["type"] == "input" and "not valid JSON" in err["message"]
         assert not log.exists()
 
-    def test_explore_numeric_tol(self, tmp_path):
+    def test_explore_ignores_an_old_configs_tol(self, tmp_path):
+        # the search accepts exact partitions only and reads no tolerance:
+        # a config's tol is an unknown key, whatever its value
         logs = []
-        for tol in ("1/1000000", 0.000001, 1e-6, 0):
+        for extra in ({}, {"tol": "1/1000000"}, {"tol": "abc"}):
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"seeds": [0], "n": [1], "grid": 300,
-                                       "tol": tol}))
+            cfg.write_text(json.dumps({"seeds": [0], "n": [2],
+                                       "shifts": [0, 1, 2], **extra}))
             log = tmp_path / f"log{len(logs)}.jsonl"
             code = run(["explore", "--config", str(cfg), "--log", str(log)])
             assert code == 0
-            rec = json.loads(log.read_text())
-            logs.append((rec["outcome"], rec["residual"]))
-        # a decimal tol reads as its literal fraction: 1e-6 is 1/1000000
+            rows = [json.loads(line) for line in log.read_text().splitlines()]
+            for rec in rows:
+                rec.pop("wallTime")
+            logs.append(rows)
         assert logs[0] == logs[1] == logs[2]
 
     @pytest.mark.parametrize("doc", MALFORMED_POINTS)

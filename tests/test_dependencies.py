@@ -30,8 +30,10 @@ def test_imports_are_stdlib_only():
 
 
 # (importing module, defining module, name): the explorer reuses the
-# oracle's chase and the pipeline's shift residual
+# oracle's chase, its affine numbers for the Newton Jacobian, and the
+# pipeline's shift residual
 PRIVATE_IMPORTS = {
+    ("explore", "oracle", "_Affine"),
     ("explore", "oracle", "_chase"),
     ("explore", "oracle", "_Chaser"),
     ("explore", "oracle", "_vector_roots"),

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import sys
 
 import pytest
@@ -79,8 +78,7 @@ class TestConjectureSearch:
             c = random_curve(seed, vertices=5, curve_class="deltaInterior")
             for n in (1, 2):
                 theta = CyclicPermutation(size=n + 1, shift=1)
-                rec = conjecture_search(c, n, theta, grid=2000,
-                                        tol=R(1, 10**6))
+                rec = conjecture_search(c, n, theta, grid=2000)
                 brute = brute_force(c, n - 1)
                 assert (rec.outcome == "found") == bool(brute), (seed, n)
 
@@ -101,37 +99,35 @@ class TestConjectureSearch:
                                 grid=900)
         assert rec.outcome in ("found", "notFound")
         if rec.outcome == "found":
-            dx = [b[0] - a[0] for a, b in zip(rec.points, rec.points[1:])]
-            dy = [b[1] - a[1] for a, b in zip(rec.points, rec.points[1:])]
+            dx, dy = increments(rec.points)
             for i in range(3):
-                assert abs(float(dy[i]) - float(dx[(i - 2) % 3])) < 1e-5
+                assert dy[i] == dx[(i - 2) % 3]
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_shift_two_forces_the_chased_points(self, n):
         # with k = 2 < n, the relations dy_j = dx_{j-2}, j = 2..n-1, force
         # the points after the two free ones
-        tol = R(1, 10**6)
         found = 0
         for seed in range(4):
             c = random_curve(seed, vertices=5, curve_class="deltaInterior")
             rec = conjecture_search(c, n, CyclicPermutation(size=n + 1,
-                                                            shift=2), tol=tol)
+                                                            shift=2))
             if rec.outcome != "found":
                 continue
             found += 1
             assert len(rec.points) == n + 2
-            assert verify(c, rec.points, tol).ok
-            dx = [b[0] - a[0] for a, b in zip(rec.points, rec.points[1:])]
-            dy = [b[1] - a[1] for a, b in zip(rec.points, rec.points[1:])]
+            assert verify(c, rec.points, 0).ok
+            dx, dy = increments(rec.points)
             for i in range(n + 1):
-                assert abs(dy[i] - dx[(i - 2) % (n + 1)]) <= float(tol)
+                assert dy[i] == dx[(i - 2) % (n + 1)]
         assert found >= 1
 
     def test_fixed_high_shift_set(self):
         # 500 trials: seeds 0-49, two curve classes, n 2-4, shifts 2-3.
         # scipy's hybr polish from the best coarse combo found 318 of them;
-        # Newton from eight starts, halving infeasible steps, finds 450
-        tol = R(1, 10**6)
+        # exact Newton from eight starts, halving infeasible steps, finds
+        # 413 exact partitions.  A float search's 37 more finds were float
+        # neighbours of degenerate partitions, with increments exactly 0
         found = 0
         for seed in range(50):
             for vertices, cls in ((5, "deltaInterior"), (6, "interior")):
@@ -140,14 +136,40 @@ class TestConjectureSearch:
                     for shift in range(2, min(n, 3) + 1):
                         rec = conjecture_search(
                             c, n, CyclicPermutation(size=n + 1, shift=shift),
-                            grid=200, tol=tol)
+                            grid=200)
                         if rec.outcome != "found":
                             continue
                         found += 1
+                        assert verify(c, rec.points, 0).ok
                         dx, dy = increments(rec.points)
                         assert all(d > 0 for d in dx + dy)
-                        assert _shift_residual(dx, dy, shift) <= float(tol)
-        assert found >= 450
+                        assert _shift_residual(dx, dy, shift) == 0
+        assert found >= 413
+
+    def test_degenerate_root_is_not_found(self, monkeypatch):
+        # a float search reported this trial found, with a smallest
+        # increment of 7.06e-9: its points neighbour a degenerate
+        # partition.  Exact Newton reaches such roots, with increments
+        # exactly 0, and rejects them
+        roots = []
+        real = explore._newton
+
+        def spy(s, k, frees, ch):
+            pts = real(s, k, frees, ch)
+            roots.append(pts)
+            return pts
+
+        monkeypatch.setattr(explore, "_newton", spy)
+        c = random_curve(2, vertices=5, curve_class="deltaInterior")
+        rec = conjecture_search(c, 3, CyclicPermutation(size=4, shift=2),
+                                grid=200)
+        assert rec.outcome == "notFound" and rec.points == ()
+        degenerate = [pts for pts in roots if pts is not None]
+        assert degenerate
+        for pts in degenerate:
+            dx, dy = increments(pts)
+            assert _shift_residual(dx, dy, 2) == 0
+            assert min(dx + dy) == 0
 
     def test_identity_shift_spreads_over_diagonal_contacts(self):
         # contacts with y = x: the two ends and the segment (3/5) .. (4/5)
@@ -159,7 +181,7 @@ class TestConjectureSearch:
         # candidates 0, the segment cut in thirds, 1; four picks spread
         # over those six
         picks = [R(0), R(2, 3), R(11, 15), R(1)]
-        assert rec.points == tuple((float(v), float(v)) for v in picks)
+        assert rec.points == tuple((v, v) for v in picks)
 
     def test_theta_size_must_match(self):
         with pytest.raises(PreconditionError):
@@ -169,50 +191,98 @@ class TestConjectureSearch:
 
 class TestNewtonPolish:
     def test_solve_linear_pivots(self):
-        # a zero on the diagonal needs a row swap
-        a = [[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [2.0, 0.0, 3.0]]
-        x = explore._solve_linear(a, [7.0, 3.0, 11.0])
-        assert x == pytest.approx([1.0, 2.0, 3.0])
+        # a zero on the diagonal needs a row swap; the solve is exact
+        a = [[R(0), R(2), R(1)], [R(1), R(1), R(0)], [R(2), R(0), R(3)]]
+        x = explore._solve_linear(a, [R(7), R(3), R(11)])
+        assert x == [R(1), R(2), R(3)]
 
     def test_solve_linear_singular_is_none(self):
-        assert explore._solve_linear([[1.0, 2.0], [2.0, 4.0]],
-                                     [1.0, 2.0]) is None
-        assert explore._solve_linear([[0.0, 0.0], [0.0, 0.0]],
-                                     [1.0, 1.0]) is None
+        assert explore._solve_linear([[R(1), R(2)], [R(2), R(4)]],
+                                     [R(1), R(2)]) is None
+        assert explore._solve_linear([[R(0), R(0)], [R(0), R(0)]],
+                                     [R(1), R(1)]) is None
+
+    def test_jacobian_is_the_chase_slope(self):
+        # the chase is affine in each free just right of it, so the slope
+        # read off the _Affine chase equals an exact difference quotient
+        h = R(1, 2**60)
+        checked = 0
+        for seed in range(6):
+            c = random_curve(seed, vertices=6, curve_class="interior")
+            ch = explore._Chaser(c)
+            for s, k in ((3, 2), (4, 2), (4, 3)):
+                for g in range(1, 7 - k):
+                    frees = [R(g + i, 8) for i in range(k)]
+                    res, _ = explore._theta_residuals(s, k, frees, ch)
+                    jac = explore._jacobian(s, k, frees, ch)
+                    if res is None or jac is None:
+                        continue
+                    for i in range(k):
+                        moved = frees[:i] + [frees[i] + h] + frees[i + 1:]
+                        res_h, _ = explore._theta_residuals(s, k, moved, ch)
+                        assert [row[i] for row in jac] == [
+                            (b - a) / h for a, b in zip(res, res_h)]
+                        checked += 1
+        assert checked > 50
 
     def test_singular_jacobian_ends_the_polish(self, monkeypatch):
-        # a residual that does not move with the free points has a zero
-        # Jacobian: every start gives up instead of raising
-        monkeypatch.setattr(explore, "_theta_residuals",
-                            lambda s, k, frees, ch: ([0.5] * k, ()))
+        # points that do not move with the free ones give mismatches with
+        # slope 0: a zero Jacobian, and every start gives up instead of
+        # raising
+        pts = [(R(0), R(0)), (R(1, 4), R(1, 8)), (R(1, 2), R(1, 2)),
+               (R(3, 4), R(5, 8)), (R(1), R(1))]
+        monkeypatch.setattr(explore, "_chase",
+                            lambda ch, frees, k, s: (pts, None))
         c = random_curve(0, vertices=5, curve_class="deltaInterior")
-        assert explore._newton(4, 2, [0.25, 0.5], None, 1e-6) is None
-        assert explore._search_high_shift(c, 4, 2, 200, 1e-6) == (None, None)
+        ch = explore._Chaser(c)
+        frees = [R(1, 4), R(1, 2)]
+        assert explore._theta_residuals(4, 2, frees, ch)[0] == [R(1, 8),
+                                                                R(-1, 8)]
+        assert explore._jacobian(4, 2, frees, ch) == [[0, 0], [0, 0]]
+        assert explore._newton(4, 2, frees, ch) is None
+        assert explore._search_high_shift(c, 4, 2, 200) is None
 
     def test_infeasible_step_is_halved(self, monkeypatch):
-        # from 0.1 a full Newton step on atan(5 (f - 1/2)) lands beyond 1,
-        # outside the feasible box; halving it reaches the root
+        # each mismatch is g(f): slope 1/10 below 1/5, slope 1 from there,
+        # with its root at 1/2.  From 1/10 and 3/20 the full Newton step
+        # lands beyond 1, outside the feasible box; a quarter of it lands
+        # on the slope-1 piece, and the next step on the root
+        def g(f):
+            if f >= R(1, 5):
+                return f - R(1, 2)
+            return (f - R(1, 5)) / 10 - R(3, 10)
+
         def residuals(s, k, frees, ch):
             if not all(0 <= f <= 1 for f in frees):
                 return None, None
-            return [math.atan(5 * (f - 0.5)) for f in frees], tuple(frees)
+            return [g(f) for f in frees], tuple(frees)
+
+        def jacobian(s, k, frees, ch):
+            return [[(R(1) if f >= R(1, 5) else R(1, 10)) * (i == j)
+                     for j in range(k)] for i, f in enumerate(frees)]
 
         monkeypatch.setattr(explore, "_theta_residuals", residuals)
-        pts, score = explore._newton(4, 2, [0.1, 0.15], None, 1e-6)
-        assert pts == pytest.approx((0.5, 0.5)) and score <= 1e-6
+        monkeypatch.setattr(explore, "_jacobian", jacobian)
+        start = [R(1, 10), R(3, 20)]
+        assert explore._newton(4, 2, start, None) == (R(1, 2), R(1, 2))
         monkeypatch.setattr(explore, "NEWTON_HALVINGS", 0)
-        assert explore._newton(4, 2, [0.1, 0.15], None, 1e-6) is None
+        assert explore._newton(4, 2, start, None) is None
 
     def test_rejected_hit_moves_on_to_the_next_start(self, monkeypatch):
-        # a start that converges to points out of order is not the answer;
+        # a start that converges to points out of order, or to a
+        # degenerate partition with an increment of 0, is not the answer;
         # the next start's accepted hit is (dy is dx shifted by 2)
-        out_of_order = [(0.0, 0.0), (0.5, 0.3), (0.2, 0.8), (1.0, 1.0)]
-        accepted = [(0.0, 0.0), (0.2, 0.3), (0.5, 0.8), (1.0, 1.0)]
-        hits = iter([(out_of_order, 0.0), (accepted, 0.0)])
+        out_of_order = [(R(0), R(0)), (R(1, 2), R(3, 10)),
+                        (R(1, 5), R(4, 5)), (R(1), R(1))]
+        degenerate = [(R(0), R(0)), (R(0), R(0)), (R(1, 2), R(1, 2)),
+                      (R(1), R(1))]
+        accepted = [(R(0), R(0)), (R(1, 5), R(3, 10)), (R(1, 2), R(4, 5)),
+                    (R(1), R(1))]
+        hits = iter([out_of_order, degenerate, accepted])
         monkeypatch.setattr(explore, "_newton",
-                            lambda s, k, frees, ch, tol_f: next(hits))
+                            lambda s, k, frees, ch: next(hits))
         c = random_curve(0, vertices=5, curve_class="deltaInterior")
-        assert explore._search_high_shift(c, 3, 2, 200, 1e-6) == (accepted, 0.0)
+        assert explore._search_high_shift(c, 3, 2, 200) == accepted
 
 
 class TestBatch:
@@ -222,7 +292,6 @@ class TestBatch:
         "n": [1, 2],
         "shifts": [0, 1],
         "grid": 400,
-        "tol": "1/1000000",
     }
 
     def test_batch_writes_records_and_summary(self, tmp_path):
@@ -341,9 +410,8 @@ class TestExplorerGolden:
         "n": [1, 2, 3],
         "shifts": [0, 1, 2, 3],
         "grid": 200,
-        "tol": "1/1000000",
     }
-    SHA256 = "dec7218c3c128be4c75011969c2617655a66d9e35da6b782c43a2e6d3325636a"
+    SHA256 = "d827fbbe7f47fc7537f712c37fab135fe31dbc14ce3601cadf13e5d743d7b1b1"
 
     def test_batch_bytes(self, tmp_path):
         self.check_digest(tmp_path)

@@ -46,7 +46,8 @@ from curvepart.plfun import (
 )
 from curvepart.scalar import ONE, ZERO, rat
 
-from util import climb_pair, degenerate_lower_curve, shared_fold_pair
+from util import (climb_pair, degenerate_lower_curve, float_chaser,
+                  shared_fold_pair)
 
 # ------------------------------------------------------------- references
 
@@ -934,14 +935,14 @@ def test_first_ordinate_hit_matches_linear_scan():
     for _ in range(200):
         curve = rand_curve(rng, rng.randint(1, 7))
         stalls += sum(1 for _, _, p, q in curve.segments() if p == q)
-        for float_mode in (False, True):
-            ch = oracle._Chaser(curve, float_mode)
+        for floats in (False, True):
+            ch = float_chaser(curve) if floats else oracle._Chaser(curve)
             if rng.random() < 0.3:
                 i = rng.randrange(len(ch.knots))
                 ch.knots.insert(i, ch.knots[i])
                 ch.verts.insert(i, ch.verts[i])
                 repeats += 1
-            conv = float if float_mode else rat
+            conv = float if floats else rat
             starts = list(ch.knots) + [conv(rat(rng.randint(0, 64), 64))
                                        for _ in range(4)]
             for start in starts:

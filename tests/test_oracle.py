@@ -28,6 +28,8 @@ from curvepart.oracle import (
 from curvepart.fileio import EXACT, result_to_obj
 from curvepart.scalar import rat
 
+from util import float_chaser
+
 R = rat
 
 BENT = PLCurve([0, R(1, 2), 1], [(0, 0), (R(4, 5), R(1, 5)), (1, 1)])
@@ -46,8 +48,8 @@ def _walked(curve, n, monkeypatch):
     walked = {}
     real = oracle._vector_roots
 
-    def spy(ch, curve, n, branches):
-        out = real(ch, curve, n, branches)
+    def spy(ch, n, branches):
+        out = real(ch, n, branches)
         walked[branches] = out[1]
         return out
 
@@ -210,11 +212,11 @@ class TestBruteForce:
         # at x_1 = 0.3177
         c = random_curve(0, vertices=5, curve_class="deltaInterior")
         ch = _Chaser(c)
-        assert _cell_roots(ch, 2, (1, 1)) == ([], 1)
+        assert _cell_roots(ch, 2, (1, 1))[:2] == ([], 1)
         walked = list(_walked(c, 2, monkeypatch))
         assert walked[walked.index((1, 1)) + 1] == (2, 0)
         assert any(abs(shot.points[1][0] - 0.31771) < 1e-5
-                   for _, shot in _vector_roots(ch, c, 2, (2, 0))[0])
+                   for _, shot in _vector_roots(ch, 2, (2, 0))[0])
         found = brute_force(c, 2)
         assert len(found) == 5
         for res in found:
@@ -255,7 +257,7 @@ class TestDuplicateRoots:
                     [(0, 0), (R(3, 4), R(1, 2)), (R(5, 8), R(3, 8)), (1, 1)])
 
     def test_touching_root_is_reported_once(self):
-        assert _cell_roots(_Chaser(self.TOUCH), 0, ()) == (
+        assert _cell_roots(_Chaser(self.TOUCH), 0, ())[:2] == (
             [R(1, 5), R(1, 2)], None)
         found = brute_force(self.TOUCH, 0)
         assert [r.points[1] for r in found] == [(R(3, 5), R(2, 5)),
@@ -300,7 +302,7 @@ def ref_float_roots(curve, n, grid):
     residual between neighbouring grid points of each branch vector,
     bisected to float resolution, kept when its residual is within 1e-6
     and its points verify within 1e-6.  Yields (branches, t, points)."""
-    ch = _Chaser(curve, float_mode=True)
+    ch = float_chaser(curve)
     for branches in _every_vector(curve, n):
         t0 = r0 = None
         for g in range(1, grid):
@@ -471,16 +473,17 @@ SWEEP_CURVES = [
 
 class TestStreamedSweep:
     def test_residual_matches_closure_shot(self):
-        # the reference's float residual is closure_shot's in float mode
+        # the reference's float residual is closure_shot's on the float
+        # chaser
         grid = 257
         feasible = infeasible = skipped_feasible = 0
         for curve in SWEEP_CURVES:
-            ch = _Chaser(curve, float_mode=True)
+            ch = float_chaser(curve)
             for n in range(4):
                 for branches in _every_vector(curve, n):
                     for g in range(1, grid):
                         t = g / grid
-                        ref = closure_shot(curve, n, t, float_mode=True,
+                        ref = closure_shot(ch, n, t,
                                            branches=branches).residual
                         assert (_float_residual(ch, n, t, branches)
                                 == ref), (curve, n, branches, t)
@@ -516,14 +519,14 @@ class TestShotConsistency:
             prev = (t, r) if r is not None else None
         assert crossings >= 1
         lo, hi, r_lo = bracket
-        ch = _Chaser(BENT, float_mode=True)
+        ch = float_chaser(BENT)
         t_root, r = _bisect(ch, 1, float(lo), float(hi), float(r_lo), (0,))
         # the exact residual vanishes at 5/18 (test_zero_at_known_solution)
         assert abs(t_root - R(5, 18)) < 1e-12 and abs(r) < 1e-12
-        assert _cell_roots(_Chaser(BENT), 1, (0,)) == ([R(5, 18)], None)
+        assert _cell_roots(_Chaser(BENT), 1, (0,))[:2] == ([R(5, 18)], None)
 
     def test_infeasible_midpoints_shrink_toward_the_feasible_end(self):
-        ch = _Chaser(BENT, float_mode=True)
+        ch = float_chaser(BENT)
         lo, hi = 0.45, 0.9
         assert _float_residual(ch, 1, (lo + hi) / 2, (0,)) is None
         t, _ = _bisect(ch, 1, lo, hi, _float_residual(ch, 1, lo, (0,)), (0,))
@@ -534,7 +537,7 @@ class TestShotConsistency:
         assert feasible[-1][1] == R(1, 2)
 
     def test_bracket_without_a_feasible_midpoint_is_none(self):
-        ch = _Chaser(BENT, float_mode=True)
+        ch = float_chaser(BENT)
         assert _bisect(ch, 1, 0.6, 0.9, 1.0, (0,)) is None
         # no cell beyond 1/2 is feasible, so none yields a candidate
         cells = _walk(BENT, 1, (0,))
@@ -550,7 +553,7 @@ class TestCellWalk:
         # t = 1/10, is 0 on the whole second, represented by its midpoint,
         # and is 0 at the start of the third, t = 9/10, only: from there it
         # falls with slope -10
-        assert _cell_roots(_Chaser(ANTIDIAGONAL), 0, ()) == (
+        assert _cell_roots(_Chaser(ANTIDIAGONAL), 0, ())[:2] == (
             [R(1, 10), R(1, 2), R(9, 10)], None)
         found = brute_force(ANTIDIAGONAL, 0)
         assert [r.points[1] for r in found] == [
@@ -565,7 +568,7 @@ class TestCellWalk:
         assert feasible[-1][1] == R(1, 2)
         assert all(missed is not None for t_lo, *_, missed in cells
                    if t_lo >= R(1, 2))
-        assert _cell_roots(_Chaser(BENT), 1, (0,)) == ([R(5, 18)], None)
+        assert _cell_roots(_Chaser(BENT), 1, (0,))[:2] == ([R(5, 18)], None)
 
     def test_results_are_exact(self):
         count = 0
@@ -625,18 +628,44 @@ class TestCellWalk:
         assert checked > 200
 
     def test_one_exact_shot_per_candidate(self, monkeypatch):
+        # each shot runs on the vector's own chaser
         shots = []
         real = oracle.closure_shot
-        monkeypatch.setattr(oracle, "closure_shot",
-                            lambda *a, **k: shots.append(a[2]) or real(*a, **k))
+
+        def spy(ch, n, t, **kwargs):
+            shots.append((ch, t))
+            return real(ch, n, t, **kwargs)
+
+        monkeypatch.setattr(oracle, "closure_shot", spy)
         for curve in WALK_CURVES:
             for n, branches in ((0, ()), (1, (0,)), (1, (1,))):
                 shots.clear()
-                roots = [t for t, _ in _vector_roots(_Chaser(curve), curve, n,
-                                                     branches)[0]]
+                ch = _Chaser(curve)
+                roots = [t for t, _ in _vector_roots(ch, n, branches)[0]]
                 candidates = _cell_roots(_Chaser(curve), n, branches)[0]
-                assert shots == candidates == sorted(set(candidates))
+                assert [t for _, t in shots] == candidates
+                assert candidates == sorted(set(candidates))
+                assert all(c is ch for c, _ in shots)
                 assert set(roots) <= set(candidates)
+
+    def test_one_chaser_per_walk(self, monkeypatch):
+        # brute_force builds one chaser and confirms every candidate on it
+        built = []
+
+        class Counted(_Chaser):
+            def __init__(self, curve):
+                built.append(self)
+                super().__init__(curve)
+
+        monkeypatch.setattr(oracle, "_Chaser", Counted)
+        shots = []
+        real = oracle.closure_shot
+        monkeypatch.setattr(oracle, "closure_shot",
+                            lambda *a, **k: shots.append(a) or real(*a, **k))
+        curve = random_curve(0, vertices=5, curve_class="deltaInterior")
+        assert len(brute_force(curve, 2)) == 5
+        assert len(built) == 1 and len(shots) >= 5
+        assert all(a[0] is built[0] for a in shots)
 
 
 def _rand_rational(rng):
@@ -821,7 +850,7 @@ def _brute_force_of_every_vector(curve, n, monkeypatch):
     read on its own, so that the walk passes over none."""
     ch = _Chaser(curve)
     roots = [root for branches in _every_vector(curve, n)
-             for root in _vector_roots(ch, curve, n, branches)[0]]
+             for root in _vector_roots(ch, n, branches)[0]]
     with monkeypatch.context() as mp:
         mp.setattr(oracle, "_shift_one_roots", lambda *_: iter(roots))
         return brute_force(curve, n)
@@ -847,7 +876,7 @@ class TestDeadPrefixes:
             for b in skipped:
                 assert any(a < b and a[:m] == b[:m] and b[m] >= a[m]
                            for a, m in walked.items() if m is not None)
-                candidates, missed = _cell_roots(ch, 3, b)
+                candidates, missed, _ = _cell_roots(ch, 3, b)
                 assert candidates == [] and missed is not None
 
     def test_results_equal_the_walk_of_every_vector(self, monkeypatch):
@@ -871,14 +900,26 @@ class TestDeadPrefixes:
 
 class TestVectorBudget:
     def test_walk_past_the_budget_raises(self, monkeypatch):
-        # TestDeadPrefixes' deltaInterior curve walks 16 vectors at n = 3
+        # the budget counts the cells the walk chases, one chase on an
+        # _Affine each: TestDeadPrefixes' deltaInterior curve takes 271 at
+        # n = 3, over its 16 vectors
         curve = random_curve(1, vertices=6, curve_class="deltaInterior")
-        full = brute_force(curve, 3)
+        cells = []
+        real = oracle._chase
+
+        def spy(ch, frees, k, s, branches=()):
+            cells.append(type(frees[0]) is _Affine)
+            return real(ch, frees, k, s, branches)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "_chase", spy)
+            full = brute_force(curve, 3)
+        assert sum(cells) == 271
         assert len(_walked(curve, 3, monkeypatch)) == 16
-        monkeypatch.setattr(oracle, "VECTOR_BUDGET", 16)
+        monkeypatch.setattr(oracle, "CELL_BUDGET", 271)
         assert brute_force(curve, 3) == full
-        monkeypatch.setattr(oracle, "VECTOR_BUDGET", 15)
-        with pytest.raises(ConvergenceError, match="more than 15"):
+        monkeypatch.setattr(oracle, "CELL_BUDGET", 270)
+        with pytest.raises(ConvergenceError, match="more than 270 cells"):
             brute_force(curve, 3)
 
 

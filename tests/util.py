@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 from curvepart import PLCurve, PLFunction, pl_eval
+from curvepart.oracle import _Chaser
 from curvepart.plcurve import curve_from_functions
 from curvepart.plfun import pl_add, pl_scale_values
 from curvepart.scalar import rat
@@ -307,3 +308,13 @@ def march_free_space(f1, f2, cells=800):
 def fraction_curve(knots, verts):
     return PLCurve([Fraction(str(k)) for k in knots],
                    [(Fraction(str(x)), Fraction(str(y))) for x, y in verts])
+
+
+def float_chaser(curve):
+    """An oracle `_Chaser` over a float copy of curve's knots and vertices:
+    the float chase that some tests take as their reference, where the
+    library chases exact rationals only."""
+    ch = _Chaser(curve)
+    ch.knots = [float(t) for t in ch.knots]
+    ch.verts = [(float(x), float(y)) for x, y in ch.verts]
+    return ch
