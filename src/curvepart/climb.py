@@ -47,8 +47,8 @@ edges in the complex:
   pattern picks the edge.
 - _contract and _lift: O(m + k + e) steps on integer positions, and no
   rational operation: a quotient keeps its profile's own breakpoints.
-- path_points: O(e) exact rational operations, one interpolation per
-  coordinate inside a piece.
+- path_points: O(e), one interpolation per coordinate inside a piece,
+  one Fraction from integer products (`scalar.offset`, `scalar.lerp`).
 - Companion(rows, knots): O(rows) to find the profile's knots among the
   rows, and one flag per piece, whether an inner row splits it.
 - read_path(path, along1, along2): one pass over the path's vertices.  A
@@ -364,7 +364,7 @@ def _parameter(f, pos, level):
     if not inside:
         return pts[k][0]
     (t0, v0), (t1, v1) = pts[k], pts[k + 1]
-    return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
+    return lerp(offset(level, v0, v1), t0, t1)
 
 
 def path_points(f1, f2, path):

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .errors import InputError, PreconditionError
 from .fileio import FLOAT, curve_to_obj
-from .oracle import _Affine, _chase, _Chaser, _vector_roots
+from .oracle import _Affine, _chase, _value_slope, _vector_roots
 from .pipeline import _shift_residual, increments
 from .plcurve import PLCurve
 from .scalar import ONE, ZERO, as_float, rat
@@ -98,25 +98,17 @@ def random_curve(seed, vertices=4, curve_class="deltaInterior"):
     return PLCurve(knots, pts)
 
 
-def _mismatches(pts, s, k):
-    """The wrap mismatches of the points A_0..A_s of a shift-k chase: the
-    relation j = s-1, then j = 0..k-2."""
-    dx, dy = increments(pts)
-    return [dy[j] - dx[(j - k) % s] for j in (s - 1, *range(k - 1))]
-
-
-def _theta_residuals(s, k, frees, chaser):
+def _theta_residuals(s, k, frees, curve):
     """Chase the theta-relation system from the free points.
 
     frees are the parameters of A_1..A_k, nondecreasing in [0, 1].
     Relations dy_j = dx_{j-k} for j = k..s-2 force A_{k+1}..A_{s-1}; the
-    returned vector holds the wrap mismatches (`_mismatches`)."""
+    returned vector holds `_chase`'s wrap mismatches, None when the frees
+    are out of order or a forced step finds no hit."""
     if not all(a <= b for a, b in zip([ZERO] + frees, frees + [ONE])):
         return None, None
-    pts, missed = _chase(chaser, frees, k, s)
-    if missed is not None:
-        return None, None
-    return _mismatches(pts, s, k), pts
+    pts, mismatches = _chase(curve, frees, k, s)
+    return mismatches, pts
 
 
 def _search_shift_zero(curve, s):
@@ -171,7 +163,7 @@ def conjecture_search(curve, n, theta, grid=400, seed=0):
     if k == 0:
         found_pts = _search_shift_zero(curve, s)
     elif k == 1:
-        roots = _vector_roots(_Chaser(curve), s - 2, ())[0]
+        roots = _vector_roots(curve, s - 2, ())[0]
         found_pts = roots[0][1].points if roots else None
     else:
         found_pts = _search_high_shift(curve, s, k, grid)
@@ -213,40 +205,38 @@ def _solve_linear(a, b):
     return [r[-1] / r[c] for c, r in enumerate(rows)]
 
 
-def _jacobian(s, k, frees, ch):
+def _jacobian(s, k, frees, curve):
     """The wrap mismatches' slopes in the free parameters just right of
     frees, or None when that side is infeasible: column i is read off one
-    chase with free i an `_Affine(f_i, 1)`, in which a mismatch that free
-    i does not move stays a rational, slope 0."""
+    chase with free i an `_Affine(f_i, 1)` (`_value_slope`)."""
     cols = []
     for i, f in enumerate(frees):
-        pts, missed = _chase(ch, frees[:i] + [_Affine(f, ONE, [])]
-                             + frees[i + 1:], k, s)
-        if missed is not None:
+        _, mismatches = _chase(curve, frees[:i] + [_Affine(f, ONE, [])]
+                               + frees[i + 1:], k, s)
+        if mismatches is None:
             return None
-        cols.append([r.b if type(r) is _Affine else ZERO
-                     for r in _mismatches(pts, s, k)])
+        cols.append([_value_slope(r)[1] for r in mismatches])
     return [list(row) for row in zip(*cols)]
 
 
-def _newton(s, k, frees, ch):
+def _newton(s, k, frees, curve):
     """Newton's method on the wrap mismatches of _theta_residuals from the
     rational free parameters frees, each step an exact solve against
     `_jacobian`: the points of the first iterate whose mismatches are all
     0, or None.  The chase is affine in the frees on each cell, so a step
     that stays in its cell lands on the root.  A step whose iterate is
     infeasible is halved, at most NEWTON_HALVINGS times."""
-    res, pts = _theta_residuals(s, k, frees, ch)
+    res, pts = _theta_residuals(s, k, frees, curve)
     for _ in range(NEWTON_STEPS - 1):
         if not any(res):
             return pts
-        jac = _jacobian(s, k, frees, ch)
+        jac = _jacobian(s, k, frees, curve)
         step = None if jac is None else _solve_linear(jac, res)
         if step is None:
             return None
         for h in range(NEWTON_HALVINGS + 1):
             nxt = [f - d / 2**h for f, d in zip(frees, step)]
-            res, pts = _theta_residuals(s, k, nxt, ch)
+            res, pts = _theta_residuals(s, k, nxt, curve)
             if res is not None:
                 break
         else:
@@ -261,17 +251,16 @@ def _search_high_shift(curve, s, k, grid):
     goes to the smaller next one; then run Newton from the best few combos
     in score order: the points of the first root that is an exact
     partition, or None."""
-    ch = _Chaser(curve)
     coarse = max(8, int(round(grid ** (1.0 / k))))
     scored = []
     for idx in combinations(range(1, coarse), k):
         combo = [rat(g, coarse) for g in idx]
-        res, _ = _theta_residuals(s, k, combo, ch)
+        res, _ = _theta_residuals(s, k, combo, curve)
         if res is not None:
             scored.append((sorted(map(abs, res), reverse=True), combo))
     scored.sort(key=lambda sc: sc[0])
     for _, combo in scored[:NEWTON_STARTS]:
-        pts = _newton(s, k, combo, ch)
+        pts = _newton(s, k, combo, curve)
         if pts is not None and _accepted(pts, k):
             return pts
     return None

@@ -6,10 +6,13 @@ ordinate targets along the curve and returns the mismatch at the final
 wrap; zeros of that residual are partitions.  Every partition
 brute_force returns passes the verifier at tol 0.
 
-`_chase` is the one chase loop: it places k free points and chases the
-rest of a shift-k relation system.  closure_shot runs it at k = 1,
-brute_force on `_Affine` numbers, and the explorer at every shift, on
-`_Affine` numbers too for its Newton Jacobian: no float enters a chase.
+`_chase` is the one chase loop: it places k free points on the curve
+itself (`_at`), chases the rest of a shift-k relation system
+(`_first_ordinate_hit`) and returns the wrap mismatches of the relations
+it leaves open.  closure_shot reads its residual there at k = 1,
+brute_force on `_Affine` numbers, and the explorer its values and, on
+`_Affine` numbers too, its Newton Jacobian at every shift: no float
+enters a chase.
 
 On a polyline the chase is affine in the free parameter t for as long as
 every chased point stays on its segment and every comparison the chase
@@ -24,9 +27,9 @@ No float and no grid enters: no root inside a cell, or reached at a
 cell's end, is missed.  The branch vectors are walked depth-first in lex
 order (`_shift_one_roots`): a vector none of whose cells is feasible
 rules out its later siblings at its deepest miss and all that follows
-them there, since a larger skip finds fewer hits.  The walk holds one
-vector and one chaser, and past CELL_BUDGET cells it raises
-ConvergenceError instead of returning part of the roots.
+them there, since a larger skip finds fewer hits, each hit a distinct
+parameter.  The walk holds one vector, and past CELL_BUDGET cells it
+raises ConvergenceError instead of returning part of the roots.
 
 Kernel costs of the walk, for a curve of m segments at order n:
 
@@ -39,17 +42,17 @@ Kernel costs of the walk, for a curve of m segments at order n:
   the smallest positive root among the differences, is chosen by
   integer cross-products and built as one Fraction; the residual's root
   on the cell is read off its two coefficients, as Fractions.
-- one candidate: one exact `closure_shot` on the walk's chaser (one
+- one candidate: one exact `closure_shot` on the walk's curve (one
   chase on Fractions), and `verify` at tol 0 when its residual is 0.
 - one branch vector: its cells, then its candidates; at most
   CELL_BUDGET cells per walk.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError
 from .pipeline import PartitionResult, PipelineTrace, Rearrangement, increments
 from .plcurve import point_curve_distance_sq
 from .scalar import ONE, ZERO, rat
@@ -73,8 +76,8 @@ class VerifyReport:
 class ShotOutcome:
     """Residual of the wrap condition, or an infeasibility marker.
 
-    side is +1 when the chase overshot upward (an ordinate target above
-    the reachable range), -1 for the downward direction.
+    side is +1 when the missed ordinate target lies above the last
+    chased point, one positive x increment up, and -1 otherwise.
     """
 
     residual: object
@@ -137,104 +140,104 @@ def verify(curve, points, tol=ZERO):
     )
 
 
-class _Chaser:
-    """Ordinate-target chasing over one polyline's own rationals, at
-    rational or `_Affine` parameters."""
-
-    def __init__(self, curve):
-        self.knots = list(curve.knots)
-        self.verts = list(curve.vertices)
-
-    def at(self, t):
-        ks = self.knots
-        lo = bisect_right(ks, t, 1, len(ks) - 1) - 1  # 0 <= lo <= len - 2
-        t0, t1 = ks[lo], ks[lo + 1]
-        (x0, y0), (x1, y1) = self.verts[lo], self.verts[lo + 1]
-        if t1 == t0:
-            return x0, y0
-        w = (t - t0) / (t1 - t0)
-        return x0 + w * (x1 - x0), y0 + w * (y1 - y0)
-
-    def first_ordinate_hit(self, target, start, skip=0):
-        """The (skip+1)-th parameter >= start where y equals target, None
-        when fewer occurrences exist.
-
-        The scan starts at the last segment that begins before start:
-        every earlier one ends before start, so none of them can hit.
-        """
-        ks, vs = self.knots, self.verts
-        for i in range(max(bisect_left(ks, start) - 1, 0), len(ks) - 1):
-            t0, t1 = ks[i], ks[i + 1]
-            if t1 == t0:
-                continue
-            y0, y1 = vs[i][1], vs[i + 1][1]
-            lo = start if start > t0 else t0
-            w = (lo - t0) / (t1 - t0)
-            ylo = y0 + w * (y1 - y0)
-            hit = None
-            if ylo == target:
-                hit = lo
-            elif y1 != y0 and ((ylo < target <= y1) or (y1 <= target < ylo)):
-                hit = t0 + (target - y0) / (y1 - y0) * (t1 - t0)
-            if hit is not None:
-                if skip == 0:
-                    return hit
-                skip -= 1
-        return None
+def _at(curve, t):
+    """The point of curve at parameter t, rational or `_Affine`."""
+    ks, vs = curve.knots, curve.vertices
+    i = bisect_right(ks, t, 1, len(ks) - 1) - 1  # 0 <= i <= len - 2
+    t0, t1 = ks[i], ks[i + 1]
+    (x0, y0), (x1, y1) = vs[i], vs[i + 1]
+    w = (t - t0) / (t1 - t0)
+    return x0 + w * (x1 - x0), y0 + w * (y1 - y0)
 
 
-def _chase(ch, frees, k, s, branches=()):
+def _first_ordinate_hit(curve, target, start, skip=0):
+    """The (skip+1)-th distinct parameter >= start where y equals target,
+    None when fewer exist.
+
+    The scan starts at the segment that holds start, as `_at` finds it:
+    every earlier one ends at or before start.  Each segment is read from
+    lo, the later of its first knot and start.  Its hit is lo when y is at
+    target there (a flat at target counts from its first point), else the
+    point past lo where it crosses target.  A segment that reaches target
+    at its end leaves that hit to the next segment, whose lo it is, so
+    each parameter counts once; only the last segment counts its end."""
+    ks, vs = curve.knots, curve.vertices
+    last = len(ks) - 2
+    for i in range(bisect_right(ks, start, 1, last + 1) - 1, last + 1):
+        t0, t1 = ks[i], ks[i + 1]
+        y0, y1 = vs[i][1], vs[i + 1][1]
+        lo = start if start > t0 else t0
+        w = (lo - t0) / (t1 - t0)
+        ylo = y0 + w * (y1 - y0)
+        if ylo == target:
+            hit = lo
+        elif y1 != y0 and ((ylo < target < y1) or (y1 < target < ylo)
+                           or (i == last and target == y1)):
+            hit = t0 + (target - y0) / (y1 - y0) * (t1 - t0)
+        else:
+            continue
+        if skip == 0:
+            return hit
+        skip -= 1
+    return None
+
+
+def _chase(curve, frees, k, s, branches=()):
     """The points A_0..A_s of one chase of the shift-k relations
-    dy_j = dx_{j-k}: A_0 = (0,0), A_1..A_k at the free parameters,
-    A_{k+1}..A_{s-1} forced by the relations j = k..s-2, and A_s = (1,1).
-    The relations j = s-1 and j = 0..k-2 are left to the caller.  Step j
-    takes the earliest ordinate hit after the previous point, skipping
-    branches[j-k] earlier ones.  Returns (points, None), or the points so
-    far and the first ordinate target with no hit.  On `_Affine` numbers,
-    which no operation reduces, each target is reduced once (one gcd)."""
+    dy_j = dx_{j-k} over curve, and its wrap mismatches dy_j - dx_{j-k}
+    for the relations it leaves open: j = s-1 first, then j = 0..k-2.
+    A_0 = (0,0), A_1..A_k lie at the free parameters, A_{k+1}..A_{s-1} are
+    forced by the relations j = k..s-2, and A_s = (1,1).  Step j takes the
+    earliest ordinate hit after the previous point, skipping branches[j-k]
+    earlier ones; when it finds none, the points so far come back with
+    None for the mismatches.  On `_Affine` numbers, which no operation
+    reduces, each target is reduced once (one gcd)."""
     pts = [(ZERO, ZERO)]
     cursor = ZERO
     for t in frees:
-        pts.append(ch.at(t))
+        pts.append(_at(curve, t))
         cursor = t
     for j in range(k, s - 1):
         target = pts[-1][1] + (pts[j - k + 1][0] - pts[j - k][0])
         if type(target) is _Affine:
             target = target.reduced()
         skip = branches[j - k] if j - k < len(branches) else 0
-        cursor = ch.first_ordinate_hit(target, cursor, skip)
+        cursor = _first_ordinate_hit(curve, target, cursor, skip)
         if cursor is None:
-            return pts, target
-        pts.append(ch.at(cursor))
+            return pts, None
+        pts.append(_at(curve, cursor))
     pts.append((ONE, ONE))
-    return pts, None
+    mismatches = []
+    for j in (s - 1, *range(k - 1)):
+        i = (j - k) % s
+        mismatches.append(pts[j + 1][1] - pts[j][1]
+                          - (pts[i + 1][0] - pts[i][0]))
+    return pts, mismatches
 
 
 def closure_shot(curve, n, t1, branches=()):
-    """Build the chased point sequence from the free parameter t1.
+    """Build the chased point sequence from the free parameter t1 in [0, 1].
 
     Points A_1..A_{n+1} follow the shifted ordinate targets
     y_{i+1} = y_i + (x_i - x_{i-1}); the returned residual is how far the
-    forced final wrap lands from closing at (1,1).  Step i takes the
-    earliest ordinate hit by default; branches[i] skips that many earlier
-    occurrences, selecting a different solution branch.  curve may also
-    be a `_Chaser` of the curve, which takes t1 as it is: the oracle's
-    walk passes its own, so it builds one chaser per walk.
+    forced final wrap lands from closing at (1,1), the one mismatch of
+    `_chase` at shift 1.  Step i takes the earliest ordinate hit by
+    default; branches[i] skips that many earlier occurrences, selecting a
+    different solution branch.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
-    if isinstance(curve, _Chaser):
-        ch = curve
-    else:
-        ch, t1 = _Chaser(curve), rat(t1)
-    pts, missed = _chase(ch, (t1,), 1, n + 2, branches)
-    if missed is not None:
-        side = 1 if missed > pts[-1][1] else -1
+    t1 = rat(t1)
+    if not 0 <= t1 <= 1:
+        raise DomainError(f"argument {t1} outside [0,1]", witness=t1)
+    pts, mismatches = _chase(curve, (t1,), 1, n + 2, branches)
+    if mismatches is None:
+        # the missed target lies one x increment above the last point
+        side = 1 if pts[-1][0] > pts[-2][0] else -1
         return ShotOutcome(residual=None, feasible=False, side=side,
                            points=tuple(pts))
-    # the wrap forces one more ordinate step of size dx_n ending at (1,1)
-    residual = pts[-1][1] - pts[-2][1] - (pts[-2][0] - pts[-3][0])
-    return ShotOutcome(residual=residual, feasible=True, points=tuple(pts))
+    return ShotOutcome(residual=mismatches[0], feasible=True,
+                       points=tuple(pts))
 
 
 class _Affine:
@@ -340,9 +343,15 @@ class _Affine:
         return self._sign(o) == 0
 
 
-def _cell_roots(ch, n, branches):
+def _value_slope(q):
+    """A chased quantity's (value, slope) at t_lo: an `_Affine`'s a and b,
+    or a rational, which the free parameter does not move, with slope 0."""
+    return (q.a, q.b) if type(q) is _Affine else (q, ZERO)
+
+
+def _cell_roots(curve, n, branches):
     """(candidates, missed, cells): the parameters where the shift-1
-    residual of the exact chaser ch on one branch vector may vanish, in
+    residual of the chase over curve on one branch vector may vanish, in
     increasing order; None when any cell of the vector is feasible, else
     the deepest branch index at which a cell's chase missed, len(pts) - 2
     of the missed `_chase`; and the number of cells, one chase each.
@@ -352,8 +361,8 @@ def _cell_roots(ch, n, branches):
     is chosen on integers: a difference (A + B*s)/D has a root at s > 0
     when A and B have opposite signs, at -A/B, and the smallest is kept as
     an integer pair by cross-products, so the cell builds one Fraction for
-    its width.  On a feasible cell the residual is affine in s (a plain
-    rational when no chased point moves with t, lifted to slope 0).  Its
+    its width.  On a feasible cell the residual is affine in s
+    (`_value_slope`: slope 0 when no chased point moves with t).  Its
     candidates are its root inside the cell or at the cell's end, a zero
     at t_lo and, when it is zero on the whole cell, the cell's midpoint as
     the one representative of that stretch."""
@@ -365,8 +374,8 @@ def _cell_roots(ch, n, branches):
     while t_lo < 1:
         cells += 1
         rec = []
-        pts, missed = _chase(ch, (_Affine(t_lo, ONE, rec),), 1, n + 2,
-                             branches)
+        pts, mismatches = _chase(curve, (_Affine(t_lo, ONE, rec),), 1,
+                                 n + 2, branches)
         width = 1 - t_lo
         p, q = width.numerator, width.denominator  # the end so far, p/q
         for d in rec:
@@ -377,10 +386,9 @@ def _cell_roots(ch, n, branches):
                 if -a * q < p * b:
                     p, q = -a, b
         width = rat(p, q)
-        if missed is None:
+        if mismatches is not None:
             feasible = True
-            r = pts[-1][1] - pts[-2][1] - (pts[-2][0] - pts[-3][0])
-            a, b = (r.a, r.b) if isinstance(r, _Affine) else (r, ZERO)
+            a, b = _value_slope(mismatches[0])
             if a == 0:
                 if not out or out[-1] != t_lo:
                     out.append(t_lo)
@@ -394,15 +402,14 @@ def _cell_roots(ch, n, branches):
     return out, None if feasible else deepest, cells
 
 
-def _vector_roots(ch, n, branches):
+def _vector_roots(curve, n, branches):
     """(roots, missed, cells) on one branch vector: (t, shot) for each
-    candidate of `_cell_roots` on the exact chaser ch whose one exact
-    closure_shot, on ch too, has residual 0, in t order, then
-    `_cell_roots`' missed and cells."""
-    ts, missed, cells = _cell_roots(ch, n, branches)
+    candidate of `_cell_roots` whose one exact closure_shot has residual
+    0, in t order, then `_cell_roots`' missed and cells."""
+    ts, missed, cells = _cell_roots(curve, n, branches)
     roots = []
     for t in ts:
-        shot = closure_shot(ch, n, t, branches=branches)
+        shot = closure_shot(curve, n, t, branches=branches)
         if shot.residual == 0:
             roots.append((t, shot))
     return roots, missed, cells
@@ -419,14 +426,13 @@ def _shift_one_roots(curve, n):
     1 at index m - 1 and sets every later entry to 0.  After a vector with
     a feasible cell it adds 1 at index n - 1.  It ends when that index
     falls below 0.  An entry stops growing once the chase runs out of
-    hits, so no width bound is needed.  The walk holds one vector and one
-    chaser, and once its vectors have chased more than CELL_BUDGET cells
-    it raises ConvergenceError."""
-    ch = _Chaser(curve)
+    hits, so no width bound is needed.  The walk holds one vector, and
+    once its vectors have chased more than CELL_BUDGET cells it raises
+    ConvergenceError."""
     b = [0] * n
     cells = 0
     while True:
-        roots, missed, used = _vector_roots(ch, n, tuple(b))
+        roots, missed, used = _vector_roots(curve, n, tuple(b))
         cells += used
         if cells > CELL_BUDGET:
             raise ConvergenceError(

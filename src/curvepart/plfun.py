@@ -5,7 +5,9 @@ Everything here is a pure function over immutable values.  Canonical form
 constructor so piece counts stay minimal through long composition chains.
 
 Kernel costs, for f with m pieces, g with k pieces and r result pieces
-(each step is O(1) exact rational operations):
+(each step is O(1) exact rational operations).  Every value read inside a
+piece, by any of them, is one Fraction from integer products, normalised
+once (`scalar.offset`, `scalar.lerp`):
 
 - canonical(rows): O(r k) for r rows of k value columns; it reads each
   row's numerators and denominators once, checks that the times increase
@@ -15,17 +17,17 @@ Kernel costs, for f with m pieces, g with k pieces and r result pieces
 - PLFunction(...): O(m), `canonical` with one value column; the knot
   tuple is built once.
 - pl_eval(f, t): O(log m), a bisection of the cached knots; t's range is
-  tested on its integer parts, and the value inside a piece is one
-  Fraction from integer products, normalised once (`scalar.offset`,
-  `scalar.lerp`).  A solve makes 2(n - 1) + 2 calls, on tables whose
-  denominators grow with n (`PartitioningFunctions.xs_at`).
+  tested on its integer parts.  A solve makes 2(n - 1) + 2 calls, on
+  tables whose denominators grow with n (`PartitioningFunctions.xs_at`).
 - compose(outer, inner): O(k log m + r); the inner range is tested on
   integer parts (`scalar.check_unit_range`), each inner knot bisects the
   outer knots once, and each inner piece emits the outer knots it crosses
   in t-order, taking their values from the outer breakpoints.  No solve
   composes; `PartitioningFunctions.xs` does.
 - pl_combine(f, g, op) and union_knot_values(f, g): O(m + k), one
-  merge-walk over the two sorted breakpoint lists.
+  merge-walk over the two sorted breakpoint lists, one interpolation per
+  knot of one function that the other lacks.
+- clamp_to_unit(f): O(m), one interpolation per crossing of level 0 or 1.
 - level_set(f, c): O(m), one pass over the pieces in t order that emits
   the items already ordered and merged; nothing is sorted.  The induction
   does not call it: it finds each t_stop on its row table.
@@ -164,7 +166,7 @@ def level_set(f, c):
         elif v1 == c:
             lo = hi = t1
         elif (v0 < c) != (v1 < c):
-            lo = hi = t0 + (c - v0) * (t1 - t0) / (v1 - v0)
+            lo = hi = lerp(offset(c, v0, v1), t0, t1)
         else:
             continue
         if items and items[-1][1] == lo:
@@ -200,16 +202,14 @@ def compose(outer, inner):
                 crossed = range(lo0 - 1, hi - 1, -1)
             else:
                 crossed = ()
-            if crossed:
-                slope = (t - t0) / (v - v0)
-                for i in crossed:
-                    u, w = obp[i]
-                    out.append((t0 + (u - v0) * slope, w))
+            for i in crossed:
+                u, w = obp[i]
+                out.append((lerp(offset(u, v0, v), t0, t), w))
         if on_knot:
             w = obp[hi - 1][1]
         else:
             (u0, w0), (u1, w1) = obp[hi - 1], obp[hi]
-            w = w0 + (w1 - w0) * (v - u0) / (u1 - u0)
+            w = lerp(offset(v, u0, u1), w0, w1)
         out.append((t, w))
         prev = (t, v, lo, hi)
     return PLFunction(out)
@@ -221,7 +221,7 @@ def clamp_to_unit(f):
     pts = f.breakpoints
     out = [pts[0]]
     for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-        out += sorted((t0 + (u - v0) * (t1 - t0) / (v1 - v0), u)
+        out += sorted((lerp(offset(u, v0, v1), t0, t1), u)
                       for u in (ZERO, ONE) if min(v0, v1) < u < max(v0, v1))
         out.append((t1, v1))
     return PLFunction([(t, min(max(v, ZERO), ONE)) for t, v in out])
@@ -247,11 +247,11 @@ def union_knot_values(f, g):
             j += 1
         elif tf < tg:
             s0, w0 = gp[j - 1]
-            out.append((tf, vf, w0 + (vg - w0) * (tf - s0) / (tg - s0)))
+            out.append((tf, vf, lerp(offset(tf, s0, tg), w0, vg)))
             i += 1
         else:
             s0, w0 = fp[i - 1]
-            out.append((tg, w0 + (vf - w0) * (tg - s0) / (tf - s0), vg))
+            out.append((tg, lerp(offset(tg, s0, tf), w0, vf), vg))
             j += 1
     return out
 
@@ -263,10 +263,6 @@ def pl_combine(f, g, op):
     differences, affine mixes).
     """
     return PLFunction([(t, op(a, b)) for t, a, b in union_knot_values(f, g)])
-
-
-def pl_add(f, g):
-    return pl_combine(f, g, lambda a, b: a + b)
 
 
 def pl_sub(f, g):

@@ -30,12 +30,12 @@ def test_imports_are_stdlib_only():
 
 
 # (importing module, defining module, name): the explorer reuses the
-# oracle's chase, its affine numbers for the Newton Jacobian, and the
-# pipeline's shift residual
+# oracle's chase, its affine numbers and their slopes for the Newton
+# Jacobian, and the pipeline's shift residual
 PRIVATE_IMPORTS = {
     ("explore", "oracle", "_Affine"),
     ("explore", "oracle", "_chase"),
-    ("explore", "oracle", "_Chaser"),
+    ("explore", "oracle", "_value_slope"),
     ("explore", "oracle", "_vector_roots"),
     ("explore", "pipeline", "_shift_residual"),
 }
@@ -61,3 +61,34 @@ def test_no_module_reads_another_modules_private_names():
                     and node.value.id in local):
                 found.add((path.stem, local[node.value.id], node.attr))
     assert found - PRIVATE_IMPORTS == set()
+
+
+def test_every_module_level_definition_is_used_or_exported():
+    # a function or class defined at module level is named somewhere in
+    # the package besides its own definition, or is public API
+    # (curvepart.__all__): no helper lives on for the tests alone
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in
+             sorted(Path(curvepart.__file__).parent.glob("*.py"))}
+    defined = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[module, node.name] = node
+    named = {}  # name -> the definitions that name it
+    for module, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                named.setdefault(name, set()).add(id(top))
+    unused = sorted(f"{module}.{name}"
+                    for (module, name), node in defined.items()
+                    if not named.get(name, set()) - {id(node)}
+                    and name not in curvepart.__all__)
+    assert unused == []

@@ -154,8 +154,8 @@ class TestConjectureSearch:
         roots = []
         real = explore._newton
 
-        def spy(s, k, frees, ch):
-            pts = real(s, k, frees, ch)
+        def spy(s, k, frees, curve):
+            pts = real(s, k, frees, curve)
             roots.append(pts)
             return pts
 
@@ -209,17 +209,16 @@ class TestNewtonPolish:
         checked = 0
         for seed in range(6):
             c = random_curve(seed, vertices=6, curve_class="interior")
-            ch = explore._Chaser(c)
             for s, k in ((3, 2), (4, 2), (4, 3)):
                 for g in range(1, 7 - k):
                     frees = [R(g + i, 8) for i in range(k)]
-                    res, _ = explore._theta_residuals(s, k, frees, ch)
-                    jac = explore._jacobian(s, k, frees, ch)
+                    res, _ = explore._theta_residuals(s, k, frees, c)
+                    jac = explore._jacobian(s, k, frees, c)
                     if res is None or jac is None:
                         continue
                     for i in range(k):
                         moved = frees[:i] + [frees[i] + h] + frees[i + 1:]
-                        res_h, _ = explore._theta_residuals(s, k, moved, ch)
+                        res_h, _ = explore._theta_residuals(s, k, moved, c)
                         assert [row[i] for row in jac] == [
                             (b - a) / h for a, b in zip(res, res_h)]
                         checked += 1
@@ -231,15 +230,14 @@ class TestNewtonPolish:
         # raising
         pts = [(R(0), R(0)), (R(1, 4), R(1, 8)), (R(1, 2), R(1, 2)),
                (R(3, 4), R(5, 8)), (R(1), R(1))]
-        monkeypatch.setattr(explore, "_chase",
-                            lambda ch, frees, k, s: (pts, None))
+        monkeypatch.setattr(explore, "_chase", lambda curve, frees, k, s: (
+            pts, [R(1, 8), R(-1, 8)]))
         c = random_curve(0, vertices=5, curve_class="deltaInterior")
-        ch = explore._Chaser(c)
         frees = [R(1, 4), R(1, 2)]
-        assert explore._theta_residuals(4, 2, frees, ch)[0] == [R(1, 8),
-                                                                R(-1, 8)]
-        assert explore._jacobian(4, 2, frees, ch) == [[0, 0], [0, 0]]
-        assert explore._newton(4, 2, frees, ch) is None
+        assert explore._theta_residuals(4, 2, frees, c) == (
+            [R(1, 8), R(-1, 8)], pts)
+        assert explore._jacobian(4, 2, frees, c) == [[0, 0], [0, 0]]
+        assert explore._newton(4, 2, frees, c) is None
         assert explore._search_high_shift(c, 4, 2, 200) is None
 
     def test_infeasible_step_is_halved(self, monkeypatch):
@@ -252,12 +250,12 @@ class TestNewtonPolish:
                 return f - R(1, 2)
             return (f - R(1, 5)) / 10 - R(3, 10)
 
-        def residuals(s, k, frees, ch):
+        def residuals(s, k, frees, curve):
             if not all(0 <= f <= 1 for f in frees):
                 return None, None
             return [g(f) for f in frees], tuple(frees)
 
-        def jacobian(s, k, frees, ch):
+        def jacobian(s, k, frees, curve):
             return [[(R(1) if f >= R(1, 5) else R(1, 10)) * (i == j)
                      for j in range(k)] for i, f in enumerate(frees)]
 
@@ -280,7 +278,7 @@ class TestNewtonPolish:
                     (R(1), R(1))]
         hits = iter([out_of_order, degenerate, accepted])
         monkeypatch.setattr(explore, "_newton",
-                            lambda s, k, frees, ch: next(hits))
+                            lambda s, k, frees, curve: next(hits))
         c = random_curve(0, vertices=5, curve_class="deltaInterior")
         assert explore._search_high_shift(c, 3, 2, 200) == accepted
 

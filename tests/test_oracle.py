@@ -8,6 +8,7 @@ import pytest
 
 from curvepart import (
     ConvergenceError,
+    DomainError,
     PLCurve,
     PreconditionError,
     brute_force,
@@ -22,13 +23,13 @@ from curvepart.oracle import (
     _Affine,
     _cell_roots,
     _chase,
-    _Chaser,
+    _first_ordinate_hit,
     _vector_roots,
 )
 from curvepart.fileio import EXACT, result_to_obj
 from curvepart.scalar import rat
 
-from util import float_chaser
+from util import float_curve
 
 R = rat
 
@@ -48,8 +49,8 @@ def _walked(curve, n, monkeypatch):
     walked = {}
     real = oracle._vector_roots
 
-    def spy(ch, n, branches):
-        out = real(ch, n, branches)
+    def spy(curve, n, branches):
+        out = real(curve, n, branches)
         walked[branches] = out[1]
         return out
 
@@ -152,6 +153,28 @@ class TestClosureResidual:
         assert shot.residual is None
         assert shot.side == 1
 
+    def test_knot_at_the_target_level_is_one_hit(self):
+        # y rises through 1/2 once, at the knot t = 1/2: the segment that
+        # reaches the level at its end and the one that starts there meet
+        # in one hit, so a chase that skips it has no hit left
+        c = PLCurve([0, R(1, 2), 1], [(0, 0), (R(3, 4), R(1, 2)), (1, 1)])
+        assert [_first_ordinate_hit(c, R(1, 2), start, skip)
+                for start in (0, R(1, 2)) for skip in (0, 1)] == [
+            R(1, 2), None, R(1, 2), None]
+        assert closure_shot(c, 1, R(1, 5)).residual == R(1, 20)
+        shot = closure_shot(c, 1, R(1, 5), branches=(1,))
+        assert not shot.feasible and shot.residual is None
+
+    def test_parameter_outside_the_unit_interval_is_refused(self):
+        c = random_curve(0, vertices=5)
+        for t in (R(3, 2), R(-1, 7)):
+            with pytest.raises(DomainError) as err:
+                closure_shot(c, 1, t)
+            assert str(err.value) == f"argument {t} outside [0,1]"
+            with pytest.raises(DomainError):
+                c(t)
+        assert closure_shot(c, 1, 1).points[1] == (1, 1)
+
 
 @pytest.mark.parametrize("n", [-1, -2])
 class TestNegativeOrderRefused:
@@ -211,12 +234,11 @@ class TestBruteForce:
         # only, and the walk goes on at (2, 0), which holds the partition
         # at x_1 = 0.3177
         c = random_curve(0, vertices=5, curve_class="deltaInterior")
-        ch = _Chaser(c)
-        assert _cell_roots(ch, 2, (1, 1))[:2] == ([], 1)
+        assert _cell_roots(c, 2, (1, 1))[:2] == ([], 1)
         walked = list(_walked(c, 2, monkeypatch))
         assert walked[walked.index((1, 1)) + 1] == (2, 0)
         assert any(abs(shot.points[1][0] - 0.31771) < 1e-5
-                   for _, shot in _vector_roots(ch, 2, (2, 0))[0])
+                   for _, shot in _vector_roots(c, 2, (2, 0))[0])
         found = brute_force(c, 2)
         assert len(found) == 5
         for res in found:
@@ -257,7 +279,7 @@ class TestDuplicateRoots:
                     [(0, 0), (R(3, 4), R(1, 2)), (R(5, 8), R(3, 8)), (1, 1)])
 
     def test_touching_root_is_reported_once(self):
-        assert _cell_roots(_Chaser(self.TOUCH), 0, ())[:2] == (
+        assert _cell_roots(self.TOUCH, 0, ())[:2] == (
             [R(1, 5), R(1, 2)], None)
         found = brute_force(self.TOUCH, 0)
         assert [r.points[1] for r in found] == [(R(3, 5), R(2, 5)),
@@ -268,20 +290,21 @@ class TestDuplicateRoots:
 
 def _walk(curve, n, branches):
     """The cells _cell_roots walks on one branch vector, captured from its
-    chases: (t_lo, t_hi, rec, pts, missed) per cell, in order."""
+    chases: (t_lo, t_hi, rec, pts, residual) per cell, in order, the
+    residual None on a cell whose chase misses."""
     chases = []
 
-    def spy(ch, frees, k, s, br):
-        pts, missed = _chase(ch, frees, k, s, br)
-        chases.append((frees[0], pts, missed))
-        return pts, missed
+    def spy(curve, frees, k, s, br):
+        pts, mismatches = _chase(curve, frees, k, s, br)
+        chases.append((frees[0], pts, mismatches))
+        return pts, mismatches
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_chase", spy)
-        _cell_roots(_Chaser(curve), n, branches)
+        _cell_roots(curve, n, branches)
     ends = [f.a for f, _, _ in chases[1:]] + [R(1)]
-    return [(f.a, t_hi, f.rec, pts, missed)
-            for (f, pts, missed), t_hi in zip(chases, ends)]
+    return [(f.a, t_hi, f.rec, pts, mismatches and mismatches[0])
+            for (f, pts, mismatches), t_hi in zip(chases, ends)]
 
 
 def _at(q, s):
@@ -291,10 +314,8 @@ def _at(q, s):
 
 def _float_residual(ch, n, t, branches):
     """The shift-1 residual of a float chase at t, or None when infeasible."""
-    pts, missed = _chase(ch, (t,), 1, n + 2, branches)
-    if missed is not None:
-        return None
-    return pts[-1][1] - pts[-2][1] - (pts[-2][0] - pts[-3][0])
+    mismatches = _chase(ch, (t,), 1, n + 2, branches)[1]
+    return mismatches and mismatches[0]
 
 
 def ref_float_roots(curve, n, grid):
@@ -302,7 +323,7 @@ def ref_float_roots(curve, n, grid):
     residual between neighbouring grid points of each branch vector,
     bisected to float resolution, kept when its residual is within 1e-6
     and its points verify within 1e-6.  Yields (branches, t, points)."""
-    ch = float_chaser(curve)
+    ch = float_curve(curve)
     for branches in _every_vector(curve, n):
         t0 = r0 = None
         for g in range(1, grid):
@@ -409,10 +430,8 @@ def _cover(curve, n, branches, t, pts, found):
         if max(abs(float(a) - b) for p, q in zip(res.points, pts)
                for a, b in zip(p, q)) <= 1e-6:
             return "points"
-    for t_lo, t_hi, _, cell_pts, missed in _walk(curve, n, branches):
-        if missed is None and t_lo <= t <= t_hi:
-            r = cell_pts[-1][1] - cell_pts[-2][1] - (cell_pts[-2][0]
-                                                     - cell_pts[-3][0])
+    for t_lo, t_hi, _, _, r in _walk(curve, n, branches):
+        if r is not None and t_lo <= t <= t_hi:
             if _at(r, 0) == 0 and _at(r, 1) == 0:
                 mid = closure_shot(curve, n, (t_lo + t_hi) / 2,
                                    branches=branches)
@@ -474,11 +493,11 @@ SWEEP_CURVES = [
 class TestStreamedSweep:
     def test_residual_matches_closure_shot(self):
         # the reference's float residual is closure_shot's on the float
-        # chaser
+        # copy of the curve
         grid = 257
         feasible = infeasible = skipped_feasible = 0
         for curve in SWEEP_CURVES:
-            ch = float_chaser(curve)
+            ch = float_curve(curve)
             for n in range(4):
                 for branches in _every_vector(curve, n):
                     for g in range(1, grid):
@@ -519,32 +538,31 @@ class TestShotConsistency:
             prev = (t, r) if r is not None else None
         assert crossings >= 1
         lo, hi, r_lo = bracket
-        ch = float_chaser(BENT)
+        ch = float_curve(BENT)
         t_root, r = _bisect(ch, 1, float(lo), float(hi), float(r_lo), (0,))
         # the exact residual vanishes at 5/18 (test_zero_at_known_solution)
         assert abs(t_root - R(5, 18)) < 1e-12 and abs(r) < 1e-12
-        assert _cell_roots(_Chaser(BENT), 1, (0,))[:2] == ([R(5, 18)], None)
+        assert _cell_roots(BENT, 1, (0,))[:2] == ([R(5, 18)], None)
 
     def test_infeasible_midpoints_shrink_toward_the_feasible_end(self):
-        ch = float_chaser(BENT)
+        ch = float_curve(BENT)
         lo, hi = 0.45, 0.9
         assert _float_residual(ch, 1, (lo + hi) / 2, (0,)) is None
         t, _ = _bisect(ch, 1, lo, hi, _float_residual(ch, 1, lo, (0,)), (0,))
         assert lo < t <= 0.5
         # the walk's last feasible cell ends at 1/2 exactly
-        feasible = [(t_lo, t_hi) for t_lo, t_hi, _, _, missed
-                    in _walk(BENT, 1, (0,)) if missed is None]
+        feasible = [(t_lo, t_hi) for t_lo, t_hi, _, _, r
+                    in _walk(BENT, 1, (0,)) if r is not None]
         assert feasible[-1][1] == R(1, 2)
 
     def test_bracket_without_a_feasible_midpoint_is_none(self):
-        ch = float_chaser(BENT)
+        ch = float_curve(BENT)
         assert _bisect(ch, 1, 0.6, 0.9, 1.0, (0,)) is None
         # no cell beyond 1/2 is feasible, so none yields a candidate
         cells = _walk(BENT, 1, (0,))
         assert any(t_lo >= R(1, 2) for t_lo, *_ in cells)
-        assert all(missed is not None for t_lo, *_, missed in cells
-                   if t_lo >= R(1, 2))
-        assert all(t < R(1, 2) for t in _cell_roots(_Chaser(BENT), 1, (0,))[0])
+        assert all(r is None for t_lo, *_, r in cells if t_lo >= R(1, 2))
+        assert all(t < R(1, 2) for t in _cell_roots(BENT, 1, (0,))[0])
 
 
 class TestCellWalk:
@@ -553,7 +571,7 @@ class TestCellWalk:
         # t = 1/10, is 0 on the whole second, represented by its midpoint,
         # and is 0 at the start of the third, t = 9/10, only: from there it
         # falls with slope -10
-        assert _cell_roots(_Chaser(ANTIDIAGONAL), 0, ())[:2] == (
+        assert _cell_roots(ANTIDIAGONAL, 0, ())[:2] == (
             [R(1, 10), R(1, 2), R(9, 10)], None)
         found = brute_force(ANTIDIAGONAL, 0)
         assert [r.points[1] for r in found] == [
@@ -563,12 +581,11 @@ class TestCellWalk:
         # at n = 1 BENT's chase is feasible for t <= 1/2 only, and its one
         # root is t = 5/18, A_1 = (4/9, 1/9): both come out exact
         cells = _walk(BENT, 1, (0,))
-        feasible = [(t_lo, t_hi) for t_lo, t_hi, _, _, missed in cells
-                    if missed is None]
+        feasible = [(t_lo, t_hi) for t_lo, t_hi, _, _, r in cells
+                    if r is not None]
         assert feasible[-1][1] == R(1, 2)
-        assert all(missed is not None for t_lo, *_, missed in cells
-                   if t_lo >= R(1, 2))
-        assert _cell_roots(_Chaser(BENT), 1, (0,))[:2] == ([R(5, 18)], None)
+        assert all(r is None for t_lo, *_, r in cells if t_lo >= R(1, 2))
+        assert _cell_roots(BENT, 1, (0,))[:2] == ([R(5, 18)], None)
 
     def test_results_are_exact(self):
         count = 0
@@ -587,8 +604,8 @@ class TestCellWalk:
         for seed in (2, 3, 9, 10):
             curve = _cell_curve(seed)
             for branches in _every_vector(curve, 2):
-                for *_, pts, missed in _walk(curve, 2, branches):
-                    if missed is None:
+                for *_, pts, r in _walk(curve, 2, branches):
+                    if r is not None:
                         constant += not any(isinstance(c, _Affine)
                                             for p in pts[-3:] for c in p)
             found = brute_force(curve, 2)
@@ -608,7 +625,7 @@ class TestCellWalk:
                 for branches in islice(_every_vector(curve, n), 4):
                     cells = _walk(curve, n, branches)
                     assert cells[0][0] == 0 and cells[-1][1] == 1
-                    for (t_lo, t_hi, rec, pts, missed), nxt in zip(
+                    for (t_lo, t_hi, rec, pts, r), nxt in zip(
                             cells, cells[1:] + [None]):
                         assert t_lo < t_hi
                         assert nxt is None or nxt[0] == t_hi
@@ -620,52 +637,43 @@ class TestCellWalk:
                         s = w * R(rng.randrange(1, 1000), 1000)
                         shot = closure_shot(curve, n, t_lo + s,
                                             branches=branches)
-                        assert shot.feasible == (missed is None)
-                        if missed is None:
+                        assert shot.feasible == (r is not None)
+                        if r is not None:
                             assert shot.points == tuple(
                                 (_at(x, s), _at(y, s)) for x, y in pts)
                             checked += 1
         assert checked > 200
 
     def test_one_exact_shot_per_candidate(self, monkeypatch):
-        # each shot runs on the vector's own chaser
+        # each shot runs on the vector's own curve
         shots = []
         real = oracle.closure_shot
 
-        def spy(ch, n, t, **kwargs):
-            shots.append((ch, t))
-            return real(ch, n, t, **kwargs)
+        def spy(curve, n, t, **kwargs):
+            shots.append((curve, t))
+            return real(curve, n, t, **kwargs)
 
         monkeypatch.setattr(oracle, "closure_shot", spy)
         for curve in WALK_CURVES:
             for n, branches in ((0, ()), (1, (0,)), (1, (1,))):
                 shots.clear()
-                ch = _Chaser(curve)
-                roots = [t for t, _ in _vector_roots(ch, n, branches)[0]]
-                candidates = _cell_roots(_Chaser(curve), n, branches)[0]
+                roots = [t for t, _ in _vector_roots(curve, n, branches)[0]]
+                candidates = _cell_roots(curve, n, branches)[0]
                 assert [t for _, t in shots] == candidates
                 assert candidates == sorted(set(candidates))
-                assert all(c is ch for c, _ in shots)
+                assert all(c is curve for c, _ in shots)
                 assert set(roots) <= set(candidates)
 
-    def test_one_chaser_per_walk(self, monkeypatch):
-        # brute_force builds one chaser and confirms every candidate on it
-        built = []
-
-        class Counted(_Chaser):
-            def __init__(self, curve):
-                built.append(self)
-                super().__init__(curve)
-
-        monkeypatch.setattr(oracle, "_Chaser", Counted)
+    def test_every_shot_runs_on_the_walks_curve(self, monkeypatch):
+        # brute_force confirms every candidate on the curve it was given
         shots = []
         real = oracle.closure_shot
         monkeypatch.setattr(oracle, "closure_shot",
                             lambda *a, **k: shots.append(a) or real(*a, **k))
         curve = random_curve(0, vertices=5, curve_class="deltaInterior")
         assert len(brute_force(curve, 2)) == 5
-        assert len(built) == 1 and len(shots) >= 5
-        assert all(a[0] is built[0] for a in shots)
+        assert len(shots) >= 5
+        assert all(a[0] is curve for a in shots)
 
 
 def _rand_rational(rng):
@@ -848,9 +856,8 @@ class TestPipelineCrossCheck:
 def _brute_force_of_every_vector(curve, n, monkeypatch):
     """brute_force on the roots of every vector of _every_vector, each
     read on its own, so that the walk passes over none."""
-    ch = _Chaser(curve)
     roots = [root for branches in _every_vector(curve, n)
-             for root in _vector_roots(ch, n, branches)[0]]
+             for root in _vector_roots(curve, n, branches)[0]]
     with monkeypatch.context() as mp:
         mp.setattr(oracle, "_shift_one_roots", lambda *_: iter(roots))
         return brute_force(curve, n)
@@ -870,13 +877,12 @@ class TestDeadPrefixes:
             # candidate, and is ruled out by a vector a walked before it
             # whose cells all missed, at branch index m at the deepest: it
             # keeps a's first m entries and has an entry >= a[m] at m
-            ch = _Chaser(curve)
             skipped = [b for b in _every_vector(curve, 3) if b not in walked]
             assert skipped
             for b in skipped:
                 assert any(a < b and a[:m] == b[:m] and b[m] >= a[m]
                            for a, m in walked.items() if m is not None)
-                candidates, missed, _ = _cell_roots(ch, 3, b)
+                candidates, missed, _ = _cell_roots(curve, 3, b)
                 assert candidates == [] and missed is not None
 
     def test_results_equal_the_walk_of_every_vector(self, monkeypatch):
@@ -907,9 +913,9 @@ class TestVectorBudget:
         cells = []
         real = oracle._chase
 
-        def spy(ch, frees, k, s, branches=()):
+        def spy(curve, frees, k, s, branches=()):
             cells.append(type(frees[0]) is _Affine)
-            return real(ch, frees, k, s, branches)
+            return real(curve, frees, k, s, branches)
 
         with monkeypatch.context() as mp:
             mp.setattr(oracle, "_chase", spy)

@@ -1,4 +1,5 @@
 import gc
+import operator
 import random
 import weakref
 from dataclasses import replace
@@ -31,7 +32,8 @@ from curvepart.pipeline import (
     step_cumulative,
 )
 from curvepart.plcurve import curve_intersections, point_on_curve
-from curvepart.plfun import level_set, pl_add, pl_scale_values, pl_window
+from curvepart.plfun import (level_set, pl_combine, pl_scale_values,
+                             pl_window)
 from curvepart.scalar import rat
 
 from test_kernels import ref_earliest_meeting
@@ -180,7 +182,7 @@ def ref_partitioning_functions(curve, n):
     height, width = curve.y_function(), curve.x_function()
     y, xs = height, [width]
     for _ in range(1, n):
-        w = pl_add(xs[-1], y)
+        w = pl_combine(xs[-1], y, operator.add)
         t_stop = level_set(w, 1)[0][0]
         sol = climb.solve(height, pl_window(w, 0, t_stop))
         inner = pl_scale_values(sol.g2, t_stop)
@@ -334,7 +336,8 @@ class TestCompositionChain:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "curve_intersections", recording)
             assert extract_points(c, pf).points == ref_extract_points(c, y, xs)
-        assert meetings[0] <= level_set(pl_add(xs[-1], y), 1)[0][0]
+        w = pl_combine(xs[-1], y, operator.add)
+        assert meetings[0] <= level_set(w, 1)[0][0]
         assert pf.y == y and pf.xs == xs
 
     def test_random_curves_match_full_composition(self):
@@ -503,7 +506,7 @@ class TestPartitionBelowDiagonal:
         xs = [0, R(3, 10), R(1, 5), R(11, 20), R(3, 5), 1]
         c = PLCurve(knots, list(zip(xs, ys)))
         y = c.y_function()
-        w = pl_add(c.x_function(), y)
+        w = pl_combine(c.x_function(), y, operator.add)
         f2 = pl_window(w, 0, ls(w, 1)[0][0])
         assert fold_levels(y) & fold_levels(f2) == {R(1, 2)}
 

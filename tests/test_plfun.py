@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from curvepart import (
 from curvepart.plfun import (
     canonical,
     clamp_to_unit,
-    pl_add,
+    pl_combine,
     pl_scale_values,
     pl_sub,
     pl_window,
@@ -213,7 +214,7 @@ class TestLevelSet:
 
 class TestHelpers:
     def test_pl_add_sub(self):
-        s = pl_add(ZIGZAG, identity())
+        s = pl_combine(ZIGZAG, identity(), operator.add)
         d = pl_sub(s, identity())
         assert d == ZIGZAG
 

@@ -5,13 +5,14 @@ pointwise evaluation, naive per-piece equation solving, quadratic
 all-pairs intersection bookkeeping, and marching-squares path tracing.
 """
 
+import operator
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from curvepart import PLCurve, PLFunction, pl_eval
-from curvepart.oracle import _Chaser
 from curvepart.plcurve import curve_from_functions
-from curvepart.plfun import pl_add, pl_scale_values
+from curvepart.plfun import pl_combine, pl_scale_values
 from curvepart.scalar import rat
 
 DENOM = 2**16
@@ -160,7 +161,7 @@ def full_closing_curve(x, y):
     """The closing curve (1 - y(t), x(t) + y(t)) over all of [0, 1], built
     from the two functions: the reference for the pipeline's closing
     curve, which it builds from its row table only up to t_stop."""
-    return curve_from_functions(pl_scale_values(y, -1, 1), pl_add(x, y))
+    return curve_from_functions(pl_scale_values(y, -1, 1), pl_combine(x, y, operator.add))
 
 
 def eval_grid_equal(f, g, steps=97):
@@ -310,11 +311,10 @@ def fraction_curve(knots, verts):
                    [(Fraction(str(x)), Fraction(str(y))) for x, y in verts])
 
 
-def float_chaser(curve):
-    """An oracle `_Chaser` over a float copy of curve's knots and vertices:
-    the float chase that some tests take as their reference, where the
-    library chases exact rationals only."""
-    ch = _Chaser(curve)
-    ch.knots = [float(t) for t in ch.knots]
-    ch.verts = [(float(x), float(y)) for x, y in ch.verts]
-    return ch
+def float_curve(curve):
+    """A float copy of curve's knots and vertices, which the oracle's chase
+    reads as it reads a curve: the float chase that some tests take as
+    their reference, where the library chases exact rationals only."""
+    return SimpleNamespace(knots=[float(t) for t in curve.knots],
+                           vertices=[(float(x), float(y))
+                                     for x, y in curve.vertices])
